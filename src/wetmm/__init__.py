@@ -28,12 +28,10 @@ from wetmm.estimation import (
     receive_pilots,
 )
 from wetmm.energy import (
-    EnergyReport,
     ResourceAllocation,
     asymptotic_energy,
     beamformer,
-    energy_report,
-    error_variance_split,
+    energies,
     expected_harvested_energy,
     general_beamformer,
     harvested_energy_fixedpoint,
@@ -48,16 +46,13 @@ from wetmm.rates import (
     c1_limit,
     c1_sample,
     closed_form_rate,
+    closed_form_sinr,
     ideal_asymptotic_rate,
     ideal_rate,
     large_k_rate,
     maxmin_asymptotic_rate,
     mm_dorg,
-    mrc_rate,
-    opmm_mrc_rate,
-    opmm_zf_rate,
     user_load_for_rate,
-    zf_rate,
 )
 from wetmm.optimizer import (
     OptimizationResult,

@@ -163,7 +163,8 @@ def load_config(path: str) -> dict:
     """Parse a flat key = value config file into ExperimentSpec overrides.
 
     Raises:
-        ValueError: on unknown keys or malformed lines.
+        ValueError: on unknown keys, malformed lines or unparsable values,
+            naming the file, line and key.
     """
     known = set(ExperimentSpec.__dataclass_fields__)
     overrides = {}
@@ -175,12 +176,15 @@ def load_config(path: str) -> dict:
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key in _DBM_KEYS:
-                overrides[_DBM_KEYS[key]] = dbm_to_watts(float(raw))
-            elif key in known:
-                overrides[key] = _parse_value(key, raw)
-            else:
+            if key not in known and key not in _DBM_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                if key in _DBM_KEYS:
+                    overrides[_DBM_KEYS[key]] = dbm_to_watts(float(raw))
+                else:
+                    overrides[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return overrides
 
 

@@ -22,24 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.estimation import error_variance
 from wetmm.sysmodel import SystemParams
 
 __all__ = [
     "RHO_CLAMP",
     "ResourceAllocation",
-    "EnergyReport",
     "clamp_rho",
     "beamformer",
     "general_beamformer",
     "expected_harvested_energy",
     "harvested_energy_fixedpoint",
-    "error_variance_split",
     "uplink_power",
     "ideal_energy",
     "opmm_energy",
     "asymptotic_energy",
-    "energy_report",
+    "energies",
 ]
 
 # The harvested-energy fixed point and the splitting error variance are
@@ -72,6 +69,8 @@ class ResourceAllocation:
 
     def __post_init__(self):
         xi = np.atleast_1d(np.asarray(self.xi, dtype=float)).copy()
+        if not (np.all(np.isfinite([self.tau, self.alpha, self.rho])) and np.all(np.isfinite(xi))):
+            raise ValueError("allocation entries must be finite")
         if self.tau < 0 or self.alpha < 0:
             raise ValueError("time fractions must be nonnegative")
         if self.tau + self.alpha > 1.0 + 1e-12:
@@ -84,23 +83,6 @@ class ResourceAllocation:
             raise ValueError(f"beam weights must sum to 1, got {xi.sum()}")
         xi.setflags(write=False)
         object.__setattr__(self, "xi", xi)
-
-
-@dataclass
-class EnergyReport:
-    """Per-user steady-state energy bookkeeping at one allocation.
-
-    Attributes:
-        E: banked harvested energy per frame.
-        pilot_energy: rho * E, spent on the pilot block.
-        uplink_power: transmit power during the data phase.
-        error_var: channel-estimation error variance at that pilot energy.
-    """
-
-    E: np.ndarray
-    pilot_energy: np.ndarray
-    uplink_power: np.ndarray
-    error_var: np.ndarray
 
 
 def beamformer(G_hat: np.ndarray, xi) -> np.ndarray:
@@ -218,17 +200,6 @@ def harvested_energy_fixedpoint(alpha, rho, xi, beta, M, p_dl, sigma2_ul):
     return _fixedpoint_raw(alpha, clamp_rho(rho), xi, beta, M, p_dl, sigma2_ul)
 
 
-def error_variance_split(alpha, rho, xi, beta, M, p_dl, sigma2_ul):
-    """Estimation-error variance when pilots carry energy rho * E.
-
-    Equals error_variance(beta, rho * E, sigma2) with E the steady-state
-    fixed point, i.e. beta sigma2 / (beta rho E + sigma2).
-    """
-    rho_c = clamp_rho(rho)
-    e_fix = harvested_energy_fixedpoint(alpha, rho, xi, beta, M, p_dl, sigma2_ul)
-    return error_variance(beta, rho_c * e_fix, sigma2_ul)
-
-
 def uplink_power(tau, alpha, rho, E):
     """Data-phase transmit power: all unspent energy over the data duration.
 
@@ -271,16 +242,22 @@ def asymptotic_energy(alpha, xi, beta, M, p_dl):
     return alpha * p_dl * np.asarray(beta, dtype=float) * np.asarray(xi, dtype=float) * M
 
 
-def energy_report(params: SystemParams, alloc: ResourceAllocation) -> EnergyReport:
-    """Steady-state per-user energy bookkeeping at one allocation."""
-    rho_c = float(clamp_rho(alloc.rho))
-    if alloc.alpha > 0:
-        e_fix = harvested_energy_fixedpoint(
-            alloc.alpha, rho_c, alloc.xi, params.beta, params.M, params.p_dl, params.sigma2_ul
-        )
-    else:
-        e_fix = np.zeros(params.K)
-    pilot = rho_c * e_fix
-    p = uplink_power(alloc.tau, alloc.alpha, rho_c, e_fix)
-    err = error_variance(params.beta, pilot, params.sigma2_ul)
-    return EnergyReport(E=e_fix, pilot_energy=pilot, uplink_power=p, error_var=err)
+def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
+    """Steady-state banked energy per user for one of the three systems.
+
+    "wetmm" is the harvested-energy fixed point at rho clamped to
+    [RHO_CLAMP, 1 - RHO_CLAMP] (exactly 0 where alpha = 0), "opmm" the
+    isotropic harvest alpha p_dl beta, and "ideal" the perfect-knowledge
+    harvest.  ``alpha``, ``rho`` and ``xi`` broadcast against each other with
+    users on the last axis; rho is unused by "opmm" and "ideal", xi by "opmm",
+    so the result carries only the axes of the arguments its system uses.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if system == "wetmm":
+        return _fixedpoint_raw(alpha, clamp_rho(rho), xi, params.beta,
+                               params.M, params.p_dl, params.sigma2_ul)
+    if system == "opmm":
+        return opmm_energy(alpha, params.beta, params.p_dl)
+    if system == "ideal":
+        return ideal_energy(alpha, xi, params.beta, params.M, params.p_dl)
+    raise ValueError(f"unknown system: {system!r}")

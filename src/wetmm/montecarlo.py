@@ -25,10 +25,8 @@ from wetmm.energy import (
     ResourceAllocation,
     beamformer,
     clamp_rho,
+    energies,
     general_beamformer,
-    harvested_energy_fixedpoint,
-    ideal_energy,
-    opmm_energy,
     uplink_power,
 )
 from wetmm.estimation import draw_realization, error_variance
@@ -152,16 +150,11 @@ def _operating_point(params: SystemParams, alloc: ResourceAllocation, system: st
     rem = 1.0 - alloc.tau - alloc.alpha
     if alloc.alpha <= 0 or rem <= 0:
         raise ValueError("Monte Carlo needs alpha > 0 and tau + alpha < 1")
+    e = energies(params, system, alloc.alpha, alloc.rho, alloc.xi)
     if system == "ideal":
-        e = ideal_energy(alloc.alpha, alloc.xi, params.beta, params.M, params.p_dl)
         powers = e / (1.0 - alloc.alpha)
         return e, None, powers, np.zeros(params.K)
     rho = float(clamp_rho(alloc.rho))
-    if system == "wetmm":
-        e = harvested_energy_fixedpoint(alloc.alpha, rho, alloc.xi, params.beta,
-                                        params.M, params.p_dl, params.sigma2_ul)
-    else:
-        e = opmm_energy(alloc.alpha, params.beta, params.p_dl)
     pilot_energy = rho * e
     powers = uplink_power(alloc.tau, alloc.alpha, rho, e)
     err_var = error_variance(params.beta, pilot_energy, params.sigma2_ul)

@@ -15,8 +15,9 @@ optimum closely at large M.
 The search lattice is the set of integer multiples of the step sizes.  A
 coarse pass (steps scaled by ``coarse_factor``) locates an incumbent, then a
 fine pass re-evaluates the box within ``refine_radius`` coarse steps of it.
-Ties are broken toward smaller tau, then alpha, then rho, then xi_1, and the
-reduction is deterministic regardless of evaluation chunking.
+Only tau = 0 is evaluated, since it is the exact argmax over tau (see
+:func:`grid_search_p1`).  Ties are broken toward smaller alpha, then rho,
+then xi_1, and the reduction is deterministic.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.energy import ResourceAllocation, _fixedpoint_raw, clamp_rho, ideal_energy
-from wetmm.rates import closed_form_rate
+from wetmm.energy import ResourceAllocation
+from wetmm.rates import closed_form_rate, closed_form_sinr
 from wetmm.sysmodel import SystemParams
 
 __all__ = [
@@ -56,7 +57,9 @@ class OptimizationResult:
         grid_steps: fine lattice steps used, (tau, alpha, rho[, xi_1]) or
             (alpha[, xi_1]) for the ideal system.
         n_evaluations: number of feasible lattice points at which the
-            objective was evaluated (coarse and fine passes combined).
+            objective was evaluated (coarse and fine passes combined); the
+            lattice searches tau = 0 only, so these are (alpha, rho[, xi])
+            points.
     """
 
     allocation: ResourceAllocation
@@ -136,77 +139,6 @@ def _index_lattice(step: float, lo_idx: int, hi_idx: int) -> np.ndarray:
     return step * np.arange(lo_idx, hi_idx + 1, dtype=float)
 
 
-def _plane_tables(params: SystemParams, system: str, detector: str,
-                  alpha_vals: np.ndarray, rho_vals: np.ndarray, xi_arr: np.ndarray):
-    """Precompute the tau-independent part of the objective.
-
-    Axes are (alpha, rho, xi-candidate[, user]).  For ZF the per-user SINR
-    shares one bracket term, so only min_k of the numerator and the summed
-    pilot load are kept; MRC keeps per-user tables.
-    """
-    beta = params.beta
-    M, K, s2 = params.M, params.K, params.sigma2_ul
-    a4 = alpha_vals[:, None, None, None]
-    r4 = rho_vals[None, :, None, None]
-    x4 = xi_arr[None, None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if system == "wetmm":
-            E = _fixedpoint_raw(a4, r4, x4, beta, M, params.p_dl, s2)
-        else:
-            E = a4 * params.p_dl * beta + 0.0 * (r4 + 0.0 * x4[..., :1])
-        safe_e = np.where(E > 0, E, 1.0)
-        denom_pilot = beta * r4 + s2 / safe_e
-        if detector == "zf":
-            f = np.where(E > 0, (M - K) * beta**2 * r4 * E / (s2 * denom_pilot), 0.0)
-            fmin = f.min(axis=-1)
-            load = np.sum(beta * E / (beta * r4 * E + s2), axis=-1)
-            inv1mr = 1.0 / (1.0 - rho_vals)
-            return ("zf", fmin, load, inv1mr)
-        a_num = (M - 1) * beta**2 * r4 * E
-        bs = denom_pilot * s2 / (1.0 - r4)
-        be = beta * E
-        cross = be.sum(axis=-1, keepdims=True) - be
-        d = denom_pilot * cross + beta * s2
-        return ("mrc", a_num, bs, d)
-
-
-def _sweep_tau(tau_vals: np.ndarray, alpha_vals: np.ndarray, tables, plane_shape):
-    """Stream the tau axis over precomputed planes; deterministic argmax.
-
-    Returns (best value, (i_tau, i_alpha, i_rho, i_xi), feasible count).
-    Within a plane, np.argmax on the C-ordered block picks the smallest
-    alpha, then rho, then xi index; strict > across ascending tau keeps the
-    smallest tau.
-    """
-    n_rho, n_xi = plane_shape
-    best_val = -np.inf
-    best_idx = None
-    n_eval = 0
-    for it, tau in enumerate(tau_vals):
-        rem = 1.0 - tau - alpha_vals
-        feas = rem >= 0.0
-        n_feas = int(feas.sum())
-        if n_feas == 0:
-            continue
-        n_eval += n_feas * n_rho * n_xi
-        rem3 = np.where(feas, rem, 0.0)[:, None, None]
-        if tables[0] == "zf":
-            _, fmin, load, inv1mr = tables
-            bracket = rem3 * inv1mr[None, :, None] + load
-            sinr = np.where(bracket > 0, fmin / np.where(bracket > 0, bracket, 1.0), 0.0)
-        else:
-            _, a_num, bs, d = tables
-            sinr = (a_num / (bs * rem3[..., None] + d)).min(axis=-1)
-        rate = rem3 * np.log2(1.0 + sinr)
-        rate[~feas, :, :] = -np.inf
-        j = int(np.argmax(rate))
-        v = float(rate.flat[j])
-        if v > best_val:
-            best_val = v
-            best_idx = (it, *np.unravel_index(j, rate.shape))
-    return best_val, best_idx, n_eval
-
-
 def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
                    xi_idx: np.ndarray | None, xi_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Return (index vector, candidate array (n, K)) for the xi axis."""
@@ -222,18 +154,24 @@ def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
     return xi_idx, np.stack([xi1, 1.0 - xi1], axis=-1)
 
 
-def _search_pass(params, system, detector, steps, xi_policy, xi_step,
-                 t_idx, a_idx, r_idx, x_idx):
-    tau_vals = steps[0] * t_idx
-    alpha_vals = steps[1] * a_idx
-    rho_vals = steps[2] * r_idx
+def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_idx, x_idx):
+    """Best (alpha, rho, xi) lattice point at tau = 0.
+
+    Returns (best value, (alpha, rho, xi) lattice indices, feasible count).
+    np.argmax on the C-ordered (alpha, rho, xi) block picks the smallest
+    alpha, then rho, then xi index among ties.
+    """
     x_idx, xi_arr = _xi_candidates(params, system, xi_policy, x_idx, xi_step)
-    tables = _plane_tables(params, system, detector, alpha_vals, rho_vals, xi_arr)
-    val, idx, n_eval = _sweep_tau(tau_vals, alpha_vals, tables, (rho_vals.size, xi_arr.shape[0]))
-    if idx is None:
-        return val, None, n_eval
-    it, ia, ir, ix = idx
-    return val, (int(t_idx[it]), int(a_idx[ia]), int(r_idx[ir]), int(x_idx[ix])), n_eval
+    alpha = steps[1] * a_idx[:, None, None, None]
+    sinr = closed_form_sinr(params, system, detector, 0.0, alpha,
+                            steps[2] * r_idx[None, :, None, None], xi_arr[None, None])
+    rem = 1.0 - alpha[..., 0]
+    with np.errstate(invalid="ignore"):
+        rate = np.where(rem >= 0.0, rem * np.log2(1.0 + sinr.min(axis=-1)), -np.inf)
+    j = int(np.argmax(rate))
+    ia, ir, ix = np.unravel_index(j, rate.shape)
+    n_eval = int(np.count_nonzero(rem >= 0.0)) * r_idx.size * x_idx.size
+    return float(rate.flat[j]), (int(a_idx[ia]), int(r_idx[ir]), int(x_idx[ix])), n_eval
 
 
 def _ideal_search(params: SystemParams, detector: str, alpha_step: float,
@@ -242,18 +180,9 @@ def _ideal_search(params: SystemParams, detector: str, alpha_step: float,
     n_a = int(np.floor(1.0 / alpha_step + 1e-9))
     alpha_vals = _index_lattice(alpha_step, 0, n_a)
     _, xi_arr = _xi_candidates(params, "wetmm", xi_policy, np.arange(int(round(1.0 / xi_step)) + 1), xi_step)
-    beta, M, K, s2 = params.beta, params.M, params.K, params.sigma2_ul
-    e = ideal_energy(alpha_vals[:, None, None], xi_arr[None, :, :], beta, M, params.p_dl)
-    rem = (1.0 - alpha_vals)[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if detector == "zf":
-            sinr = e * (M - K) * beta / (rem * s2)
-        else:
-            be = e * beta
-            cross = be.sum(axis=-1, keepdims=True) - be
-            sinr = e * (M - 1) * beta / (cross + rem * s2)
-        sinr = np.where(rem > 0, sinr, 0.0)
-        rate = (rem * np.log2(1.0 + sinr)).min(axis=-1)
+    sinr = closed_form_sinr(params, "ideal", detector, 0.0, alpha_vals[:, None, None], 0.0,
+                            xi_arr[None, :, :])
+    rate = ((1.0 - alpha_vals)[:, None, None] * np.log2(1.0 + sinr)).min(axis=-1)
     j = int(np.argmax(rate))
     ia, ix = np.unravel_index(j, rate.shape)
     alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]), rho=0.0, xi=xi_arr[ix])
@@ -283,16 +212,28 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         coarse_factor: coarse steps are this multiple of the fine steps;
             1 disables the coarse pass and sweeps the fine lattice directly.
         refine_radius: half-width of the fine re-evaluation box, in coarse
-            steps around the incumbent.  Default 10 for the 3-D search and
-            2 for the 4-D simplex search, whose refine box would otherwise
-            dominate the runtime.
+            steps around the incumbent.  Default 10 for the (alpha, rho)
+            search and 2 for the simplex search over (alpha, rho, xi_1),
+            whose refine box would otherwise dominate the runtime.
+
+    The tau axis is validated and reported but not swept: tau = 0 is the
+    exact lattice argmax.  At fixed (alpha, rho, xi) every per-user rate
+    has the form rem log2(1 + a / (b rem + d)) with rem = 1 - tau - alpha
+    and a, b, d >= 0 independent of tau.  With s = a / (b rem + d), its
+    derivative in rem is
+
+        ln(1 + s) - (s / (1 + s)) b rem / (b rem + d) > 0,
+
+    since ln(1 + s) > s / (1 + s) for s > 0 and b rem / (b rem + d) <= 1.
+    So every rate, and hence the min rate, strictly decreases in tau, and
+    the search runs over (alpha, rho, xi) at tau = 0 only.
 
     Returns:
-        OptimizationResult at the lattice argmax (ties: smallest tau, then
-        alpha, then rho, then xi_1).
+        OptimizationResult at the lattice argmax (ties: smallest alpha, then
+        rho, then xi_1).
 
     Raises:
-        ValueError: on invalid tags, steps, or an empty feasible lattice.
+        ValueError: on invalid tags or steps.
     """
     _check_tags(params, system, detector)
     if len(steps) != 3 or any(s <= 0 for s in steps):
@@ -315,34 +256,27 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         raise ValueError("step sizes leave an empty lattice")
 
     cf = int(coarse_factor)
-    t_coarse = np.arange(0, n_t + 1, cf)
     a_coarse = np.arange(0, n_a + 1, cf)
     r_coarse = np.arange(cf, n_r + 1, cf)
     if r_coarse.size == 0:
         r_coarse = np.arange(1, n_r + 1)
     x_coarse = np.arange(0, n_x + 1, cf)
-    if np.max(1.0 - steps[0] * t_coarse[0] - steps[1] * a_coarse) < 0:
-        raise ValueError("empty feasible lattice")
-
     val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy,
-                                    xi_step, t_coarse, a_coarse, r_coarse, x_coarse)
-    if idx is None:
-        raise ValueError("empty feasible lattice")
+                                    xi_step, a_coarse, r_coarse, x_coarse)
 
     if cf > 1:
         half = refine_radius * cf
-        bt, ba, br, bx = idx
-        t_fine = np.arange(max(0, bt - half), min(n_t, bt + half) + 1)
+        ba, br, bx = idx
         a_fine = np.arange(max(0, ba - half), min(n_a, ba + half) + 1)
         r_fine = np.arange(max(1, br - half), min(n_r, br + half) + 1)
         x_fine = np.arange(max(0, bx - half), min(n_x, bx + half) + 1)
         val_f, idx_f, n_eval_f = _search_pass(params, system, detector, steps, xi_policy,
-                                              xi_step, t_fine, a_fine, r_fine, x_fine)
+                                              xi_step, a_fine, r_fine, x_fine)
         n_eval += n_eval_f
-        if idx_f is not None and (val_f > val or (val_f == val and idx_f < idx)):
+        if val_f > val or (val_f == val and idx_f < idx):
             val, idx = val_f, idx_f
 
-    bt, ba, br, bx = idx
+    ba, br, bx = idx
     if system == "opmm":
         xi_best = np.full(params.K, 1.0 / params.K)
         steps_used = steps
@@ -353,8 +287,7 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     else:
         xi_best = optimal_xi(params.beta)
         steps_used = steps
-    alloc = ResourceAllocation(tau=steps[0] * bt, alpha=steps[1] * ba,
-                               rho=steps[2] * br, xi=xi_best)
+    alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi_best)
     report = closed_form_rate(params, alloc, system, detector)
     return OptimizationResult(
         allocation=alloc, min_rate=report.min_rate, rates=report.rate,
@@ -382,14 +315,8 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
         rho_vals = np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals))
     else:
         rho_vals = np.full_like(alpha_vals, mrc_rho)
-    rho_c = clamp_rho(rho_vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = _fixedpoint_raw(alpha_vals[:, None], rho_c[:, None], optimal_xi(params.beta),
-                            params.beta, params.M, params.p_dl, params.sigma2_ul)
-    from wetmm.rates import mrc_sinr_from_energy, zf_sinr_from_energy
-    sinr_fn = zf_sinr_from_energy if detector == "zf" else mrc_sinr_from_energy
-    sinr = sinr_fn(e, params.beta, 0.0, alpha_vals[:, None], rho_c[:, None],
-                   params.M, params.sigma2_ul)
+    sinr = closed_form_sinr(params, "wetmm", detector, 0.0, alpha_vals[:, None],
+                            rho_vals[:, None], optimal_xi(params.beta))
     min_rate = ((1.0 - alpha_vals)[:, None] * np.log2(1.0 + sinr)).min(axis=-1)
     ia = int(np.argmax(min_rate))
     alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]),
@@ -412,20 +339,10 @@ def rate_map(params: SystemParams, system: str, detector: str,
     _check_tags(params, system, detector)
     if system == "ideal":
         raise ValueError("the ideal system has no (tau, rho) axes to map")
-    from wetmm.rates import mrc_sinr_from_energy, zf_sinr_from_energy
     tau_vals = np.asarray(tau_vals, dtype=float)
     alpha_vals = np.asarray(alpha_vals, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    rho_c = float(clamp_rho(rho))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if system == "wetmm":
-            e = _fixedpoint_raw(alpha_vals[:, None], rho_c, xi, params.beta,
-                                params.M, params.p_dl, params.sigma2_ul)
-        else:
-            e = alpha_vals[:, None] * params.p_dl * params.beta * np.ones_like(xi)
-    sinr_fn = zf_sinr_from_energy if detector == "zf" else mrc_sinr_from_energy
-    sinr = sinr_fn(e[None, :, :], params.beta, tau_vals[:, None, None],
-                   alpha_vals[None, :, None], rho_c, params.M, params.sigma2_ul)
+    sinr = closed_form_sinr(params, system, detector, tau_vals[:, None, None],
+                            alpha_vals[None, :, None], rho, xi)
     rem = 1.0 - tau_vals[:, None, None] - alpha_vals[None, :, None]
     with np.errstate(invalid="ignore"):
         rate = np.where(rem >= 0, rem, np.nan) * np.log2(1.0 + np.maximum(sinr, 0.0))
@@ -443,19 +360,6 @@ def rate_vs_rho(params: SystemParams, system: str, detector: str,
         raise ValueError("the ideal system has no rho axis to sweep")
     if tau < 0 or alpha < 0 or tau + alpha > 1:
         raise ValueError("need tau, alpha >= 0 with tau + alpha <= 1")
-    from wetmm.rates import mrc_sinr_from_energy, zf_sinr_from_energy
     rho_vals = np.asarray(rho_vals, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    rho_c = clamp_rho(rho_vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if system == "wetmm" and alpha > 0:
-            e = _fixedpoint_raw(alpha, rho_c[:, None], xi, params.beta,
-                                params.M, params.p_dl, params.sigma2_ul)
-        elif system == "wetmm":
-            e = np.zeros((rho_vals.size, params.K))
-        else:
-            e = np.broadcast_to(alpha * params.p_dl * params.beta,
-                                (rho_vals.size, params.K))
-    sinr_fn = zf_sinr_from_energy if detector == "zf" else mrc_sinr_from_energy
-    sinr = sinr_fn(e, params.beta, tau, alpha, rho_c[:, None], params.M, params.sigma2_ul)
+    sinr = closed_form_sinr(params, system, detector, tau, alpha, rho_vals[:, None], xi)
     return (1.0 - tau - alpha) * np.log2(1.0 + sinr)

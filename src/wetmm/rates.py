@@ -29,18 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.energy import ResourceAllocation, clamp_rho, _fixedpoint_raw, ideal_energy, opmm_energy
+from wetmm.energy import ResourceAllocation, clamp_rho, energies
 from wetmm.sysmodel import SystemParams
 
 __all__ = [
     "RateReport",
     "zf_sinr_from_energy",
     "mrc_sinr_from_energy",
-    "zf_rate",
-    "mrc_rate",
+    "closed_form_sinr",
     "ideal_rate",
-    "opmm_zf_rate",
-    "opmm_mrc_rate",
     "asymptotic_zf_rate",
     "asymptotic_mrc_rate",
     "maxmin_asymptotic_rate",
@@ -129,39 +126,32 @@ def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
     return np.where(E > 0, sinr, 0.0)
 
 
-def _report(params, alloc, sinr, system, detector, prefactor) -> RateReport:
-    rate = prefactor * np.log2(1.0 + sinr)
-    return RateReport(rate=rate, sinr=sinr, detector=detector, system=system, allocation=alloc)
+def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alpha, rho, xi):
+    """Per-user closed-form SINR of a (system, detector) pair.
 
-
-def _wetmm_energies(params: SystemParams, alloc: ResourceAllocation):
-    rho_c = clamp_rho(alloc.rho)
-    if alloc.alpha > 0:
-        e_fix = _fixedpoint_raw(
-            alloc.alpha, rho_c, alloc.xi, params.beta, params.M, params.p_dl, params.sigma2_ul
-        )
-    else:
-        e_fix = np.zeros(params.K)
-    return e_fix, rho_c
-
-
-def zf_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
-    """Zero-forcing rate lower bound at steady-state harvested energies."""
-    params.require_zf()
-    e_fix, rho_c = _wetmm_energies(params, alloc)
-    sinr = zf_sinr_from_energy(
-        e_fix, params.beta, alloc.tau, alloc.alpha, rho_c, params.M, params.sigma2_ul
-    )
-    return _report(params, alloc, sinr, "wetmm", "zf", 1.0 - alloc.tau - alloc.alpha)
-
-
-def mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
-    """Maximum-ratio-combining rate lower bound at steady-state energies."""
-    e_fix, rho_c = _wetmm_energies(params, alloc)
-    sinr = mrc_sinr_from_energy(
-        e_fix, params.beta, alloc.tau, alloc.alpha, rho_c, params.M, params.sigma2_ul
-    )
-    return _report(params, alloc, sinr, "wetmm", "mrc", 1.0 - alloc.tau - alloc.alpha)
+    ``tau``, ``alpha``, ``rho`` and ``xi`` broadcast against each other with
+    users on the last axis.  Energies come from :func:`wetmm.energy.energies`
+    at rho clamped to [RHO_CLAMP, 1 - RHO_CLAMP].  The "ideal" system
+    ignores tau and rho, and its SINR is zero where alpha = 1 leaves no data
+    phase.
+    """
+    _check_detector(detector)
+    rho_c = clamp_rho(rho)
+    e = energies(params, system, alpha, rho_c, xi)
+    beta, M, s2 = params.beta, params.M, params.sigma2_ul
+    if system != "ideal":
+        sinr_fn = zf_sinr_from_energy if detector == "zf" else mrc_sinr_from_energy
+        return sinr_fn(e, beta, tau, alpha, rho_c, M, s2)
+    rem = 1.0 - np.asarray(alpha, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if detector == "zf":
+            params.require_zf()
+            sinr = e * (M - params.K) * beta / (rem * s2)
+        else:
+            be = e * beta
+            cross = be.sum(axis=-1, keepdims=True) - be
+            sinr = e * (M - 1) * beta / (cross + rem * s2)
+    return np.where(rem > 0, sinr, 0.0)
 
 
 def ideal_rate(params: SystemParams, alpha: float, xi, detector: str) -> RateReport:
@@ -174,48 +164,10 @@ def ideal_rate(params: SystemParams, alpha: float, xi, detector: str) -> RateRep
         mrc: (1-alpha) log2(1 + E_k (M-1) beta_k /
                                 (sum_{i != k} E_i beta_i + (1-alpha) sigma2))
     """
-    _check_detector(detector)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if alpha < 0 or alpha > 1:
         raise ValueError("alpha must lie in [0, 1]")
-    e = ideal_energy(alpha, xi, params.beta, params.M, params.p_dl)
-    rem = 1.0 - alpha
-    if detector == "zf":
-        params.require_zf()
-        sinr = e * (params.M - params.K) * params.beta / (rem * params.sigma2_ul) if rem > 0 else np.zeros(params.K)
-    else:
-        if params.M < 2:
-            raise ValueError("MRC requires M >= 2")
-        be = e * params.beta
-        cross = be.sum() - be
-        sinr = e * (params.M - 1) * params.beta / (cross + rem * params.sigma2_ul) if rem > 0 else np.zeros(params.K)
     alloc = ResourceAllocation(tau=0.0, alpha=alpha, rho=0.0, xi=xi)
-    return _report(params, alloc, sinr, "ideal", detector, rem)
-
-
-def opmm_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
-    """Zero-forcing rate for the isotropic energy-phase benchmark.
-
-    Identical structure to :func:`zf_rate` with the no-array-gain energy
-    E = alpha p_dl beta.  Beam weights in ``alloc`` are ignored.
-    """
-    params.require_zf()
-    e = opmm_energy(alloc.alpha, params.beta, params.p_dl)
-    rho_c = clamp_rho(alloc.rho)
-    sinr = zf_sinr_from_energy(
-        e, params.beta, alloc.tau, alloc.alpha, rho_c, params.M, params.sigma2_ul
-    )
-    return _report(params, alloc, sinr, "opmm", "zf", 1.0 - alloc.tau - alloc.alpha)
-
-
-def opmm_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
-    """MRC rate for the isotropic energy-phase benchmark."""
-    e = opmm_energy(alloc.alpha, params.beta, params.p_dl)
-    rho_c = clamp_rho(alloc.rho)
-    sinr = mrc_sinr_from_energy(
-        e, params.beta, alloc.tau, alloc.alpha, rho_c, params.M, params.sigma2_ul
-    )
-    return _report(params, alloc, sinr, "opmm", "mrc", 1.0 - alloc.tau - alloc.alpha)
+    return closed_form_rate(params, alloc, "ideal", detector)
 
 
 def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
@@ -233,7 +185,8 @@ def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> RateR
     num = params.M * (params.M - params.K) * alloc.alpha * params.p_dl * params.beta**2 * alloc.xi * rho
     den = params.sigma2_ul * (params.K + rem * rho / (1.0 - rho))
     sinr = num / den
-    return _report(params, alloc, sinr, "wetmm", "zf", rem)
+    return RateReport(rate=rem * np.log2(1.0 + sinr), sinr=sinr, detector="zf",
+                      system="wetmm", allocation=alloc)
 
 
 def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
@@ -252,7 +205,8 @@ def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> Rate
     cross = w.sum() - w
     with np.errstate(divide="ignore"):
         sinr = np.where(cross > 0, (params.M - 1) * w / np.where(cross > 0, cross, 1.0), np.inf)
-    return _report(params, alloc, sinr, "wetmm", "mrc", rem)
+    return RateReport(rate=rem * np.log2(1.0 + sinr), sinr=sinr, detector="mrc",
+                      system="wetmm", allocation=alloc)
 
 
 def maxmin_asymptotic_rate(params: SystemParams, detector: str) -> float:
@@ -297,19 +251,16 @@ def ideal_asymptotic_rate(params: SystemParams, alpha: float, detector: str) -> 
 
 
 def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: str, detector: str) -> RateReport:
-    """Dispatch to the closed-form rate for a (system, detector) pair.
+    """Closed-form per-user rates (1 - tau - alpha) log2(1 + sinr) at one allocation.
 
     For the "ideal" system the allocation's tau and rho are ignored (both
     are structurally zero with perfect channel knowledge).
     """
-    _check_detector(detector)
-    if system == "wetmm":
-        return zf_rate(params, alloc) if detector == "zf" else mrc_rate(params, alloc)
-    if system == "opmm":
-        return opmm_zf_rate(params, alloc) if detector == "zf" else opmm_mrc_rate(params, alloc)
     if system == "ideal":
-        return ideal_rate(params, alloc.alpha, alloc.xi, detector)
-    raise ValueError(f"unknown system: {system!r}")
+        alloc = ResourceAllocation(tau=0.0, alpha=alloc.alpha, rho=0.0, xi=alloc.xi)
+    sinr = closed_form_sinr(params, system, detector, alloc.tau, alloc.alpha, alloc.rho, alloc.xi)
+    rate = (1.0 - alloc.tau - alloc.alpha) * np.log2(1.0 + sinr)
+    return RateReport(rate=rate, sinr=sinr, detector=detector, system=system, allocation=alloc)
 
 
 def mm_dorg(rates, m_values) -> float:

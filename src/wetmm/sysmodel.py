@@ -85,11 +85,11 @@ class SystemParams:
             raise ValueError(f"need at least 1 user, got K={self.K}")
         if beta.shape != (self.K,):
             raise ValueError(f"beta must have shape ({self.K},), got {beta.shape}")
-        if not np.all(beta > 0):
-            raise ValueError("all path losses must be positive")
+        if not np.all(np.isfinite(beta) & (beta > 0)):
+            raise ValueError("all path losses must be positive and finite")
         for name in ("p_dl", "sigma2_ul", "sigma2_user"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive and finite")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 

@@ -158,7 +158,7 @@ def test_criterion_04_closed_forms_match_mc(xi_star, ref_alloc):
         scores.append((eo.mean(0) - opmm_energy(REF_ALPHA, pm.beta, pm.p_dl))
                       / (eo.std(0, ddof=1) / np.sqrt(len(eo))))
         pilot = REF_RHO * e_closed
-        ev_closed = error_variance(pm.beta, pilot, pm.sigma2_user)
+        ev_closed = error_variance(pm.beta, pilot, pm.sigma2_ul)
         errs = np.empty((10000, pm.K))
         for t in range(10000):
             real = draw_realization(pm, pilot, 12345, t, method="pilot")

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ def test_load_config_malformed_line(tmp_path):
     cfg = write_config(tmp_path, "just a bare line\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         load_config(cfg)
+
+
+def test_load_config_bad_value_reports_location(tmp_path, capsys):
+    cfg = write_config(tmp_path, "# antennas\nm = 1e3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(cfg)}:2: m: invalid literal"):
+        load_config(cfg)
+    cfg = write_config(tmp_path, "p_dl_dbm = loud\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(cfg)}:1: p_dl_dbm: "):
+        load_config(cfg)
+    assert main(["optimize", "--config", cfg]) == 2
+    assert f"error: {cfg}:1: p_dl_dbm: " in capsys.readouterr().err
 
 
 def test_spec_validation():

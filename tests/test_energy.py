@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from wetmm.energy import (ResourceAllocation, asymptotic_energy, beamformer,
-                          clamp_rho, energy_report, error_variance_split,
-                          expected_harvested_energy, general_beamformer,
+                          clamp_rho, expected_harvested_energy, general_beamformer,
                           harvested_energy_fixedpoint, ideal_energy, opmm_energy,
                           uplink_power)
 from wetmm.estimation import draw_realization, error_variance
+from wetmm.montecarlo import _operating_point
 from wetmm.sysmodel import trial_rng
 
 from conftest import REF_ALPHA, REF_RHO, benchmark_params
@@ -30,6 +30,15 @@ def test_allocation_validation():
         ResourceAllocation(tau=0.0, alpha=0.1, rho=0.5, xi=np.array([0.7, 0.2]))
     with pytest.raises(ValueError):
         ResourceAllocation(tau=0.0, alpha=0.1, rho=0.5, xi=np.array([-0.1, 1.1]))
+
+
+def test_allocation_rejects_non_finite():
+    xi = np.array([0.5, 0.5])
+    for tau, alpha, rho, weights in ((np.nan, 0.1, 0.5, xi), (0.0, np.nan, 0.5, xi),
+                                     (0.0, 0.1, np.nan, xi), (0.0, -np.inf, 0.5, xi),
+                                     (0.0, 0.1, 0.5, np.array([np.nan, 0.5]))):
+        with pytest.raises(ValueError, match="finite"):
+            ResourceAllocation(tau=tau, alpha=alpha, rho=rho, xi=weights)
 
 
 def test_clamp_rho_endpoints():
@@ -147,11 +156,11 @@ def test_fixedpoint_validation(xi_star, params200):
         harvested_energy_fixedpoint(0.1, 1.0, xi_star, params200.beta, 200, 1.0, 1e-15)
 
 
-def test_error_variance_split_consistency(params200, xi_star):
+def test_error_variance_split_consistency(params200, ref_alloc, xi_star):
+    # the error variance at pilot energy rho E, E the steady-state fixed point
     e = harvested_energy_fixedpoint(REF_ALPHA, REF_RHO, xi_star, params200.beta,
                                     200, 1.0, 1e-15)
-    v = error_variance_split(REF_ALPHA, REF_RHO, xi_star, params200.beta,
-                             200, 1.0, 1e-15)
+    _, _, _, v = _operating_point(params200, ref_alloc, "wetmm")
     assert np.allclose(v, error_variance(params200.beta, REF_RHO * e, 1e-15),
                        rtol=1e-12)
 
@@ -182,12 +191,13 @@ def test_asymptotic_energy_is_the_large_m_limit(xi_star):
 
 
 def test_energy_report_consistency(params200, ref_alloc):
-    rep = energy_report(params200, ref_alloc)
-    assert np.allclose(rep.E, E_REF, rtol=1e-12)
-    assert np.allclose(rep.pilot_energy, ref_alloc.rho * rep.E, rtol=1e-14)
-    assert np.allclose(rep.uplink_power,
-                       uplink_power(ref_alloc.tau, ref_alloc.alpha, ref_alloc.rho, rep.E),
+    # the steady-state operating point the Monte Carlo runs at
+    e, pilot_energy, powers, error_var = _operating_point(params200, ref_alloc, "wetmm")
+    assert np.allclose(e, E_REF, rtol=1e-12)
+    assert np.allclose(pilot_energy, ref_alloc.rho * e, rtol=1e-14)
+    assert np.allclose(powers,
+                       uplink_power(ref_alloc.tau, ref_alloc.alpha, ref_alloc.rho, e),
                        rtol=1e-14)
-    assert np.allclose(rep.error_var,
-                       error_variance(params200.beta, rep.pilot_energy, 1e-15),
+    assert np.allclose(error_var,
+                       error_variance(params200.beta, pilot_energy, 1e-15),
                        rtol=1e-12)

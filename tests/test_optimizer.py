@@ -212,3 +212,55 @@ def test_grid_search_rejects_mrc_antenna_floor():
         tiny = type(p)(M=2, K=2, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15,
                        beta=p.beta)
         grid_search_p1(tiny, "wetmm", "zf", steps=(0.02, 0.02, 0.02))
+
+
+def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_step=0.25):
+    """Reference max-min search over the full (tau, alpha, rho, xi) lattice.
+
+    Every feasible point goes through closed_form_rate; the first strict
+    maximum in (tau, alpha, rho, xi_1) order wins, which is the tie order of
+    grid_search_p1.  The lattices are the search's: tau and alpha on
+    step * {0..floor(1/step)}, rho on step * {1..floor(1/step - 1)}.
+    """
+    n_t = int(np.floor(1.0 / steps[0] + 1e-9))
+    n_a = int(np.floor(1.0 / steps[1] + 1e-9))
+    n_r = int(np.floor(1.0 / steps[2] - 1.0 + 1e-9))
+    if system == "opmm":
+        xis = [np.full(params.K, 1.0 / params.K)]
+    elif xi_policy == "simplex":
+        xis = [np.array([xi_step * i, 1.0 - xi_step * i])
+               for i in range(int(round(1.0 / xi_step)) + 1)]
+    else:
+        xis = [optimal_xi(params.beta)]
+    best, best_alloc = -np.inf, None
+    for it in range(n_t + 1):
+        for ia in range(n_a + 1):
+            if 1.0 - steps[0] * it - steps[1] * ia < 0.0:
+                continue
+            for ir in range(1, n_r + 1):
+                for xi in xis:
+                    alloc = ResourceAllocation(tau=steps[0] * it, alpha=steps[1] * ia,
+                                               rho=steps[2] * ir, xi=xi)
+                    value = closed_form_rate(params, alloc, system, detector).min_rate
+                    if value > best:
+                        best, best_alloc = value, alloc
+    return best_alloc, best
+
+
+@pytest.mark.parametrize("m", [10, 200])
+@pytest.mark.parametrize("system, detector, xi_policy", [
+    ("wetmm", "zf", "analytic"), ("wetmm", "mrc", "analytic"),
+    ("opmm", "zf", "analytic"), ("opmm", "mrc", "analytic"),
+    ("wetmm", "zf", "simplex"), ("wetmm", "mrc", "simplex"),
+])
+def test_grid_search_matches_tau_brute_force(m, system, detector, xi_policy):
+    """The tau-free search returns the argmax of the full 4-D lattice."""
+    params = benchmark_params(m)
+    steps = (0.1, 0.05, 0.05)
+    want, want_rate = brute_force_p1(params, system, detector, steps, xi_policy)
+    got = grid_search_p1(params, system, detector, steps=steps, xi_policy=xi_policy,
+                         xi_step=0.25, coarse_factor=1)
+    a = got.allocation
+    assert (a.tau, a.alpha, a.rho) == (want.tau, want.alpha, want.rho)
+    assert np.array_equal(a.xi, want.xi)
+    assert got.min_rate == want_rate

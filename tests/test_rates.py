@@ -4,12 +4,12 @@ pinned benchmark values."""
 import numpy as np
 import pytest
 
-from wetmm.energy import ResourceAllocation, harvested_energy_fixedpoint, opmm_energy
+from wetmm.energy import (ResourceAllocation, energies, harvested_energy_fixedpoint,
+                          opmm_energy)
 from wetmm.rates import (asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit,
                          c1_sample, closed_form_rate, ideal_asymptotic_rate,
                          ideal_rate, large_k_rate, maxmin_asymptotic_rate,
-                         mm_dorg, mrc_rate, mrc_sinr_from_energy, opmm_mrc_rate,
-                         opmm_zf_rate, user_load_for_rate, zf_rate,
+                         mm_dorg, mrc_sinr_from_energy, user_load_for_rate,
                          zf_sinr_from_energy)
 from wetmm.sysmodel import SystemParams, trial_rng
 
@@ -91,16 +91,18 @@ def test_sinr_antenna_floor():
 
 
 def test_reference_point_rates(params200, ref_alloc):
-    assert np.allclose(zf_rate(params200, ref_alloc).rate, ZF_REF, rtol=1e-10)
-    assert np.allclose(mrc_rate(params200, ref_alloc).rate, MRC_REF, rtol=1e-10)
-    rep = zf_rate(params200, ref_alloc)
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "zf").rate,
+                       ZF_REF, rtol=1e-10)
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "mrc").rate,
+                       MRC_REF, rtol=1e-10)
+    rep = closed_form_rate(params200, ref_alloc, "wetmm", "zf")
     assert np.isclose(rep.min_rate, ZF_REF.min(), rtol=1e-12)
 
 
 def test_zero_alpha_zero_rate(params200, xi_star):
     alloc = ResourceAllocation(tau=0.01, alpha=0.0, rho=0.5, xi=xi_star)
-    assert np.all(zf_rate(params200, alloc).rate == 0.0)
-    assert np.all(mrc_rate(params200, alloc).rate == 0.0)
+    assert np.all(closed_form_rate(params200, alloc, "wetmm", "zf").rate == 0.0)
+    assert np.all(closed_form_rate(params200, alloc, "wetmm", "mrc").rate == 0.0)
 
 
 def test_opmm_rates_against_reference(params200, ref_alloc):
@@ -111,14 +113,16 @@ def test_opmm_rates_against_reference(params200, ref_alloc):
                                               ref_alloc.alpha, ref_alloc.rho, 200, 1e-15))
     want_mrc = rem * np.log2(1.0 + mrc_sinr_ref(e, params200.beta, ref_alloc.tau,
                                                 ref_alloc.alpha, ref_alloc.rho, 200, 1e-15))
-    assert np.allclose(opmm_zf_rate(params200, ref_alloc).rate, want_zf, rtol=1e-12)
-    assert np.allclose(opmm_mrc_rate(params200, ref_alloc).rate, want_mrc, rtol=1e-12)
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "opmm", "zf").rate,
+                       want_zf, rtol=1e-12)
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "opmm", "mrc").rate,
+                       want_mrc, rtol=1e-12)
 
 
 def test_system_ordering_at_reference_point(params200, ref_alloc, xi_star):
     """Perfect knowledge >= wireless-powered >= omnidirectional, per user."""
-    wet = zf_rate(params200, ref_alloc).rate
-    opm = opmm_zf_rate(params200, ref_alloc).rate
+    wet = closed_form_rate(params200, ref_alloc, "wetmm", "zf").rate
+    opm = closed_form_rate(params200, ref_alloc, "opmm", "zf").rate
     idl = ideal_rate(params200, ref_alloc.alpha, xi_star, "zf").rate
     assert np.all(idl >= wet) and np.all(wet >= opm)
 
@@ -181,13 +185,16 @@ def test_ideal_asymptotic_close_to_finite_m(params200, xi_star):
 
 
 def test_closed_form_rate_dispatch(params200, ref_alloc):
-    pairs = [("wetmm", "zf", zf_rate(params200, ref_alloc)),
-             ("wetmm", "mrc", mrc_rate(params200, ref_alloc)),
-             ("opmm", "zf", opmm_zf_rate(params200, ref_alloc)),
-             ("opmm", "mrc", opmm_mrc_rate(params200, ref_alloc))]
-    for system, det, want in pairs:
-        got = closed_form_rate(params200, ref_alloc, system, det)
-        assert np.allclose(got.rate, want.rate, rtol=1e-14)
+    # each (system, detector) pair is its energy model fed to its SINR core
+    a = ref_alloc
+    rem = 1.0 - a.tau - a.alpha
+    for system in ("wetmm", "opmm"):
+        e = energies(params200, system, a.alpha, a.rho, a.xi)
+        for det, core in (("zf", zf_sinr_from_energy), ("mrc", mrc_sinr_from_energy)):
+            want = rem * np.log2(1.0 + core(e, params200.beta, a.tau, a.alpha, a.rho,
+                                            200, 1e-15))
+            got = closed_form_rate(params200, a, system, det)
+            assert np.allclose(got.rate, want, rtol=1e-14)
     got = closed_form_rate(params200, ref_alloc, "ideal", "zf")
     want = ideal_rate(params200, ref_alloc.alpha, ref_alloc.xi, "zf")
     assert np.allclose(got.rate, want.rate, rtol=1e-14)
@@ -270,4 +277,5 @@ def test_wetmm_energies_feed_rates(params200, ref_alloc):
     sinr = zf_sinr_from_energy(e, params200.beta, ref_alloc.tau, ref_alloc.alpha,
                                ref_alloc.rho, 200, 1e-15)
     want = (1.0 - ref_alloc.tau - ref_alloc.alpha) * np.log2(1.0 + sinr)
-    assert np.allclose(zf_rate(params200, ref_alloc).rate, want, rtol=1e-12)
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "zf").rate,
+                       want, rtol=1e-12)

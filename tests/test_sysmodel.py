@@ -54,6 +54,16 @@ def test_complex_gaussian_rejects_negative_variance():
         complex_gaussian(trial_rng(0), (4,), var=-1.0)
 
 
+def test_system_params_rejects_non_finite():
+    beta = np.array([1e-6, 1e-7])
+    for bad in ({"p_dl": np.nan}, {"p_dl": np.inf}, {"sigma2_ul": np.nan},
+                {"sigma2_user": np.inf}, {"beta": np.array([1e-6, np.inf])}):
+        kwargs = dict(M=8, K=2, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15, beta=beta)
+        kwargs.update(bad)
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**kwargs)
+
+
 def test_system_params_validation():
     beta = np.array([1e-6, 1e-7])
     with pytest.raises(ValueError):
