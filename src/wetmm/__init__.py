@@ -69,11 +69,11 @@ from wetmm.montecarlo import (
     McConfig,
     McRateEstimate,
     estimate_exact_rate,
+    operating_point,
     run_trials,
     simulate_frame,
     verify_beamformer_structure,
     verify_bound_tightness,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.estimation import draw_realization
-from wetmm.montecarlo import McConfig, _operating_point, estimate_exact_rate, run_trials
+from wetmm.montecarlo import McConfig, estimate_exact_rate, mean_se, operating_point
 from wetmm.optimizer import (
     grid_search_p1,
     optimal_rho_zf,
@@ -63,9 +63,6 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENTS = ("optimize", "table1", "contour", "rho-sweep", "rate-vs-m",
-               "fairness", "mc-validate", "large-k")
-
 
 @dataclass
 class ExperimentSpec:
@@ -77,7 +74,7 @@ class ExperimentSpec:
     pathloss_exponent: float = 3.0
     p_dl: float = 1.0
     sigma2_ul: float = 1e-15
-    sigma2_user: float = 1e-15
+    sigma2_user: float = 1e-15  # recorded in sidecars; no model reads it
     detector: str = "zf"
     system: str = "wetmm"
     xi_policy: str = "analytic"
@@ -110,8 +107,11 @@ class ExperimentSpec:
     zeta_step: float = 0.02
 
     def __post_init__(self):
-        if len(self.distances) < 1 or any(d <= 0 for d in self.distances):
-            raise ValueError("distances must be positive")
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if len(self.distances) < 1 or not all(0 < d < np.inf for d in self.distances):
+            raise ValueError("distances must be positive and finite")
         if self.detector not in ("zf", "mrc"):
             raise ValueError(f"unknown detector: {self.detector!r}")
         if self.system not in ("wetmm", "opmm", "ideal"):
@@ -120,10 +120,10 @@ class ExperimentSpec:
                      "fig_tau_step", "fig_alpha_step", "fig_rho_step", "zeta_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
+        for name, low in (("n_trials", 1), ("m", 2), ("coarse_factor", 1),
+                          ("fig_coarse_factor", 1), ("refine_radius", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
     @property
     def steps(self) -> tuple:
@@ -150,8 +150,6 @@ def _parse_value(field: str, raw: str):
         conv = _TUPLE_FIELDS[field]
         return tuple(conv(part.strip()) for part in raw.split(",") if part.strip())
     default = ExperimentSpec.__dataclass_fields__[field].default
-    if isinstance(default, bool):
-        return raw.strip().lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -193,8 +191,7 @@ def build_params(spec: ExperimentSpec, m: int | None = None) -> SystemParams:
     model = PathLossModel(beta0=spec.beta0, u=spec.pathloss_exponent,
                           distances=np.asarray(spec.distances, dtype=float))
     return SystemParams(M=int(m if m is not None else spec.m), K=len(spec.distances),
-                        p_dl=spec.p_dl, sigma2_ul=spec.sigma2_ul,
-                        sigma2_user=spec.sigma2_user, beta=path_loss(model))
+                        p_dl=spec.p_dl, sigma2_ul=spec.sigma2_ul, beta=path_loss(model))
 
 
 def _fmt(value) -> str:
@@ -401,30 +398,22 @@ def run_mc_validate(spec: ExperimentSpec):
     res = _search(spec, params, system, spec.detector)
     alloc = res.allocation
     cfg = _mc_config(spec, system, spec.detector)
-    samples = run_trials(params, alloc, cfg)
-    energy = np.stack([s.energy for s in samples])
-    e_closed, pilot_energy, _, err_var = _operating_point(params, alloc, system)
+    est = estimate_exact_rate(params, alloc, cfg)
+    e_closed, pilot_energy, _, err_var = operating_point(params, alloc, system)
     bound = closed_form_rate(params, alloc, system, spec.detector).rate
     err_sq = []
     for t in range(cfg.n_trials):
         real = draw_realization(params, pilot_energy, cfg.master_seed, t,
                                 method="pilot")
         err_sq.append(np.mean(np.abs(real.G_hat - real.G) ** 2, axis=0))
-    err_sq = np.stack(err_sq)
+    err_mean, err_se = mean_se(np.stack(err_sq))
     rows = []
-
-    def block(kind, closed, mc_samples):
-        mean = mc_samples.mean(axis=0)
-        se = mc_samples.std(axis=0, ddof=1) / np.sqrt(mc_samples.shape[0])
+    for kind, closed, mean, se in (("energy", e_closed, est.energy, est.energy_se),
+                                   ("error_var", err_var, err_mean, err_se),
+                                   ("rate_bound", bound, est.rate, est.rate_se)):
         for k in range(params.K):
             z = (mean[k] - closed[k]) / se[k] if se[k] > 0 else 0.0
             rows.append([kind, k + 1, closed[k], mean[k], se[k], z])
-
-    block("energy", e_closed, energy)
-    block("error_var", err_var, err_sq)
-    block("rate_bound", bound, np.stack([
-        (1.0 - alloc.tau - alloc.alpha) * np.log2(1.0 + s.sinr) for s in samples
-    ]))
     header = ["quantity", "user", "closed_form", "mc_mean", "mc_se", "z_score"]
     path = os.path.join(spec.out_dir, "mc_validate.csv")
     _write_csv(path, header, rows)
@@ -480,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Energy-harvesting massive-MIMO uplink experiments (CSV out).",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in _RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, help="master seed")
@@ -509,7 +498,11 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         value = getattr(args, flag, None)
         if value is not None:
             overrides[field] = value
-    return ExperimentSpec(**overrides)
+    spec = ExperimentSpec(**overrides)
+    if spec.xi_policy == "simplex" and "refine_radius" in overrides:
+        raise ValueError("refine_radius does not apply to xi_policy = simplex: "
+                         "the simplex search uses its built-in refine radius")
+    return spec
 
 
 def main(argv: list | None = None) -> int:

@@ -30,6 +30,7 @@ from wetmm.energy import (
     uplink_power,
 )
 from wetmm.estimation import draw_realization, error_variance
+from wetmm.rates import closed_form_rate
 from wetmm.sysmodel import SystemParams, generate_channel, trial_rng
 
 __all__ = [
@@ -40,8 +41,10 @@ __all__ = [
     "McRateEstimate",
     "BoundCheck",
     "BeamformerComparison",
+    "operating_point",
     "simulate_frame",
     "run_trials",
+    "mean_se",
     "estimate_exact_rate",
     "verify_bound_tightness",
     "verify_beamformer_structure",
@@ -91,13 +94,11 @@ class FrameSample:
         energy: length-K harvested-energy samples alpha p_dl |g_k^H w|^2.
         sinr: length-K exact SINR samples.
         resamples: how many redraws a near-singular ZF Gram matrix forced.
-        trial: trial index the sample came from.
     """
 
     energy: np.ndarray
     sinr: np.ndarray
     resamples: int
-    trial: int
 
 
 @dataclass
@@ -145,8 +146,10 @@ class BeamformerComparison:
     n_trials: int
 
 
-def _operating_point(params: SystemParams, alloc: ResourceAllocation, system: str):
-    """Steady-state energies, pilot energies, powers, and error variances."""
+def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str):
+    """Steady-state ``(energy, pilot_energy, powers, err_var)`` that every
+    frame of one allocation shares; ``pilot_energy`` is None for the ideal
+    system.  Raises ValueError unless alpha > 0 and tau + alpha < 1."""
     rem = 1.0 - alloc.tau - alloc.alpha
     if alloc.alpha <= 0 or rem <= 0:
         raise ValueError("Monte Carlo needs alpha > 0 and tau + alpha < 1")
@@ -180,18 +183,20 @@ def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, err_var: np.ndarray,
 
 
 def simulate_frame(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
-                   trial: int) -> FrameSample:
+                   trial: int, point: tuple) -> FrameSample:
     """Simulate one frame: energy-phase sample and exact uplink SINRs.
 
-    A near-singular ZF Gram matrix triggers a full redraw of the trial with
-    an incremented sub-seed; the count is recorded on the sample.
+    ``point`` is ``operating_point(params, alloc, cfg.system)``, computed
+    once per run.  A near-singular ZF Gram matrix triggers a full redraw of
+    the trial with an incremented sub-seed; the count is recorded on the
+    sample.
 
     Raises:
         np.linalg.LinAlgError: if the redraw budget is exhausted.
     """
     if cfg.detector == "zf":
         params.require_zf()
-    _, pilot_energy, powers, err_var = _operating_point(params, alloc, cfg.system)
+    _, pilot_energy, powers, err_var = point
     for salt in range(MAX_RESAMPLES + 1):
         if cfg.system == "ideal":
             rng = trial_rng(cfg.master_seed, trial, salt)
@@ -208,18 +213,20 @@ def simulate_frame(params: SystemParams, alloc: ResourceAllocation, cfg: McConfi
         energy = alloc.alpha * params.p_dl * np.abs(G.conj().T @ w) ** 2
         sinr = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul, cfg.detector)
         if sinr is not None:
-            return FrameSample(energy=energy, sinr=sinr, resamples=salt, trial=trial)
+            return FrameSample(energy=energy, sinr=sinr, resamples=salt)
     raise np.linalg.LinAlgError(
         f"ZF Gram matrix stayed ill-conditioned after {MAX_RESAMPLES} redraws (trial {trial})"
     )
 
 
 def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig) -> list[FrameSample]:
-    """Simulate cfg.n_trials independent frames."""
-    return [simulate_frame(params, alloc, cfg, t) for t in range(cfg.n_trials)]
+    """Simulate cfg.n_trials independent frames at one operating point."""
+    point = operating_point(params, alloc, cfg.system)
+    return [simulate_frame(params, alloc, cfg, t, point) for t in range(cfg.n_trials)]
 
 
-def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 and its standard error (0 for a single sample)."""
     mean = samples.mean(axis=0)
     n = samples.shape[0]
     if n < 2:
@@ -235,11 +242,9 @@ def estimate_exact_rate(params: SystemParams, alloc: ResourceAllocation,
     estimation phase).  Harvested-energy statistics ride along for free.
     """
     samples = run_trials(params, alloc, cfg)
-    sinr = np.stack([s.sinr for s in samples])
-    energy = np.stack([s.energy for s in samples])
     rem = 1.0 - alloc.alpha if cfg.system == "ideal" else 1.0 - alloc.tau - alloc.alpha
-    rate, rate_se = _mean_se(rem * np.log2(1.0 + sinr))
-    e_mean, e_se = _mean_se(energy)
+    rate, rate_se = mean_se(rem * np.log2(1.0 + np.stack([s.sinr for s in samples])))
+    e_mean, e_se = mean_se(np.stack([s.energy for s in samples]))
     return McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
                           n_trials=cfg.n_trials,
                           n_resamples=int(sum(s.resamples for s in samples)))
@@ -255,8 +260,6 @@ def verify_bound_tightness(params: SystemParams, alloc: ResourceAllocation, cfg:
     exact rate, the check is flagged inconclusive and neither verdict
     should be trusted.
     """
-    from wetmm.rates import closed_form_rate
-
     est = estimate_exact_rate(params, alloc, cfg)
     bound = closed_form_rate(params, alloc, cfg.system, cfg.detector).rate
     gap = est.rate - bound
@@ -286,7 +289,7 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
     n_comp = params.M - params.K
     if n_comp < 1:
         raise ValueError("need M > K for an orthogonal complement")
-    _, pilot_energy, _, _ = _operating_point(params, alloc, cfg.system)
+    _, pilot_energy, _, _ = operating_point(params, alloc, cfg.system)
     xi_prime = (1.0 - theta_mass) * alloc.xi
     theta = np.full(n_comp, theta_mass / n_comp)
     scale = alloc.alpha * params.p_dl
@@ -299,9 +302,9 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
         w_g = general_beamformer(real.G_hat, xi_prime, theta)
         structured[t] = scale * np.abs(real.G.conj().T @ w_s) ** 2
         general[t] = scale * np.abs(real.G.conj().T @ w_g) ** 2
-    s_mean, s_se = _mean_se(structured)
-    g_mean, g_se = _mean_se(general)
-    d_mean, d_se = _mean_se(structured - general)
+    s_mean, s_se = mean_se(structured)
+    g_mean, g_se = mean_se(general)
+    d_mean, d_se = mean_se(structured - general)
     return BeamformerComparison(structured=s_mean, structured_se=s_se,
                                 general=g_mean, general_se=g_se,
                                 diff=d_mean, diff_se=d_se,

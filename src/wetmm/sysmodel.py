@@ -64,9 +64,6 @@ class SystemParams:
         K: number of single-antenna users.
         p_dl: downlink transmit power in watts.
         sigma2_ul: noise power at each access-point antenna in watts.
-        sigma2_user: noise power at the user receiver in watts.  Stored for
-            completeness; receiver noise is not harvestable energy, so nothing
-            downstream consumes it.
         beta: length-K vector of long-term path losses (linear scale).
     """
 
@@ -74,7 +71,6 @@ class SystemParams:
     K: int
     p_dl: float
     sigma2_ul: float
-    sigma2_user: float
     beta: np.ndarray
 
     def __post_init__(self):
@@ -87,7 +83,7 @@ class SystemParams:
             raise ValueError(f"beta must have shape ({self.K},), got {beta.shape}")
         if not np.all(np.isfinite(beta) & (beta > 0)):
             raise ValueError("all path losses must be positive and finite")
-        for name in ("p_dl", "sigma2_ul", "sigma2_user"):
+        for name in ("p_dl", "sigma2_ul"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive and finite")
         beta.setflags(write=False)

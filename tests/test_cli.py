@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config parsing, CSV/sidecar output, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,6 +17,8 @@ from wetmm.cli import (
     load_config,
     main,
 )
+from wetmm.energy import ResourceAllocation
+from wetmm.montecarlo import McConfig, estimate_exact_rate
 from wetmm.optimizer import grid_search_p1
 
 # Coarse search settings so CLI round trips stay fast; values are otherwise
@@ -128,6 +131,28 @@ def test_spec_validation():
     spec = ExperimentSpec()
     assert spec.steps == (spec.tau_step, spec.alpha_step, spec.rho_step)
     assert spec.fig_steps == (spec.fig_tau_step, spec.fig_alpha_step, spec.fig_rho_step)
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec) if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("bad", [{name: value} for name in FLOAT_FIELDS
+                                 for value in (math.nan, math.inf)]
+                         + [{"distances": (6.0, math.nan)}, {"distances": (6.0, math.inf)},
+                            {"coarse_factor": 0}, {"fig_coarse_factor": 0},
+                            {"refine_radius": -1}])
+def test_spec_rejects_non_finite_and_out_of_range(bad):
+    with pytest.raises(ValueError, match=re.escape(next(iter(bad)))):
+        ExperimentSpec(**bad)
+
+
+def test_simplex_policy_rejects_refine_radius(tmp_path, capsys):
+    # the simplex search always refines with its own radius; a set value
+    # would be silently ignored
+    cfg = write_config(tmp_path, "xi_policy = simplex\nrefine_radius = 6\n")
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "built-in refine radius" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_params_reference_scenario():
@@ -284,6 +309,24 @@ def test_mc_validate_blocks_and_allocation_sidecar(tmp_path):
     alloc = read_sidecar(str(out / "mc_validate.csv"))["allocation"]
     assert set(alloc) == {"tau", "alpha", "rho", "xi"}
     assert len(alloc["xi"]) == 2
+
+
+def test_mc_validate_rows_are_estimate_exact_rate(tmp_path):
+    cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
+    out = tmp_path / "out"
+    assert main(["mc-validate", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "mc_validate.csv")
+    spec = ExperimentSpec(**load_config(cfg))
+    alloc = read_sidecar(str(out / "mc_validate.csv"))["allocation"]
+    alloc = ResourceAllocation(tau=alloc["tau"], alpha=alloc["alpha"], rho=alloc["rho"],
+                               xi=np.array(alloc["xi"]))
+    est = estimate_exact_rate(build_params(spec), alloc,
+                              McConfig(n_trials=spec.n_trials, master_seed=spec.master_seed))
+    got = {(r[0], int(r[1])): r[3:5] for r in rows}
+    for kind, mean, se in (("energy", est.energy, est.energy_se),
+                           ("rate_bound", est.rate, est.rate_se)):
+        for k in range(2):
+            assert got[(kind, k + 1)] == [format(mean[k], ".10g"), format(se[k], ".10g")]
 
 
 def test_rate_vs_m_nan_below_zf_floor(tmp_path):

@@ -8,7 +8,7 @@ from wetmm.energy import (ResourceAllocation, asymptotic_energy, beamformer,
                           harvested_energy_fixedpoint, ideal_energy, opmm_energy,
                           uplink_power)
 from wetmm.estimation import draw_realization, error_variance
-from wetmm.montecarlo import _operating_point
+from wetmm.montecarlo import operating_point
 from wetmm.sysmodel import trial_rng
 
 from conftest import REF_ALPHA, REF_RHO, benchmark_params
@@ -160,7 +160,7 @@ def test_error_variance_split_consistency(params200, ref_alloc, xi_star):
     # the error variance at pilot energy rho E, E the steady-state fixed point
     e = harvested_energy_fixedpoint(REF_ALPHA, REF_RHO, xi_star, params200.beta,
                                     200, 1.0, 1e-15)
-    _, _, _, v = _operating_point(params200, ref_alloc, "wetmm")
+    _, _, _, v = operating_point(params200, ref_alloc, "wetmm")
     assert np.allclose(v, error_variance(params200.beta, REF_RHO * e, 1e-15),
                        rtol=1e-12)
 
@@ -192,7 +192,7 @@ def test_asymptotic_energy_is_the_large_m_limit(xi_star):
 
 def test_energy_report_consistency(params200, ref_alloc):
     # the steady-state operating point the Monte Carlo runs at
-    e, pilot_energy, powers, error_var = _operating_point(params200, ref_alloc, "wetmm")
+    e, pilot_energy, powers, error_var = operating_point(params200, ref_alloc, "wetmm")
     assert np.allclose(e, E_REF, rtol=1e-12)
     assert np.allclose(pilot_energy, ref_alloc.rho * e, rtol=1e-14)
     assert np.allclose(powers,

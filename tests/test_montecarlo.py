@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wetmm.energy import ResourceAllocation, ideal_energy, opmm_energy
-from wetmm.montecarlo import (McConfig, estimate_exact_rate, run_trials,
+import wetmm.montecarlo as montecarlo
+from wetmm.montecarlo import (McConfig, estimate_exact_rate, operating_point, run_trials,
                               simulate_frame, verify_beamformer_structure,
                               verify_bound_tightness)
 from wetmm.sysmodel import generate_channel, trial_rng
@@ -31,9 +32,10 @@ def test_config_validation():
 
 def test_frame_determinism(params200, ref_alloc):
     cfg = cfg_for()
-    a = simulate_frame(params200, ref_alloc, cfg, 3)
-    b = simulate_frame(params200, ref_alloc, cfg, 3)
-    c = simulate_frame(params200, ref_alloc, cfg, 4)
+    point = operating_point(params200, ref_alloc, cfg.system)
+    a = simulate_frame(params200, ref_alloc, cfg, 3, point)
+    b = simulate_frame(params200, ref_alloc, cfg, 3, point)
+    c = simulate_frame(params200, ref_alloc, cfg, 4, point)
     assert np.array_equal(a.sinr, b.sinr) and np.array_equal(a.energy, b.energy)
     assert not np.array_equal(a.sinr, c.sinr)
 
@@ -41,13 +43,26 @@ def test_frame_determinism(params200, ref_alloc):
 def test_frame_requires_energy_phase(params200, xi_star):
     alloc = ResourceAllocation(tau=0.01, alpha=0.0, rho=0.5, xi=xi_star)
     with pytest.raises(ValueError):
-        simulate_frame(params200, alloc, cfg_for(), 0)
+        operating_point(params200, alloc, "wetmm")
+
+
+def test_run_trials_computes_operating_point_once(params200, ref_alloc, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return operating_point(*args)
+
+    monkeypatch.setattr(montecarlo, "operating_point", counting)
+    samples = run_trials(params200, ref_alloc, cfg_for(n=7))
+    assert len(samples) == 7 and len(calls) == 1
 
 
 def test_ideal_zf_perfect_knowledge_identity(params200, ref_alloc):
     """With a perfectly known channel, ZF SINR is p_k / (sigma2 [(G^H G)^-1]_kk)."""
     cfg = cfg_for(system="ideal", n=1, seed=11)
-    sample = simulate_frame(params200, ref_alloc, cfg, 0)
+    sample = simulate_frame(params200, ref_alloc, cfg, 0,
+                            operating_point(params200, ref_alloc, "ideal"))
     g = generate_channel(params200, trial_rng(11, 0, 0))
     inv = np.linalg.inv(g.conj().T @ g)
     e = ideal_energy(ref_alloc.alpha, ref_alloc.xi, params200.beta, 200, 1.0)

@@ -129,7 +129,7 @@ def test_simplex_policy_mechanics(params200):
 
 def test_simplex_policy_two_users_only():
     p3 = benchmark_params(50)
-    p3 = type(p3)(M=50, K=3, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15,
+    p3 = type(p3)(M=50, K=3, p_dl=1.0, sigma2_ul=1e-15,
                   beta=np.array([4.6e-6, 1.2e-6, 5.8e-7]))
     with pytest.raises(ValueError):
         grid_search_p1(p3, "wetmm", "zf", steps=(0.01, 0.01, 0.01),
@@ -209,8 +209,7 @@ def test_grid_search_rejects_mrc_antenna_floor():
     # MRC needs M >= 2 only; ZF needs M >= K + 1 = 3: both fine at M=3
     grid_search_p1(p, "wetmm", "zf", steps=(0.02, 0.02, 0.02))
     with pytest.raises(ValueError):
-        tiny = type(p)(M=2, K=2, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15,
-                       beta=p.beta)
+        tiny = type(p)(M=2, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=p.beta)
         grid_search_p1(tiny, "wetmm", "zf", steps=(0.02, 0.02, 0.02))
 
 

@@ -21,7 +21,7 @@ def scenarios(draw):
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     params = SystemParams(M=m, K=k, p_dl=draw(st.floats(0.5, 5.0)),
                           sigma2_ul=10.0 ** draw(st.floats(-16.0, -14.0)),
-                          sigma2_user=1e-15, beta=1e-3 * dist ** -3.0)
+                          beta=1e-3 * dist ** -3.0)
     alpha = draw(st.floats(0.01, 0.5))
     rho = draw(st.floats(0.01, 0.99))
     return params, alpha, rho, weights / weights.sum()

@@ -159,8 +159,7 @@ def test_asymptotic_mrc_identity(params200, xi_star):
 
 
 def test_asymptotic_mrc_single_user_unbounded():
-    p = SystemParams(M=64, K=1, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15,
-                     beta=np.array([1e-6]))
+    p = SystemParams(M=64, K=1, p_dl=1.0, sigma2_ul=1e-15, beta=np.array([1e-6]))
     alloc = ResourceAllocation(tau=0.0, alpha=0.1, rho=0.5, xi=np.array([1.0]))
     assert np.all(np.isinf(asymptotic_mrc_rate(p, alloc).rate))
     assert maxmin_asymptotic_rate(p, "mrc") == float("inf")

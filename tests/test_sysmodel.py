@@ -57,8 +57,8 @@ def test_complex_gaussian_rejects_negative_variance():
 def test_system_params_rejects_non_finite():
     beta = np.array([1e-6, 1e-7])
     for bad in ({"p_dl": np.nan}, {"p_dl": np.inf}, {"sigma2_ul": np.nan},
-                {"sigma2_user": np.inf}, {"beta": np.array([1e-6, np.inf])}):
-        kwargs = dict(M=8, K=2, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15, beta=beta)
+                {"beta": np.array([1e-6, np.inf])}):
+        kwargs = dict(M=8, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=beta)
         kwargs.update(bad)
         with pytest.raises(ValueError, match="finite"):
             SystemParams(**kwargs)
@@ -67,14 +67,13 @@ def test_system_params_rejects_non_finite():
 def test_system_params_validation():
     beta = np.array([1e-6, 1e-7])
     with pytest.raises(ValueError):
-        SystemParams(M=1, K=2, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15, beta=beta)
+        SystemParams(M=1, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=beta)
     with pytest.raises(ValueError):
-        SystemParams(M=8, K=3, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15, beta=beta)
+        SystemParams(M=8, K=3, p_dl=1.0, sigma2_ul=1e-15, beta=beta)
     with pytest.raises(ValueError):
-        SystemParams(M=8, K=2, p_dl=0.0, sigma2_ul=1e-15, sigma2_user=1e-15, beta=beta)
+        SystemParams(M=8, K=2, p_dl=0.0, sigma2_ul=1e-15, beta=beta)
     with pytest.raises(ValueError):
-        SystemParams(M=8, K=2, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15,
-                     beta=np.array([1e-6, -1e-7]))
+        SystemParams(M=8, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=np.array([1e-6, -1e-7]))
 
 
 def test_system_params_beta_readonly():
@@ -85,7 +84,7 @@ def test_system_params_beta_readonly():
 
 def test_require_zf():
     beta = np.full(4, 1e-6)
-    p = SystemParams(M=4, K=4, p_dl=1.0, sigma2_ul=1e-15, sigma2_user=1e-15, beta=beta)
+    p = SystemParams(M=4, K=4, p_dl=1.0, sigma2_ul=1e-15, beta=beta)
     with pytest.raises(ValueError):
         p.require_zf()
     benchmark_params(3).require_zf()  # M = K + 1 is allowed
