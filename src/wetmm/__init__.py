@@ -11,7 +11,6 @@ beam-energy weights xi.
 """
 
 from wetmm.sysmodel import (
-    ChannelRealization,
     PathLossModel,
     SystemParams,
     complex_gaussian,
@@ -21,7 +20,7 @@ from wetmm.sysmodel import (
 )
 from wetmm.estimation import (
     PilotConfig,
-    draw_realization,
+    draw_trials,
     error_variance,
     make_pilots,
     mmse_estimate,
@@ -65,13 +64,12 @@ from wetmm.optimizer import (
 from wetmm.montecarlo import (
     BeamformerComparison,
     BoundCheck,
-    FrameSample,
     McConfig,
     McRateEstimate,
+    estimate_error_variance,
     estimate_exact_rate,
     operating_point,
     run_trials,
-    simulate_frame,
     verify_beamformer_structure,
     verify_bound_tightness,
 )

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.estimation import draw_realization
-from wetmm.montecarlo import McConfig, estimate_exact_rate, mean_se, operating_point
+from wetmm.montecarlo import McConfig, estimate_error_variance, estimate_exact_rate, operating_point
 from wetmm.optimizer import (
     grid_search_p1,
     optimal_rho_zf,
@@ -114,6 +113,11 @@ class ExperimentSpec:
             raise ValueError("distances must be positive and finite")
         if self.detector not in ("zf", "mrc"):
             raise ValueError(f"unknown detector: {self.detector!r}")
+        # rate_vs_m_values is left free: rate-vs-m writes NaN where M <= K
+        low = len(self.distances) + 1 if self.detector == "zf" else 2
+        for name in ("m_values", "fairness_m_values"):
+            if any(m < low for m in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= {low} for detector {self.detector}")
         if self.system not in ("wetmm", "opmm", "ideal"):
             raise ValueError(f"unknown system: {self.system!r}")
         for name in ("tau_step", "alpha_step", "rho_step", "xi_step",
@@ -399,14 +403,9 @@ def run_mc_validate(spec: ExperimentSpec):
     alloc = res.allocation
     cfg = _mc_config(spec, system, spec.detector)
     est = estimate_exact_rate(params, alloc, cfg)
-    e_closed, pilot_energy, _, err_var = operating_point(params, alloc, system)
+    e_closed, _, _, err_var = operating_point(params, alloc, system)
     bound = closed_form_rate(params, alloc, system, spec.detector).rate
-    err_sq = []
-    for t in range(cfg.n_trials):
-        real = draw_realization(params, pilot_energy, cfg.master_seed, t,
-                                method="pilot")
-        err_sq.append(np.mean(np.abs(real.G_hat - real.G) ** 2, axis=0))
-    err_mean, err_se = mean_se(np.stack(err_sq))
+    err_mean, err_se = estimate_error_variance(params, alloc, cfg)
     rows = []
     for kind, closed, mean, se in (("energy", e_closed, est.energy, est.energy_se),
                                    ("error_var", err_var, err_mean, err_se),

@@ -90,16 +90,17 @@ def beamformer(G_hat: np.ndarray, xi) -> np.ndarray:
 
     w = sum_k sqrt(xi_k) g_hat_k / ||g_hat_k||.  The norm of w is 1 only in
     expectation; per realization it fluctuates and must not be renormalized,
-    otherwise the harvested-energy statistics change.
+    otherwise the harvested-energy statistics change.  A stack of estimates
+    (..., M, K) gives a stack of beams (..., M).
 
     Raises:
         ValueError: if any estimate column is numerically zero.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    norms = np.linalg.norm(G_hat, axis=0)
+    norms = np.linalg.norm(G_hat, axis=-2)
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise ValueError("degenerate channel estimate: zero-norm column")
-    return (G_hat / norms[None, :]) @ np.sqrt(xi)
+    return (G_hat / norms[..., None, :]) @ np.sqrt(xi)
 
 
 def general_beamformer(G_hat: np.ndarray, xi_prime, theta) -> np.ndarray:
@@ -128,10 +129,7 @@ def general_beamformer(G_hat: np.ndarray, xi_prime, theta) -> np.ndarray:
     complement = q[:, k:k + theta.size]
     w = complement @ np.sqrt(theta.astype(complex))
     if xi_prime.sum() > 0:
-        norms = np.linalg.norm(G_hat, axis=0)
-        if np.any(norms <= 0):
-            raise ValueError("degenerate channel estimate: zero-norm column")
-        w = w + (G_hat / norms[None, :]) @ np.sqrt(xi_prime)
+        w = w + beamformer(G_hat, xi_prime)
     return w
 
 

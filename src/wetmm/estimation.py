@@ -13,11 +13,11 @@ and forms the linear MMSE estimate
 Estimate and error are independent with per-entry variances
 beta_k - error_var_k and error_var_k = beta_k sigma2 / (sigma2 + beta_k D_k).
 
-Two interchangeable ways to produce a (G, G_hat) pair are provided: the full
-pilot pipeline above, and a direct statistical draw of estimate and error
-from their exact marginals.  Both give the same distribution for every
-downstream statistic; the direct draw skips the (M x L) pilot block and is
-the default inside optimization and Monte Carlo loops.
+Two interchangeable ways to produce stacked (G, G_hat) pairs are provided by
+:func:`draw_trials`: the full pilot pipeline above, and a direct statistical
+draw of estimate and error from their exact marginals.  Both give the same
+distribution for every downstream statistic; the direct draw skips the
+(M x L) pilot block and is the default inside Monte Carlo loops.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import ChannelRealization, SystemParams, complex_gaussian, generate_channel, trial_rng
+from wetmm.sysmodel import SystemParams, complex_gaussian, generate_channel, trial_rng
 
 __all__ = [
     "PilotConfig",
@@ -34,7 +34,7 @@ __all__ = [
     "receive_pilots",
     "mmse_estimate",
     "error_variance",
-    "draw_realization",
+    "draw_trials",
 ]
 
 
@@ -104,13 +104,13 @@ def mmse_estimate(Y_p: np.ndarray, pilots: PilotConfig, beta: np.ndarray, sigma2
     """Linear MMSE channel estimate from a received pilot block.
 
     Args:
-        Y_p: received block, (M, L).
+        Y_p: received block, (M, L), or a stack of them, (..., M, L).
         pilots: the pilot block that produced Y_p.
         beta: length-K path losses.
         sigma2_ul: noise power per receive antenna.
 
     Returns:
-        (M, K) estimate whose column k has per-entry variance
+        (..., M, K) estimate whose column k has per-entry variance
         beta_k - error_variance(beta_k, D_k, sigma2_ul).
     """
     if sigma2_ul <= 0:
@@ -139,42 +139,47 @@ def error_variance(beta_k, pilot_energy_k, sigma2_ul):
     return beta_k / (1.0 + beta_k * pilot_energy_k / sigma2_ul)
 
 
-def draw_realization(
-    params: SystemParams,
-    pilot_energy,
-    master_seed: int,
-    trial: int = 0,
-    method: str = "statistical",
-    salt: int = 0,
-) -> ChannelRealization:
-    """Draw a channel together with its MMSE estimate.
+def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
+                method: str = "statistical", salt: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw stacked channels together with their MMSE estimates.
 
     Args:
         params: scenario constants.
-        pilot_energy: scalar or length-K total pilot energy per user.
-        master_seed, trial: stream selector; identical values reproduce the
-            realization bit for bit.
+        pilot_energy: scalar or length-K total pilot energy per user, or
+            None for perfect channel knowledge (the estimate is the channel).
+        master_seed, trials, salt: trial t draws from ``trial_rng(master_seed,
+            t, salt)``, so it reproduces bit for bit whatever trials share the
+            call; salt counts in-trial redraws, 0 for the first attempt.
         method: "statistical" samples estimate and error directly from their
             exact marginals; "pilot" runs the full pipeline (channel draw,
             received block, MMSE estimator).  The two are distributionally
             equivalent.
-        salt: in-trial resampling counter, 0 for the first attempt.
 
     Returns:
-        ChannelRealization with independent estimate and error.
+        ``(G, G_hat)``, complex (len(trials), M, K), with independent
+        estimate and error.
     """
+    if method not in ("statistical", "pilot"):
+        raise ValueError(f"unknown channel-knowledge method: {method!r}")
+    shape = (len(trials), params.M, params.K)
+    g = np.empty(shape, dtype=complex)
+    if pilot_energy is None:
+        for i, t in enumerate(trials):
+            g[i] = generate_channel(params, trial_rng(master_seed, t, salt))
+        return g, g
     energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (params.K,))
-    rng = trial_rng(master_seed, trial, salt)
     err_var = error_variance(params.beta, energy, params.sigma2_ul)
     if method == "statistical":
-        g_hat = complex_gaussian(rng, (params.M, params.K), params.beta - err_var)
-        err = complex_gaussian(rng, (params.M, params.K), err_var)
-        g = g_hat - err
-    elif method == "pilot":
-        g = generate_channel(params, rng)
-        pilots = make_pilots(params.K, params.K, energy)
-        y = receive_pilots(g, pilots, params.sigma2_ul, rng)
-        g_hat = mmse_estimate(y, pilots, params.beta, params.sigma2_ul)
-    else:
-        raise ValueError(f"unknown channel-knowledge method: {method!r}")
-    return ChannelRealization(G=g, G_hat=g_hat, error_var=err_var, seed=master_seed, trial=trial)
+        g_hat = np.empty(shape, dtype=complex)
+        for i, t in enumerate(trials):
+            rng = trial_rng(master_seed, t, salt)
+            g_hat[i] = complex_gaussian(rng, shape[1:], params.beta - err_var)
+            g[i] = g_hat[i] - complex_gaussian(rng, shape[1:], err_var)
+        return g, g_hat
+    pilots = make_pilots(params.K, params.K, energy)
+    y = np.empty((len(trials), params.M, pilots.L), dtype=complex)
+    for i, t in enumerate(trials):
+        rng = trial_rng(master_seed, t, salt)
+        g[i] = generate_channel(params, rng)
+        y[i] = receive_pilots(g[i], pilots, params.sigma2_ul, rng)
+    return g, mmse_estimate(y, pilots, params.beta, params.sigma2_ul)

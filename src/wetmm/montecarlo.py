@@ -12,7 +12,8 @@ with a_k the k-th detector column, so that (1 - tau - alpha) E[log2(1 +
 gamma_k)] is the exact ergodic rate the closed-form expressions lower-bound.
 Uplink powers use the steady-state energies: the analytical model's
 operating point, reproduced here so the Monte Carlo estimates the same
-quantity the formulas predict.
+quantity the formulas predict.  Trials are evaluated in stacked chunks;
+each keeps its own random stream, so no result depends on the chunking.
 """
 
 from __future__ import annotations
@@ -29,29 +30,32 @@ from wetmm.energy import (
     general_beamformer,
     uplink_power,
 )
-from wetmm.estimation import draw_realization, error_variance
+from wetmm.estimation import draw_trials, error_variance
 from wetmm.rates import closed_form_rate
-from wetmm.sysmodel import SystemParams, generate_channel, trial_rng
+# trial_rng stays bound here for bench/selftest.py, which checks that the
+# tracer rebinds it in every namespace that imported it
+from wetmm.sysmodel import SystemParams, trial_rng  # noqa: F401
 
 __all__ = [
     "COND_LIMIT",
     "MAX_RESAMPLES",
     "McConfig",
-    "FrameSample",
     "McRateEstimate",
     "BoundCheck",
     "BeamformerComparison",
     "operating_point",
-    "simulate_frame",
     "run_trials",
-    "mean_se",
     "estimate_exact_rate",
+    "estimate_error_variance",
     "verify_bound_tightness",
     "verify_beamformer_structure",
 ]
 
 COND_LIMIT = 1e12
 MAX_RESAMPLES = 8
+# Trials are drawn and evaluated in chunks of stacked (trials, M, K) arrays
+# of about this many entries; no result depends on it.
+_CHUNK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -84,21 +88,6 @@ class McConfig:
             raise ValueError(f"unknown detector: {self.detector!r}")
         if self.system not in ("wetmm", "opmm", "ideal"):
             raise ValueError(f"unknown system: {self.system!r}")
-
-
-@dataclass
-class FrameSample:
-    """One simulated frame: per-user energy and exact SINR.
-
-    Attributes:
-        energy: length-K harvested-energy samples alpha p_dl |g_k^H w|^2.
-        sinr: length-K exact SINR samples.
-        resamples: how many redraws a near-singular ZF Gram matrix forced.
-    """
-
-    energy: np.ndarray
-    sinr: np.ndarray
-    resamples: int
 
 
 @dataclass
@@ -164,68 +153,73 @@ def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str
     return e, pilot_energy, powers, err_var
 
 
+def _chunks(params: SystemParams, n_trials: int):
+    """Consecutive trial-index arrays covering range(n_trials)."""
+    size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
+    return (np.arange(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size))
+
+
+def _harvest(G: np.ndarray, w: np.ndarray, scale: float) -> np.ndarray:
+    """Harvested energies scale |g_k^H w|^2 of stacked channels (T, M, K)
+    under beams w, shared (M,) or per trial (T, M); shape (T, K)."""
+    return scale * np.abs((G.conj().swapaxes(-1, -2) @ w[..., None])[..., 0]) ** 2
+
+
 def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, err_var: np.ndarray,
                 sigma2: float, detector: str):
-    """SINR of every user for one realization; None if ZF is ill-conditioned."""
+    """Exact SINRs of stacked estimates (T, M, K): ``(ok, sinr)``, the mask of
+    trials whose ZF Gram matrix passes COND_LIMIT (all for MRC) and their SINRs."""
+    A, ok = G_hat, np.ones(G_hat.shape[0], dtype=bool)
     if detector == "zf":
-        gram = G_hat.conj().T @ G_hat
-        if np.linalg.cond(gram) > COND_LIMIT:
-            return None
-        A = np.linalg.solve(gram, G_hat.conj().T).conj().T
-    else:
-        A = G_hat
-    cross = np.abs(A.conj().T @ G_hat) ** 2
-    signal = powers * np.diag(cross)
-    interference = cross @ powers - np.diag(cross) * powers
-    norms2 = np.sum(np.abs(A) ** 2, axis=0)
+        gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
+        ok = ~(np.linalg.cond(gram) > COND_LIMIT)
+        G_hat = G_hat[ok]
+        A = np.linalg.solve(gram[ok], G_hat.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+    cross = np.abs(A.conj().swapaxes(-1, -2) @ G_hat) ** 2
+    diag = np.diagonal(cross, axis1=-2, axis2=-1)
+    signal = powers * diag
+    interference = cross @ powers - diag * powers
+    norms2 = np.sum(np.abs(A) ** 2, axis=-2)
     noise = norms2 * (float(np.dot(powers, err_var)) + sigma2)
-    return signal / (interference + noise)
+    return ok, signal / (interference + noise)
 
 
-def simulate_frame(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
-                   trial: int, point: tuple) -> FrameSample:
-    """Simulate one frame: energy-phase sample and exact uplink SINRs.
+def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig):
+    """Simulate cfg.n_trials independent frames at one operating point.
 
-    ``point`` is ``operating_point(params, alloc, cfg.system)``, computed
-    once per run.  A near-singular ZF Gram matrix triggers a full redraw of
-    the trial with an incremented sub-seed; the count is recorded on the
-    sample.
-
-    Raises:
-        np.linalg.LinAlgError: if the redraw budget is exhausted.
+    Returns ``(energy, sinr, resamples)``: the (n_trials, K) harvested
+    energies alpha p_dl |g_k^H w|^2 and exact SINRs, and each trial's redraw
+    count.  A trial whose ZF Gram matrix is near-singular is redrawn at the
+    next salt of its stream; np.linalg.LinAlgError is raised when a trial
+    needs more than MAX_RESAMPLES redraws.
     """
     if cfg.detector == "zf":
         params.require_zf()
-    _, pilot_energy, powers, err_var = point
-    for salt in range(MAX_RESAMPLES + 1):
-        if cfg.system == "ideal":
-            rng = trial_rng(cfg.master_seed, trial, salt)
-            G = generate_channel(params, rng)
-            G_hat = G
+    _, pilot_energy, powers, err_var = operating_point(params, alloc, cfg.system)
+    energy = np.empty((cfg.n_trials, params.K))
+    sinr = np.empty((cfg.n_trials, params.K))
+    resamples = np.zeros(cfg.n_trials, dtype=int)
+    for pending in _chunks(params, cfg.n_trials):
+        for salt in range(MAX_RESAMPLES + 1):
+            G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, pending,
+                                   cfg.channel_knowledge, salt)
+            ok, sinr_ok = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul, cfg.detector)
+            w = (np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
+                 if cfg.system == "opmm" else beamformer(G_hat[ok], alloc.xi))
+            done = pending[ok]
+            sinr[done] = sinr_ok
+            energy[done] = _harvest(G[ok], w, alloc.alpha * params.p_dl)
+            resamples[done] = salt
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
         else:
-            real = draw_realization(params, pilot_energy, cfg.master_seed, trial,
-                                    method=cfg.channel_knowledge, salt=salt)
-            G, G_hat = real.G, real.G_hat
-        if cfg.system == "opmm":
-            w = np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
-        else:
-            w = beamformer(G_hat, alloc.xi)
-        energy = alloc.alpha * params.p_dl * np.abs(G.conj().T @ w) ** 2
-        sinr = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul, cfg.detector)
-        if sinr is not None:
-            return FrameSample(energy=energy, sinr=sinr, resamples=salt)
-    raise np.linalg.LinAlgError(
-        f"ZF Gram matrix stayed ill-conditioned after {MAX_RESAMPLES} redraws (trial {trial})"
-    )
+            raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
+                                        f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
+    return energy, sinr, resamples
 
 
-def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig) -> list[FrameSample]:
-    """Simulate cfg.n_trials independent frames at one operating point."""
-    point = operating_point(params, alloc, cfg.system)
-    return [simulate_frame(params, alloc, cfg, t, point) for t in range(cfg.n_trials)]
-
-
-def mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over axis 0 and its standard error (0 for a single sample)."""
     mean = samples.mean(axis=0)
     n = samples.shape[0]
@@ -241,13 +235,29 @@ def estimate_exact_rate(params: SystemParams, alloc: ResourceAllocation,
     rem is 1 - tau - alpha (1 - alpha for the ideal system, which has no
     estimation phase).  Harvested-energy statistics ride along for free.
     """
-    samples = run_trials(params, alloc, cfg)
+    energy, sinr, resamples = run_trials(params, alloc, cfg)
     rem = 1.0 - alloc.alpha if cfg.system == "ideal" else 1.0 - alloc.tau - alloc.alpha
-    rate, rate_se = mean_se(rem * np.log2(1.0 + np.stack([s.sinr for s in samples])))
-    e_mean, e_se = mean_se(np.stack([s.energy for s in samples]))
+    rate, rate_se = _mean_se(rem * np.log2(1.0 + sinr))
+    e_mean, e_se = _mean_se(energy)
     return McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
-                          n_trials=cfg.n_trials,
-                          n_resamples=int(sum(s.resamples for s in samples)))
+                          n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
+
+
+def estimate_error_variance(params: SystemParams, alloc: ResourceAllocation,
+                            cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user MC mean and SE of |g_hat - g|^2 averaged over the antennas.
+
+    The draws always run the full pilot pipeline, because the statistical
+    draw samples the error from the very variance under test.
+    """
+    if cfg.system == "ideal":
+        raise ValueError("the ideal system has no estimation error")
+    _, pilot_energy, _, _ = operating_point(params, alloc, cfg.system)
+    err_sq = np.empty((cfg.n_trials, params.K))
+    for trials in _chunks(params, cfg.n_trials):
+        G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials, method="pilot")
+        err_sq[trials] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
+    return _mean_se(err_sq)
 
 
 def verify_bound_tightness(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
@@ -293,18 +303,18 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
     xi_prime = (1.0 - theta_mass) * alloc.xi
     theta = np.full(n_comp, theta_mass / n_comp)
     scale = alloc.alpha * params.p_dl
-    structured = np.empty((cfg.n_trials, params.K))
-    general = np.empty((cfg.n_trials, params.K))
-    for t in range(cfg.n_trials):
-        real = draw_realization(params, pilot_energy, cfg.master_seed, t,
-                                method=cfg.channel_knowledge)
-        w_s = beamformer(real.G_hat, alloc.xi)
-        w_g = general_beamformer(real.G_hat, xi_prime, theta)
-        structured[t] = scale * np.abs(real.G.conj().T @ w_s) ** 2
-        general[t] = scale * np.abs(real.G.conj().T @ w_g) ** 2
-    s_mean, s_se = mean_se(structured)
-    g_mean, g_se = mean_se(general)
-    d_mean, d_se = mean_se(structured - general)
+    structured, general = np.empty((2, cfg.n_trials, params.K))
+    for trials in _chunks(params, cfg.n_trials):
+        G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials,
+                               cfg.channel_knowledge)
+        # the complete QR of the complement beam stays per trial: a stacked
+        # one would hold M x M per trial
+        w_g = np.stack([general_beamformer(g_hat, xi_prime, theta) for g_hat in G_hat])
+        structured[trials] = _harvest(G, beamformer(G_hat, alloc.xi), scale)
+        general[trials] = _harvest(G, w_g, scale)
+    s_mean, s_se = _mean_se(structured)
+    g_mean, g_se = _mean_se(general)
+    d_mean, d_se = _mean_se(structured - general)
     return BeamformerComparison(structured=s_mean, structured_se=s_se,
                                 general=g_mean, general_se=g_se,
                                 diff=d_mean, diff_se=d_se,

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = (0.00025, 0.0005, 0.0005)
+# A search pass evaluates its (alpha, rho, xi, K) block in alpha slabs of
+# about this many entries, which caps the memory of its temporaries.
+_SLAB_ENTRIES = 2 ** 13
 
 
 @dataclass
@@ -158,20 +161,26 @@ def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_i
     """Best (alpha, rho, xi) lattice point at tau = 0.
 
     Returns (best value, (alpha, rho, xi) lattice indices, feasible count).
-    np.argmax on the C-ordered (alpha, rho, xi) block picks the smallest
-    alpha, then rho, then xi index among ties.
+    The block is evaluated in alpha slabs.  np.argmax on a C-ordered slab
+    picks the smallest alpha, then rho, then xi index among ties, and a
+    later slab wins only if strictly better.
     """
     x_idx, xi_arr = _xi_candidates(params, system, xi_policy, x_idx, xi_step)
-    alpha = steps[1] * a_idx[:, None, None, None]
-    sinr = closed_form_sinr(params, system, detector, 0.0, alpha,
-                            steps[2] * r_idx[None, :, None, None], xi_arr[None, None])
-    rem = 1.0 - alpha[..., 0]
-    with np.errstate(invalid="ignore"):
-        rate = np.where(rem >= 0.0, rem * np.log2(1.0 + sinr.min(axis=-1)), -np.inf)
-    j = int(np.argmax(rate))
-    ia, ir, ix = np.unravel_index(j, rate.shape)
-    n_eval = int(np.count_nonzero(rem >= 0.0)) * r_idx.size * x_idx.size
-    return float(rate.flat[j]), (int(a_idx[ia]), int(r_idx[ir]), int(x_idx[ix])), n_eval
+    rho = steps[2] * r_idx[None, :, None, None]
+    slab = max(1, _SLAB_ENTRIES // (r_idx.size * x_idx.size * params.K))
+    best, n_eval = None, 0
+    for lo in range(0, a_idx.size, slab):
+        alpha = steps[1] * a_idx[lo:lo + slab, None, None, None]
+        sinr = closed_form_sinr(params, system, detector, 0.0, alpha, rho, xi_arr[None, None])
+        rem = 1.0 - alpha[..., 0]
+        with np.errstate(invalid="ignore"):
+            rate = np.where(rem >= 0.0, rem * np.log2(1.0 + sinr.min(axis=-1)), -np.inf)
+        j = int(np.argmax(rate))
+        if best is None or rate.flat[j] > best[0]:
+            ia, ir, ix = np.unravel_index(j, rate.shape)
+            best = (float(rate.flat[j]), (int(a_idx[lo + ia]), int(r_idx[ir]), int(x_idx[ix])))
+        n_eval += int(np.count_nonzero(rem >= 0.0)) * r_idx.size * x_idx.size
+    return *best, n_eval
 
 
 def _ideal_search(params: SystemParams, detector: str, alpha_step: float,

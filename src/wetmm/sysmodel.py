@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "SystemParams",
     "PathLossModel",
-    "ChannelRealization",
     "path_loss",
     "generate_channel",
     "trial_rng",
@@ -140,23 +139,3 @@ def generate_channel(params: SystemParams, seed) -> np.ndarray:
     h = complex_gaussian(rng, (params.M, params.K))
     return h * np.sqrt(params.beta)[None, :]
 
-
-@dataclass
-class ChannelRealization:
-    """A channel draw together with its estimate.
-
-    Attributes:
-        G: true channel, (M, K) complex.
-        G_hat: MMSE channel estimate, (M, K) complex.
-        error_var: length-K per-entry variance of the estimation error
-            column, so entries of ``G_hat[:, k] - G[:, k]`` are
-            CN(0, error_var[k]).
-        seed: master seed that produced the draw.
-        trial: trial index under that seed.
-    """
-
-    G: np.ndarray
-    G_hat: np.ndarray
-    error_var: np.ndarray
-    seed: int
-    trial: int = 0

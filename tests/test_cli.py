@@ -17,6 +17,7 @@ from wetmm.cli import (
     load_config,
     main,
 )
+import wetmm.montecarlo as montecarlo
 from wetmm.energy import ResourceAllocation
 from wetmm.montecarlo import McConfig, estimate_exact_rate
 from wetmm.optimizer import grid_search_p1
@@ -140,10 +141,25 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec) if isinstance
                                  for value in (math.nan, math.inf)]
                          + [{"distances": (6.0, math.nan)}, {"distances": (6.0, math.inf)},
                             {"coarse_factor": 0}, {"fig_coarse_factor": 0},
-                            {"refine_radius": -1}])
+                            {"refine_radius": -1},
+                            {"m_values": (25, 1), "detector": "mrc"},
+                            {"fairness_m_values": (1,), "detector": "mrc"},
+                            {"m_values": (25, 2)}, {"fairness_m_values": (50, 2)},
+                            {"m_values": (3,), "distances": (5.0, 6.0, 7.0)}])
 def test_spec_rejects_non_finite_and_out_of_range(bad):
     with pytest.raises(ValueError, match=re.escape(next(iter(bad)))):
         ExperimentSpec(**bad)
+
+
+def test_spec_m_values_checked_against_k(tmp_path, capsys):
+    # MRC needs only M >= 2; ZF needs M > K; rate-vs-m writes NaN for M <= K
+    ExperimentSpec(m_values=(2,), fairness_m_values=(2,), detector="mrc")
+    ExperimentSpec(m_values=(3,), fairness_m_values=(3,), rate_vs_m_values=(2,))
+    # the check fires before any M of the list is searched or simulated
+    cfg = write_config(tmp_path, "m_values = 25, 2\n")
+    assert main(["table1", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "m_values entries must be >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simplex_policy_rejects_refine_radius(tmp_path, capsys):
@@ -327,6 +343,19 @@ def test_mc_validate_rows_are_estimate_exact_rate(tmp_path):
                            ("rate_bound", est.rate, est.rate_se)):
         for k in range(2):
             assert got[(kind, k + 1)] == [format(mean[k], ".10g"), format(se[k], ".10g")]
+
+
+@pytest.mark.parametrize("extra", [[], ["--trials", "1"], ["--system", "opmm"],
+                                   ["--system", "ideal"], ["--detector", "mrc"]])
+def test_mc_validate_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch, extra):
+    cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
+    outputs = []
+    for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+        out = tmp_path / f"out{chunk_entries}"
+        assert main(["mc-validate", "--config", cfg, "--out", str(out), *extra]) == 0
+        outputs.append((out / "mc_validate.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_rate_vs_m_nan_below_zf_floor(tmp_path):

@@ -7,7 +7,7 @@ from wetmm.energy import (ResourceAllocation, asymptotic_energy, beamformer,
                           clamp_rho, expected_harvested_energy, general_beamformer,
                           harvested_energy_fixedpoint, ideal_energy, opmm_energy,
                           uplink_power)
-from wetmm.estimation import draw_realization, error_variance
+from wetmm.estimation import draw_trials, error_variance
 from wetmm.montecarlo import operating_point
 from wetmm.sysmodel import trial_rng
 
@@ -56,46 +56,46 @@ def test_beamformer_single_user_unit_norm():
 
 def test_beamformer_concentrates_on_targeted_user():
     p = benchmark_params(256)
-    r = draw_realization(p, 1e-9, 4, 0)
-    w = beamformer(r.G_hat, np.array([1.0, 0.0]))
-    gains = np.abs(r.G_hat.conj().T @ w) ** 2
+    g_hat = draw_trials(p, 1e-9, 4, [0])[1][0]
+    w = beamformer(g_hat, np.array([1.0, 0.0]))
+    gains = np.abs(g_hat.conj().T @ w) ** 2
     assert gains[0] > 50 * gains[1]
 
 
 def test_beamformer_norm_concentrates_large_m():
     # E||w||^2 = 1; the realization concentrates as M grows
     p = benchmark_params(4096)
-    r = draw_realization(p, 1e-9, 4, 1)
-    w = beamformer(r.G_hat, np.array([0.3, 0.7]))
+    g_hat = draw_trials(p, 1e-9, 4, [1])[1][0]
+    w = beamformer(g_hat, np.array([0.3, 0.7]))
     assert abs(np.linalg.norm(w) - 1.0) < 0.05
 
 
 def test_general_beamformer_zero_mass_matches_subspace_beam():
     p = benchmark_params(32)
-    r = draw_realization(p, 1e-9, 6, 0)
+    g_hat = draw_trials(p, 1e-9, 6, [0])[1][0]
     xi = np.array([0.25, 0.75])
-    w_ref = beamformer(r.G_hat, xi)
-    w_gen = general_beamformer(r.G_hat, xi, np.zeros(30))
+    w_ref = beamformer(g_hat, xi)
+    w_gen = general_beamformer(g_hat, xi, np.zeros(30))
     assert np.allclose(w_gen, w_ref, atol=1e-12)
 
 
 def test_general_beamformer_complement_is_orthogonal():
     p = benchmark_params(32)
-    r = draw_realization(p, 1e-9, 6, 1)
+    g_hat = draw_trials(p, 1e-9, 6, [1])[1][0]
     theta = np.full(30, 1.0 / 30)
-    w = general_beamformer(r.G_hat, np.zeros(2), theta)
+    w = general_beamformer(g_hat, np.zeros(2), theta)
     assert np.isclose(np.linalg.norm(w), 1.0, rtol=1e-10)
-    assert np.all(np.abs(r.G_hat.conj().T @ w) < 1e-10)
+    assert np.all(np.abs(g_hat.conj().T @ w) < 1e-10)
 
 
 def test_general_beamformer_validation():
     p = benchmark_params(8)
-    r = draw_realization(p, 1e-9, 6, 2)
+    g_hat = draw_trials(p, 1e-9, 6, [2])[1][0]
     with pytest.raises(ValueError):
         # more complement directions than M - K = 6
-        general_beamformer(r.G_hat, np.zeros(2), np.full(7, 1.0 / 7))
+        general_beamformer(g_hat, np.zeros(2), np.full(7, 1.0 / 7))
     with pytest.raises(ValueError):
-        general_beamformer(r.G_hat, np.array([0.9, 0.2]), np.zeros(6))
+        general_beamformer(g_hat, np.array([0.9, 0.2]), np.zeros(6))
 
 
 def test_expected_harvest_no_pilots_is_isotropic():

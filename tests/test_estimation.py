@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wetmm.estimation import (draw_realization, error_variance, make_pilots,
+from wetmm.estimation import (draw_trials, error_variance, make_pilots,
                               mmse_estimate, receive_pilots)
-from wetmm.sysmodel import generate_channel, trial_rng
+from wetmm.sysmodel import complex_gaussian, generate_channel, trial_rng
 
 from conftest import benchmark_params
 
@@ -65,44 +65,52 @@ def test_mmse_estimate_error_statistics():
     assert np.all(np.abs(cross / n) < 0.05 * expected)
 
 
-def test_draw_realization_methods_match_in_distribution():
+def test_draw_trials_methods_match_in_distribution():
     """Statistical shortcut and full pilot pipeline agree on second moments."""
     p = benchmark_params(16)
     energy = 1e-9
     n = 3000
     stats = {}
     for method in ("statistical", "pilot"):
-        g2 = np.zeros(2)
-        ghat2 = np.zeros(2)
-        err2 = np.zeros(2)
-        for t in range(n):
-            r = draw_realization(p, energy, 3, t, method=method)
-            g2 += np.mean(np.abs(r.G) ** 2, axis=0)
-            ghat2 += np.mean(np.abs(r.G_hat) ** 2, axis=0)
-            err2 += np.mean(np.abs(r.G_hat - r.G) ** 2, axis=0)
-        stats[method] = (g2 / n, ghat2 / n, err2 / n)
+        g, g_hat = draw_trials(p, energy, 3, range(n), method=method)
+        stats[method] = tuple(np.mean(np.abs(x) ** 2, axis=(0, 1)) for x in (g, g_hat, g_hat - g))
     for a, b in zip(stats["statistical"], stats["pilot"]):
         assert np.allclose(a, b, rtol=0.08)
     # and both see the nominal channel power
     assert np.allclose(stats["pilot"][0], p.beta, rtol=0.05)
 
 
-def test_draw_realization_error_var_field():
+def test_draw_trials_follow_trial_streams():
+    """Trial t of a stack is the per-trial draw from trial_rng(seed, t, salt)."""
     p = benchmark_params(8)
-    r = draw_realization(p, 2e-9, 0, 0)
-    assert np.allclose(r.error_var,
-                       error_variance(p.beta, 2e-9, p.sigma2_ul), rtol=1e-14)
+    trials = [2, 0, 5]
+    err_var = error_variance(p.beta, 2e-9, p.sigma2_ul)
+    pilots = make_pilots(2, 2, 2e-9)
+    for method in ("statistical", "pilot", None):
+        g, g_hat = draw_trials(p, None if method is None else 2e-9, 0, trials,
+                               method=method or "statistical", salt=1)
+        assert g.shape == g_hat.shape == (3, 8, 2)
+        for i, t in enumerate(trials):
+            rng = trial_rng(0, t, 1)
+            if method == "statistical":
+                want_hat = complex_gaussian(rng, (8, 2), p.beta - err_var)
+                want = want_hat - complex_gaussian(rng, (8, 2), err_var)
+            else:
+                want = generate_channel(p, rng)
+                want_hat = want if method is None else mmse_estimate(
+                    receive_pilots(want, pilots, p.sigma2_ul, rng), pilots, p.beta, p.sigma2_ul)
+            assert np.array_equal(g[i], want) and np.array_equal(g_hat[i], want_hat)
 
 
-def test_draw_realization_determinism_and_salt():
+def test_draw_trials_determinism_and_salt():
     p = benchmark_params(8)
-    a = draw_realization(p, 1e-9, 5, 2)
-    b = draw_realization(p, 1e-9, 5, 2)
-    c = draw_realization(p, 1e-9, 5, 2, salt=1)
-    assert np.array_equal(a.G_hat, b.G_hat) and np.array_equal(a.G, b.G)
-    assert not np.array_equal(a.G_hat, c.G_hat)
+    a = draw_trials(p, 1e-9, 5, [2])
+    b = draw_trials(p, 1e-9, 5, range(4))
+    c = draw_trials(p, 1e-9, 5, [2], salt=1)
+    assert np.array_equal(a[1][0], b[1][2]) and np.array_equal(a[0][0], b[0][2])
+    assert not np.array_equal(a[1], c[1])
 
 
-def test_draw_realization_rejects_unknown_method():
+def test_draw_trials_rejects_unknown_method():
     with pytest.raises(ValueError):
-        draw_realization(benchmark_params(8), 1e-9, 0, 0, method="genie")
+        draw_trials(benchmark_params(8), 1e-9, 0, [0], method="genie")

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from wetmm.energy import ResourceAllocation, ideal_energy, opmm_energy
+from wetmm.energy import ResourceAllocation, beamformer, ideal_energy, opmm_energy
+from wetmm.estimation import draw_trials
 import wetmm.montecarlo as montecarlo
-from wetmm.montecarlo import (McConfig, estimate_exact_rate, operating_point, run_trials,
-                              simulate_frame, verify_beamformer_structure,
+from wetmm.montecarlo import (McConfig, estimate_error_variance, estimate_exact_rate,
+                              operating_point, run_trials, verify_beamformer_structure,
                               verify_bound_tightness)
 from wetmm.sysmodel import generate_channel, trial_rng
 
@@ -31,13 +32,11 @@ def test_config_validation():
 
 
 def test_frame_determinism(params200, ref_alloc):
-    cfg = cfg_for()
-    point = operating_point(params200, ref_alloc, cfg.system)
-    a = simulate_frame(params200, ref_alloc, cfg, 3, point)
-    b = simulate_frame(params200, ref_alloc, cfg, 3, point)
-    c = simulate_frame(params200, ref_alloc, cfg, 4, point)
-    assert np.array_equal(a.sinr, b.sinr) and np.array_equal(a.energy, b.energy)
-    assert not np.array_equal(a.sinr, c.sinr)
+    cfg = cfg_for(n=5)
+    a_energy, a_sinr, _ = run_trials(params200, ref_alloc, cfg)
+    b_energy, b_sinr, _ = run_trials(params200, ref_alloc, cfg)
+    assert np.array_equal(a_sinr, b_sinr) and np.array_equal(a_energy, b_energy)
+    assert not np.array_equal(a_sinr[3], a_sinr[4])
 
 
 def test_frame_requires_energy_phase(params200, xi_star):
@@ -54,30 +53,46 @@ def test_run_trials_computes_operating_point_once(params200, ref_alloc, monkeypa
         return operating_point(*args)
 
     monkeypatch.setattr(montecarlo, "operating_point", counting)
-    samples = run_trials(params200, ref_alloc, cfg_for(n=7))
-    assert len(samples) == 7 and len(calls) == 1
+    energy, sinr, resamples = run_trials(params200, ref_alloc, cfg_for(n=7))
+    assert energy.shape == sinr.shape == (7, 2) and resamples.shape == (7,)
+    assert len(calls) == 1
 
 
 def test_ideal_zf_perfect_knowledge_identity(params200, ref_alloc):
     """With a perfectly known channel, ZF SINR is p_k / (sigma2 [(G^H G)^-1]_kk)."""
-    cfg = cfg_for(system="ideal", n=1, seed=11)
-    sample = simulate_frame(params200, ref_alloc, cfg, 0,
-                            operating_point(params200, ref_alloc, "ideal"))
+    _, sinr, _ = run_trials(params200, ref_alloc, cfg_for(system="ideal", n=1, seed=11))
     g = generate_channel(params200, trial_rng(11, 0, 0))
     inv = np.linalg.inv(g.conj().T @ g)
     e = ideal_energy(ref_alloc.alpha, ref_alloc.xi, params200.beta, 200, 1.0)
     p = e / (1.0 - ref_alloc.alpha)
     want = p / (params200.sigma2_ul * np.real(np.diag(inv)))
-    assert np.allclose(sample.sinr, want, rtol=1e-9)
+    assert np.allclose(sinr[0], want, rtol=1e-9)
+
+
+def test_run_trials_matches_per_frame_reference(ref_alloc):
+    """The stacked evaluator equals the one-frame-at-a-time formulas bit for bit."""
+    params = benchmark_params(10)
+    cfg = cfg_for(n=20, seed=5)
+    energy, sinr, resamples = run_trials(params, ref_alloc, cfg)
+    _, pilot_energy, powers, err_var = operating_point(params, ref_alloc, "wetmm")
+    for t in range(cfg.n_trials):
+        G, G_hat = (x[0] for x in draw_trials(params, pilot_energy, 5, [t]))
+        A = np.linalg.solve(G_hat.conj().T @ G_hat, G_hat.conj().T).conj().T
+        cross = np.abs(A.conj().T @ G_hat) ** 2
+        interference = cross @ powers - np.diag(cross) * powers
+        noise = np.sum(np.abs(A) ** 2, axis=0) * (np.dot(powers, err_var) + params.sigma2_ul)
+        w = beamformer(G_hat, ref_alloc.xi)
+        assert np.array_equal(sinr[t], powers * np.diag(cross) / (interference + noise))
+        assert np.array_equal(energy[t], ref_alloc.alpha * params.p_dl * np.abs(G.conj().T @ w) ** 2)
+    assert not resamples.any()
 
 
 def test_opmm_energy_matches_closed_form(params200, ref_alloc):
     # isotropic powering: the harvested-energy mean is alpha p beta exactly
     cfg = cfg_for(system="opmm", n=800, seed=2)
-    samples = run_trials(params200, ref_alloc, cfg)
-    en = np.stack([s.energy for s in samples])
+    en, _, _ = run_trials(params200, ref_alloc, cfg)
     want = opmm_energy(ref_alloc.alpha, params200.beta, 1.0)
-    se = en.std(axis=0, ddof=1) / np.sqrt(len(samples))
+    se = en.std(axis=0, ddof=1) / np.sqrt(len(en))
     assert np.all(np.abs(en.mean(axis=0) - want) <= 4.0 * se)
 
 
@@ -145,3 +160,52 @@ def test_mrc_works_without_antenna_margin(ref_alloc):
     p = benchmark_params(2)
     est = estimate_exact_rate(p, ref_alloc, cfg_for(detector="mrc", n=50))
     assert np.all(np.isfinite(est.rate))
+
+
+@pytest.mark.parametrize("system, knowledge, detector", [
+    ("wetmm", "statistical", "zf"), ("wetmm", "pilot", "zf"), ("wetmm", "statistical", "mrc"),
+    ("opmm", "statistical", "zf"), ("ideal", "statistical", "zf")])
+def test_results_do_not_depend_on_chunk_size(ref_alloc, monkeypatch, system, knowledge, detector):
+    """Stacked chunks reproduce the one-trial-at-a-time draws bit for bit."""
+    params = benchmark_params(40)
+    cfg = cfg_for(system=system, detector=detector, n=70, seed=4, knowledge=knowledge)
+    runs = []
+    for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1, 1000):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+        est = estimate_exact_rate(params, ref_alloc, cfg)
+        runs.append([est.rate, est.rate_se, est.energy, est.energy_se, est.n_resamples])
+        if system != "ideal":
+            runs[-1].extend(estimate_error_variance(params, ref_alloc, cfg))
+        if system == "wetmm":
+            cmp = verify_beamformer_structure(params, ref_alloc, 0.3, cfg)
+            runs[-1].extend([cmp.structured, cmp.general, cmp.diff_se])
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert np.array_equal(a, b)
+
+
+def test_forced_resamples_do_not_depend_on_chunk_size(ref_alloc, monkeypatch):
+    # at M = K + 1 a low condition limit rejects many ZF Gram matrices, so
+    # trials of one chunk finish at different salts
+    params = benchmark_params(3)
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
+    runs = []
+    for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1, 100):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+        runs.append(run_trials(params, ref_alloc, cfg_for(n=200, seed=9)))
+    resamples = runs[0][2]
+    assert resamples.sum() > 20 and resamples.max() > 1
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert np.array_equal(a, b)
+
+
+def test_exhausted_redraw_budget_raises(ref_alloc, monkeypatch):
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="trial 0"):
+        run_trials(benchmark_params(3), ref_alloc, cfg_for(n=3))
+
+
+def test_error_variance_estimate_rejects_ideal(params200, ref_alloc):
+    with pytest.raises(ValueError):
+        estimate_error_variance(params200, ref_alloc, cfg_for(system="ideal", n=5))
