@@ -396,20 +396,21 @@ def run_fairness(spec: ExperimentSpec):
 
 def run_mc_validate(spec: ExperimentSpec):
     """Closed forms versus MC at the spec.m grid optimum: energy, error
-    variance, and rate bound, with standard errors and z-scores."""
-    system = spec.system if spec.system != "ideal" else "wetmm"
+    variance, and rate bound, with standard errors and z-scores.  The ideal
+    system has no estimation error, so it writes no error-variance rows."""
     params = build_params(spec)
-    res = _search(spec, params, system, spec.detector)
+    res = _search(spec, params, spec.system, spec.detector)
     alloc = res.allocation
-    cfg = _mc_config(spec, system, spec.detector)
+    cfg = _mc_config(spec, spec.system, spec.detector)
     est = estimate_exact_rate(params, alloc, cfg)
-    e_closed, _, _, err_var = operating_point(params, alloc, system)
-    bound = closed_form_rate(params, alloc, system, spec.detector).rate
-    err_mean, err_se = estimate_error_variance(params, alloc, cfg)
+    e_closed, _, _, err_var = operating_point(params, alloc, spec.system)
+    bound = closed_form_rate(params, alloc, spec.system, spec.detector).rate
+    blocks = [("energy", e_closed, est.energy, est.energy_se)]
+    if spec.system != "ideal":
+        blocks.append(("error_var", err_var, *estimate_error_variance(params, alloc, cfg)))
+    blocks.append(("rate_bound", bound, est.rate, est.rate_se))
     rows = []
-    for kind, closed, mean, se in (("energy", e_closed, est.energy, est.energy_se),
-                                   ("error_var", err_var, err_mean, err_se),
-                                   ("rate_bound", bound, est.rate, est.rate_se)):
+    for kind, closed, mean, se in blocks:
         for k in range(params.K):
             z = (mean[k] - closed[k]) / se[k] if se[k] > 0 else 0.0
             rows.append([kind, k + 1, closed[k], mean[k], se[k], z])

@@ -18,6 +18,12 @@ Two interchangeable ways to produce stacked (G, G_hat) pairs are provided by
 draw of estimate and error from their exact marginals.  Both give the same
 distribution for every downstream statistic; the direct draw skips the
 (M x L) pilot block and is the default inside Monte Carlo loops.
+
+:func:`draw_trials` takes a chunk of trials.  It draws each trial's normals
+in one call on that trial's own stream, then does the scaling, the
+subtraction and the pilot pipeline once for the whole chunk.  The per-trial
+functions (``complex_gaussian``, ``generate_channel``, :func:`receive_pilots`)
+are the reference it reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams, complex_gaussian, generate_channel, trial_rng
+from wetmm.sysmodel import SystemParams, complex_gaussian, trial_rng
 
 __all__ = [
     "PilotConfig",
@@ -143,6 +149,16 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
                 method: str = "statistical", salt: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw stacked channels together with their MMSE estimates.
 
+    Each trial's normals come from one ``standard_normal`` call on its own
+    stream into a reused (blocks, M, K) buffer: the real and imaginary parts
+    that ``complex_gaussian`` draws, block after block, in the order of the
+    per-trial draw (channel, then pilot noise; or estimate, then error).
+    The blocks are copied into complex stacks, and the scaling, the
+    estimate-minus-error subtraction and the pilot pipeline then run once
+    per call on the whole chunk, with the same elementwise operations as
+    ``complex_gaussian``, ``generate_channel`` and :func:`receive_pilots`.
+    So every trial equals its per-trial draw bit for bit.
+
     Args:
         params: scenario constants.
         pilot_energy: scalar or length-K total pilot energy per user, or
@@ -161,25 +177,34 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
     """
     if method not in ("statistical", "pilot"):
         raise ValueError(f"unknown channel-knowledge method: {method!r}")
-    shape = (len(trials), params.M, params.K)
-    g = np.empty(shape, dtype=complex)
-    if pilot_energy is None:
-        for i, t in enumerate(trials):
-            g[i] = generate_channel(params, trial_rng(master_seed, t, salt))
-        return g, g
-    energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (params.K,))
-    err_var = error_variance(params.beta, energy, params.sigma2_ul)
-    if method == "statistical":
-        g_hat = np.empty(shape, dtype=complex)
-        for i, t in enumerate(trials):
-            rng = trial_rng(master_seed, t, salt)
-            g_hat[i] = complex_gaussian(rng, shape[1:], params.beta - err_var)
-            g[i] = g_hat[i] - complex_gaussian(rng, shape[1:], err_var)
-        return g, g_hat
-    pilots = make_pilots(params.K, params.K, energy)
-    y = np.empty((len(trials), params.M, pilots.L), dtype=complex)
+    M, K = params.M, params.K
+    if pilot_energy is not None:
+        energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,))
+        err_var = error_variance(params.beta, energy, params.sigma2_ul)
+    # the ideal system draws the channel alone; the others draw a second
+    # (M, K) pair: the error, or the pilot noise (L = K)
+    stacks = [np.empty((len(trials), M, K), dtype=complex)
+              for _ in range(1 if pilot_energy is None else 2)]
+    parts = [part for z in stacks for part in (z.real, z.imag)]
+    buf = np.empty((len(parts), M, K))
     for i, t in enumerate(trials):
-        rng = trial_rng(master_seed, t, salt)
-        g[i] = generate_channel(params, rng)
-        y[i] = receive_pilots(g[i], pilots, params.sigma2_ul, rng)
+        trial_rng(master_seed, t, salt).standard_normal(out=buf)
+        for part, block in zip(parts, buf):
+            part[i] = block
+    if pilot_energy is not None and method == "statistical":
+        g_hat, g = stacks
+        g_hat *= np.sqrt((params.beta - err_var) / 2.0)
+        g *= np.sqrt(err_var / 2.0)
+        np.subtract(g_hat, g, out=g)
+        return g, g_hat
+    # generate_channel: CN(0, 1) entries, then column k times sqrt(beta_k)
+    g = stacks[0]
+    g *= np.sqrt(0.5)
+    g *= np.sqrt(params.beta)
+    if pilot_energy is None:
+        return g, g
+    pilots = make_pilots(K, K, energy)
+    y = stacks[1]
+    y *= np.sqrt(params.sigma2_ul / 2.0)
+    y += (g * np.sqrt(pilots.pilot_energy)[None, :]) @ pilots.Phi.T
     return g, mmse_estimate(y, pilots, params.beta, params.sigma2_ul)

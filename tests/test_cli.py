@@ -345,6 +345,27 @@ def test_mc_validate_rows_are_estimate_exact_rate(tmp_path):
             assert got[(kind, k + 1)] == [format(mean[k], ".10g"), format(se[k], ".10g")]
 
 
+def test_mc_validate_runs_the_ideal_system(tmp_path):
+    cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
+    csvs = {}
+    for system in ("wetmm", "ideal"):
+        out = tmp_path / system
+        assert main(["mc-validate", "--config", cfg, "--out", str(out), "--system", system]) == 0
+        csvs[system] = (out / "mc_validate.csv").read_bytes()
+    assert csvs["ideal"] != csvs["wetmm"]
+    _, rows = read_csv(tmp_path / "ideal" / "mc_validate.csv")
+    assert [r[0] for r in rows] == ["energy", "energy", "rate_bound", "rate_bound"]
+    alloc = read_sidecar(str(tmp_path / "ideal" / "mc_validate.csv"))["allocation"]
+    alloc = ResourceAllocation(tau=alloc["tau"], alpha=alloc["alpha"], rho=alloc["rho"],
+                               xi=np.array(alloc["xi"]))
+    assert alloc.tau == 0.0
+    spec = ExperimentSpec(**load_config(cfg))
+    est = estimate_exact_rate(build_params(spec), alloc,
+                              McConfig(n_trials=spec.n_trials, master_seed=spec.master_seed,
+                                       system="ideal"))
+    assert [r[3] for r in rows] == [format(x, ".10g") for x in (*est.energy, *est.rate)]
+
+
 @pytest.mark.parametrize("extra", [[], ["--trials", "1"], ["--system", "opmm"],
                                    ["--system", "ideal"], ["--detector", "mrc"]])
 def test_mc_validate_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch, extra):

@@ -3,7 +3,7 @@ import pytest
 
 from wetmm.estimation import (draw_trials, error_variance, make_pilots,
                               mmse_estimate, receive_pilots)
-from wetmm.sysmodel import complex_gaussian, generate_channel, trial_rng
+from wetmm.sysmodel import SystemParams, complex_gaussian, generate_channel, trial_rng
 
 from conftest import benchmark_params
 
@@ -81,25 +81,37 @@ def test_draw_trials_methods_match_in_distribution():
 
 
 def test_draw_trials_follow_trial_streams():
-    """Trial t of a stack is the per-trial draw from trial_rng(seed, t, salt)."""
-    p = benchmark_params(8)
-    trials = [2, 0, 5]
-    err_var = error_variance(p.beta, 2e-9, p.sigma2_ul)
-    pilots = make_pilots(2, 2, 2e-9)
-    for method in ("statistical", "pilot", None):
-        g, g_hat = draw_trials(p, None if method is None else 2e-9, 0, trials,
-                               method=method or "statistical", salt=1)
-        assert g.shape == g_hat.shape == (3, 8, 2)
-        for i, t in enumerate(trials):
-            rng = trial_rng(0, t, 1)
-            if method == "statistical":
-                want_hat = complex_gaussian(rng, (8, 2), p.beta - err_var)
-                want = want_hat - complex_gaussian(rng, (8, 2), err_var)
-            else:
-                want = generate_channel(p, rng)
-                want_hat = want if method is None else mmse_estimate(
-                    receive_pilots(want, pilots, p.sigma2_ul, rng), pilots, p.beta, p.sigma2_ul)
-            assert np.array_equal(g[i], want) and np.array_equal(g_hat[i], want_hat)
+    """Trial t of a stack is the per-trial draw from trial_rng(seed, t, salt),
+    whatever the order and gaps of the trial list (redraws pass such lists)."""
+    def three_users(m):
+        return SystemParams(M=m, K=3, p_dl=1.0, sigma2_ul=1e-15,
+                            beta=1e-3 * np.array([6.0, 12.0, 20.0]) ** -3.0)
+
+    cases = [(benchmark_params(8), [2, 0, 5], 2e-9, 1)]
+    cases += [(scenario(m), trials, energy, salt)
+              for scenario, energy in ((benchmark_params, 2e-9),
+                                       (three_users, np.array([2e-9, 5e-10, 1e-9])))
+              for m in (3, 8, 200)
+              for trials in ([2, 0, 5], np.array([17, 3, 9, 40]))
+              for salt in (0, 1)]
+    for p, trials, energy, salt in cases:
+        shape = (p.M, p.K)
+        err_var = error_variance(p.beta, energy, p.sigma2_ul)
+        pilots = make_pilots(p.K, p.K, energy)
+        for method in ("statistical", "pilot", None):
+            g, g_hat = draw_trials(p, None if method is None else energy, 0, trials,
+                                   method=method or "statistical", salt=salt)
+            assert g.shape == g_hat.shape == (len(trials),) + shape
+            for i, t in enumerate(trials):
+                rng = trial_rng(0, t, salt)
+                if method == "statistical":
+                    want_hat = complex_gaussian(rng, shape, p.beta - err_var)
+                    want = want_hat - complex_gaussian(rng, shape, err_var)
+                else:
+                    want = generate_channel(p, rng)
+                    want_hat = want if method is None else mmse_estimate(
+                        receive_pilots(want, pilots, p.sigma2_ul, rng), pilots, p.beta, p.sigma2_ul)
+                assert np.array_equal(g[i], want) and np.array_equal(g_hat[i], want_hat)
 
 
 def test_draw_trials_determinism_and_salt():

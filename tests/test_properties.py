@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wetmm.energy import ResourceAllocation
+from wetmm.energy import (RHO_CLAMP, ResourceAllocation, clamp_rho, energies,
+                          expected_harvested_energy)
 from wetmm.rates import closed_form_rate
 from wetmm.sysmodel import SystemParams
 
@@ -39,3 +40,37 @@ def test_rates_strictly_decrease_in_tau(scenario, tau, dtau, system, detector):
     r_lo = closed_form_rate(params, lo, system, detector).rate
     r_hi = closed_form_rate(params, hi, system, detector).rate
     assert np.all(r_hi < r_lo), (r_lo, r_hi)
+
+
+@st.composite
+def fixed_point_boxes(draw):
+    """Scenario, alpha in (0, 1), rho in (0, 1) with extra draws inside both
+    clamp margins, and xi.  Each user's path loss sits 10^[-3, 3] times the
+    value where g = alpha p beta (xi (M-1) + 1) - sigma2 / (beta rho) changes
+    sign, so both roots of the fixed point are reached."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 1024))
+    p_dl = 10.0 ** draw(st.floats(-2.0, 1.0))
+    s2 = 10.0 ** draw(st.floats(-16.0, -12.0))
+    alpha = draw(st.floats(1e-9, 1.0, exclude_max=True))
+    rho = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.floats(0.0, 2 * RHO_CLAMP, exclude_min=True),
+                         st.floats(1.0 - 2 * RHO_CLAMP, 1.0, exclude_max=True)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    xi = weights / weights.sum()
+    g_zero = np.sqrt(s2 / (alpha * p_dl * clamp_rho(rho) * (xi * (m - 1) + 1.0)))
+    scale = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k)))
+    params = SystemParams(M=m, K=k, p_dl=p_dl, sigma2_ul=s2, beta=g_zero * scale)
+    return params, alpha, rho, xi
+
+
+@PROPERTY_SETTINGS
+@given(fixed_point_boxes())
+def test_fixed_point_identity_over_the_full_box(box):
+    """The wetmm energy solves E = Q(clamp_rho(rho) E) on both roots, at the
+    clamp and inside it (criterion 5 samples alpha <= 0.5, rho in [0.01, 0.99])."""
+    params, alpha, rho, xi = box
+    e = energies(params, "wetmm", alpha, rho, xi)
+    q = expected_harvested_energy(clamp_rho(rho) * e, alpha, xi, params.beta, params.M,
+                                  params.p_dl, params.sigma2_ul)
+    assert np.all(np.abs(e - q) <= 1e-9 * e), (e, q)
