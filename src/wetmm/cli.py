@@ -1,8 +1,10 @@
 """Experiment runner: writes the benchmark tables and figure data as CSV.
 
-Each subcommand evaluates one experiment and writes a CSV (RFC-4180 style,
-'.' decimal separator) plus a JSON sidecar recording the fully resolved
-configuration, into the output directory.  Files are written atomically
+Each subcommand evaluates one experiment and writes its CSVs (RFC-4180
+style, '.' decimal separator) plus one JSON sidecar, named after the first
+CSV and recording the fully resolved configuration, into the output
+directory.  One writer does this for every experiment and prints one
+``wrote <path> (<n> rows)`` line per CSV.  Files are written atomically
 (temp file, then rename) and every experiment is deterministic given the
 configuration and master seed: re-running produces byte-identical output.
 
@@ -125,9 +127,14 @@ class ExperimentSpec:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name, low in (("n_trials", 1), ("m", 2), ("coarse_factor", 1),
-                          ("fig_coarse_factor", 1), ("refine_radius", 0)):
+                          ("fig_coarse_factor", 1), ("refine_radius", 0), ("large_k_users", 1),
+                          ("contour_tau_max", 0), ("contour_alpha_max", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if not 0 <= self.contour_rho <= 1:
+            raise ValueError("contour_rho must lie in [0, 1]")
+        if not 0 < self.zeta_min <= self.zeta_max < 1:
+            raise ValueError("zeta_min and zeta_max must satisfy 0 < zeta_min <= zeta_max < 1")
 
     @property
     def steps(self) -> tuple:
@@ -145,20 +152,13 @@ def dbm_to_watts(dbm: float) -> float:
 
 _DBM_KEYS = {"p_dl_dbm": "p_dl", "sigma2_ul_dbm": "sigma2_ul",
              "sigma2_user_dbm": "sigma2_user"}
-_TUPLE_FIELDS = {"distances": float, "m_values": int, "rate_vs_m_values": int,
-                 "fairness_m_values": int}
 
 
 def _parse_value(field: str, raw: str):
-    if field in _TUPLE_FIELDS:
-        conv = _TUPLE_FIELDS[field]
-        return tuple(conv(part.strip()) for part in raw.split(",") if part.strip())
     default = ExperimentSpec.__dataclass_fields__[field].default
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw.strip()
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(part.strip()) for part in raw.split(",") if part.strip())
+    return type(default)(raw.strip())
 
 
 def load_config(path: str) -> dict:
@@ -228,19 +228,19 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     _write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
-def _write_sidecar(csv_path: str, spec: ExperimentSpec, experiment: str,
-                   extra: dict | None = None) -> str:
-    sidecar = os.path.splitext(csv_path)[0] + ".json"
-    payload = {
-        "experiment": experiment,
-        "csv": os.path.basename(csv_path),
-        "spec": dataclasses.asdict(spec),
-    }
-    if extra:
-        payload.update(extra)
+def _emit(spec: ExperimentSpec, experiment: str, files: list, extra: dict | None = None):
+    """Write each (name, header, rows) CSV into spec.out_dir, then the first
+    file's JSON sidecar; print one line per CSV and return the first file's
+    (rows, path)."""
+    paths = [os.path.join(spec.out_dir, name) for name, _, _ in files]
+    for path, (_, header, rows) in zip(paths, files):
+        _write_csv(path, header, rows)
+        print(f"wrote {path} ({len(rows)} rows)")
+    payload = {"experiment": experiment, "csv": files[0][0],
+               "spec": dataclasses.asdict(spec), **(extra or {})}
     data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_atomic(sidecar, data.encode("utf-8"))
-    return sidecar
+    _write_atomic(os.path.splitext(paths[0])[0] + ".json", data.encode("utf-8"))
+    return files[0][2], paths[0]
 
 
 def _search(spec: ExperimentSpec, params: SystemParams, system: str, detector: str,
@@ -254,9 +254,8 @@ def _search(spec: ExperimentSpec, params: SystemParams, system: str, detector: s
     )
 
 
-def _mc_config(spec: ExperimentSpec, system: str, detector: str,
-               n_trials: int | None = None) -> McConfig:
-    return McConfig(n_trials=n_trials or spec.n_trials, master_seed=spec.master_seed,
+def _mc_config(spec: ExperimentSpec, system: str, detector: str) -> McConfig:
+    return McConfig(n_trials=spec.n_trials, master_seed=spec.master_seed,
                     detector=detector, system=system)
 
 
@@ -271,10 +270,10 @@ def run_optimize(spec: ExperimentSpec):
               + ["min_rate", "n_evaluations"])
     row = ([params.M, spec.system, spec.detector, a.tau, a.alpha, a.rho]
            + list(a.xi) + list(res.rates) + [res.min_rate, res.n_evaluations])
-    path = os.path.join(spec.out_dir, "optimize.csv")
-    _write_csv(path, header, [row])
-    _write_sidecar(path, spec, "optimize")
-    return [row], path
+    out = _emit(spec, "optimize", [("optimize.csv", header, [row])])
+    print(f"m={row[0]} system={row[1]} detector={row[2]} tau={_fmt(row[3])} "
+          f"alpha={_fmt(row[4])} rho={_fmt(row[5])} min_rate={_fmt(row[-2])}")
+    return out
 
 
 def run_table1(spec: ExperimentSpec):
@@ -299,10 +298,7 @@ def run_table1(spec: ExperimentSpec):
         mc = estimate_exact_rate(params, a, _mc_config(spec, "wetmm", spec.detector))
         rows.append([m, a.tau, a.alpha, rho_analytic, a.rho,
                      rate_asym, res.min_rate, mc.rate[0], mc.rate[1]])
-    path = os.path.join(spec.out_dir, "table1.csv")
-    _write_csv(path, header, rows)
-    _write_sidecar(path, spec, "table1")
-    return rows, path
+    return _emit(spec, "table1", [("table1.csv", header, rows)])
 
 
 def run_contour(spec: ExperimentSpec):
@@ -318,10 +314,8 @@ def run_contour(spec: ExperimentSpec):
     for i, tau in enumerate(tau_vals):
         for j, alpha in enumerate(alpha_vals):
             rows.append([tau, alpha] + list(rates[i, j]))
-    path = os.path.join(spec.out_dir, "contour.csv")
-    _write_csv(path, header, rows)
-    _write_sidecar(path, spec, "contour", {"fixed_rho": spec.contour_rho})
-    return rows, path
+    return _emit(spec, "contour", [("contour.csv", header, rows)],
+                 {"fixed_rho": spec.contour_rho})
 
 
 def run_rho_sweep(spec: ExperimentSpec):
@@ -334,11 +328,8 @@ def run_rho_sweep(spec: ExperimentSpec):
                         spec.sweep_alpha, rho_vals, xi)
     header = ["rho"] + [f"rate_user{k + 1}" for k in range(params.K)] + ["min_rate"]
     rows = [[rho] + list(r) + [float(np.min(r))] for rho, r in zip(rho_vals, rates)]
-    path = os.path.join(spec.out_dir, "rho_sweep.csv")
-    _write_csv(path, header, rows)
-    _write_sidecar(path, spec, "rho-sweep",
-                   {"fixed_tau": spec.sweep_tau, "fixed_alpha": spec.sweep_alpha})
-    return rows, path
+    return _emit(spec, "rho-sweep", [("rho_sweep.csv", header, rows)],
+                 {"fixed_tau": spec.sweep_tau, "fixed_alpha": spec.sweep_alpha})
 
 
 def run_rate_vs_m(spec: ExperimentSpec):
@@ -353,24 +344,17 @@ def run_rate_vs_m(spec: ExperimentSpec):
     header = ["m"] + [name for name, _, _ in curves]
     rows = []
     for m in spec.rate_vs_m_values:
-        row = [m]
-        for _, system, detector in curves:
-            params = build_params(spec, m)
-            if detector == "zf" and m < params.K + 1:
-                row.append(float("nan"))
-                continue
-            row.append(_search(spec, params, system, detector, fig=True).min_rate)
-        rows.append(row)
+        params = build_params(spec, m)
+        rows.append([m] + [float("nan") if detector == "zf" and m < params.K + 1
+                           else _search(spec, params, system, detector, fig=True).min_rate
+                           for _, system, detector in curves])
     m_arr = np.array([r[0] for r in rows], dtype=float)
     slopes = {}
     for idx, (name, _, _) in enumerate(curves, start=1):
         vals = np.array([r[idx] for r in rows], dtype=float)
         keep = ~np.isnan(vals)
         slopes[name] = mm_dorg(vals[keep], m_arr[keep]) if keep.sum() >= 2 else None
-    path = os.path.join(spec.out_dir, "rate_vs_m.csv")
-    _write_csv(path, header, rows)
-    _write_sidecar(path, spec, "rate-vs-m", {"mm_dorg": slopes})
-    return rows, path
+    return _emit(spec, "rate-vs-m", [("rate_vs_m.csv", header, rows)], {"mm_dorg": slopes})
 
 
 def run_fairness(spec: ExperimentSpec):
@@ -388,10 +372,7 @@ def run_fairness(spec: ExperimentSpec):
                                      _mc_config(spec, system, spec.detector))
             row.extend([mc.rate[0], mc.rate[1]])
         rows.append(row)
-    path = os.path.join(spec.out_dir, "fairness.csv")
-    _write_csv(path, header, rows)
-    _write_sidecar(path, spec, "fairness")
-    return rows, path
+    return _emit(spec, "fairness", [("fairness.csv", header, rows)])
 
 
 def run_mc_validate(spec: ExperimentSpec):
@@ -415,12 +396,9 @@ def run_mc_validate(spec: ExperimentSpec):
             z = (mean[k] - closed[k]) / se[k] if se[k] > 0 else 0.0
             rows.append([kind, k + 1, closed[k], mean[k], se[k], z])
     header = ["quantity", "user", "closed_form", "mc_mean", "mc_se", "z_score"]
-    path = os.path.join(spec.out_dir, "mc_validate.csv")
-    _write_csv(path, header, rows)
-    _write_sidecar(path, spec, "mc-validate",
-                   {"allocation": {"tau": alloc.tau, "alpha": alloc.alpha,
-                                   "rho": alloc.rho, "xi": list(alloc.xi)}})
-    return rows, path
+    return _emit(spec, "mc-validate", [("mc_validate.csv", header, rows)],
+                 {"allocation": {"tau": alloc.tau, "alpha": alloc.alpha,
+                                 "rho": alloc.rho, "xi": list(alloc.xi)}})
 
 
 def run_large_k(spec: ExperimentSpec):
@@ -432,8 +410,6 @@ def run_large_k(spec: ExperimentSpec):
     zeta = zeta[(zeta > 0) & (zeta < 1)]
     rates = large_k_rate(zeta, spec.large_k_alpha, c1_inf, spec.p_dl, spec.sigma2_ul)
     rate_rows = [[z, r] for z, r in zip(zeta, rates)]
-    rate_path = os.path.join(spec.out_dir, "large_k_rates.csv")
-    _write_csv(rate_path, ["zeta", "rate"], rate_rows)
 
     rng = trial_rng(spec.master_seed, 0, 1)
     a, b = min(spec.distances), max(spec.distances)
@@ -444,11 +420,10 @@ def run_large_k(spec: ExperimentSpec):
         beta = spec.beta0 * d[:n] ** (-spec.pathloss_exponent)
         c1 = c1_sample(beta)
         c1_rows.append([n, c1, c1_inf, abs(c1 - c1_inf) / c1_inf])
-    c1_path = os.path.join(spec.out_dir, "large_k_c1.csv")
-    _write_csv(c1_path, ["n_users", "c1_sample", "c1_limit", "rel_err"], c1_rows)
-    _write_sidecar(rate_path, spec, "large-k",
-                   {"c1_csv": os.path.basename(c1_path), "c1_limit": c1_inf})
-    return (rate_rows, c1_rows), rate_path
+    return _emit(spec, "large-k",
+                 [("large_k_rates.csv", ["zeta", "rate"], rate_rows),
+                  ("large_k_c1.csv", ["n_users", "c1_sample", "c1_limit", "rel_err"], c1_rows)],
+                 {"c1_csv": "large_k_c1.csv", "c1_limit": c1_inf})
 
 
 _RUNNERS = {
@@ -472,18 +447,20 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--detector", choices=("zf", "mrc"))
         p.add_argument("--system", choices=("wetmm", "ideal", "opmm"))
-        p.add_argument("--trials", type=int, help="Monte Carlo trials")
+        p.add_argument("--trials", type=int, dest="n_trials", help="Monte Carlo trials")
         if name in ("optimize", "mc-validate", "contour", "rho-sweep"):
             p.add_argument("--m", type=int, help="antenna count")
         if name == "contour":
-            p.add_argument("--rho", type=float, help="fixed energy split")
+            p.add_argument("--rho", type=float, dest="contour_rho", help="fixed energy split")
         if name == "rho-sweep":
-            p.add_argument("--tau", type=float, help="fixed estimation fraction")
-            p.add_argument("--alpha", type=float, help="fixed energy-phase fraction")
+            p.add_argument("--tau", type=float, dest="sweep_tau",
+                           help="fixed estimation fraction")
+            p.add_argument("--alpha", type=float, dest="sweep_alpha",
+                           help="fixed energy-phase fraction")
     return parser
 
 
@@ -491,13 +468,9 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     overrides = {}
     if args.config:
         overrides.update(load_config(args.config))
-    flag_map = {"seed": "master_seed", "out": "out_dir", "detector": "detector",
-                "system": "system", "trials": "n_trials", "m": "m",
-                "rho": "contour_rho", "tau": "sweep_tau", "alpha": "sweep_alpha"}
-    for flag, field in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
+    # every flag's dest is the ExperimentSpec field it sets
+    overrides.update((key, value) for key, value in vars(args).items()
+                     if value is not None and key in ExperimentSpec.__dataclass_fields__)
     spec = ExperimentSpec(**overrides)
     if spec.xi_policy == "simplex" and "refine_radius" in overrides:
         raise ValueError("refine_radius does not apply to xi_policy = simplex: "
@@ -508,21 +481,10 @@ def _resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = _resolve_spec(args)
-        rows, path = _RUNNERS[args.experiment](spec)
+        _RUNNERS[args.experiment](_resolve_spec(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.experiment == "large-k":
-        rate_rows, c1_rows = rows
-        print(f"wrote {path} ({len(rate_rows)} rows) and companion "
-              f"{os.path.join(os.path.dirname(path), 'large_k_c1.csv')} ({len(c1_rows)} rows)")
-    else:
-        print(f"wrote {path} ({len(rows)} rows)")
-    if args.experiment == "optimize":
-        row = rows[0]
-        print(f"m={row[0]} system={row[1]} detector={row[2]} tau={_fmt(row[3])} "
-              f"alpha={_fmt(row[4])} rho={_fmt(row[5])} min_rate={_fmt(row[-2])}")
     return 0
 
 

@@ -286,16 +286,8 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
             val, idx = val_f, idx_f
 
     ba, br, bx = idx
-    if system == "opmm":
-        xi_best = np.full(params.K, 1.0 / params.K)
-        steps_used = steps
-    elif simplex:
-        xi1 = xi_step * bx
-        xi_best = np.array([xi1, 1.0 - xi1])
-        steps_used = (*steps, xi_step)
-    else:
-        xi_best = optimal_xi(params.beta)
-        steps_used = steps
+    xi_best = _xi_candidates(params, system, xi_policy, np.array([bx]), xi_step)[1][0]
+    steps_used = (*steps, xi_step) if simplex else steps
     alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi_best)
     report = closed_form_rate(params, alloc, system, detector)
     return OptimizationResult(

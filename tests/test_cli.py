@@ -145,7 +145,13 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec) if isinstance
                             {"m_values": (25, 1), "detector": "mrc"},
                             {"fairness_m_values": (1,), "detector": "mrc"},
                             {"m_values": (25, 2)}, {"fairness_m_values": (50, 2)},
-                            {"m_values": (3,), "distances": (5.0, 6.0, 7.0)}])
+                            {"m_values": (3,), "distances": (5.0, 6.0, 7.0)},
+                            {"contour_rho": 1.5}, {"contour_rho": -2.0},
+                            {"contour_rho": 1.0 + 1e-12},
+                            {"zeta_min": 0.5, "zeta_max": 0.1}, {"zeta_min": 0.0},
+                            {"zeta_max": 1.0},
+                            {"contour_tau_max": -0.01}, {"contour_alpha_max": -0.01},
+                            {"large_k_users": 0}])
 def test_spec_rejects_non_finite_and_out_of_range(bad):
     with pytest.raises(ValueError, match=re.escape(next(iter(bad)))):
         ExperimentSpec(**bad)
@@ -425,3 +431,35 @@ zeta_step = 0.1
     sidecar = read_sidecar(str(out / "large_k_rates.csv"))
     assert sidecar["c1_csv"] == "large_k_c1.csv"
     assert np.isclose(sidecar["c1_limit"], 846473142857.143, rtol=1e-9)
+
+
+def test_every_experiment_reports_each_csv_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, FAST_SEARCH + """\
+m = 20
+m_values = 20
+fairness_m_values = 20
+rate_vs_m_values = 4, 20
+fig_tau_step = 0.01
+fig_alpha_step = 0.02
+fig_rho_step = 0.02
+fig_coarse_factor = 2
+contour_tau_max = 0.02
+contour_alpha_max = 0.04
+large_k_users = 500
+""")
+    for experiment in ("optimize", "table1", "contour", "rho-sweep", "rate-vs-m",
+                       "fairness", "mc-validate", "large-k"):
+        out = tmp_path / experiment
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 0, experiment
+        wrote = re.findall(r"^wrote (.+) \((\d+) rows\)$", capsys.readouterr().out, re.M)
+        names = sorted(os.listdir(out))
+        csvs = [n for n in names if n.endswith(".csv")]
+        assert sorted(os.path.basename(path) for path, _ in wrote) == csvs, experiment
+        for path, n_rows in wrote:
+            assert os.path.dirname(path) == str(out)
+            assert int(n_rows) == len(read_csv(path)[1]), path
+        first = os.path.basename(wrote[0][0])
+        assert [n for n in names if n.endswith(".json")] == [first[:-4] + ".json"], experiment
+        sidecar = read_sidecar(wrote[0][0])
+        assert sidecar["csv"] == first and sidecar["experiment"] == experiment
+    assert sidecar["c1_csv"] == "large_k_c1.csv"
