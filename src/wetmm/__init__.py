@@ -36,7 +36,6 @@ from wetmm.energy import (
     harvested_energy_fixedpoint,
     ideal_energy,
     opmm_energy,
-    uplink_power,
 )
 from wetmm.rates import (
     RateReport,
@@ -47,7 +46,6 @@ from wetmm.rates import (
     closed_form_rate,
     closed_form_sinr,
     ideal_asymptotic_rate,
-    ideal_rate,
     large_k_rate,
     maxmin_asymptotic_rate,
     mm_dorg,

@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.montecarlo import McConfig, estimate_error_variance, estimate_exact_rate, operating_point
-from wetmm.optimizer import (
-    grid_search_p1,
-    optimal_rho_zf,
-    optimal_xi,
-    rate_map,
-    rate_vs_rho,
-)
+from wetmm.optimizer import grid_search_p1, optimal_rho_zf, optimal_xi, rate_map
 from wetmm.rates import (
     asymptotic_mrc_rate,
     asymptotic_zf_rate,
@@ -133,6 +127,9 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be >= {low}")
         if not 0 <= self.contour_rho <= 1:
             raise ValueError("contour_rho must lie in [0, 1]")
+        if not (self.sweep_tau >= 0 and self.sweep_alpha >= 0
+                and self.sweep_tau + self.sweep_alpha <= 1):
+            raise ValueError("need sweep_tau, sweep_alpha >= 0 with sweep_tau + sweep_alpha <= 1")
         if not 0 < self.zeta_min <= self.zeta_max < 1:
             raise ValueError("zeta_min and zeta_max must satisfy 0 < zeta_min <= zeta_max < 1")
 
@@ -307,8 +304,8 @@ def run_contour(spec: ExperimentSpec):
     xi = optimal_xi(params.beta)
     tau_vals = spec.tau_step * np.arange(0, int(round(spec.contour_tau_max / spec.tau_step)) + 1)
     alpha_vals = spec.alpha_step * np.arange(0, int(round(spec.contour_alpha_max / spec.alpha_step)) + 1)
-    rates = rate_map(params, spec.system, spec.detector, tau_vals, alpha_vals,
-                     spec.contour_rho, xi)
+    rates = rate_map(params, spec.system, spec.detector, tau_vals[:, None, None],
+                     alpha_vals[None, :, None], spec.contour_rho, xi)
     header = ["tau", "alpha"] + [f"rate_user{k + 1}" for k in range(params.K)]
     rows = []
     for i, tau in enumerate(tau_vals):
@@ -324,8 +321,8 @@ def run_rho_sweep(spec: ExperimentSpec):
     xi = optimal_xi(params.beta)
     n_r = int(np.floor(1.0 / spec.rho_step - 1.0 + 1e-9))
     rho_vals = spec.rho_step * np.arange(1, n_r + 1)
-    rates = rate_vs_rho(params, spec.system, spec.detector, spec.sweep_tau,
-                        spec.sweep_alpha, rho_vals, xi)
+    rates = rate_map(params, spec.system, spec.detector, spec.sweep_tau,
+                     spec.sweep_alpha, rho_vals[:, None], xi)
     header = ["rho"] + [f"rate_user{k + 1}" for k in range(params.K)] + ["min_rate"]
     rows = [[rho] + list(r) + [float(np.min(r))] for rho, r in zip(rho_vals, rates)]
     return _emit(spec, "rho-sweep", [("rho_sweep.csv", header, rows)],
@@ -405,9 +402,8 @@ def run_large_k(spec: ExperimentSpec):
     """Dense-regime rate versus user load, plus path-loss moment convergence."""
     c1_inf = c1_limit(spec.beta0, spec.pathloss_exponent,
                       min(spec.distances), max(spec.distances))
-    n_z = int(round((spec.zeta_max - spec.zeta_min) / spec.zeta_step))
+    n_z = int(np.floor((spec.zeta_max - spec.zeta_min) / spec.zeta_step + 1e-9))
     zeta = spec.zeta_min + spec.zeta_step * np.arange(0, n_z + 1)
-    zeta = zeta[(zeta > 0) & (zeta < 1)]
     rates = large_k_rate(zeta, spec.large_k_alpha, c1_inf, spec.p_dl, spec.sigma2_ul)
     rate_rows = [[z, r] for z, r in zip(zeta, rates)]
 

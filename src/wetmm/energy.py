@@ -32,7 +32,6 @@ __all__ = [
     "general_beamformer",
     "expected_harvested_energy",
     "harvested_energy_fixedpoint",
-    "uplink_power",
     "ideal_energy",
     "opmm_energy",
     "asymptotic_energy",
@@ -196,21 +195,6 @@ def harvested_energy_fixedpoint(alpha, rho, xi, beta, M, p_dl, sigma2_ul):
     if np.any(rho <= 0) or np.any(rho >= 1):
         raise ValueError("rho must lie strictly inside (0, 1)")
     return _fixedpoint_raw(alpha, clamp_rho(rho), xi, beta, M, p_dl, sigma2_ul)
-
-
-def uplink_power(tau, alpha, rho, E):
-    """Data-phase transmit power: all unspent energy over the data duration.
-
-        p = (1 - rho) E / (1 - tau - alpha)
-
-    Raises:
-        ValueError: if tau + alpha >= 1 (no data phase to spend it in).
-    """
-    tau = np.asarray(tau, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(tau + alpha >= 1):
-        raise ValueError("tau + alpha must be < 1 for a data phase to exist")
-    return (1.0 - np.asarray(rho, dtype=float)) * np.asarray(E, dtype=float) / (1.0 - tau - alpha)
 
 
 def ideal_energy(alpha, xi, beta, M, p_dl):

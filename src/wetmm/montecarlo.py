@@ -28,7 +28,6 @@ from wetmm.energy import (
     clamp_rho,
     energies,
     general_beamformer,
-    uplink_power,
 )
 from wetmm.estimation import draw_trials, error_variance
 from wetmm.rates import closed_form_rate
@@ -138,7 +137,9 @@ class BeamformerComparison:
 def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str):
     """Steady-state ``(energy, pilot_energy, powers, err_var)`` that every
     frame of one allocation shares; ``pilot_energy`` is None for the ideal
-    system.  Raises ValueError unless alpha > 0 and tau + alpha < 1."""
+    system, and ``powers`` spend the unspent energy over the data phase,
+    (1 - rho) E / (1 - tau - alpha).  Raises ValueError unless alpha > 0
+    and tau + alpha < 1."""
     rem = 1.0 - alloc.tau - alloc.alpha
     if alloc.alpha <= 0 or rem <= 0:
         raise ValueError("Monte Carlo needs alpha > 0 and tau + alpha < 1")
@@ -148,7 +149,7 @@ def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str
         return e, None, powers, np.zeros(params.K)
     rho = float(clamp_rho(alloc.rho))
     pilot_energy = rho * e
-    powers = uplink_power(alloc.tau, alloc.alpha, rho, e)
+    powers = (1.0 - rho) * e / rem
     err_var = error_variance(params.beta, pilot_energy, params.sigma2_ul)
     return e, pilot_energy, powers, err_var
 

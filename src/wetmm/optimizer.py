@@ -16,8 +16,10 @@ The search lattice is the set of integer multiples of the step sizes.  A
 coarse pass (steps scaled by ``coarse_factor``) locates an incumbent, then a
 fine pass re-evaluates the box within ``refine_radius`` coarse steps of it.
 Only tau = 0 is evaluated, since it is the exact argmax over tau (see
-:func:`grid_search_p1`).  Ties are broken toward smaller alpha, then rho,
-then xi_1, and the reduction is deterministic.
+:func:`grid_search_p1`).  The perfect-knowledge ("ideal") system has no tau
+or rho, so the same pass runs once over its whole (alpha, xi) lattice at
+rho index 0.  Ties are broken toward smaller alpha, then rho, then xi_1,
+and the reduction is deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "grid_search_p1",
     "solve_p1_analytic",
     "rate_map",
-    "rate_vs_rho",
 ]
 
 DEFAULT_STEPS = (0.00025, 0.0005, 0.0005)
@@ -138,10 +139,6 @@ def _check_tags(params: SystemParams, system: str, detector: str) -> None:
         raise ValueError("MRC requires M >= 2")
 
 
-def _index_lattice(step: float, lo_idx: int, hi_idx: int) -> np.ndarray:
-    return step * np.arange(lo_idx, hi_idx + 1, dtype=float)
-
-
 def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
                    xi_idx: np.ndarray | None, xi_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Return (index vector, candidate array (n, K)) for the xi axis."""
@@ -183,27 +180,6 @@ def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_i
     return *best, n_eval
 
 
-def _ideal_search(params: SystemParams, detector: str, alpha_step: float,
-                  xi_policy: str, xi_step: float) -> OptimizationResult:
-    """Exhaustive search for the perfect-knowledge system: alpha (and xi) only."""
-    n_a = int(np.floor(1.0 / alpha_step + 1e-9))
-    alpha_vals = _index_lattice(alpha_step, 0, n_a)
-    _, xi_arr = _xi_candidates(params, "wetmm", xi_policy, np.arange(int(round(1.0 / xi_step)) + 1), xi_step)
-    sinr = closed_form_sinr(params, "ideal", detector, 0.0, alpha_vals[:, None, None], 0.0,
-                            xi_arr[None, :, :])
-    rate = ((1.0 - alpha_vals)[:, None, None] * np.log2(1.0 + sinr)).min(axis=-1)
-    j = int(np.argmax(rate))
-    ia, ix = np.unravel_index(j, rate.shape)
-    alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]), rho=0.0, xi=xi_arr[ix])
-    report = closed_form_rate(params, alloc, "ideal", detector)
-    steps_used = (alpha_step,) if xi_arr.shape[0] == 1 else (alpha_step, xi_step)
-    return OptimizationResult(
-        allocation=alloc, min_rate=report.min_rate, rates=report.rate,
-        detector=detector, system="ideal", grid_steps=steps_used,
-        n_evaluations=int(alpha_vals.size * xi_arr.shape[0]),
-    )
-
-
 def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = "zf",
                    steps: tuple = DEFAULT_STEPS, xi_policy: str = "analytic",
                    xi_step: float = 0.001, coarse_factor: int = 20,
@@ -212,7 +188,7 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
 
     Args:
         params: system under optimization.
-        system: "wetmm", "opmm", or "ideal" (ideal searches alpha/xi only).
+        system: "wetmm", "opmm", or "ideal".
         detector: "zf" or "mrc".
         steps: fine lattice steps for (tau, alpha, rho).
         xi_policy: "analytic" (beam weights fixed at optimal_xi) or
@@ -237,6 +213,11 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     So every rate, and hence the min rate, strictly decreases in tau, and
     the search runs over (alpha, rho, xi) at tau = 0 only.
 
+    The ideal system has no tau or rho (both are structurally zero), so the
+    same pass runs once over its whole (alpha, xi) lattice at rho index 0:
+    no coarse pass, and the tau and rho steps do not apply.  Its
+    ``grid_steps`` are (alpha[, xi_1]).
+
     Returns:
         OptimizationResult at the lattice argmax (ties: smallest alpha, then
         rho, then xi_1).
@@ -251,48 +232,49 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         raise ValueError("xi_step must lie in (0, 1]")
     if coarse_factor < 1:
         raise ValueError("coarse_factor must be >= 1")
-    if system == "ideal":
-        return _ideal_search(params, detector, steps[1], xi_policy, xi_step)
-
-    simplex = system == "wetmm" and xi_policy == "simplex"
-    if refine_radius is None:
-        refine_radius = 2 if simplex else 10
-    n_t = int(np.floor(1.0 / steps[0] + 1e-9))
+    simplex = system != "opmm" and xi_policy == "simplex"
     n_a = int(np.floor(1.0 / steps[1] + 1e-9))
-    n_r = int(np.floor(1.0 / steps[2] - 1.0 + 1e-9))
     n_x = int(round(1.0 / xi_step))
-    if n_t < 1 or n_a < 1 or n_r < 1:
-        raise ValueError("step sizes leave an empty lattice")
+    if system == "ideal":
+        val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy, xi_step,
+                                        np.arange(n_a + 1), np.array([0]), np.arange(n_x + 1))
+    else:
+        if refine_radius is None:
+            refine_radius = 2 if simplex else 10
+        n_t = int(np.floor(1.0 / steps[0] + 1e-9))
+        n_r = int(np.floor(1.0 / steps[2] - 1.0 + 1e-9))
+        if n_t < 1 or n_a < 1 or n_r < 1:
+            raise ValueError("step sizes leave an empty lattice")
 
-    cf = int(coarse_factor)
-    a_coarse = np.arange(0, n_a + 1, cf)
-    r_coarse = np.arange(cf, n_r + 1, cf)
-    if r_coarse.size == 0:
-        r_coarse = np.arange(1, n_r + 1)
-    x_coarse = np.arange(0, n_x + 1, cf)
-    val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy,
-                                    xi_step, a_coarse, r_coarse, x_coarse)
+        cf = int(coarse_factor)
+        a_coarse = np.arange(0, n_a + 1, cf)
+        r_coarse = np.arange(cf, n_r + 1, cf)
+        if r_coarse.size == 0:
+            r_coarse = np.arange(1, n_r + 1)
+        x_coarse = np.arange(0, n_x + 1, cf)
+        val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy,
+                                        xi_step, a_coarse, r_coarse, x_coarse)
 
-    if cf > 1:
-        half = refine_radius * cf
-        ba, br, bx = idx
-        a_fine = np.arange(max(0, ba - half), min(n_a, ba + half) + 1)
-        r_fine = np.arange(max(1, br - half), min(n_r, br + half) + 1)
-        x_fine = np.arange(max(0, bx - half), min(n_x, bx + half) + 1)
-        val_f, idx_f, n_eval_f = _search_pass(params, system, detector, steps, xi_policy,
-                                              xi_step, a_fine, r_fine, x_fine)
-        n_eval += n_eval_f
-        if val_f > val or (val_f == val and idx_f < idx):
-            val, idx = val_f, idx_f
+        if cf > 1:
+            half = refine_radius * cf
+            ba, br, bx = idx
+            a_fine = np.arange(max(0, ba - half), min(n_a, ba + half) + 1)
+            r_fine = np.arange(max(1, br - half), min(n_r, br + half) + 1)
+            x_fine = np.arange(max(0, bx - half), min(n_x, bx + half) + 1)
+            val_f, idx_f, n_eval_f = _search_pass(params, system, detector, steps, xi_policy,
+                                                  xi_step, a_fine, r_fine, x_fine)
+            n_eval += n_eval_f
+            if val_f > val or (val_f == val and idx_f < idx):
+                val, idx = val_f, idx_f
 
     ba, br, bx = idx
     xi_best = _xi_candidates(params, system, xi_policy, np.array([bx]), xi_step)[1][0]
-    steps_used = (*steps, xi_step) if simplex else steps
+    steps_used = tuple(steps[1:2] if system == "ideal" else steps) + ((xi_step,) if simplex else ())
     alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi_best)
     report = closed_form_rate(params, alloc, system, detector)
     return OptimizationResult(
         allocation=alloc, min_rate=report.min_rate, rates=report.rate,
-        detector=detector, system=system, grid_steps=tuple(steps_used),
+        detector=detector, system=system, grid_steps=steps_used,
         n_evaluations=n_eval,
     )
 
@@ -311,7 +293,7 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     if alpha_step <= 0 or alpha_step > 1:
         raise ValueError("alpha_step must lie in (0, 1]")
     n_a = int(np.floor(1.0 / alpha_step + 1e-9))
-    alpha_vals = _index_lattice(alpha_step, 0, n_a)
+    alpha_vals = alpha_step * np.arange(n_a + 1, dtype=float)
     if detector == "zf":
         rho_vals = np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals))
     else:
@@ -330,37 +312,25 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     )
 
 
-def rate_map(params: SystemParams, system: str, detector: str,
-             tau_vals, alpha_vals, rho: float, xi) -> np.ndarray:
-    """Per-user closed-form rates over a (tau, alpha) window at fixed rho.
+def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, xi) -> np.ndarray:
+    """Per-user closed-form rates (1 - tau - alpha) log2(1 + sinr) over a grid.
 
-    Returns shape (len(tau_vals), len(alpha_vals), K); infeasible cells
-    (tau + alpha > 1) are NaN.
+    ``tau``, ``alpha``, ``rho`` and ``xi`` broadcast against each other with
+    users on the last axis, e.g. ``tau[:, None, None], alpha[None, :, None]``
+    for a (tau, alpha) window or ``rho[:, None]`` for a rho sweep.  Cells
+    with tau + alpha > 1 are NaN.
+
+    Raises:
+        ValueError: on invalid tags, the ideal system (it has no tau or rho
+            axes), or a non-finite argument.
     """
     _check_tags(params, system, detector)
     if system == "ideal":
         raise ValueError("the ideal system has no (tau, rho) axes to map")
-    tau_vals = np.asarray(tau_vals, dtype=float)
-    alpha_vals = np.asarray(alpha_vals, dtype=float)
-    sinr = closed_form_sinr(params, system, detector, tau_vals[:, None, None],
-                            alpha_vals[None, :, None], rho, xi)
-    rem = 1.0 - tau_vals[:, None, None] - alpha_vals[None, :, None]
+    tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
+    if not all(np.all(np.isfinite(v)) for v in (tau, alpha, rho, xi)):
+        raise ValueError("tau, alpha, rho and xi must be finite")
+    sinr = closed_form_sinr(params, system, detector, tau, alpha, rho, xi)
+    rem = 1.0 - tau - alpha
     with np.errstate(invalid="ignore"):
-        rate = np.where(rem >= 0, rem, np.nan) * np.log2(1.0 + np.maximum(sinr, 0.0))
-    return rate
-
-
-def rate_vs_rho(params: SystemParams, system: str, detector: str,
-                tau: float, alpha: float, rho_vals, xi) -> np.ndarray:
-    """Per-user closed-form rates along a rho sweep at fixed (tau, alpha).
-
-    Returns shape (len(rho_vals), K).
-    """
-    _check_tags(params, system, detector)
-    if system == "ideal":
-        raise ValueError("the ideal system has no rho axis to sweep")
-    if tau < 0 or alpha < 0 or tau + alpha > 1:
-        raise ValueError("need tau, alpha >= 0 with tau + alpha <= 1")
-    rho_vals = np.asarray(rho_vals, dtype=float)
-    sinr = closed_form_sinr(params, system, detector, tau, alpha, rho_vals[:, None], xi)
-    return (1.0 - tau - alpha) * np.log2(1.0 + sinr)
+        return np.where(rem >= 0, rem, np.nan) * np.log2(1.0 + np.maximum(sinr, 0.0))

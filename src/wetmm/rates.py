@@ -20,7 +20,11 @@ Maximum-ratio combining:
                + beta_k sigma2 }
 
 Both hold for any per-user energy vector E, which is how the isotropic
-benchmark ("opmm": E = alpha p_dl beta) reuses the same code path.
+benchmark ("opmm": E = alpha p_dl beta) reuses the same code path.  With
+perfect knowledge ("ideal": tau = rho = 0, no estimation error),
+
+    zf:  sinr_k = (M-K) beta_k E_k / ((1-alpha) sigma2)
+    mrc: sinr_k = (M-1) beta_k E_k / (sum_{i != k} beta_i E_i + (1-alpha) sigma2)
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "zf_sinr_from_energy",
     "mrc_sinr_from_energy",
     "closed_form_sinr",
-    "ideal_rate",
     "asymptotic_zf_rate",
     "asymptotic_mrc_rate",
     "maxmin_asymptotic_rate",
@@ -152,22 +155,6 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
             cross = be.sum(axis=-1, keepdims=True) - be
             sinr = e * (M - 1) * beta / (cross + rem * s2)
     return np.where(rem > 0, sinr, 0.0)
-
-
-def ideal_rate(params: SystemParams, alpha: float, xi, detector: str) -> RateReport:
-    """Rate with perfect channel knowledge at both ends.
-
-    No estimation phase and no pilot energy split: tau = 0, rho = 0, the
-    whole banked energy feeds the data phase, and detection is error-free.
-
-        zf:  (1-alpha) log2(1 + E_k (M-K) beta_k / ((1-alpha) sigma2))
-        mrc: (1-alpha) log2(1 + E_k (M-1) beta_k /
-                                (sum_{i != k} E_i beta_i + (1-alpha) sigma2))
-    """
-    if alpha < 0 or alpha > 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    alloc = ResourceAllocation(tau=0.0, alpha=alpha, rho=0.0, xi=xi)
-    return closed_form_rate(params, alloc, "ideal", detector)
 
 
 def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:

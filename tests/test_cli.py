@@ -151,7 +151,9 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec) if isinstance
                             {"zeta_min": 0.5, "zeta_max": 0.1}, {"zeta_min": 0.0},
                             {"zeta_max": 1.0},
                             {"contour_tau_max": -0.01}, {"contour_alpha_max": -0.01},
-                            {"large_k_users": 0}])
+                            {"large_k_users": 0},
+                            {"sweep_tau": -0.01}, {"sweep_alpha": -0.01},
+                            {"sweep_tau": 0.6, "sweep_alpha": 0.6}])
 def test_spec_rejects_non_finite_and_out_of_range(bad):
     with pytest.raises(ValueError, match=re.escape(next(iter(bad)))):
         ExperimentSpec(**bad)
@@ -301,6 +303,13 @@ def test_rho_sweep_rows_and_fixed_point_sidecar(tmp_path):
     assert sidecar["fixed_alpha"] == 0.08
 
 
+def test_rho_sweep_rejects_infeasible_window(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["rho-sweep", "--out", str(out), "--tau", "0.6", "--alpha", "0.6"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_contour_covers_window(tmp_path):
     cfg = write_config(tmp_path, FAST_SEARCH + "contour_tau_max = 0.02\n"
                        "contour_alpha_max = 0.04\n")
@@ -431,6 +440,18 @@ zeta_step = 0.1
     sidecar = read_sidecar(str(out / "large_k_rates.csv"))
     assert sidecar["c1_csv"] == "large_k_c1.csv"
     assert np.isclose(sidecar["c1_limit"], 846473142857.143, rtol=1e-9)
+
+
+@pytest.mark.parametrize("zeta_min, zeta_max, want", [(0.1, 0.55, [0.1, 0.4]),
+                                                     (0.5, 0.95, [0.5, 0.8])])
+def test_large_k_grid_stays_within_zeta_max(tmp_path, zeta_min, zeta_max, want):
+    cfg = write_config(tmp_path, f"large_k_users = 50\nzeta_min = {zeta_min}\n"
+                                 f"zeta_max = {zeta_max}\nzeta_step = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["large-k", "--config", cfg, "--out", str(out)]) == 0
+    zeta = [float(r[0]) for r in read_csv(out / "large_k_rates.csv")[1]]
+    assert np.allclose(zeta, want, atol=1e-12)
+    assert max(zeta) <= zeta_max
 
 
 def test_every_experiment_reports_each_csv_once(tmp_path, capsys):

@@ -5,8 +5,7 @@ import pytest
 
 from wetmm.energy import (ResourceAllocation, asymptotic_energy, beamformer,
                           clamp_rho, expected_harvested_energy, general_beamformer,
-                          harvested_energy_fixedpoint, ideal_energy, opmm_energy,
-                          uplink_power)
+                          harvested_energy_fixedpoint, ideal_energy, opmm_energy)
 from wetmm.estimation import draw_trials, error_variance
 from wetmm.montecarlo import operating_point
 from wetmm.sysmodel import trial_rng
@@ -165,11 +164,13 @@ def test_error_variance_split_consistency(params200, ref_alloc, xi_star):
                        rtol=1e-12)
 
 
-def test_uplink_power():
-    assert np.isclose(uplink_power(0.1, 0.3, 0.25, 1.2e-6),
-                      0.75 * 1.2e-6 / 0.6, rtol=1e-14)
+def test_uplink_power(params200, xi_star):
+    # data-phase power: all unspent energy over the data duration
+    alloc = ResourceAllocation(tau=0.1, alpha=0.3, rho=0.25, xi=xi_star)
+    e, _, powers, _ = operating_point(params200, alloc, "wetmm")
+    assert np.allclose(powers, 0.75 * e / 0.6, rtol=1e-14)
     with pytest.raises(ValueError):
-        uplink_power(0.5, 0.5, 0.25, 1.0e-6)
+        operating_point(params200, ResourceAllocation(0.5, 0.5, 0.25, xi_star), "wetmm")
 
 
 def test_benchmark_energy_formulas(params200):
@@ -196,7 +197,7 @@ def test_energy_report_consistency(params200, ref_alloc):
     assert np.allclose(e, E_REF, rtol=1e-12)
     assert np.allclose(pilot_energy, ref_alloc.rho * e, rtol=1e-14)
     assert np.allclose(powers,
-                       uplink_power(ref_alloc.tau, ref_alloc.alpha, ref_alloc.rho, e),
+                       (1.0 - ref_alloc.rho) * e / (1.0 - ref_alloc.tau - ref_alloc.alpha),
                        rtol=1e-14)
     assert np.allclose(error_var,
                        error_variance(params200.beta, pilot_energy, 1e-15),

@@ -5,8 +5,7 @@ import pytest
 
 from wetmm.energy import ResourceAllocation
 from wetmm.optimizer import (DEFAULT_STEPS, asymptotic_allocation, grid_search_p1,
-                             optimal_rho_zf, optimal_xi, rate_map, rate_vs_rho,
-                             solve_p1_analytic)
+                             optimal_rho_zf, optimal_xi, rate_map, solve_p1_analytic)
 from wetmm.rates import closed_form_rate
 
 from conftest import benchmark_params
@@ -86,6 +85,10 @@ def test_grid_search_ideal(params200):
     assert np.isclose(res.allocation.alpha, IDEAL_ALPHA, atol=1e-12)
     assert np.isclose(res.min_rate, IDEAL_MIN, rtol=1e-12)
     assert res.allocation.tau == 0.0
+    # the tau and rho steps do not apply, even where they leave no lattice
+    odd = grid_search_p1(params200, "ideal", "zf", steps=(2.0, DEFAULT_STEPS[1], 0.9))
+    assert (odd.allocation.alpha, odd.min_rate, odd.n_evaluations) == \
+        (res.allocation.alpha, res.min_rate, res.n_evaluations)
 
 
 def test_grid_search_deterministic(params200):
@@ -170,7 +173,8 @@ def test_asymptotic_allocation_advisory(params200):
 def test_rate_map_shape_and_values(params200, xi_star):
     tau_vals = np.array([0.0, 0.005, 0.99])
     alpha_vals = np.array([0.0, 0.05, 0.5])
-    grid = rate_map(params200, "wetmm", "zf", tau_vals, alpha_vals, 0.5965, xi_star)
+    grid = rate_map(params200, "wetmm", "zf", tau_vals[:, None, None],
+                    alpha_vals[None, :, None], 0.5965, xi_star)
     assert grid.shape == (3, 3, 2)
     # infeasible corner tau + alpha >= 1 is flagged, not evaluated
     assert np.all(np.isnan(grid[2, 2]))
@@ -183,7 +187,7 @@ def test_rate_map_shape_and_values(params200, xi_star):
 
 def test_rate_vs_rho_matches_pointwise(params200, xi_star):
     rho_vals = np.array([0.2, 0.5965, 0.9])
-    out = rate_vs_rho(params200, "wetmm", "zf", 0.00825, 0.076, rho_vals, xi_star)
+    out = rate_map(params200, "wetmm", "zf", 0.00825, 0.076, rho_vals[:, None], xi_star)
     assert out.shape == (3, 2)
     for i, r in enumerate(rho_vals):
         alloc = ResourceAllocation(tau=0.00825, alpha=0.076, rho=float(r), xi=xi_star)
@@ -191,10 +195,21 @@ def test_rate_vs_rho_matches_pointwise(params200, xi_star):
         assert np.allclose(out[i], want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("arg", ["tau", "alpha", "rho", "xi"])
+def test_rate_map_rejects_non_finite(params200, xi_star, arg, bad):
+    args = dict(tau=0.00825, alpha=0.076, rho=np.array([[0.2], [0.5965]]), xi=xi_star)
+    value = np.array(args[arg], dtype=float)
+    value.flat[-1] = bad
+    args[arg] = value
+    with pytest.raises(ValueError, match="finite"):
+        rate_map(params200, "wetmm", "zf", **args)
+
+
 def test_min_rate_unimodal_in_rho(params200, xi_star):
     """Along the benchmark slice the min rate rises to one peak and falls."""
     rho_vals = np.linspace(0.01, 0.99, 99)
-    out = rate_vs_rho(params200, "wetmm", "zf", 0.00825, 0.076, rho_vals, xi_star)
+    out = rate_map(params200, "wetmm", "zf", 0.00825, 0.076, rho_vals[:, None], xi_star)
     min_rate = out.min(axis=1)
     d = np.diff(min_rate)
     signs = np.sign(d[np.abs(d) > 1e-12])
@@ -219,7 +234,9 @@ def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_ste
     Every feasible point goes through closed_form_rate; the first strict
     maximum in (tau, alpha, rho, xi_1) order wins, which is the tie order of
     grid_search_p1.  The lattices are the search's: tau and alpha on
-    step * {0..floor(1/step)}, rho on step * {1..floor(1/step - 1)}.
+    step * {0..floor(1/step)}, rho on step * {1..floor(1/step - 1)}.  The
+    ideal system has no tau or rho, so it loops over alpha and xi only, at
+    tau = rho = 0.
     """
     n_t = int(np.floor(1.0 / steps[0] + 1e-9))
     n_a = int(np.floor(1.0 / steps[1] + 1e-9))
@@ -231,12 +248,14 @@ def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_ste
                for i in range(int(round(1.0 / xi_step)) + 1)]
     else:
         xis = [optimal_xi(params.beta)]
+    taus = [0] if system == "ideal" else range(n_t + 1)
+    rhos = [0] if system == "ideal" else range(1, n_r + 1)
     best, best_alloc = -np.inf, None
-    for it in range(n_t + 1):
+    for it in taus:
         for ia in range(n_a + 1):
             if 1.0 - steps[0] * it - steps[1] * ia < 0.0:
                 continue
-            for ir in range(1, n_r + 1):
+            for ir in rhos:
                 for xi in xis:
                     alloc = ResourceAllocation(tau=steps[0] * it, alpha=steps[1] * ia,
                                                rho=steps[2] * ir, xi=xi)
@@ -251,9 +270,12 @@ def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_ste
     ("wetmm", "zf", "analytic"), ("wetmm", "mrc", "analytic"),
     ("opmm", "zf", "analytic"), ("opmm", "mrc", "analytic"),
     ("wetmm", "zf", "simplex"), ("wetmm", "mrc", "simplex"),
+    ("ideal", "zf", "analytic"), ("ideal", "mrc", "analytic"),
+    ("ideal", "zf", "simplex"), ("ideal", "mrc", "simplex"),
 ])
 def test_grid_search_matches_tau_brute_force(m, system, detector, xi_policy):
-    """The tau-free search returns the argmax of the full 4-D lattice."""
+    """The tau-free search returns the argmax of the full 4-D lattice (the
+    (alpha, xi) lattice for the ideal system)."""
     params = benchmark_params(m)
     steps = (0.1, 0.05, 0.05)
     want, want_rate = brute_force_p1(params, system, detector, steps, xi_policy)
@@ -263,3 +285,8 @@ def test_grid_search_matches_tau_brute_force(m, system, detector, xi_policy):
     assert (a.tau, a.alpha, a.rho) == (want.tau, want.alpha, want.rho)
     assert np.array_equal(a.xi, want.xi)
     assert got.min_rate == want_rate
+    if system == "ideal":
+        # the whole (alpha, xi) lattice in one pass: 21 alphas times 1 or 5 xis
+        simplex = xi_policy == "simplex"
+        assert got.n_evaluations == 21 * (5 if simplex else 1)
+        assert got.grid_steps == ((0.05, 0.25) if simplex else (0.05,))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wetmm.energy import (RHO_CLAMP, ResourceAllocation, clamp_rho, energies,
                           expected_harvested_energy)
+from wetmm.estimation import draw_trials
 from wetmm.rates import closed_form_rate
 from wetmm.sysmodel import SystemParams
 
@@ -74,3 +75,43 @@ def test_fixed_point_identity_over_the_full_box(box):
     q = expected_harvested_energy(clamp_rho(rho) * e, alpha, xi, params.beta, params.M,
                                   params.p_dl, params.sigma2_ul)
     assert np.all(np.abs(e - q) <= 1e-9 * e), (e, q)
+
+
+@st.composite
+def knowledge_scenarios(draw):
+    """Scenario, per-user pilot energies and a master seed.  Each user's
+    pilot SNR beta D / sigma2 lies in 10^[-2, 3], so the error variance runs
+    from about beta down to 1e-3 beta."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 64))
+    dist = np.array(draw(st.lists(st.floats(2.0, 30.0), min_size=k, max_size=k)))
+    params = SystemParams(M=m, K=k, p_dl=1.0, sigma2_ul=10.0 ** draw(st.floats(-16.0, -14.0)),
+                          beta=1e-3 * dist ** -3.0)
+    snr = 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 3.0), min_size=k, max_size=k)))
+    return params, snr * params.sigma2_ul / params.beta, draw(st.integers(0, 2**31))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(knowledge_scenarios())
+def test_statistical_and_pilot_knowledge_agree_in_distribution(scenario):
+    """The "statistical" and "pilot" paths of draw_trials give the same
+    per-user error variance E|g_hat - g|^2 and estimate variance E|g_hat|^2.
+
+    Each path draws 4096 // M trials (about 4096 entries per user) from its
+    own master seed.  For each user and each of the two statistics, the
+    two-sample z-score of the means, with standard errors from the sample
+    variances, must satisfy |z| < 5.  Over 100 examples of up to 4 users
+    that is at most 800 comparisons; a normal tail beyond 5 has probability
+    5.7e-7, so a false failure has probability below 5e-4.
+    """
+    params, energy, seed = scenario
+    trials = range(4096 // params.M)
+    stats = []
+    for method, master_seed in (("statistical", seed), ("pilot", seed + 1)):
+        g, g_hat = draw_trials(params, energy, master_seed, trials, method=method)
+        stats.append([np.abs(x) ** 2 for x in (g_hat - g, g_hat)])
+    n = len(trials) * params.M
+    for a, b in zip(*stats):
+        se = np.sqrt((a.var(axis=(0, 1)) + b.var(axis=(0, 1))) / n)
+        z = (a.mean(axis=(0, 1)) - b.mean(axis=(0, 1))) / se
+        assert np.all(np.abs(z) < 5.0), z

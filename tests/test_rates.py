@@ -8,7 +8,7 @@ from wetmm.energy import (ResourceAllocation, energies, harvested_energy_fixedpo
                           opmm_energy)
 from wetmm.rates import (asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit,
                          c1_sample, closed_form_rate, ideal_asymptotic_rate,
-                         ideal_rate, large_k_rate, maxmin_asymptotic_rate,
+                         large_k_rate, maxmin_asymptotic_rate,
                          mm_dorg, mrc_sinr_from_energy, user_load_for_rate,
                          zf_sinr_from_energy)
 from wetmm.sysmodel import SystemParams, trial_rng
@@ -123,13 +123,14 @@ def test_system_ordering_at_reference_point(params200, ref_alloc, xi_star):
     """Perfect knowledge >= wireless-powered >= omnidirectional, per user."""
     wet = closed_form_rate(params200, ref_alloc, "wetmm", "zf").rate
     opm = closed_form_rate(params200, ref_alloc, "opmm", "zf").rate
-    idl = ideal_rate(params200, ref_alloc.alpha, xi_star, "zf").rate
+    idl = closed_form_rate(params200, ResourceAllocation(0.0, ref_alloc.alpha, 0.0, xi_star),
+                           "ideal", "zf").rate
     assert np.all(idl >= wet) and np.all(wet >= opm)
 
 
 def test_ideal_rate_formula(params200, xi_star):
     alpha = 0.076
-    rep = ideal_rate(params200, alpha, xi_star, "zf")
+    rep = closed_form_rate(params200, ResourceAllocation(0.0, alpha, 0.0, xi_star), "ideal", "zf")
     e = alpha * params200.p_dl * params200.beta * (xi_star * 199 + 1.0)
     want = (1.0 - alpha) * np.log2(
         1.0 + e * 198 * params200.beta / ((1.0 - alpha) * 1e-15))
@@ -175,7 +176,8 @@ def test_maxmin_asymptotic_values(params200):
 
 def test_ideal_asymptotic_close_to_finite_m(params200, xi_star):
     # at M=200 the exact perfect-knowledge rate sits just above its limit form
-    exact = ideal_rate(params200, 0.076, xi_star, "zf").min_rate
+    exact = closed_form_rate(params200, ResourceAllocation(0.0, 0.076, 0.0, xi_star),
+                             "ideal", "zf").min_rate
     asym = ideal_asymptotic_rate(params200, 0.076, "zf")
     assert np.isclose(asym, 18.511972859473165, rtol=1e-12)
     assert 0 < exact - asym < 0.01
@@ -195,7 +197,8 @@ def test_closed_form_rate_dispatch(params200, ref_alloc):
             got = closed_form_rate(params200, a, system, det)
             assert np.allclose(got.rate, want, rtol=1e-14)
     got = closed_form_rate(params200, ref_alloc, "ideal", "zf")
-    want = ideal_rate(params200, ref_alloc.alpha, ref_alloc.xi, "zf")
+    want = closed_form_rate(params200, ResourceAllocation(0.0, ref_alloc.alpha, 0.0, ref_alloc.xi),
+                            "ideal", "zf")
     assert np.allclose(got.rate, want.rate, rtol=1e-14)
     with pytest.raises(ValueError):
         closed_form_rate(params200, ref_alloc, "nonesuch", "zf")
