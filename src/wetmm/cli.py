@@ -298,12 +298,17 @@ def run_table1(spec: ExperimentSpec):
     return _emit(spec, "table1", [("table1.csv", header, rows)])
 
 
+def _grid(span: float, step: float) -> np.ndarray:
+    """0, step, 2 step, ... up to span, which counts when within 1e-9 steps."""
+    return step * np.arange(0, int(np.floor(span / step + 1e-9)) + 1)
+
+
 def run_contour(spec: ExperimentSpec):
     """Per-user rate over a (tau, alpha) window at fixed rho."""
     params = build_params(spec)
     xi = optimal_xi(params.beta)
-    tau_vals = spec.tau_step * np.arange(0, int(round(spec.contour_tau_max / spec.tau_step)) + 1)
-    alpha_vals = spec.alpha_step * np.arange(0, int(round(spec.contour_alpha_max / spec.alpha_step)) + 1)
+    tau_vals = _grid(spec.contour_tau_max, spec.tau_step)
+    alpha_vals = _grid(spec.contour_alpha_max, spec.alpha_step)
     rates = rate_map(params, spec.system, spec.detector, tau_vals[:, None, None],
                      alpha_vals[None, :, None], spec.contour_rho, xi)
     header = ["tau", "alpha"] + [f"rate_user{k + 1}" for k in range(params.K)]
@@ -402,8 +407,7 @@ def run_large_k(spec: ExperimentSpec):
     """Dense-regime rate versus user load, plus path-loss moment convergence."""
     c1_inf = c1_limit(spec.beta0, spec.pathloss_exponent,
                       min(spec.distances), max(spec.distances))
-    n_z = int(np.floor((spec.zeta_max - spec.zeta_min) / spec.zeta_step + 1e-9))
-    zeta = spec.zeta_min + spec.zeta_step * np.arange(0, n_z + 1)
+    zeta = spec.zeta_min + _grid(spec.zeta_max - spec.zeta_min, spec.zeta_step)
     rates = large_k_rate(zeta, spec.large_k_alpha, c1_inf, spec.p_dl, spec.sigma2_ul)
     rate_rows = [[z, r] for z, r in zip(zeta, rates)]
 

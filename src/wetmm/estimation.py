@@ -20,9 +20,9 @@ distribution for every downstream statistic; the direct draw skips the
 (M x L) pilot block and is the default inside Monte Carlo loops.
 
 :func:`draw_trials` takes a chunk of trials.  It draws each trial's normals
-in one call on that trial's own stream, then does the scaling, the
-subtraction and the pilot pipeline once for the whole chunk.  The per-trial
-functions (``complex_gaussian``, ``generate_channel``, :func:`receive_pilots`)
+in one call on that trial's own stream into one stacked buffer, then does
+the scaling, the subtraction and the pilot pipeline once for the chunk.  The
+per-trial ``complex_gaussian``, ``generate_channel`` and :func:`receive_pilots`
 are the reference it reproduces bit for bit.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams, complex_gaussian, trial_rng
+from wetmm.sysmodel import SystemParams, _pcg64_state, complex_gaussian, trial_rng
 
 __all__ = [
     "PilotConfig",
@@ -149,13 +149,13 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
                 method: str = "statistical", salt: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw stacked channels together with their MMSE estimates.
 
-    Each trial's normals come from one ``standard_normal`` call on its own
-    stream into a reused (blocks, M, K) buffer: the real and imaginary parts
-    that ``complex_gaussian`` draws, block after block, in the order of the
-    per-trial draw (channel, then pilot noise; or estimate, then error).
-    The blocks are copied into complex stacks, and the scaling, the
-    estimate-minus-error subtraction and the pilot pipeline then run once
-    per call on the whole chunk, with the same elementwise operations as
+    One PCG64 generator is set to each trial's ``trial_rng`` state in turn
+    and makes one ``standard_normal`` call into that trial's row of a
+    (trials, blocks, M, K) buffer: the real and imaginary parts that
+    ``complex_gaussian`` draws, in the order of the per-trial draw (channel,
+    then pilot noise; or estimate, then error).  The complex stacks, the
+    scaling, the estimate-minus-error subtraction and the pilot pipeline
+    are then built once per call, with the same elementwise operations as
     ``complex_gaussian``, ``generate_channel`` and :func:`receive_pilots`.
     So every trial equals its per-trial draw bit for bit.
 
@@ -183,14 +183,17 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
         err_var = error_variance(params.beta, energy, params.sigma2_ul)
     # the ideal system draws the channel alone; the others draw a second
     # (M, K) pair: the error, or the pilot noise (L = K)
-    stacks = [np.empty((len(trials), M, K), dtype=complex)
-              for _ in range(1 if pilot_energy is None else 2)]
-    parts = [part for z in stacks for part in (z.real, z.imag)]
-    buf = np.empty((len(parts), M, K))
+    buf = np.empty((len(trials), 2 if pilot_energy is None else 4, M, K))
+    bit_gen = np.random.PCG64(0)
+    state, draw = bit_gen.state, np.random.Generator(bit_gen).standard_normal
     for i, t in enumerate(trials):
-        trial_rng(master_seed, t, salt).standard_normal(out=buf)
-        for part, block in zip(parts, buf):
-            part[i] = block
+        state["state"] = _pcg64_state(master_seed, t, salt)
+        bit_gen.state = state
+        draw(out=buf[i])
+    stacks = [np.empty((len(trials), M, K), dtype=complex) for _ in range(buf.shape[1] // 2)]
+    for b, z in enumerate(stacks):
+        z.real, z.imag = buf[:, 2 * b], buf[:, 2 * b + 1]
+    del buf
     if pilot_energy is not None and method == "statistical":
         g_hat, g = stacks
         g_hat *= np.sqrt((params.beta - err_var) / 2.0)

@@ -12,12 +12,14 @@ with a_k the k-th detector column, so that (1 - tau - alpha) E[log2(1 +
 gamma_k)] is the exact ergodic rate the closed-form expressions lower-bound.
 Uplink powers use the steady-state energies: the analytical model's
 operating point, reproduced here so the Monte Carlo estimates the same
-quantity the formulas predict.  Trials are evaluated in stacked chunks;
-each keeps its own random stream, so no result depends on the chunking.
+quantity the formulas predict.  Trials are evaluated in stacked chunks,
+spread over one thread per usable CPU; each trial keeps its own random
+stream, so no result depends on the chunking or on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +54,10 @@ __all__ = [
 
 COND_LIMIT = 1e12
 MAX_RESAMPLES = 8
-# Trials are drawn and evaluated in chunks of stacked (trials, M, K) arrays
-# of about this many entries; no result depends on it.
-_CHUNK_ENTRIES = 2 ** 15
+# Trials run in chunks of stacked (trials, M, K) arrays of about this many
+# entries, on one thread per usable CPU; no result depends on either.
+_CHUNK_ENTRIES = 2 ** 14
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -154,10 +157,32 @@ def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str
     return e, pilot_energy, powers, err_var
 
 
-def _chunks(params: SystemParams, n_trials: int):
-    """Consecutive trial-index arrays covering range(n_trials)."""
+def _run_chunks(params: SystemParams, n_trials: int, body) -> None:
+    """Run ``body(chunks)`` on up to _WORKERS threads, this one included, each
+    over every n-th chunk (consecutive trial indices) of range(n_trials) and
+    writing only those trials' rows; re-raise the first failing chunk's error."""
+    from concurrent.futures import ThreadPoolExecutor
     size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
-    return (np.arange(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size))
+    chunks = [np.arange(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
+    n_workers, failures = min(_WORKERS, len(chunks)), {}
+
+    def work(first: int) -> None:
+        started = []
+        def share():
+            for index in range(first, len(chunks), n_workers):
+                started.append(index)
+                yield chunks[index]
+        try:
+            body(share())
+        except Exception as exc:  # re-raised below, in chunk order
+            failures[started[-1]] = exc
+
+    with ThreadPoolExecutor(max(1, n_workers - 1)) as pool:
+        others = pool.map(work, range(1, n_workers))
+        work(0)
+        list(others)
+    if failures:
+        raise failures[min(failures)]
 
 
 def _harvest(G: np.ndarray, w: np.ndarray, scale: float) -> np.ndarray:
@@ -174,8 +199,9 @@ def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, err_var: np.ndarray,
     if detector == "zf":
         gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
         ok = ~(np.linalg.cond(gram) > COND_LIMIT)
-        G_hat = G_hat[ok]
-        A = np.linalg.solve(gram[ok], G_hat.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+        if not ok.all():
+            G_hat, gram = G_hat[ok], gram[ok]
+        A = np.linalg.solve(gram, G_hat.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
     cross = np.abs(A.conj().swapaxes(-1, -2) @ G_hat) ** 2
     diag = np.diagonal(cross, axis1=-2, axis2=-1)
     signal = powers * diag
@@ -200,23 +226,26 @@ def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig):
     energy = np.empty((cfg.n_trials, params.K))
     sinr = np.empty((cfg.n_trials, params.K))
     resamples = np.zeros(cfg.n_trials, dtype=int)
-    for pending in _chunks(params, cfg.n_trials):
-        for salt in range(MAX_RESAMPLES + 1):
-            G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, pending,
-                                   cfg.channel_knowledge, salt)
-            ok, sinr_ok = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul, cfg.detector)
-            w = (np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
-                 if cfg.system == "opmm" else beamformer(G_hat[ok], alloc.xi))
-            done = pending[ok]
-            sinr[done] = sinr_ok
-            energy[done] = _harvest(G[ok], w, alloc.alpha * params.p_dl)
-            resamples[done] = salt
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-        else:
-            raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
-                                        f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
+    def body(chunks):
+        for pending in chunks:
+            for salt in range(MAX_RESAMPLES + 1):
+                G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, pending,
+                                       cfg.channel_knowledge, salt)
+                ok, sinr_ok = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul, cfg.detector)
+                done = pending
+                if not ok.all():
+                    G, G_hat, done, pending = G[ok], G_hat[ok], pending[ok], pending[~ok]
+                w = (np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
+                     if cfg.system == "opmm" else beamformer(G_hat, alloc.xi))
+                sinr[done] = sinr_ok
+                energy[done] = _harvest(G, w, alloc.alpha * params.p_dl)
+                resamples[done] = salt
+                if ok.all():
+                    break
+            else:
+                raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
+                                            f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
+    _run_chunks(params, cfg.n_trials, body)
     return energy, sinr, resamples
 
 
@@ -255,9 +284,11 @@ def estimate_error_variance(params: SystemParams, alloc: ResourceAllocation,
         raise ValueError("the ideal system has no estimation error")
     _, pilot_energy, _, _ = operating_point(params, alloc, cfg.system)
     err_sq = np.empty((cfg.n_trials, params.K))
-    for trials in _chunks(params, cfg.n_trials):
-        G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials, method="pilot")
-        err_sq[trials] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
+    def body(chunks):
+        for trials in chunks:
+            G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials, method="pilot")
+            err_sq[trials] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
+    _run_chunks(params, cfg.n_trials, body)
     return _mean_se(err_sq)
 
 
@@ -305,14 +336,16 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
     theta = np.full(n_comp, theta_mass / n_comp)
     scale = alloc.alpha * params.p_dl
     structured, general = np.empty((2, cfg.n_trials, params.K))
-    for trials in _chunks(params, cfg.n_trials):
-        G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials,
-                               cfg.channel_knowledge)
-        # the complete QR of the complement beam stays per trial: a stacked
-        # one would hold M x M per trial
-        w_g = np.stack([general_beamformer(g_hat, xi_prime, theta) for g_hat in G_hat])
-        structured[trials] = _harvest(G, beamformer(G_hat, alloc.xi), scale)
-        general[trials] = _harvest(G, w_g, scale)
+    def body(chunks):
+        for trials in chunks:
+            G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials,
+                                   cfg.channel_knowledge)
+            # the complete QR of the complement beam stays per trial: a
+            # stacked one would hold M x M per trial
+            w_g = np.stack([general_beamformer(g_hat, xi_prime, theta) for g_hat in G_hat])
+            structured[trials] = _harvest(G, beamformer(G_hat, alloc.xi), scale)
+            general[trials] = _harvest(G, w_g, scale)
+    _run_chunks(params, cfg.n_trials, body)
     s_mean, s_se = _mean_se(structured)
     g_mean, g_se = _mean_se(general)
     d_mean, d_se = _mean_se(structured - general)

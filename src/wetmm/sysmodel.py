@@ -13,6 +13,7 @@ power times fraction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,51 @@ def trial_rng(master_seed: int, trial: int = 0, salt: int = 0) -> np.random.Gene
     """
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(trial), int(salt)))
     return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence hash constants and the PCG64 multiplier
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG64_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence splits an integer into."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(master_seed: int) -> tuple[int, ...]:
+    """SeedSequence(master_seed, spawn_key=...)'s hash constant and pool before
+    the key's words: the seed padded to 4 words, mixed in 4 hashmix steps each."""
+    words = _words(master_seed)
+    words += [0] * (4 - len(words))
+    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
+    return (_INIT_A * pow(_MULT_A, 4 * len(words), 1 << 32) & _M32, *pool)
+
+
+def _pcg64_state(master_seed: int, trial: int, salt: int) -> dict:
+    """PCG64 ``{"state", "inc"}`` of ``trial_rng(master_seed, trial, salt)`` by
+    numpy's SeedSequence mixing, generate_state(4, uint64) and pcg64_set_seed,
+    without building either object; negative inputs raise ValueError."""
+    hash_const, *pool = _seed_pool(int(master_seed))
+    for word in _words(int(trial)) + _words(int(salt)):
+        for d in range(4):  # pool[d] = mix(pool[d], hashmix(word))
+            value = (word ^ hash_const) * (hash_const := hash_const * _MULT_A & _M32) & _M32
+            mixed = (_MIX_L * pool[d] - _MIX_R * (value ^ value >> 16)) & _M32
+            pool[d] = mixed ^ mixed >> 16
+    w, hash_const = [], _INIT_B
+    for value in pool + pool:
+        value = (value ^ hash_const) * (hash_const := hash_const * _MULT_B & _M32) & _M32
+        w.append(value ^ value >> 16)
+    inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
+    state = ((w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]) + inc) * _PCG64_MULT + inc
+    return {"state": state & _M128, "inc": inc}
 
 
 def complex_gaussian(rng: np.random.Generator, shape, var=1.0) -> np.ndarray:

@@ -326,6 +326,20 @@ def test_contour_covers_window(tmp_path):
     assert read_sidecar(str(out / "contour.csv"))["fixed_rho"] == 0.6
 
 
+def test_contour_axes_stop_at_the_window_edge(tmp_path):
+    # rounding 3.5 and 5.6 steps up would put rows at tau = 0.04 and alpha = 0.03
+    cfg = write_config(tmp_path, FAST_SEARCH + "contour_tau_max = 0.035\ntau_step = 0.01\n"
+                       "contour_alpha_max = 0.028\nalpha_step = 0.005\n")
+    out = tmp_path / "out"
+    assert main(["contour", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "contour.csv")
+    taus = sorted({float(r[0]) for r in rows})
+    alphas = sorted({float(r[1]) for r in rows})
+    assert np.allclose(taus, [0.0, 0.01, 0.02, 0.03], atol=1e-12)
+    assert np.allclose(alphas, [0.0, 0.005, 0.01, 0.015, 0.02, 0.025], atol=1e-12)
+    assert len(rows) == 4 * 6
+
+
 def test_mc_validate_blocks_and_allocation_sidecar(tmp_path):
     cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
     out = tmp_path / "out"
@@ -386,12 +400,13 @@ def test_mc_validate_runs_the_ideal_system(tmp_path):
 def test_mc_validate_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch, extra):
     cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
     outputs = []
-    for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1):
+    for workers, chunk_entries in ((1, montecarlo._CHUNK_ENTRIES), (1, 1), (2, 1)):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
-        out = tmp_path / f"out{chunk_entries}"
+        out = tmp_path / f"out{workers}-{chunk_entries}"
         assert main(["mc-validate", "--config", cfg, "--out", str(out), *extra]) == 0
         outputs.append((out / "mc_validate.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_rate_vs_m_nan_below_zf_floor(tmp_path):

@@ -1,5 +1,7 @@
 """Exact-SINR Monte Carlo: determinism, closed-form agreement, bound checks."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -162,18 +164,27 @@ def test_mrc_works_without_antenna_margin(ref_alloc):
     assert np.all(np.isfinite(est.rate))
 
 
+# every pairing of worker count and chunk budget, the one-worker default first
+WORKERS_X_CHUNKS = [(w, c) for w in (1, 2, 3) for c in (montecarlo._CHUNK_ENTRIES, 1, 1000)]
+
+
 @pytest.mark.parametrize("system, knowledge, detector", [
     ("wetmm", "statistical", "zf"), ("wetmm", "pilot", "zf"), ("wetmm", "statistical", "mrc"),
-    ("opmm", "statistical", "zf"), ("ideal", "statistical", "zf")])
+    ("opmm", "statistical", "zf"), ("ideal", "statistical", "zf"),
+    ("wetmm", "pilot", "mrc"), ("opmm", "pilot", "mrc"), ("ideal", "statistical", "mrc")])
 def test_results_do_not_depend_on_chunk_size(ref_alloc, monkeypatch, system, knowledge, detector):
-    """Stacked chunks reproduce the one-trial-at-a-time draws bit for bit."""
+    """Stacked chunks reproduce the one-trial-at-a-time draws bit for bit,
+    on any number of worker threads."""
     params = benchmark_params(40)
     cfg = cfg_for(system=system, detector=detector, n=70, seed=4, knowledge=knowledge)
     runs = []
-    for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1, 1000):
+    for workers, chunk_entries in WORKERS_X_CHUNKS:
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+        energy, sinr, resamples = run_trials(params, ref_alloc, cfg)
         est = estimate_exact_rate(params, ref_alloc, cfg)
-        runs.append([est.rate, est.rate_se, est.energy, est.energy_se, est.n_resamples])
+        runs.append([energy, sinr, resamples, est.rate, est.rate_se, est.energy,
+                     est.energy_se, est.n_resamples])
         if system != "ideal":
             runs[-1].extend(estimate_error_variance(params, ref_alloc, cfg))
         if system == "wetmm":
@@ -190,14 +201,45 @@ def test_forced_resamples_do_not_depend_on_chunk_size(ref_alloc, monkeypatch):
     params = benchmark_params(3)
     monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
     runs = []
-    for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1, 100):
-        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
-        runs.append(run_trials(params, ref_alloc, cfg_for(n=200, seed=9)))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1, 100):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+            runs.append(run_trials(params, ref_alloc, cfg_for(n=200, seed=9)))
     resamples = runs[0][2]
     assert resamples.sum() > 20 and resamples.max() > 1
     for run in runs[1:]:
         for a, b in zip(runs[0], run):
             assert np.array_equal(a, b)
+
+
+def test_many_workers_under_fast_thread_switches(ref_alloc, monkeypatch):
+    """More workers than cores, switching threads every microsecond, still
+    fill every row exactly as one worker does."""
+    params = benchmark_params(3)
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    cfg = cfg_for(n=300, seed=5)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+    want = run_trials(params, ref_alloc, cfg)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_trials(params, ref_alloc, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(want, got):
+        assert np.array_equal(a, b)
+
+
+def test_exhausted_redraw_budget_raises_from_the_first_chunk(ref_alloc, monkeypatch):
+    # every trial fails; each of three workers fails on its first chunk
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 1.0)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+    with pytest.raises(np.linalg.LinAlgError, match=r"\(trial 0\)"):
+        run_trials(benchmark_params(3), ref_alloc, cfg_for(n=9))
 
 
 def test_exhausted_redraw_budget_raises(ref_alloc, monkeypatch):

@@ -8,7 +8,7 @@ from wetmm.energy import (RHO_CLAMP, ResourceAllocation, clamp_rho, energies,
                           expected_harvested_energy)
 from wetmm.estimation import draw_trials
 from wetmm.rates import closed_form_rate
-from wetmm.sysmodel import SystemParams
+from wetmm.sysmodel import SystemParams, _pcg64_state, trial_rng
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                              database=None)
@@ -115,3 +115,12 @@ def test_statistical_and_pilot_knowledge_agree_in_distribution(scenario):
         se = np.sqrt((a.var(axis=(0, 1)) + b.var(axis=(0, 1))) / n)
         z = (a.mean(axis=(0, 1)) - b.mean(axis=(0, 1))) / se
         assert np.all(np.abs(z) < 5.0), z
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2 ** 128 - 1), st.integers(0, 2 ** 40 - 1), st.integers(0, 2 ** 33 - 1))
+def test_fast_stream_state_equals_trial_rng(master_seed, trial, salt):
+    """The per-trial PCG64 state draw_trials sets is trial_rng's, seed words,
+    multi-word trials and salts included."""
+    want = trial_rng(master_seed, trial, salt).bit_generator.state["state"]
+    assert _pcg64_state(master_seed, trial, salt) == want

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wetmm.sysmodel import (PathLossModel, SystemParams, complex_gaussian,
+from wetmm.estimation import draw_trials
+from wetmm.sysmodel import (PathLossModel, SystemParams, _pcg64_state, complex_gaussian,
                             generate_channel, path_loss, trial_rng)
 
 from conftest import benchmark_params
@@ -28,6 +29,16 @@ def test_trial_rng_order_independent():
     _ = [trial_rng(9, t).standard_normal(8) for t in range(5)]
     again = trial_rng(9, 5).standard_normal(8)
     assert np.array_equal(direct, again)
+
+
+@pytest.mark.parametrize("master_seed, trial, salt", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_negative_stream_inputs_are_rejected(master_seed, trial, salt):
+    with pytest.raises(ValueError):
+        trial_rng(master_seed, trial, salt)
+    with pytest.raises(ValueError):
+        _pcg64_state(master_seed, trial, salt)
+    with pytest.raises(ValueError):
+        draw_trials(benchmark_params(4), 1e-9, master_seed, [trial], salt=salt)
 
 
 def test_complex_gaussian_moments():
