@@ -116,11 +116,13 @@ class ExperimentSpec:
                 raise ValueError(f"{name} entries must be >= {low} for detector {self.detector}")
         if self.system not in ("wetmm", "opmm", "ideal"):
             raise ValueError(f"unknown system: {self.system!r}")
+        if self.xi_policy not in ("analytic", "simplex"):
+            raise ValueError(f"unknown xi_policy: {self.xi_policy!r}")
         for name in ("tau_step", "alpha_step", "rho_step", "xi_step",
                      "fig_tau_step", "fig_alpha_step", "fig_rho_step", "zeta_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name, low in (("n_trials", 1), ("m", 2), ("coarse_factor", 1),
+        for name, low in (("n_trials", 1), ("master_seed", 0), ("m", 2), ("coarse_factor", 1),
                           ("fig_coarse_factor", 1), ("refine_radius", 0), ("large_k_users", 1),
                           ("contour_tau_max", 0), ("contour_alpha_max", 0)):
             if getattr(self, name) < low:

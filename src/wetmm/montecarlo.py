@@ -2,14 +2,15 @@
 
 Each trial draws one channel realization, runs the energy phase through the
 actual beamformer, estimates the channel (or injects the statistically
-equivalent estimate), and computes the exact per-user uplink SINR
+equivalent estimate), and computes the exact per-user uplink SINR.  It
+depends on the estimate only through the K x K Gram Q = Ghat^H Ghat; with
+n = sum_i p_i sigma2_e_i + sigma2,
 
-    gamma_k = p_k |a_k^H ghat_k|^2 /
-              ( sum_{i != k} p_i |a_k^H ghat_i|^2
-                + ||a_k||^2 ( sum_i p_i sigma2_e_i + sigma2 ) )
+    zf:  gamma_k = p_k / ( [Q^-1]_kk n )
+    mrc: gamma_k = p_k Q_kk^2 / ( sum_{i != k} p_i |Q_ki|^2 + Q_kk n )
 
-with a_k the k-th detector column, so that (1 - tau - alpha) E[log2(1 +
-gamma_k)] is the exact ergodic rate the closed-form expressions lower-bound.
+so that (1 - tau - alpha) E[log2(1 + gamma_k)] is the exact ergodic rate
+the closed-form expressions lower-bound.
 Uplink powers use the steady-state energies: the analytical model's
 operating point, reproduced here so the Monte Carlo estimates the same
 quantity the formulas predict.  Trials are evaluated in stacked chunks,
@@ -193,22 +194,21 @@ def _harvest(G: np.ndarray, w: np.ndarray, scale: float) -> np.ndarray:
 
 def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, err_var: np.ndarray,
                 sigma2: float, detector: str):
-    """Exact SINRs of stacked estimates (T, M, K): ``(ok, sinr)``, the mask of
-    trials whose ZF Gram matrix passes COND_LIMIT (all for MRC) and their SINRs."""
-    A, ok = G_hat, np.ones(G_hat.shape[0], dtype=bool)
+    """Exact SINRs of stacked estimates (T, M, K) from their Grams Q = Ghat^H
+    Ghat, with n = sum_i p_i sigma2_e_i + sigma2 -- zf: p_k / ([Q^-1]_kk n);
+    mrc: p_k Q_kk^2 / (sum_{i != k} p_i |Q_ki|^2 + Q_kk n), its interference
+    summed over i != k alone, since subtracting the diagonal from a full sum
+    cancels digits.  Returns ``(ok, sinr)``: the mask of trials whose ZF Gram
+    passes COND_LIMIT (all for MRC) and their SINRs."""
+    gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
+    noise = float(np.dot(powers, err_var)) + sigma2
     if detector == "zf":
-        gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
         ok = ~(np.linalg.cond(gram) > COND_LIMIT)
-        if not ok.all():
-            G_hat, gram = G_hat[ok], gram[ok]
-        A = np.linalg.solve(gram, G_hat.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
-    cross = np.abs(A.conj().swapaxes(-1, -2) @ G_hat) ** 2
-    diag = np.diagonal(cross, axis1=-2, axis2=-1)
-    signal = powers * diag
-    interference = cross @ powers - diag * powers
-    norms2 = np.sum(np.abs(A) ** 2, axis=-2)
-    noise = norms2 * (float(np.dot(powers, err_var)) + sigma2)
-    return ok, signal / (interference + noise)
+        inv_diag = np.diagonal(np.linalg.inv(gram[ok]), axis1=-2, axis2=-1)
+        return ok, powers / (inv_diag.real * noise)
+    diag = np.diagonal(gram, axis1=-2, axis2=-1).real
+    cross = np.abs(gram) ** 2 * ~np.eye(len(powers), dtype=bool)
+    return np.ones(len(gram), dtype=bool), powers * diag ** 2 / (cross @ powers + diag * noise)
 
 
 def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig):

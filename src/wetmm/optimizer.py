@@ -135,8 +135,6 @@ def _check_tags(params: SystemParams, system: str, detector: str) -> None:
         raise ValueError(f"unknown detector: {detector!r}")
     if detector == "zf":
         params.require_zf()
-    elif params.M < 2:
-        raise ValueError("MRC requires M >= 2")
 
 
 def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
@@ -230,8 +228,10 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         raise ValueError("steps must be three positive lattice spacings")
     if not 0 < xi_step <= 1:
         raise ValueError("xi_step must lie in (0, 1]")
-    if coarse_factor < 1:
-        raise ValueError("coarse_factor must be >= 1")
+    if coarse_factor < 1 or coarse_factor != int(coarse_factor):
+        raise ValueError("coarse_factor must be an integer >= 1")
+    if refine_radius is not None and refine_radius < 0:
+        raise ValueError("refine_radius must be >= 0")
     simplex = system != "opmm" and xi_policy == "simplex"
     n_a = int(np.floor(1.0 / steps[1] + 1e-9))
     n_x = int(round(1.0 / xi_step))

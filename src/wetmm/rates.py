@@ -185,8 +185,6 @@ def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> Rate
     unbounded; the report then carries infinite SINR and rate rather than
     raising, since that is the honest value of the limit.
     """
-    if params.M < 2:
-        raise ValueError("MRC requires M >= 2")
     rem = 1.0 - alloc.tau - alloc.alpha
     w = params.beta**2 * alloc.xi
     cross = w.sum() - w
@@ -209,8 +207,6 @@ def maxmin_asymptotic_rate(params: SystemParams, detector: str) -> float:
             params.sigma2_ul * (np.sqrt(params.K) + 1.0) ** 2 * np.sum(1.0 / params.beta**2)
         )
         return float(np.log2(1.0 + gamma))
-    if params.M < 2:
-        raise ValueError("MRC requires M >= 2")
     if params.K == 1:
         return float("inf")
     return float(np.log2(1.0 + (params.M - 1) / (params.K - 1)))

@@ -170,6 +170,16 @@ def test_spec_m_values_checked_against_k(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment", ["contour", "rho-sweep"])
+@pytest.mark.parametrize("line", ["xi_policy = bogus", "master_seed = -5"])
+def test_bad_spec_values_rejected_before_any_output(tmp_path, capsys, experiment, line):
+    # neither experiment reads these keys, so only the spec can catch them
+    cfg = write_config(tmp_path, line + "\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simplex_policy_rejects_refine_radius(tmp_path, capsys):
     # the simplex search always refines with its own radius; a set value
     # would be silently ignored

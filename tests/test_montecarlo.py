@@ -72,21 +72,60 @@ def test_ideal_zf_perfect_knowledge_identity(params200, ref_alloc):
 
 
 def test_run_trials_matches_per_frame_reference(ref_alloc):
-    """The stacked evaluator equals the one-frame-at-a-time formulas bit for bit."""
+    """The stacked evaluator equals the one-frame-at-a-time Gram formulas bit
+    for bit, and the detector-matrix formulas to within rounding (rtol 1e-12)."""
     params = benchmark_params(10)
-    cfg = cfg_for(n=20, seed=5)
-    energy, sinr, resamples = run_trials(params, ref_alloc, cfg)
     _, pilot_energy, powers, err_var = operating_point(params, ref_alloc, "wetmm")
-    for t in range(cfg.n_trials):
-        G, G_hat = (x[0] for x in draw_trials(params, pilot_energy, 5, [t]))
-        A = np.linalg.solve(G_hat.conj().T @ G_hat, G_hat.conj().T).conj().T
-        cross = np.abs(A.conj().T @ G_hat) ** 2
-        interference = cross @ powers - np.diag(cross) * powers
-        noise = np.sum(np.abs(A) ** 2, axis=0) * (np.dot(powers, err_var) + params.sigma2_ul)
-        w = beamformer(G_hat, ref_alloc.xi)
-        assert np.array_equal(sinr[t], powers * np.diag(cross) / (interference + noise))
-        assert np.array_equal(energy[t], ref_alloc.alpha * params.p_dl * np.abs(G.conj().T @ w) ** 2)
+    noise = np.dot(powers, err_var) + params.sigma2_ul
+    for detector in ("zf", "mrc"):
+        cfg = cfg_for(n=20, seed=5, detector=detector)
+        energy, sinr, resamples = run_trials(params, ref_alloc, cfg)
+        for t in range(cfg.n_trials):
+            G, G_hat = (x[0] for x in draw_trials(params, pilot_energy, 5, [t]))
+            gram = G_hat.conj().T @ G_hat
+            diag = np.diag(gram).real
+            if detector == "zf":
+                gram_form = powers / (np.diag(np.linalg.inv(gram)).real * noise)
+                A = np.linalg.solve(gram, G_hat.conj().T).conj().T
+            else:
+                off = np.abs(gram) ** 2 * ~np.eye(params.K, dtype=bool)
+                gram_form = powers * diag ** 2 / (off @ powers + diag * noise)
+                A = G_hat
+            cross = np.abs(A.conj().T @ G_hat) ** 2
+            interference = cross @ powers - np.diag(cross) * powers
+            detector_form = powers * np.diag(cross) / (
+                interference + np.sum(np.abs(A) ** 2, axis=0) * noise)
+            w = beamformer(G_hat, ref_alloc.xi)
+            assert np.array_equal(sinr[t], gram_form)
+            np.testing.assert_allclose(sinr[t], detector_form, rtol=1e-12)
+            assert np.array_equal(energy[t], ref_alloc.alpha * params.p_dl * np.abs(G.conj().T @ w) ** 2)
+        assert not resamples.any()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("detector", ["zf", "mrc"])
+@pytest.mark.parametrize("m", [3, 25, 1000])
+def test_exact_sinr_matches_extended_precision(ref_alloc, detector, m):
+    """Every SINR is within 1e-13 relative of the same formula evaluated in
+    long double on the same estimates (2 x 2 inverse by its adjugate)."""
+    params = benchmark_params(m)
+    cfg = cfg_for(n=400, seed=3, detector=detector)
+    _, sinr, resamples = run_trials(params, ref_alloc, cfg)
+    _, pilot_energy, powers, err_var = operating_point(params, ref_alloc, "wetmm")
+    G_hat = draw_trials(params, pilot_energy, 3, np.arange(cfg.n_trials))[1].astype(np.clongdouble)
+    gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
+    p = powers.astype(np.longdouble)
+    noise = np.dot(p, err_var.astype(np.longdouble)) + np.longdouble(params.sigma2_ul)
+    diag = np.diagonal(gram, axis1=-2, axis2=-1).real
+    cross = np.abs(gram[:, 0, 1]) ** 2
+    if detector == "zf":
+        inv_diag = diag[:, ::-1] / (diag[:, 0] * diag[:, 1] - cross)[:, None]
+        want = p / (inv_diag * noise)
+    else:
+        want = p * diag ** 2 / (np.stack([p[1] * cross, p[0] * cross], axis=1) + diag * noise)
     assert not resamples.any()
+    assert np.max(np.abs(sinr - want) / want) <= 1e-13
 
 
 def test_opmm_energy_matches_closed_form(params200, ref_alloc):

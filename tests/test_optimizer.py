@@ -148,6 +148,10 @@ def test_search_validation(params200):
         grid_search_p1(params200, "wetmm", "zf", xi_policy="nonesuch")
     with pytest.raises(ValueError):
         grid_search_p1(params200, "wetmm", "zf", steps=(0.0, 0.001, 0.001))
+    # a negative radius used to divide by zero, and 1.5 used to be cut to 1
+    for bad in ({"refine_radius": -1}, {"coarse_factor": 1.5}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            grid_search_p1(params200, steps=(0.02, 0.02, 0.02), **bad)
 
 
 def test_solve_p1_analytic_close_to_grid(params200):
