@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams, _pcg64_state, complex_gaussian, trial_rng
+from wetmm.sysmodel import SystemParams, _pcg64_states, complex_gaussian, trial_rng
 
 __all__ = [
     "PilotConfig",
@@ -149,8 +149,9 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
                 method: str = "statistical", salt: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw stacked channels together with their MMSE estimates.
 
-    One PCG64 generator is set to each trial's ``trial_rng`` state in turn
-    and makes one ``standard_normal`` call into that trial's row of a
+    The PCG64 states of the call's trials are computed together, then one
+    PCG64 generator is set to each trial's ``trial_rng`` state in turn and
+    makes one ``standard_normal`` call into that trial's row of a
     (trials, blocks, M, K) buffer: the real and imaginary parts that
     ``complex_gaussian`` draws, in the order of the per-trial draw (channel,
     then pilot noise; or estimate, then error).  The complex stacks, the
@@ -186,8 +187,8 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
     buf = np.empty((len(trials), 2 if pilot_energy is None else 4, M, K))
     bit_gen = np.random.PCG64(0)
     state, draw = bit_gen.state, np.random.Generator(bit_gen).standard_normal
-    for i, t in enumerate(trials):
-        state["state"] = _pcg64_state(master_seed, t, salt)
+    for i, pcg in enumerate(_pcg64_states(master_seed, trials, salt)):
+        state["state"] = pcg
         bit_gen.state = state
         draw(out=buf[i])
     stacks = [np.empty((len(trials), M, K), dtype=complex) for _ in range(buf.shape[1] // 2)]

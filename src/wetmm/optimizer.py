@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.energy import ResourceAllocation
-from wetmm.rates import closed_form_rate, closed_form_sinr
+from wetmm.rates import _fold_users, closed_form_rate, closed_form_sinr
 from wetmm.sysmodel import SystemParams
 
 __all__ = [
@@ -169,7 +169,7 @@ def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_i
         sinr = closed_form_sinr(params, system, detector, 0.0, alpha, rho, xi_arr[None, None])
         rem = 1.0 - alpha[..., 0]
         with np.errstate(invalid="ignore"):
-            rate = np.where(rem >= 0.0, rem * np.log2(1.0 + sinr.min(axis=-1)), -np.inf)
+            rate = np.where(rem >= 0.0, rem * np.log2(1.0 + _fold_users(np.minimum, sinr)), -np.inf)
         j = int(np.argmax(rate))
         if best is None or rate.flat[j] > best[0]:
             ia, ir, ix = np.unravel_index(j, rate.shape)
@@ -234,7 +234,7 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         raise ValueError("refine_radius must be >= 0")
     simplex = system != "opmm" and xi_policy == "simplex"
     n_a = int(np.floor(1.0 / steps[1] + 1e-9))
-    n_x = int(round(1.0 / xi_step))
+    n_x = int(np.floor(1.0 / xi_step + 1e-9))
     if system == "ideal":
         val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy, xi_step,
                                         np.arange(n_a + 1), np.array([0]), np.arange(n_x + 1))
@@ -300,7 +300,7 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
         rho_vals = np.full_like(alpha_vals, mrc_rho)
     sinr = closed_form_sinr(params, "wetmm", detector, 0.0, alpha_vals[:, None],
                             rho_vals[:, None], optimal_xi(params.beta))
-    min_rate = ((1.0 - alpha_vals)[:, None] * np.log2(1.0 + sinr)).min(axis=-1)
+    min_rate = _fold_users(np.minimum, (1.0 - alpha_vals)[:, None] * np.log2(1.0 + sinr))
     ia = int(np.argmax(min_rate))
     alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]),
                                rho=float(rho_vals[ia]), xi=optimal_xi(params.beta))

@@ -86,6 +86,45 @@ def _pcg64_state(master_seed: int, trial: int, salt: int) -> dict:
     return {"state": state & _M128, "inc": inc}
 
 
+@functools.lru_cache(maxsize=16)
+def _hash_consts(hash_const: int, mult: int) -> np.ndarray:
+    """Hash constants of 8 hashmix steps from ``hash_const``, a (9, 1) uint32
+    column: step i xors in row i and multiplies by row i + 1."""
+    return np.array([hash_const * pow(mult, i, 1 << 32) & _M32 for i in range(9)], np.uint32)[:, None]
+
+
+def _pcg64_states(master_seed: int, trials, salt: int) -> list[dict]:
+    """``[_pcg64_state(master_seed, t, salt) for t in trials]``.
+
+    The SeedSequence mixing of all trials runs at once on a (4, n) pool of
+    uint32 lanes, whose arithmetic wraps modulo 2**32 as SeedSequence's does;
+    the hash constants do not depend on the data, so they are computed once.
+    The 128-bit PCG64 assembly runs per trial.  Trials or a salt of 2**32 or
+    more take the scalar path.
+    """
+    trials, salt = [int(t) for t in trials], int(salt)
+    if salt < 0 or any(t < 0 for t in trials):
+        raise ValueError("expected non-negative integer")
+    hash_const, *pool = _seed_pool(int(master_seed))
+    h, pool = _hash_consts(hash_const, _MULT_A), np.array(pool, np.uint32)[:, None]
+    for j, word in enumerate((np.array([t & _M32 for t in trials], np.uint32), salt & _M32)):
+        value = (word ^ h[4 * j:4 * j + 4]) * h[4 * j + 1:4 * j + 5]  # hashmix(word)
+        mixed = _MIX_L * pool - _MIX_R * (value ^ value >> 16)  # pool[d] = mix(pool[d], ...)
+        pool = mixed ^ mixed >> 16
+    h = _hash_consts(_INIT_B, _MULT_B)
+    w = (np.concatenate([pool, pool]) ^ h[:8]) * h[1:]
+    w = (w ^ w >> 16).astype(np.uint64)
+    u = (w[1::2] << 32 | w[::2]).tolist()
+    states = []
+    for t, a, b, c, d in zip(trials, *u):
+        if t > _M32 or salt > _M32:
+            states.append(_pcg64_state(master_seed, t, salt))
+            continue
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        states.append({"state": (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _M128, "inc": inc})
+    return states
+
+
 def complex_gaussian(rng: np.random.Generator, shape, var=1.0) -> np.ndarray:
     """I.i.d. circularly symmetric complex Gaussian samples CN(0, var).
 

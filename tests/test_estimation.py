@@ -114,6 +114,21 @@ def test_draw_trials_follow_trial_streams():
                 assert np.array_equal(g[i], want) and np.array_equal(g_hat[i], want_hat)
 
 
+def test_draw_trials_follow_trial_streams_past_one_word():
+    """Trials and salts of 2**32 and above, which take the scalar stream-state
+    path, draw from their trial_rng streams too, next to one-word trials."""
+    p = benchmark_params(8)
+    err_var = error_variance(p.beta, 2e-9, p.sigma2_ul)
+    shape = (p.M, p.K)
+    for trials, salt in (([2 ** 32, 7, 2 ** 32 - 1, 2 ** 40 + 3], 0), ([5, 2 ** 33], 2 ** 32)):
+        g, g_hat = draw_trials(p, 2e-9, 3, trials, salt=salt)
+        for i, t in enumerate(trials):
+            rng = trial_rng(3, t, salt)
+            want_hat = complex_gaussian(rng, shape, p.beta - err_var)
+            want = want_hat - complex_gaussian(rng, shape, err_var)
+            assert np.array_equal(g[i], want) and np.array_equal(g_hat[i], want_hat)
+
+
 def test_draw_trials_determinism_and_salt():
     p = benchmark_params(8)
     a = draw_trials(p, 1e-9, 5, [2])

@@ -139,6 +139,19 @@ def test_simplex_policy_two_users_only():
                        xi_policy="simplex")
 
 
+@pytest.mark.parametrize("system", ["wetmm", "ideal"])
+@pytest.mark.parametrize("xi_step, n_xi", [(0.35, 3), (0.6, 2)])
+def test_simplex_xi_lattice_stays_on_the_simplex(params200, system, xi_step, n_xi):
+    """xi_1 runs over xi_step * {0..floor(1/xi_step)}: no lattice point has
+    xi_2 < 0, whether or not 1/xi_step is close to an integer."""
+    steps = (0.05, 0.05, 0.05)
+    res = grid_search_p1(params200, system, "zf", steps=steps, xi_policy="simplex",
+                         xi_step=xi_step, coarse_factor=1)
+    assert np.all(res.allocation.xi >= 0.0)
+    # 21 alphas, times 19 rhos outside the ideal system
+    assert res.n_evaluations == 21 * (1 if system == "ideal" else 19) * n_xi
+
+
 def test_search_validation(params200):
     with pytest.raises(ValueError):
         grid_search_p1(params200, "nonesuch", "zf")
@@ -249,7 +262,7 @@ def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_ste
         xis = [np.full(params.K, 1.0 / params.K)]
     elif xi_policy == "simplex":
         xis = [np.array([xi_step * i, 1.0 - xi_step * i])
-               for i in range(int(round(1.0 / xi_step)) + 1)]
+               for i in range(int(np.floor(1.0 / xi_step + 1e-9)) + 1)]
     else:
         xis = [optimal_xi(params.beta)]
     taus = [0] if system == "ideal" else range(n_t + 1)

@@ -6,7 +6,7 @@ import pytest
 
 from wetmm.energy import (ResourceAllocation, energies, harvested_energy_fixedpoint,
                           opmm_energy)
-from wetmm.rates import (asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit,
+from wetmm.rates import (_fold_users, asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit,
                          c1_sample, closed_form_rate, ideal_asymptotic_rate,
                          large_k_rate, maxmin_asymptotic_rate,
                          mm_dorg, mrc_sinr_from_energy, user_load_for_rate,
@@ -70,6 +70,30 @@ def test_sinr_cores_match_reference_loops():
                            zf_sinr_ref(e, beta, tau, alpha, rho, m, s2), rtol=1e-12)
         assert np.allclose(mrc_sinr_from_energy(e, beta, tau, alpha, rho, m, s2),
                            mrc_sinr_ref(e, beta, tau, alpha, rho, m, s2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_user_folds_match_numpy_reductions(k):
+    """The elementwise folds the SINR kernels and the search use equal numpy's
+    reductions over the user axis: bit for bit on finite data (the sum for
+    K <= 7; numpy sums 8 or more terms pairwise), and as values with signed
+    zeros, infinities and NaNs, where only the sign of a zero may differ."""
+    rng = trial_rng(11, k)
+    x = rng.standard_normal((6, 5, k)) * 10.0 ** rng.integers(-12, 12, (6, 5, k))
+    inputs = [x, x[:, ::-1].transpose(1, 0, 2), np.broadcast_to(x[0], (4, 5, k)),
+              x[:, :1, :] * rng.uniform(0.5, 2.0, (7, 1))]
+    special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], size=(400, k))
+    for x in inputs:
+        pairs = [(_fold_users(np.minimum, x), x.min(axis=-1))]
+        if k <= 7:
+            pairs.append((_fold_users(np.add, x)[..., None], np.sum(x, axis=-1, keepdims=True)))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for ufunc, reduce in ((np.add, np.sum), (np.minimum, np.min)):
+            assert np.array_equal(_fold_users(ufunc, special), reduce(special, axis=-1),
+                                  equal_nan=True)
 
 
 def test_sinr_zero_energy_gives_zero():
