@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.montecarlo import McConfig, estimate_error_variance, estimate_exact_rate, operating_point
-from wetmm.optimizer import grid_search_p1, optimal_rho_zf, optimal_xi, rate_map
+from wetmm.optimizer import _lattice_count, grid_search_p1, optimal_rho_zf, optimal_xi, rate_map
 from wetmm.rates import (
     asymptotic_mrc_rate,
     asymptotic_zf_rate,
@@ -300,17 +300,17 @@ def run_table1(spec: ExperimentSpec):
     return _emit(spec, "table1", [("table1.csv", header, rows)])
 
 
-def _grid(span: float, step: float) -> np.ndarray:
+def _grid(span: float, step: float, name: str) -> np.ndarray:
     """0, step, 2 step, ... up to span, which counts when within 1e-9 steps."""
-    return step * np.arange(0, int(np.floor(span / step + 1e-9)) + 1)
+    return step * np.arange(0, _lattice_count(span, step, name) + 1)
 
 
 def run_contour(spec: ExperimentSpec):
     """Per-user rate over a (tau, alpha) window at fixed rho."""
     params = build_params(spec)
     xi = optimal_xi(params.beta)
-    tau_vals = _grid(spec.contour_tau_max, spec.tau_step)
-    alpha_vals = _grid(spec.contour_alpha_max, spec.alpha_step)
+    tau_vals = _grid(spec.contour_tau_max, spec.tau_step, "tau_step")
+    alpha_vals = _grid(spec.contour_alpha_max, spec.alpha_step, "alpha_step")
     rates = rate_map(params, spec.system, spec.detector, tau_vals[:, None, None],
                      alpha_vals[None, :, None], spec.contour_rho, xi)
     header = ["tau", "alpha"] + [f"rate_user{k + 1}" for k in range(params.K)]
@@ -326,7 +326,7 @@ def run_rho_sweep(spec: ExperimentSpec):
     """Per-user rate along the energy-splitting fraction at fixed (tau, alpha)."""
     params = build_params(spec)
     xi = optimal_xi(params.beta)
-    n_r = int(np.floor(1.0 / spec.rho_step - 1.0 + 1e-9))
+    n_r = _lattice_count(1.0, spec.rho_step, "rho_step", open_end=True)
     rho_vals = spec.rho_step * np.arange(1, n_r + 1)
     rates = rate_map(params, spec.system, spec.detector, spec.sweep_tau,
                      spec.sweep_alpha, rho_vals[:, None], xi)
@@ -409,7 +409,7 @@ def run_large_k(spec: ExperimentSpec):
     """Dense-regime rate versus user load, plus path-loss moment convergence."""
     c1_inf = c1_limit(spec.beta0, spec.pathloss_exponent,
                       min(spec.distances), max(spec.distances))
-    zeta = spec.zeta_min + _grid(spec.zeta_max - spec.zeta_min, spec.zeta_step)
+    zeta = spec.zeta_min + _grid(spec.zeta_max - spec.zeta_min, spec.zeta_step, "zeta_step")
     rates = large_k_rate(zeta, spec.large_k_alpha, c1_inf, spec.p_dl, spec.sigma2_ul)
     rate_rows = [[z, r] for z, r in zip(zeta, rates)]
 

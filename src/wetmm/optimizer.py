@@ -128,6 +128,14 @@ def asymptotic_allocation(params: SystemParams, detector: str,
     return ResourceAllocation(tau=0.0, alpha=alpha, rho=float(rho), xi=optimal_xi(params.beta))
 
 
+def _lattice_count(span: float, step: float, name: str, open_end: bool = False) -> int:
+    """Largest k with k step <= span, where k step within 1e-9 steps of span
+    counts as span; with ``open_end``, the largest k with k step < span."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"{name} must be positive and finite, got {step!r}")
+    return int(np.ceil(span / step - 1e-9)) - 1 if open_end else int(np.floor(span / step + 1e-9))
+
+
 def _check_tags(params: SystemParams, system: str, detector: str) -> None:
     if system not in ("wetmm", "opmm", "ideal"):
         raise ValueError(f"unknown system: {system!r}")
@@ -144,8 +152,6 @@ def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
         return np.array([0]), np.full((1, params.K), 1.0 / params.K)
     if xi_policy == "analytic":
         return np.array([0]), optimal_xi(params.beta)[None, :]
-    if xi_policy != "simplex":
-        raise ValueError(f"unknown xi policy: {xi_policy!r}")
     if params.K != 2:
         raise ValueError("simplex xi search is implemented for K = 2 only")
     xi1 = xi_step * xi_idx
@@ -224,8 +230,13 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         ValueError: on invalid tags or steps.
     """
     _check_tags(params, system, detector)
-    if len(steps) != 3 or any(s <= 0 for s in steps):
+    if xi_policy not in ("analytic", "simplex"):
+        raise ValueError(f"unknown xi policy: {xi_policy!r}")
+    if len(steps) != 3:
         raise ValueError("steps must be three positive lattice spacings")
+    n_t = _lattice_count(1.0, steps[0], "tau step")
+    n_a = _lattice_count(1.0, steps[1], "alpha step")
+    n_r = _lattice_count(1.0, steps[2], "rho step", open_end=True)
     if not 0 < xi_step <= 1:
         raise ValueError("xi_step must lie in (0, 1]")
     if coarse_factor < 1 or coarse_factor != int(coarse_factor):
@@ -233,16 +244,13 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     if refine_radius is not None and refine_radius < 0:
         raise ValueError("refine_radius must be >= 0")
     simplex = system != "opmm" and xi_policy == "simplex"
-    n_a = int(np.floor(1.0 / steps[1] + 1e-9))
-    n_x = int(np.floor(1.0 / xi_step + 1e-9))
+    n_x = _lattice_count(1.0, xi_step, "xi_step")
     if system == "ideal":
         val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy, xi_step,
                                         np.arange(n_a + 1), np.array([0]), np.arange(n_x + 1))
     else:
         if refine_radius is None:
             refine_radius = 2 if simplex else 10
-        n_t = int(np.floor(1.0 / steps[0] + 1e-9))
-        n_r = int(np.floor(1.0 / steps[2] - 1.0 + 1e-9))
         if n_t < 1 or n_a < 1 or n_r < 1:
             raise ValueError("step sizes leave an empty lattice")
 
@@ -290,10 +298,9 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     within a few percent at large M; the full search remains the oracle.
     """
     _check_tags(params, "wetmm", detector)
-    if alpha_step <= 0 or alpha_step > 1:
+    if not 0 < alpha_step <= 1:
         raise ValueError("alpha_step must lie in (0, 1]")
-    n_a = int(np.floor(1.0 / alpha_step + 1e-9))
-    alpha_vals = alpha_step * np.arange(n_a + 1, dtype=float)
+    alpha_vals = alpha_step * np.arange(_lattice_count(1.0, alpha_step, "alpha_step") + 1, dtype=float)
     if detector == "zf":
         rho_vals = np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals))
     else:

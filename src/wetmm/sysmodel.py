@@ -47,43 +47,15 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _PCG64_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _words(n: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence splits an integer into."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
 @functools.lru_cache(maxsize=16)
 def _seed_pool(master_seed: int) -> tuple[int, ...]:
     """SeedSequence(master_seed, spawn_key=...)'s hash constant and pool before
-    the key's words: the seed padded to 4 words, mixed in 4 hashmix steps each."""
-    words = _words(master_seed)
-    words += [0] * (4 - len(words))
-    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
-    return (_INIT_A * pow(_MULT_A, 4 * len(words), 1 << 32) & _M32, *pool)
-
-
-def _pcg64_state(master_seed: int, trial: int, salt: int) -> dict:
-    """PCG64 ``{"state", "inc"}`` of ``trial_rng(master_seed, trial, salt)`` by
-    numpy's SeedSequence mixing, generate_state(4, uint64) and pcg64_set_seed,
-    without building either object; negative inputs raise ValueError."""
-    hash_const, *pool = _seed_pool(int(master_seed))
-    for word in _words(int(trial)) + _words(int(salt)):
-        for d in range(4):  # pool[d] = mix(pool[d], hashmix(word))
-            value = (word ^ hash_const) * (hash_const := hash_const * _MULT_A & _M32) & _M32
-            mixed = (_MIX_L * pool[d] - _MIX_R * (value ^ value >> 16)) & _M32
-            pool[d] = mixed ^ mixed >> 16
-    w, hash_const = [], _INIT_B
-    for value in pool + pool:
-        value = (value ^ hash_const) * (hash_const := hash_const * _MULT_B & _M32) & _M32
-        w.append(value ^ value >> 16)
-    inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _M128
-    state = ((w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]) + inc) * _PCG64_MULT + inc
-    return {"state": state & _M128, "inc": inc}
+    the key's words.  A spawn key pads the seed to n = max(4, words) words;
+    SeedSequence(master_seed) hashes 0 into each missing pool word, which is
+    the same pool, and the n words took 4 n hashmix steps."""
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    n = max(4, -(-master_seed.bit_length() // 32))
+    return (_INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _M32, *pool)
 
 
 @functools.lru_cache(maxsize=16)
@@ -94,18 +66,19 @@ def _hash_consts(hash_const: int, mult: int) -> np.ndarray:
 
 
 def _pcg64_states(master_seed: int, trials, salt: int) -> list[dict]:
-    """``[_pcg64_state(master_seed, t, salt) for t in trials]``.
+    """``[trial_rng(master_seed, t, salt).bit_generator.state["state"] for t in
+    trials]``, without building a SeedSequence or a generator.
 
-    The SeedSequence mixing of all trials runs at once on a (4, n) pool of
-    uint32 lanes, whose arithmetic wraps modulo 2**32 as SeedSequence's does;
-    the hash constants do not depend on the data, so they are computed once.
-    The 128-bit PCG64 assembly runs per trial.  Trials or a salt of 2**32 or
-    more take the scalar path.
+    numpy's SeedSequence mixing runs for all trials at once on a (4, n) pool
+    of uint32 lanes, whose arithmetic wraps modulo 2**32 as SeedSequence's
+    does; the hash constants do not depend on the data, so they are computed
+    once.  The 128-bit PCG64 assembly runs per trial.  Trials or a salt of
+    2**32 or more take ``trial_rng`` itself.  Negative inputs raise ValueError.
     """
-    trials, salt = [int(t) for t in trials], int(salt)
+    master_seed, trials, salt = int(master_seed), [int(t) for t in trials], int(salt)
     if salt < 0 or any(t < 0 for t in trials):
         raise ValueError("expected non-negative integer")
-    hash_const, *pool = _seed_pool(int(master_seed))
+    hash_const, *pool = _seed_pool(master_seed)
     h, pool = _hash_consts(hash_const, _MULT_A), np.array(pool, np.uint32)[:, None]
     for j, word in enumerate((np.array([t & _M32 for t in trials], np.uint32), salt & _M32)):
         value = (word ^ h[4 * j:4 * j + 4]) * h[4 * j + 1:4 * j + 5]  # hashmix(word)
@@ -118,7 +91,7 @@ def _pcg64_states(master_seed: int, trials, salt: int) -> list[dict]:
     states = []
     for t, a, b, c, d in zip(trials, *u):
         if t > _M32 or salt > _M32:
-            states.append(_pcg64_state(master_seed, t, salt))
+            states.append(trial_rng(master_seed, t, salt).bit_generator.state["state"])
             continue
         inc = ((c << 64 | d) << 1 | 1) & _M128
         states.append({"state": (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _M128, "inc": inc})

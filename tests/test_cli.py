@@ -313,6 +313,17 @@ def test_rho_sweep_rows_and_fixed_point_sidecar(tmp_path):
     assert sidecar["fixed_alpha"] == 0.08
 
 
+def test_rho_sweep_keeps_the_last_interior_point(tmp_path):
+    """0.03 does not divide 1: the sweep runs 0.03, ..., 0.99, where the old
+    floor(1/step - 1) rule stopped at 0.96."""
+    cfg = write_config(tmp_path, FAST_SEARCH + "rho_step = 0.03\n")
+    out = tmp_path / "out"
+    assert main(["rho-sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "rho_sweep.csv")
+    assert len(rows) == 33
+    assert np.isclose(float(rows[-1][0]), 0.99, rtol=1e-12)
+
+
 def test_rho_sweep_rejects_infeasible_window(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["rho-sweep", "--out", str(out), "--tau", "0.6", "--alpha", "0.6"]) == 2

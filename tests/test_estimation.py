@@ -115,8 +115,8 @@ def test_draw_trials_follow_trial_streams():
 
 
 def test_draw_trials_follow_trial_streams_past_one_word():
-    """Trials and salts of 2**32 and above, which take the scalar stream-state
-    path, draw from their trial_rng streams too, next to one-word trials."""
+    """Trials and salts of 2**32 and above, whose stream states come from
+    trial_rng itself, draw from their streams too, next to one-word trials."""
     p = benchmark_params(8)
     err_var = error_variance(p.beta, 2e-9, p.sigma2_ul)
     shape = (p.M, p.K)

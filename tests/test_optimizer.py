@@ -157,10 +157,16 @@ def test_search_validation(params200):
         grid_search_p1(params200, "nonesuch", "zf")
     with pytest.raises(ValueError):
         grid_search_p1(params200, "wetmm", "nonesuch")
-    with pytest.raises(ValueError):
-        grid_search_p1(params200, "wetmm", "zf", xi_policy="nonesuch")
+    for system in ("wetmm", "opmm", "ideal"):
+        with pytest.raises(ValueError, match="xi policy"):
+            grid_search_p1(params200, system, "zf", xi_policy="nonesuch")
     with pytest.raises(ValueError):
         grid_search_p1(params200, "wetmm", "zf", steps=(0.0, 0.001, 0.001))
+    # a NaN step used to fail with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="alpha step"):
+        grid_search_p1(params200, "wetmm", "zf", steps=(0.01, np.nan, 0.01))
+    with pytest.raises(ValueError, match="alpha_step"):
+        solve_p1_analytic(params200, "zf", alpha_step=np.nan)
     # a negative radius used to divide by zero, and 1.5 used to be cut to 1
     for bad in ({"refine_radius": -1}, {"coarse_factor": 1.5}):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -251,13 +257,12 @@ def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_ste
     Every feasible point goes through closed_form_rate; the first strict
     maximum in (tau, alpha, rho, xi_1) order wins, which is the tie order of
     grid_search_p1.  The lattices are the search's: tau and alpha on
-    step * {0..floor(1/step)}, rho on step * {1..floor(1/step - 1)}.  The
+    step * {0..floor(1/step)}, rho on the multiples of its step in (0, 1).  The
     ideal system has no tau or rho, so it loops over alpha and xi only, at
     tau = rho = 0.
     """
     n_t = int(np.floor(1.0 / steps[0] + 1e-9))
     n_a = int(np.floor(1.0 / steps[1] + 1e-9))
-    n_r = int(np.floor(1.0 / steps[2] - 1.0 + 1e-9))
     if system == "opmm":
         xis = [np.full(params.K, 1.0 / params.K)]
     elif xi_policy == "simplex":
@@ -266,7 +271,8 @@ def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_ste
     else:
         xis = [optimal_xi(params.beta)]
     taus = [0] if system == "ideal" else range(n_t + 1)
-    rhos = [0] if system == "ideal" else range(1, n_r + 1)
+    rhos = [0] if system == "ideal" else [
+        i for i in range(1, int(1.0 / steps[2]) + 1) if steps[2] * i < 1.0 - 1e-12]
     best, best_alloc = -np.inf, None
     for it in taus:
         for ia in range(n_a + 1):
@@ -307,3 +313,15 @@ def test_grid_search_matches_tau_brute_force(m, system, detector, xi_policy):
         simplex = xi_policy == "simplex"
         assert got.n_evaluations == 21 * (5 if simplex else 1)
         assert got.grid_steps == ((0.05, 0.25) if simplex else (0.05,))
+
+
+def test_grid_search_keeps_the_last_interior_rho():
+    """A rho step that does not divide 1 keeps its largest multiple below 1:
+    0.3 sweeps 0.3, 0.6 and 0.9, where the old floor(1/step - 1) rule
+    dropped 0.9."""
+    params = benchmark_params(10)
+    steps = (0.05, 0.05, 0.3)
+    got = grid_search_p1(params, steps=steps, coarse_factor=1)
+    assert got.n_evaluations == 21 * 3
+    want, want_rate = brute_force_p1(params, "wetmm", "zf", steps)
+    assert got.allocation.rho == want.rho and got.min_rate == want_rate

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wetmm.estimation import draw_trials
-from wetmm.sysmodel import (PathLossModel, SystemParams, _pcg64_state, complex_gaussian,
+from wetmm.sysmodel import (PathLossModel, SystemParams, _pcg64_states, complex_gaussian,
                             generate_channel, path_loss, trial_rng)
 
 from conftest import benchmark_params
@@ -36,7 +36,7 @@ def test_negative_stream_inputs_are_rejected(master_seed, trial, salt):
     with pytest.raises(ValueError):
         trial_rng(master_seed, trial, salt)
     with pytest.raises(ValueError):
-        _pcg64_state(master_seed, trial, salt)
+        _pcg64_states(master_seed, [trial], salt)
     with pytest.raises(ValueError):
         draw_trials(benchmark_params(4), 1e-9, master_seed, [trial], salt=salt)
 
