@@ -64,7 +64,6 @@ from wetmm.montecarlo import (
     BoundCheck,
     McConfig,
     McRateEstimate,
-    estimate_error_variance,
     estimate_exact_rate,
     operating_point,
     run_trials,

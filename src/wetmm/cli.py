@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.montecarlo import McConfig, estimate_error_variance, estimate_exact_rate, operating_point
+from wetmm.montecarlo import McConfig, estimate_exact_rate, operating_point
 from wetmm.optimizer import _lattice_count, grid_search_p1, optimal_rho_zf, optimal_xi, rate_map
 from wetmm.rates import (
     asymptotic_mrc_rate,
@@ -118,10 +118,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown system: {self.system!r}")
         if self.xi_policy not in ("analytic", "simplex"):
             raise ValueError(f"unknown xi_policy: {self.xi_policy!r}")
+        # the search lattices span the unit interval
         for name in ("tau_step", "alpha_step", "rho_step", "xi_step",
                      "fig_tau_step", "fig_alpha_step", "fig_rho_step", "zeta_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _lattice_count(1.0, getattr(self, name), name)
         for name, low in (("n_trials", 1), ("master_seed", 0), ("m", 2), ("coarse_factor", 1),
                           ("fig_coarse_factor", 1), ("refine_radius", 0), ("large_k_users", 1),
                           ("contour_tau_max", 0), ("contour_alpha_max", 0)):
@@ -387,12 +387,12 @@ def run_mc_validate(spec: ExperimentSpec):
     res = _search(spec, params, spec.system, spec.detector)
     alloc = res.allocation
     cfg = _mc_config(spec, spec.system, spec.detector)
-    est = estimate_exact_rate(params, alloc, cfg)
+    est = estimate_exact_rate(params, alloc, cfg, error_var=spec.system != "ideal")
     e_closed, _, _, err_var = operating_point(params, alloc, spec.system)
     bound = closed_form_rate(params, alloc, spec.system, spec.detector).rate
     blocks = [("energy", e_closed, est.energy, est.energy_se)]
     if spec.system != "ideal":
-        blocks.append(("error_var", err_var, *estimate_error_variance(params, alloc, cfg)))
+        blocks.append(("error_var", err_var, est.error_var, est.error_var_se))
     blocks.append(("rate_bound", bound, est.rate, est.rate_se))
     rows = []
     for kind, closed, mean, se in blocks:

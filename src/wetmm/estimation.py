@@ -19,11 +19,14 @@ draw of estimate and error from their exact marginals.  Both give the same
 distribution for every downstream statistic; the direct draw skips the
 (M x L) pilot block and is the default inside Monte Carlo loops.
 
-:func:`draw_trials` takes a chunk of trials.  It draws each trial's normals
-in one call on that trial's own stream into one stacked buffer, then does
-the scaling, the subtraction and the pilot pipeline once for the chunk.  The
+:func:`draw_trials` takes a chunk of trials in two steps.
+:func:`_trial_normals` draws each trial's normals in one call on that
+trial's own stream into one stacked buffer; :func:`_channels` then does the
+scaling, the subtraction and the pilot pipeline once for the chunk.  The
 per-trial ``complex_gaussian``, ``generate_channel`` and :func:`receive_pilots`
-are the reference it reproduces bit for bit.
+are the reference both methods reproduce bit for bit.  Both methods read the
+same buffer, so the Monte Carlo builds the statistical and the pilot draw of
+one trial from one set of normals.
 """
 
 from __future__ import annotations
@@ -149,14 +152,8 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
                 method: str = "statistical", salt: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw stacked channels together with their MMSE estimates.
 
-    The PCG64 states of the call's trials are computed together, then one
-    PCG64 generator is set to each trial's ``trial_rng`` state in turn and
-    makes one ``standard_normal`` call into that trial's row of a
-    (trials, blocks, M, K) buffer: the real and imaginary parts that
-    ``complex_gaussian`` draws, in the order of the per-trial draw (channel,
-    then pilot noise; or estimate, then error).  The complex stacks, the
-    scaling, the estimate-minus-error subtraction and the pilot pipeline
-    are then built once per call, with the same elementwise operations as
+    The call's normals come from :func:`_trial_normals` and are turned into
+    channels by :func:`_channels`, with the same elementwise operations as
     ``complex_gaussian``, ``generate_channel`` and :func:`receive_pilots`.
     So every trial equals its per-trial draw bit for bit.
 
@@ -178,23 +175,46 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
     """
     if method not in ("statistical", "pilot"):
         raise ValueError(f"unknown channel-knowledge method: {method!r}")
-    M, K = params.M, params.K
-    if pilot_energy is not None:
-        energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,))
-        err_var = error_variance(params.beta, energy, params.sigma2_ul)
-    # the ideal system draws the channel alone; the others draw a second
-    # (M, K) pair: the error, or the pilot noise (L = K)
-    buf = np.empty((len(trials), 2 if pilot_energy is None else 4, M, K))
+    buf = _trial_normals(params, pilot_energy, master_seed, trials, salt)
+    return _channels(params, pilot_energy, buf, method)
+
+
+def _trial_normals(params: SystemParams, pilot_energy, master_seed: int, trials,
+                   salt: int = 0) -> np.ndarray:
+    """The (trials, blocks, M, K) standard normals of a chunk of trials.
+
+    The PCG64 states of the trials are computed together, then one PCG64
+    generator is set to each trial's ``trial_rng(master_seed, t, salt)``
+    state in turn and makes one ``standard_normal`` call into that trial's
+    row: the real and imaginary parts that ``complex_gaussian`` draws, in
+    the order of the per-trial draw (channel, then pilot noise; or estimate,
+    then error).  With ``pilot_energy`` None (the ideal system) a trial draws
+    the channel alone, 2 blocks; otherwise a second (M, K) pair, 4 blocks.
+    Either method of :func:`_channels` reads the same buffer.
+    """
+    buf = np.empty((len(trials), 2 if pilot_energy is None else 4, params.M, params.K))
     bit_gen = np.random.PCG64(0)
     state, draw = bit_gen.state, np.random.Generator(bit_gen).standard_normal
     for i, pcg in enumerate(_pcg64_states(master_seed, trials, salt)):
         state["state"] = pcg
         bit_gen.state = state
         draw(out=buf[i])
-    stacks = [np.empty((len(trials), M, K), dtype=complex) for _ in range(buf.shape[1] // 2)]
+    return buf
+
+
+def _channels(params: SystemParams, pilot_energy, buf: np.ndarray,
+              method: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, G_hat)`` of :func:`draw_trials` from a :func:`_trial_normals`
+    buffer, which is left unchanged: the complex stacks, their scaling, the
+    estimate-minus-error subtraction and the pilot pipeline, each once for
+    the whole stack."""
+    M, K = params.M, params.K
+    stacks = [np.empty((len(buf), M, K), dtype=complex) for _ in range(buf.shape[1] // 2)]
     for b, z in enumerate(stacks):
         z.real, z.imag = buf[:, 2 * b], buf[:, 2 * b + 1]
-    del buf
+    if pilot_energy is not None:
+        energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,))
+        err_var = error_variance(params.beta, energy, params.sigma2_ul)
     if pilot_energy is not None and method == "statistical":
         g_hat, g = stacks
         g_hat *= np.sqrt((params.beta - err_var) / 2.0)

@@ -16,6 +16,9 @@ operating point, reproduced here so the Monte Carlo estimates the same
 quantity the formulas predict.  Trials are evaluated in stacked chunks,
 spread over one thread per usable CPU; each trial keeps its own random
 stream, so no result depends on the chunking or on the worker count.
+The MMSE error-variance check rides along in the same walk: a trial's
+first draw feeds both the rate and energy rows and the pilot-pipeline
+error |g_hat - g|^2, so its normals are drawn once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from wetmm.energy import (
     energies,
     general_beamformer,
 )
-from wetmm.estimation import draw_trials, error_variance
+from wetmm.estimation import _channels, _trial_normals, draw_trials, error_variance
 from wetmm.rates import closed_form_rate
 # trial_rng stays bound here for bench/selftest.py, which checks that the
 # tracer rebinds it in every namespace that imported it
@@ -48,7 +51,6 @@ __all__ = [
     "operating_point",
     "run_trials",
     "estimate_exact_rate",
-    "estimate_error_variance",
     "verify_bound_tightness",
     "verify_beamformer_structure",
 ]
@@ -83,8 +85,12 @@ class McConfig:
     system: str = "wetmm"
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        # bools are ints to Python, and a float count or a negative seed
+        # would only fail deep inside numpy, after the search has run
+        for name, low in (("n_trials", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.channel_knowledge not in ("statistical", "pilot"):
             raise ValueError(f"unknown channel knowledge path: {self.channel_knowledge!r}")
         if self.detector not in ("zf", "mrc"):
@@ -95,7 +101,11 @@ class McConfig:
 
 @dataclass
 class McRateEstimate:
-    """Per-user Monte Carlo rate estimate with standard errors."""
+    """Per-user Monte Carlo rate estimate with standard errors.
+
+    ``error_var`` and ``error_var_se`` are the mean of |g_hat - g|^2 over the
+    antennas and its SE, or None unless the estimate was asked for them.
+    """
 
     rate: np.ndarray
     rate_se: np.ndarray
@@ -103,6 +113,8 @@ class McRateEstimate:
     energy_se: np.ndarray
     n_trials: int
     n_resamples: int
+    error_var: np.ndarray | None = None
+    error_var_se: np.ndarray | None = None
 
 
 @dataclass
@@ -220,17 +232,41 @@ def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig):
     next salt of its stream; np.linalg.LinAlgError is raised when a trial
     needs more than MAX_RESAMPLES redraws.
     """
+    return _run_trials(params, alloc, cfg, error_var=False)[:3]
+
+
+def _run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
+                error_var: bool):
+    """:func:`run_trials` plus, with ``error_var``, the (n_trials, K) means of
+    |g_hat - g|^2 over the antennas as a fourth result (else None).
+
+    The error rows read the pilot pipeline's draw, because the statistical
+    draw samples the error from the very variance under test.  They are
+    built from the normals of each trial's salt-0 rate draw, so no normal
+    is drawn twice; redraws change only the rate and energy rows.
+    """
     if cfg.detector == "zf":
         params.require_zf()
     _, pilot_energy, powers, err_var = operating_point(params, alloc, cfg.system)
     energy = np.empty((cfg.n_trials, params.K))
     sinr = np.empty((cfg.n_trials, params.K))
     resamples = np.zeros(cfg.n_trials, dtype=int)
+    err_sq = np.empty((cfg.n_trials, params.K)) if error_var else None
+
+    def draw(pending, salt):
+        buf = _trial_normals(params, pilot_energy, cfg.master_seed, pending, salt)
+        if salt == 0 and err_sq is not None:
+            G, G_hat = _channels(params, pilot_energy, buf, "pilot")
+            err_sq[pending] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
+            if cfg.channel_knowledge == "pilot":
+                return G, G_hat
+            del G, G_hat  # free the pilot stacks before the rate stacks are built
+        return _channels(params, pilot_energy, buf, cfg.channel_knowledge)
+
     def body(chunks):
         for pending in chunks:
             for salt in range(MAX_RESAMPLES + 1):
-                G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, pending,
-                                       cfg.channel_knowledge, salt)
+                G, G_hat = draw(pending, salt)
                 ok, sinr_ok = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul, cfg.detector)
                 done = pending
                 if not ok.all():
@@ -246,7 +282,7 @@ def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig):
                 raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
                                             f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
     _run_chunks(params, cfg.n_trials, body)
-    return energy, sinr, resamples
+    return energy, sinr, resamples, err_sq
 
 
 def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,37 +295,27 @@ def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_exact_rate(params: SystemParams, alloc: ResourceAllocation,
-                        cfg: McConfig) -> McRateEstimate:
+                        cfg: McConfig, *, error_var: bool = False) -> McRateEstimate:
     """Per-user exact ergodic rate: mean of rem * log2(1 + gamma) with SE.
 
     rem is 1 - tau - alpha (1 - alpha for the ideal system, which has no
     estimation phase).  Harvested-energy statistics ride along for free.
+    With ``error_var`` the estimate also carries the MC mean and SE of the
+    pilot pipeline's |g_hat - g|^2, averaged over the antennas, read from
+    the same trials and normals; the ideal system has no estimation error,
+    so it raises ValueError there.
     """
-    energy, sinr, resamples = run_trials(params, alloc, cfg)
+    if error_var and cfg.system == "ideal":
+        raise ValueError("the ideal system has no estimation error")
+    energy, sinr, resamples, err_sq = _run_trials(params, alloc, cfg, error_var)
     rem = 1.0 - alloc.alpha if cfg.system == "ideal" else 1.0 - alloc.tau - alloc.alpha
     rate, rate_se = _mean_se(rem * np.log2(1.0 + sinr))
     e_mean, e_se = _mean_se(energy)
-    return McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
-                          n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
-
-
-def estimate_error_variance(params: SystemParams, alloc: ResourceAllocation,
-                            cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user MC mean and SE of |g_hat - g|^2 averaged over the antennas.
-
-    The draws always run the full pilot pipeline, because the statistical
-    draw samples the error from the very variance under test.
-    """
-    if cfg.system == "ideal":
-        raise ValueError("the ideal system has no estimation error")
-    _, pilot_energy, _, _ = operating_point(params, alloc, cfg.system)
-    err_sq = np.empty((cfg.n_trials, params.K))
-    def body(chunks):
-        for trials in chunks:
-            G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials, method="pilot")
-            err_sq[trials] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
-    _run_chunks(params, cfg.n_trials, body)
-    return _mean_se(err_sq)
+    est = McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
+                         n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
+    if error_var:
+        est.error_var, est.error_var_se = _mean_se(err_sq)
+    return est
 
 
 def verify_bound_tightness(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,

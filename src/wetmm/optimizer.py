@@ -133,7 +133,10 @@ def _lattice_count(span: float, step: float, name: str, open_end: bool = False) 
     counts as span; with ``open_end``, the largest k with k step < span."""
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"{name} must be positive and finite, got {step!r}")
-    return int(np.ceil(span / step - 1e-9)) - 1 if open_end else int(np.floor(span / step + 1e-9))
+    count = span / step
+    if not np.isfinite(count):
+        raise ValueError(f"{name} {step!r} is too small: {span!r} / {name} is not finite")
+    return int(np.ceil(count - 1e-9)) - 1 if open_end else int(np.floor(count + 1e-9))
 
 
 def _check_tags(params: SystemParams, system: str, detector: str) -> None:

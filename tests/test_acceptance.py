@@ -24,7 +24,6 @@ from wetmm.energy import expected_harvested_energy, harvested_energy_fixedpoint,
 from wetmm.estimation import error_variance
 from wetmm.montecarlo import (
     McConfig,
-    estimate_error_variance,
     estimate_exact_rate,
     run_trials,
     verify_beamformer_structure,
@@ -147,19 +146,19 @@ def test_criterion_04_closed_forms_match_mc(xi_star, ref_alloc):
     for m in (10, 50, 200):
         pm = benchmark_params(m)
         scores = []
-        en, _, _ = run_trials(pm, ref_alloc, McConfig(n_trials=10000, master_seed=12345,
-                                                      detector="zf", system="wetmm"))
+        # one walk gives the energies and the error variance of the same trials
+        est = estimate_exact_rate(pm, ref_alloc, McConfig(n_trials=10000, master_seed=12345,
+                                                          detector="zf", system="wetmm"),
+                                  error_var=True)
         e_closed = harvested_energy_fixedpoint(REF_ALPHA, REF_RHO, xi_star, pm.beta,
                                                m, pm.p_dl, pm.sigma2_ul)
-        scores.append((en.mean(0) - e_closed) / (en.std(0, ddof=1) / np.sqrt(len(en))))
+        scores.append((est.energy - e_closed) / est.energy_se)
         eo, _, _ = run_trials(pm, ref_alloc, McConfig(n_trials=10000, master_seed=12345,
                                                       detector="zf", system="opmm"))
         scores.append((eo.mean(0) - opmm_energy(REF_ALPHA, pm.beta, pm.p_dl))
                       / (eo.std(0, ddof=1) / np.sqrt(len(eo))))
         ev_closed = error_variance(pm.beta, REF_RHO * e_closed, pm.sigma2_ul)
-        ev_mean, ev_se = estimate_error_variance(
-            pm, ref_alloc, McConfig(n_trials=10000, master_seed=12345))
-        scores.append((ev_mean - ev_closed) / ev_se)
+        scores.append((est.error_var - ev_closed) / est.error_var_se)
         z_max = float(np.max(np.abs(np.concatenate(scores))))
         worst = max(worst, z_max)
         parts.append(f"M={m}: max|z|={z_max:.2f}")

@@ -153,7 +153,8 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec) if isinstance
                             {"contour_tau_max": -0.01}, {"contour_alpha_max": -0.01},
                             {"large_k_users": 0},
                             {"sweep_tau": -0.01}, {"sweep_alpha": -0.01},
-                            {"sweep_tau": 0.6, "sweep_alpha": 0.6}])
+                            {"sweep_tau": 0.6, "sweep_alpha": 0.6},
+                            {"tau_step": 1e-320}, {"zeta_step": 1e-320}])
 def test_spec_rejects_non_finite_and_out_of_range(bad):
     with pytest.raises(ValueError, match=re.escape(next(iter(bad)))):
         ExperimentSpec(**bad)

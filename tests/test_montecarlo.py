@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from wetmm.energy import ResourceAllocation, beamformer, ideal_energy, opmm_energy
+import wetmm.estimation as estimation
 from wetmm.estimation import draw_trials
 import wetmm.montecarlo as montecarlo
-from wetmm.montecarlo import (McConfig, estimate_error_variance, estimate_exact_rate,
-                              operating_point, run_trials, verify_beamformer_structure,
-                              verify_bound_tightness)
+from wetmm.montecarlo import (McConfig, _mean_se, estimate_exact_rate, operating_point,
+                              run_trials, verify_beamformer_structure, verify_bound_tightness)
 from wetmm.sysmodel import generate_channel, trial_rng
 
 from conftest import benchmark_params
@@ -31,6 +31,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_trials=10, master_seed=0, detector="zf", system="wetmm",
                  channel_knowledge="oracle")
+    # a float count used to fail in np.empty, a negative seed deep inside
+    # numpy's SeedSequence, both after the search had run
+    for bad in ({"n_trials": 2.5}, {"n_trials": True}, {"n_trials": "10"},
+                {"master_seed": -1}, {"master_seed": 1.5}, {"master_seed": False}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            McConfig(**{"n_trials": 10, "master_seed": 0, **bad})
+    McConfig(n_trials=np.int64(10), master_seed=np.uint64(2 ** 63))
 
 
 def test_frame_determinism(params200, ref_alloc):
@@ -225,7 +232,12 @@ def test_results_do_not_depend_on_chunk_size(ref_alloc, monkeypatch, system, kno
         runs.append([energy, sinr, resamples, est.rate, est.rate_se, est.energy,
                      est.energy_se, est.n_resamples])
         if system != "ideal":
-            runs[-1].extend(estimate_error_variance(params, ref_alloc, cfg))
+            shared = estimate_exact_rate(params, ref_alloc, cfg, error_var=True)
+            # asking for the error rows leaves every rate and energy row as it was
+            for a, b in zip(runs[-1][3:], [shared.rate, shared.rate_se, shared.energy,
+                                          shared.energy_se, shared.n_resamples]):
+                assert np.array_equal(a, b)
+            runs[-1].extend([shared.error_var, shared.error_var_se])
         if system == "wetmm":
             cmp = verify_beamformer_structure(params, ref_alloc, 0.3, cfg)
             runs[-1].extend([cmp.structured, cmp.general, cmp.diff_se])
@@ -289,4 +301,45 @@ def test_exhausted_redraw_budget_raises(ref_alloc, monkeypatch):
 
 def test_error_variance_estimate_rejects_ideal(params200, ref_alloc):
     with pytest.raises(ValueError):
-        estimate_error_variance(params200, ref_alloc, cfg_for(system="ideal", n=5))
+        estimate_exact_rate(params200, ref_alloc, cfg_for(system="ideal", n=5), error_var=True)
+    assert estimate_exact_rate(params200, ref_alloc, cfg_for(n=5)).error_var is None
+
+
+@pytest.mark.parametrize("knowledge", ["statistical", "pilot"])
+def test_error_variance_shares_the_rate_draw(ref_alloc, monkeypatch, knowledge):
+    """Each trial's salt-0 stream state is derived, and its normals drawn,
+    once for the rate, energy and error-variance rows together."""
+    asked = []
+    real = estimation._pcg64_states
+    def counting(master_seed, trials, salt):
+        if salt == 0:
+            asked.extend(int(t) for t in trials)
+        return real(master_seed, trials, salt)
+    monkeypatch.setattr(estimation, "_pcg64_states", counting)
+    est = estimate_exact_rate(benchmark_params(10), ref_alloc,
+                              cfg_for(n=50, seed=3, knowledge=knowledge), error_var=True)
+    assert est.error_var.shape == (2,)
+    assert sorted(asked) == list(range(50))
+
+
+@pytest.mark.parametrize("system, knowledge, m", [
+    ("wetmm", "statistical", 40), ("wetmm", "pilot", 40), ("opmm", "statistical", 40),
+    ("wetmm", "statistical", 3), ("opmm", "pilot", 3)])
+def test_error_variance_matches_per_trial_pilot_draws(ref_alloc, monkeypatch, system,
+                                                       knowledge, m):
+    """The shared error rows are the salt-0 pilot-pipeline draws of each
+    trial alone, bit for bit, whatever redraws the rate rows needed."""
+    # at M = K + 1 a low condition limit forces redraws at later salts
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0 if m == 3 else montecarlo.COND_LIMIT)
+    params = benchmark_params(m)
+    cfg = cfg_for(system=system, n=60, seed=8, knowledge=knowledge)
+    est = estimate_exact_rate(params, ref_alloc, cfg, error_var=True)
+    _, pilot_energy, _, _ = operating_point(params, ref_alloc, system)
+    err_sq = []
+    for t in range(cfg.n_trials):
+        G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, [t], method="pilot")
+        err_sq.append(np.mean(np.abs(G_hat - G) ** 2, axis=1)[0])
+    want, want_se = _mean_se(np.array(err_sq))
+    assert np.array_equal(est.error_var, want) and np.array_equal(est.error_var_se, want_se)
+    if m == 3:
+        assert est.n_resamples > 0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from wetmm.energy import ResourceAllocation
-from wetmm.optimizer import (DEFAULT_STEPS, asymptotic_allocation, grid_search_p1,
-                             optimal_rho_zf, optimal_xi, rate_map, solve_p1_analytic)
+from wetmm.optimizer import (DEFAULT_STEPS, _lattice_count, asymptotic_allocation,
+                             grid_search_p1, optimal_rho_zf, optimal_xi, rate_map,
+                             solve_p1_analytic)
 from wetmm.rates import closed_form_rate
 
 from conftest import benchmark_params
@@ -167,6 +168,14 @@ def test_search_validation(params200):
         grid_search_p1(params200, "wetmm", "zf", steps=(0.01, np.nan, 0.01))
     with pytest.raises(ValueError, match="alpha_step"):
         solve_p1_analytic(params200, "zf", alpha_step=np.nan)
+    # a step whose count overflows used to fail with "cannot convert float
+    # infinity to integer"
+    with pytest.raises(ValueError, match="tau step"):
+        _lattice_count(1.0, 1e-320, "tau step")
+    with pytest.raises(ValueError, match="rho step"):
+        grid_search_p1(params200, "wetmm", "zf", steps=(0.01, 0.01, 1e-320))
+    with pytest.raises(ValueError, match="alpha_step"):
+        solve_p1_analytic(params200, "zf", alpha_step=1e-320)
     # a negative radius used to divide by zero, and 1.5 used to be cut to 1
     for bad in ({"refine_radius": -1}, {"coarse_factor": 1.5}):
         with pytest.raises(ValueError, match=next(iter(bad))):
