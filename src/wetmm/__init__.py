@@ -65,6 +65,7 @@ from wetmm.montecarlo import (
     McConfig,
     McRateEstimate,
     estimate_exact_rate,
+    estimate_exact_rates,
     operating_point,
     run_trials,
     verify_beamformer_structure,

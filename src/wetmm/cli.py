@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.montecarlo import McConfig, estimate_exact_rate, operating_point
+from wetmm.montecarlo import McConfig, estimate_exact_rate, estimate_exact_rates, operating_point
 from wetmm.optimizer import _lattice_count, grid_search_p1, optimal_rho_zf, optimal_xi, rate_map
 from wetmm.rates import (
     asymptotic_mrc_rate,
@@ -362,20 +362,21 @@ def run_rate_vs_m(spec: ExperimentSpec):
 
 
 def run_fairness(spec: ExperimentSpec):
-    """Per-user MC rates versus antenna count, subspace beam versus isotropic."""
+    """Per-user MC rates versus antenna count, subspace beam versus isotropic.
+
+    At each antenna count both beams' allocations are searched first, then
+    one Monte Carlo walk estimates both arms on the same trials, drawing
+    each trial's first normals once for the two (common random numbers).
+    """
     if len(spec.distances) != 2:
         raise ValueError("the fairness comparison is defined for the two-user scenario")
     header = ["m", "wetmm_user1", "wetmm_user2", "opmm_user1", "opmm_user2"]
     rows = []
     for m in spec.fairness_m_values:
         params = build_params(spec, m)
-        row = [m]
-        for system in ("wetmm", "opmm"):
-            res = _search(spec, params, system, spec.detector, fig=True)
-            mc = estimate_exact_rate(params, res.allocation,
-                                     _mc_config(spec, system, spec.detector))
-            row.extend([mc.rate[0], mc.rate[1]])
-        rows.append(row)
+        points = [(_search(spec, params, system, spec.detector, fig=True).allocation,
+                   _mc_config(spec, system, spec.detector)) for system in ("wetmm", "opmm")]
+        rows.append([m] + [r for mc in estimate_exact_rates(params, points) for r in mc.rate])
     return _emit(spec, "fairness", [("fairness.csv", header, rows)])
 
 
@@ -451,10 +452,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--detector", choices=("zf", "mrc"))
-        p.add_argument("--system", choices=("wetmm", "ideal", "opmm"))
         p.add_argument("--trials", type=int, dest="n_trials", help="Monte Carlo trials")
+        # an experiment that fixes the system or detector does not take the flag
+        if name not in ("rate-vs-m", "large-k"):
+            p.add_argument("--detector", choices=("zf", "mrc"))
         if name in ("optimize", "mc-validate", "contour", "rho-sweep"):
+            p.add_argument("--system", choices=("wetmm", "ideal", "opmm"))
             p.add_argument("--m", type=int, help="antenna count")
         if name == "contour":
             p.add_argument("--rho", type=float, dest="contour_rho", help="fixed energy split")

@@ -18,7 +18,10 @@ spread over one thread per usable CPU; each trial keeps its own random
 stream, so no result depends on the chunking or on the worker count.
 The MMSE error-variance check rides along in the same walk: a trial's
 first draw feeds both the rate and energy rows and the pilot-pipeline
-error |g_hat - g|^2, so its normals are drawn once.
+error |g_hat - g|^2, so its normals are drawn once.  One walk also serves
+several operating points that share the seed and trials (the fairness
+comparison's two beams): each trial's first normals are drawn once for all
+of them, and every point redraws its own ill-conditioned trials.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "operating_point",
     "run_trials",
     "estimate_exact_rate",
+    "estimate_exact_rates",
     "verify_bound_tightness",
     "verify_beamformer_structure",
 ]
@@ -232,29 +236,49 @@ def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig):
     next salt of its stream; np.linalg.LinAlgError is raised when a trial
     needs more than MAX_RESAMPLES redraws.
     """
-    return _run_trials(params, alloc, cfg, error_var=False)[:3]
+    return _run_trials(params, [(alloc, cfg)], error_var=False)[0][:3]
 
 
-def _run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
-                error_var: bool):
-    """:func:`run_trials` plus, with ``error_var``, the (n_trials, K) means of
-    |g_hat - g|^2 over the antennas as a fourth result (else None).
+def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
+    """:func:`run_trials` at each ``(alloc, cfg)`` of ``points`` in one walk
+    over the trial chunks, plus, with ``error_var``, the (n_trials, K) means
+    of |g_hat - g|^2 over the antennas as a fourth result (else None); one
+    ``(energy, sinr, resamples, err_sq)`` per point.
 
+    The points share each chunk's salt-0 normals, so they must agree on
+    ``master_seed``, ``n_trials`` and the normals' block count (an ideal
+    point draws 2 blocks, any other 4); ValueError names the field that
+    differs.  Each point builds its own ``(G, G_hat)`` from that buffer, and
+    redraws at salt >= 1 stay per point, since the points' ZF Grams differ.
     The error rows read the pilot pipeline's draw, because the statistical
     draw samples the error from the very variance under test.  They are
-    built from the normals of each trial's salt-0 rate draw, so no normal
-    is drawn twice; redraws change only the rate and energy rows.
+    built from the same salt-0 normals, so no normal is drawn twice;
+    redraws change only the rate and energy rows.
     """
-    if cfg.detector == "zf":
-        params.require_zf()
-    _, pilot_energy, powers, err_var = operating_point(params, alloc, cfg.system)
-    energy = np.empty((cfg.n_trials, params.K))
-    sinr = np.empty((cfg.n_trials, params.K))
-    resamples = np.zeros(cfg.n_trials, dtype=int)
-    err_sq = np.empty((cfg.n_trials, params.K)) if error_var else None
+    if not points:
+        raise ValueError("need at least one operating point")
+    def shared_fields(cfg):
+        return {"master_seed": cfg.master_seed, "n_trials": cfg.n_trials,
+                "block count": 2 if cfg.system == "ideal" else 4}
+    cfg0 = points[0][1]
+    want = shared_fields(cfg0)
+    for _, cfg in points[1:]:
+        for name, value in shared_fields(cfg).items():
+            if value != want[name]:
+                raise ValueError(f"operating points must share {name}, got {want[name]!r} "
+                                 f"and {value!r}")
+    n, K = cfg0.n_trials, params.K
+    ops = []
+    for alloc, cfg in points:
+        if cfg.detector == "zf":
+            params.require_zf()
+        ops.append(operating_point(params, alloc, cfg.system))
+    out = [(np.empty((n, K)), np.empty((n, K)), np.zeros(n, dtype=int),
+            np.empty((n, K)) if error_var else None) for _ in points]
 
-    def draw(pending, salt):
-        buf = _trial_normals(params, pilot_energy, cfg.master_seed, pending, salt)
+    def draw(cfg, pilot_energy, err_sq, pending, salt, shared):
+        buf = (shared if salt == 0 else
+               _trial_normals(params, pilot_energy, cfg.master_seed, pending, salt))
         if salt == 0 and err_sq is not None:
             G, G_hat = _channels(params, pilot_energy, buf, "pilot")
             err_sq[pending] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
@@ -264,25 +288,31 @@ def _run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
         return _channels(params, pilot_energy, buf, cfg.channel_knowledge)
 
     def body(chunks):
-        for pending in chunks:
-            for salt in range(MAX_RESAMPLES + 1):
-                G, G_hat = draw(pending, salt)
-                ok, sinr_ok = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul, cfg.detector)
-                done = pending
-                if not ok.all():
-                    G, G_hat, done, pending = G[ok], G_hat[ok], pending[ok], pending[~ok]
-                w = (np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
-                     if cfg.system == "opmm" else beamformer(G_hat, alloc.xi))
-                sinr[done] = sinr_ok
-                energy[done] = _harvest(G, w, alloc.alpha * params.p_dl)
-                resamples[done] = salt
-                if ok.all():
-                    break
-            else:
-                raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
-                                            f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
-    _run_chunks(params, cfg.n_trials, body)
-    return energy, sinr, resamples, err_sq
+        for trials in chunks:
+            shared = _trial_normals(params, ops[0][1], cfg0.master_seed, trials)
+            for (alloc, cfg), op, rows in zip(points, ops, out):
+                _, pilot_energy, powers, err_var = op
+                energy, sinr, resamples, err_sq = rows
+                pending = trials
+                for salt in range(MAX_RESAMPLES + 1):
+                    G, G_hat = draw(cfg, pilot_energy, err_sq, pending, salt, shared)
+                    ok, sinr_ok = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul,
+                                              cfg.detector)
+                    done = pending
+                    if not ok.all():
+                        G, G_hat, done, pending = G[ok], G_hat[ok], pending[ok], pending[~ok]
+                    w = (np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
+                         if cfg.system == "opmm" else beamformer(G_hat, alloc.xi))
+                    sinr[done] = sinr_ok
+                    energy[done] = _harvest(G, w, alloc.alpha * params.p_dl)
+                    resamples[done] = salt
+                    if ok.all():
+                        break
+                else:
+                    raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
+                                                f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
+    _run_chunks(params, n, body)
+    return out
 
 
 def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,17 +335,32 @@ def estimate_exact_rate(params: SystemParams, alloc: ResourceAllocation,
     the same trials and normals; the ideal system has no estimation error,
     so it raises ValueError there.
     """
-    if error_var and cfg.system == "ideal":
+    return estimate_exact_rates(params, [(alloc, cfg)], error_var=error_var)[0]
+
+
+def estimate_exact_rates(params: SystemParams, points: list, *,
+                         error_var: bool = False) -> list[McRateEstimate]:
+    """:func:`estimate_exact_rate` at each ``(alloc, cfg)`` of ``points``,
+    from one walk that draws each trial's first normals once for all of
+    them (common random numbers).  The points must share ``master_seed``,
+    ``n_trials`` and whether the system is ideal; ValueError names the
+    field that differs.  Each point's estimate equals its own
+    :func:`estimate_exact_rate` bit for bit.
+    """
+    if error_var and any(cfg.system == "ideal" for _, cfg in points):
         raise ValueError("the ideal system has no estimation error")
-    energy, sinr, resamples, err_sq = _run_trials(params, alloc, cfg, error_var)
-    rem = 1.0 - alloc.alpha if cfg.system == "ideal" else 1.0 - alloc.tau - alloc.alpha
-    rate, rate_se = _mean_se(rem * np.log2(1.0 + sinr))
-    e_mean, e_se = _mean_se(energy)
-    est = McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
-                         n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
-    if error_var:
-        est.error_var, est.error_var_se = _mean_se(err_sq)
-    return est
+    ests = []
+    for (alloc, cfg), (energy, sinr, resamples, err_sq) in zip(
+            points, _run_trials(params, points, error_var)):
+        rem = 1.0 - alloc.alpha if cfg.system == "ideal" else 1.0 - alloc.tau - alloc.alpha
+        rate, rate_se = _mean_se(rem * np.log2(1.0 + sinr))
+        e_mean, e_se = _mean_se(energy)
+        est = McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
+                             n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
+        if error_var:
+            est.error_var, est.error_var_se = _mean_se(err_sq)
+        ests.append(est)
+    return ests
 
 
 def verify_bound_tightness(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,

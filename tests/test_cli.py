@@ -17,6 +17,7 @@ from wetmm.cli import (
     load_config,
     main,
 )
+import wetmm.estimation as estimation
 import wetmm.montecarlo as montecarlo
 from wetmm.energy import ResourceAllocation
 from wetmm.montecarlo import McConfig, estimate_exact_rate
@@ -429,6 +430,59 @@ def test_mc_validate_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch, ex
         assert main(["mc-validate", "--config", cfg, "--out", str(out), *extra]) == 0
         outputs.append((out / "mc_validate.csv").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# a figure lattice coarse enough for a fairness run in the tests
+FAST_FIG = FAST_SEARCH + """\
+fig_tau_step = 0.01
+fig_alpha_step = 0.02
+fig_rho_step = 0.02
+fig_coarse_factor = 2
+"""
+
+
+def test_fairness_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    # at M = K + 1 a low condition limit makes both arms redraw trials
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
+    cfg = write_config(tmp_path, FAST_FIG + "fairness_m_values = 3, 20\n")
+    outputs = []
+    for workers, chunk_entries in ((1, montecarlo._CHUNK_ENTRIES), (1, 1), (2, 1), (3, 100)):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+        out = tmp_path / f"out{workers}-{chunk_entries}"
+        assert main(["fairness", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append((out / "fairness.csv").read_bytes())
+    assert outputs[1:] == outputs[:1] * 3
+
+
+def test_fairness_arms_share_each_trials_draw(tmp_path, monkeypatch):
+    """At each M, the wetmm and opmm arms derive each trial's salt-0 stream
+    state, and draw its normals, once for both."""
+    asked = []
+    real = estimation._pcg64_states
+    def counting(master_seed, trials, salt):
+        if salt == 0:
+            asked.extend(int(t) for t in trials)
+        return real(master_seed, trials, salt)
+    monkeypatch.setattr(estimation, "_pcg64_states", counting)
+    cfg = write_config(tmp_path, FAST_FIG + "fairness_m_values = 20\n")
+    assert main(["fairness", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--trials", "50"]) == 0
+    assert sorted(asked) == list(range(50))
+
+
+@pytest.mark.parametrize("argv", [["fairness", "--system", "ideal"],
+                                  ["table1", "--system", "opmm"],
+                                  ["rate-vs-m", "--detector", "mrc"],
+                                  ["rate-vs-m", "--system", "ideal"],
+                                  ["large-k", "--detector", "zf"]])
+def test_flags_an_experiment_fixes_are_rejected(tmp_path, capsys, argv):
+    # these experiments fix the system or detector, so the flag would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rate_vs_m_nan_below_zf_floor(tmp_path):

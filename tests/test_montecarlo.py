@@ -343,3 +343,49 @@ def test_error_variance_matches_per_trial_pilot_draws(ref_alloc, monkeypatch, sy
     assert np.array_equal(est.error_var, want) and np.array_equal(est.error_var_se, want_se)
     if m == 3:
         assert est.n_resamples > 0
+
+
+def fairness_points(ref_alloc, n=70, seed=4, opmm_knowledge="statistical"):
+    """A wetmm and an opmm operating point on the same trials, as the
+    fairness comparison pairs them."""
+    opmm_alloc = ResourceAllocation(tau=0.02, alpha=0.1, rho=0.5, xi=ref_alloc.xi)
+    return [(ref_alloc, cfg_for(system="wetmm", n=n, seed=seed)),
+            (opmm_alloc, cfg_for(system="opmm", n=n, seed=seed, knowledge=opmm_knowledge))]
+
+
+@pytest.mark.parametrize("m, opmm_knowledge, error_var", [
+    (40, "statistical", False), (40, "pilot", True), (3, "statistical", False),
+    (3, "pilot", True)])
+def test_multi_point_walk_matches_each_point_alone(ref_alloc, monkeypatch, m,
+                                                   opmm_knowledge, error_var):
+    """Each point of one shared walk equals its own estimate_exact_rate bit
+    for bit, on any number of workers and chunk sizes."""
+    # at M = K + 1 a low condition limit makes both points redraw trials
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0 if m == 3 else montecarlo.COND_LIMIT)
+    params = benchmark_params(m)
+    points = fairness_points(ref_alloc, opmm_knowledge=opmm_knowledge)
+    fields = ("rate", "rate_se", "energy", "energy_se", "n_trials", "n_resamples",
+              "error_var", "error_var_se")
+    want = [estimate_exact_rate(params, alloc, cfg, error_var=error_var) for alloc, cfg in points]
+    if m == 3:
+        assert 0 < want[0].n_resamples != want[1].n_resamples > 0
+    default_chunk = montecarlo._CHUNK_ENTRIES
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        for chunk_entries in (default_chunk, 1, 100):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+            got = montecarlo.estimate_exact_rates(params, points, error_var=error_var)
+            for a, b in zip(want, got):
+                for field in fields:
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("field, change", [
+    ("master_seed", {"seed": 5}), ("n_trials", {"n": 71}), ("block count", {"system": "ideal"})])
+def test_multi_point_walk_rejects_points_that_cannot_share_normals(ref_alloc, field, change):
+    point = (ref_alloc, cfg_for(**{"n": 70, "seed": 4, **change}))
+    with pytest.raises(ValueError, match=field):
+        montecarlo.estimate_exact_rates(benchmark_params(10), [(ref_alloc, cfg_for(n=70, seed=4)),
+                                                               point])
+    with pytest.raises(ValueError, match="at least one"):
+        montecarlo.estimate_exact_rates(benchmark_params(10), [])
