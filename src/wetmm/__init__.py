@@ -11,7 +11,6 @@ beam-energy weights xi.
 """
 
 from wetmm.sysmodel import (
-    PathLossModel,
     SystemParams,
     complex_gaussian,
     generate_channel,
@@ -67,7 +66,6 @@ from wetmm.montecarlo import (
     estimate_exact_rate,
     estimate_exact_rates,
     operating_point,
-    run_trials,
     verify_beamformer_structure,
     verify_bound_tightness,
 )

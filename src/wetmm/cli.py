@@ -40,7 +40,7 @@ from wetmm.rates import (
     large_k_rate,
     mm_dorg,
 )
-from wetmm.sysmodel import PathLossModel, SystemParams, path_loss, trial_rng
+from wetmm.sysmodel import _DETECTORS, _SYSTEMS, SystemParams, _check_tags, path_loss, trial_rng
 
 __all__ = [
     "ExperimentSpec",
@@ -107,15 +107,12 @@ class ExperimentSpec:
                 raise ValueError(f"{f.name} must be finite")
         if len(self.distances) < 1 or not all(0 < d < np.inf for d in self.distances):
             raise ValueError("distances must be positive and finite")
-        if self.detector not in ("zf", "mrc"):
-            raise ValueError(f"unknown detector: {self.detector!r}")
+        _check_tags(self.system, self.detector)
         # rate_vs_m_values is left free: rate-vs-m writes NaN where M <= K
         low = len(self.distances) + 1 if self.detector == "zf" else 2
         for name in ("m_values", "fairness_m_values"):
             if any(m < low for m in getattr(self, name)):
                 raise ValueError(f"{name} entries must be >= {low} for detector {self.detector}")
-        if self.system not in ("wetmm", "opmm", "ideal"):
-            raise ValueError(f"unknown system: {self.system!r}")
         if self.xi_policy not in ("analytic", "simplex"):
             raise ValueError(f"unknown xi_policy: {self.xi_policy!r}")
         # the search lattices span the unit interval
@@ -191,10 +188,9 @@ def load_config(path: str) -> dict:
 
 def build_params(spec: ExperimentSpec, m: int | None = None) -> SystemParams:
     """SystemParams for an ExperimentSpec's propagation scenario at antenna count m."""
-    model = PathLossModel(beta0=spec.beta0, u=spec.pathloss_exponent,
-                          distances=np.asarray(spec.distances, dtype=float))
     return SystemParams(M=int(m if m is not None else spec.m), K=len(spec.distances),
-                        p_dl=spec.p_dl, sigma2_ul=spec.sigma2_ul, beta=path_loss(model))
+                        p_dl=spec.p_dl, sigma2_ul=spec.sigma2_ul,
+                        beta=path_loss(spec.beta0, spec.pathloss_exponent, spec.distances))
 
 
 def _fmt(value) -> str:
@@ -455,9 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, dest="n_trials", help="Monte Carlo trials")
         # an experiment that fixes the system or detector does not take the flag
         if name not in ("rate-vs-m", "large-k"):
-            p.add_argument("--detector", choices=("zf", "mrc"))
+            p.add_argument("--detector", choices=_DETECTORS)
         if name in ("optimize", "mc-validate", "contour", "rho-sweep"):
-            p.add_argument("--system", choices=("wetmm", "ideal", "opmm"))
+            p.add_argument("--system", choices=_SYSTEMS)
             p.add_argument("--m", type=int, help="antenna count")
         if name == "contour":
             p.add_argument("--rho", type=float, dest="contour_rho", help="fixed energy split")

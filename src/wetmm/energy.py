@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams
+from wetmm.sysmodel import SystemParams, _check_tags
 
 __all__ = [
     "RHO_CLAMP",
@@ -234,12 +234,11 @@ def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
     users on the last axis; rho is unused by "opmm" and "ideal", xi by "opmm",
     so the result carries only the axes of the arguments its system uses.
     """
+    _check_tags(system)
     xi = np.asarray(xi, dtype=float)
     if system == "wetmm":
         return _fixedpoint_raw(alpha, clamp_rho(rho), xi, params.beta,
                                params.M, params.p_dl, params.sigma2_ul)
     if system == "opmm":
         return opmm_energy(alpha, params.beta, params.p_dl)
-    if system == "ideal":
-        return ideal_energy(alpha, xi, params.beta, params.M, params.p_dl)
-    raise ValueError(f"unknown system: {system!r}")
+    return ideal_energy(alpha, xi, params.beta, params.M, params.p_dl)

@@ -42,7 +42,7 @@ from wetmm.estimation import _channels, _trial_normals, draw_trials, error_varia
 from wetmm.rates import closed_form_rate
 # trial_rng stays bound here for bench/selftest.py, which checks that the
 # tracer rebinds it in every namespace that imported it
-from wetmm.sysmodel import SystemParams, trial_rng  # noqa: F401
+from wetmm.sysmodel import SystemParams, _check_tags, trial_rng  # noqa: F401
 
 __all__ = [
     "COND_LIMIT",
@@ -52,7 +52,6 @@ __all__ = [
     "BoundCheck",
     "BeamformerComparison",
     "operating_point",
-    "run_trials",
     "estimate_exact_rate",
     "estimate_exact_rates",
     "verify_bound_tightness",
@@ -97,10 +96,7 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.channel_knowledge not in ("statistical", "pilot"):
             raise ValueError(f"unknown channel knowledge path: {self.channel_knowledge!r}")
-        if self.detector not in ("zf", "mrc"):
-            raise ValueError(f"unknown detector: {self.detector!r}")
-        if self.system not in ("wetmm", "opmm", "ideal"):
-            raise ValueError(f"unknown system: {self.system!r}")
+        _check_tags(self.system, self.detector)
 
 
 @dataclass
@@ -154,19 +150,24 @@ class BeamformerComparison:
     n_trials: int
 
 
+def _data_phase(alloc: ResourceAllocation, system: str) -> float:
+    """Data-phase fraction: 1 - tau - alpha, or 1 - alpha for the ideal system."""
+    return 1.0 - alloc.alpha if system == "ideal" else 1.0 - alloc.tau - alloc.alpha
+
+
 def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str):
     """Steady-state ``(energy, pilot_energy, powers, err_var)`` that every
     frame of one allocation shares; ``pilot_energy`` is None for the ideal
     system, and ``powers`` spend the unspent energy over the data phase,
-    (1 - rho) E / (1 - tau - alpha).  Raises ValueError unless alpha > 0
-    and tau + alpha < 1."""
-    rem = 1.0 - alloc.tau - alloc.alpha
+    (1 - rho) E / (1 - tau - alpha), or E / (1 - alpha) for the ideal
+    system.  Raises ValueError unless alpha > 0 and the data phase is
+    nonempty."""
+    rem = _data_phase(alloc, system)
     if alloc.alpha <= 0 or rem <= 0:
-        raise ValueError("Monte Carlo needs alpha > 0 and tau + alpha < 1")
+        raise ValueError("Monte Carlo needs alpha > 0 and a nonempty data phase")
     e = energies(params, system, alloc.alpha, alloc.rho, alloc.xi)
     if system == "ideal":
-        powers = e / (1.0 - alloc.alpha)
-        return e, None, powers, np.zeros(params.K)
+        return e, None, e / rem, np.zeros(params.K)
     rho = float(clamp_rho(alloc.rho))
     pilot_energy = rho * e
     powers = (1.0 - rho) * e / rem
@@ -227,23 +228,18 @@ def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, err_var: np.ndarray,
     return np.ones(len(gram), dtype=bool), powers * diag ** 2 / (cross @ powers + diag * noise)
 
 
-def run_trials(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig):
-    """Simulate cfg.n_trials independent frames at one operating point.
-
-    Returns ``(energy, sinr, resamples)``: the (n_trials, K) harvested
-    energies alpha p_dl |g_k^H w|^2 and exact SINRs, and each trial's redraw
-    count.  A trial whose ZF Gram matrix is near-singular is redrawn at the
-    next salt of its stream; np.linalg.LinAlgError is raised when a trial
-    needs more than MAX_RESAMPLES redraws.
-    """
-    return _run_trials(params, [(alloc, cfg)], error_var=False)[0][:3]
-
-
 def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
-    """:func:`run_trials` at each ``(alloc, cfg)`` of ``points`` in one walk
-    over the trial chunks, plus, with ``error_var``, the (n_trials, K) means
-    of |g_hat - g|^2 over the antennas as a fourth result (else None); one
-    ``(energy, sinr, resamples, err_sq)`` per point.
+    """Simulate ``cfg.n_trials`` independent frames at each ``(alloc, cfg)``
+    of ``points`` in one walk over the trial chunks; one ``(energy, sinr,
+    resamples, err_sq)`` per point.
+
+    ``energy`` and ``sinr`` are the (n_trials, K) harvested energies
+    alpha p_dl |g_k^H w|^2 and exact SINRs, and ``resamples`` each trial's
+    redraw count.  A trial whose ZF Gram matrix is near-singular is redrawn
+    at the next salt of its stream; np.linalg.LinAlgError is raised when a
+    trial needs more than MAX_RESAMPLES redraws.  With ``error_var``,
+    ``err_sq`` holds the (n_trials, K) means of |g_hat - g|^2 over the
+    antennas (else it is None).
 
     The points share each chunk's salt-0 normals, so they must agree on
     ``master_seed``, ``n_trials`` and the normals' block count (an ideal
@@ -352,8 +348,7 @@ def estimate_exact_rates(params: SystemParams, points: list, *,
     ests = []
     for (alloc, cfg), (energy, sinr, resamples, err_sq) in zip(
             points, _run_trials(params, points, error_var)):
-        rem = 1.0 - alloc.alpha if cfg.system == "ideal" else 1.0 - alloc.tau - alloc.alpha
-        rate, rate_se = _mean_se(rem * np.log2(1.0 + sinr))
+        rate, rate_se = _mean_se(_data_phase(alloc, cfg.system) * np.log2(1.0 + sinr))
         e_mean, e_se = _mean_se(energy)
         est = McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
                              n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))

@@ -30,7 +30,7 @@ import numpy as np
 
 from wetmm.energy import ResourceAllocation
 from wetmm.rates import _fold_users, closed_form_rate, closed_form_sinr
-from wetmm.sysmodel import SystemParams
+from wetmm.sysmodel import SystemParams, _check_tags
 
 __all__ = [
     "OptimizationResult",
@@ -117,8 +117,7 @@ def asymptotic_allocation(params: SystemParams, detector: str,
     rho is the analytic ZF optimum, or 1/2 for MRC (whose large-array rate
     does not depend on rho).
     """
-    if detector not in ("zf", "mrc"):
-        raise ValueError(f"unknown detector: {detector!r}")
+    _check_tags(detector=detector)
     if detector == "zf":
         alpha = c * params.M ** (-2.0 * nu)
     else:
@@ -139,11 +138,8 @@ def _lattice_count(span: float, step: float, name: str, open_end: bool = False) 
     return int(np.ceil(count - 1e-9)) - 1 if open_end else int(np.floor(count + 1e-9))
 
 
-def _check_tags(params: SystemParams, system: str, detector: str) -> None:
-    if system not in ("wetmm", "opmm", "ideal"):
-        raise ValueError(f"unknown system: {system!r}")
-    if detector not in ("zf", "mrc"):
-        raise ValueError(f"unknown detector: {detector!r}")
+def _check_problem(params: SystemParams, system: str, detector: str) -> None:
+    _check_tags(system, detector)
     if detector == "zf":
         params.require_zf()
 
@@ -232,7 +228,7 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     Raises:
         ValueError: on invalid tags or steps.
     """
-    _check_tags(params, system, detector)
+    _check_problem(params, system, detector)
     if xi_policy not in ("analytic", "simplex"):
         raise ValueError(f"unknown xi policy: {xi_policy!r}")
     if len(steps) != 3:
@@ -242,10 +238,9 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     n_r = _lattice_count(1.0, steps[2], "rho step", open_end=True)
     if not 0 < xi_step <= 1:
         raise ValueError("xi_step must lie in (0, 1]")
-    if coarse_factor < 1 or coarse_factor != int(coarse_factor):
-        raise ValueError("coarse_factor must be an integer >= 1")
-    if refine_radius is not None and refine_radius < 0:
-        raise ValueError("refine_radius must be >= 0")
+    for name, value, low in (("coarse_factor", coarse_factor, 1), ("refine_radius", refine_radius, 0)):
+        if value is not None and not (np.isfinite(value) and value >= low and value == int(value)):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     simplex = system != "opmm" and xi_policy == "simplex"
     n_x = _lattice_count(1.0, xi_step, "xi_step")
     if system == "ideal":
@@ -267,7 +262,7 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
                                         xi_step, a_coarse, r_coarse, x_coarse)
 
         if cf > 1:
-            half = refine_radius * cf
+            half = int(refine_radius) * cf
             ba, br, bx = idx
             a_fine = np.arange(max(0, ba - half), min(n_a, ba + half) + 1)
             r_fine = np.arange(max(1, br - half), min(n_r, br + half) + 1)
@@ -300,7 +295,7 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     the closed-form min rate on its fine lattice.  Tracks grid_search_p1
     within a few percent at large M; the full search remains the oracle.
     """
-    _check_tags(params, "wetmm", detector)
+    _check_problem(params, "wetmm", detector)
     if not 0 < alpha_step <= 1:
         raise ValueError("alpha_step must lie in (0, 1]")
     alpha_vals = alpha_step * np.arange(_lattice_count(1.0, alpha_step, "alpha_step") + 1, dtype=float)
@@ -334,7 +329,7 @@ def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, 
         ValueError: on invalid tags, the ideal system (it has no tau or rho
             axes), or a non-finite argument.
     """
-    _check_tags(params, system, detector)
+    _check_problem(params, system, detector)
     if system == "ideal":
         raise ValueError("the ideal system has no (tau, rho) axes to map")
     tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))

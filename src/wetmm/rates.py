@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.energy import ResourceAllocation, clamp_rho, energies
-from wetmm.sysmodel import SystemParams
+from wetmm.sysmodel import SystemParams, _check_tags
 
 __all__ = [
     "RateReport",
@@ -76,11 +76,6 @@ class RateReport:
     @property
     def min_rate(self) -> float:
         return float(np.min(self.rate))
-
-
-def _check_detector(detector: str) -> None:
-    if detector not in ("zf", "mrc"):
-        raise ValueError(f"unknown detector: {detector!r}")
 
 
 def _fold_users(ufunc, x):
@@ -152,7 +147,7 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     ignores tau and rho, and its SINR is zero where alpha = 1 leaves no data
     phase.
     """
-    _check_detector(detector)
+    _check_tags(detector=detector)
     rho_c = clamp_rho(rho)
     e = energies(params, system, alpha, rho_c, xi)
     beta, M, s2 = params.beta, params.M, params.sigma2_ul
@@ -214,7 +209,7 @@ def maxmin_asymptotic_rate(params: SystemParams, detector: str) -> float:
         zf:  log2(1 + M^2 p_dl / (sigma2 (sqrt(K)+1)^2 sum_i 1/beta_i^2))
         mrc: log2(1 + (M-1)/(K-1)),  unbounded at K = 1.
     """
-    _check_detector(detector)
+    _check_tags(detector=detector)
     if detector == "zf":
         params.require_zf()
         gamma = params.M**2 * params.p_dl / (
@@ -233,7 +228,7 @@ def ideal_asymptotic_rate(params: SystemParams, alpha: float, detector: str) -> 
                                  (sigma2 (1-alpha) sum_i 1/beta_i^2))
         mrc: (1-alpha) log2(1 + (M-1)/(K-1)),  unbounded at K = 1.
     """
-    _check_detector(detector)
+    _check_tags(detector=detector)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if detector == "zf":
@@ -287,10 +282,10 @@ def large_k_rate(zeta, alpha_star, c1, p_dl, sigma2_ul):
     Strictly decreasing in zeta on (0, 1); diverges to -inf as zeta -> 1.
     """
     zeta = np.asarray(zeta, dtype=float)
-    if np.any(zeta <= 0) or np.any(zeta >= 1):
+    if not np.all((zeta > 0) & (zeta < 1)):
         raise ValueError("user load zeta must lie strictly inside (0, 1)")
-    if alpha_star <= 0 or c1 <= 0:
-        raise ValueError("alpha_star and c1 must be positive")
+    if not all(np.isfinite(v) and v > 0 for v in (alpha_star, c1, p_dl, sigma2_ul)):
+        raise ValueError("alpha_star, c1, p_dl and sigma2_ul must be positive and finite")
     return np.log2(alpha_star * p_dl * (1.0 - zeta) / (c1 * sigma2_ul * zeta**2))
 
 
@@ -302,8 +297,11 @@ def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul,
     decreasing on (0, 1), so the root is unique when it exists.
 
     Raises:
-        ValueError: if the target exceeds the rate at vanishing load.
+        ValueError: if the target is not finite or exceeds the rate at
+            vanishing load.
     """
+    if not np.isfinite(target_rate):
+        raise ValueError(f"target rate must be finite, got {target_rate!r}")
     lo, hi = 1e-15, 1.0 - 1e-15
     if large_k_rate(lo, alpha_star, c1, p_dl, sigma2_ul) < target_rate:
         raise ValueError("target rate unattainable at any positive user load")

@@ -18,14 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the systems (subspace beam, isotropic beam, perfect-CSI bound) and detectors
+_SYSTEMS = ("wetmm", "opmm", "ideal")
+_DETECTORS = ("zf", "mrc")
+
 __all__ = [
     "SystemParams",
-    "PathLossModel",
     "path_loss",
     "generate_channel",
     "trial_rng",
     "complex_gaussian",
 ]
+
+
+def _check_tags(system: str | None = None, detector: str | None = None) -> None:
+    """Raise ValueError on an unknown system or detector; None skips a tag."""
+    if system is not None and system not in _SYSTEMS:
+        raise ValueError(f"unknown system: {system!r}")
+    if detector is not None and detector not in _DETECTORS:
+        raise ValueError(f"unknown detector: {detector!r}")
 
 
 def trial_rng(master_seed: int, trial: int = 0, salt: int = 0) -> np.random.Generator:
@@ -152,33 +163,15 @@ class SystemParams:
             raise ValueError(f"ZF requires M >= K+1, got M={self.M}, K={self.K}")
 
 
-@dataclass(frozen=True)
-class PathLossModel:
-    """Power-law path loss beta = beta0 * d^(-u).
-
-    Attributes:
-        beta0: path loss at unit distance.
-        u: path-loss exponent.
-        distances: per-user distances, same length as the user set.
-    """
-
-    beta0: float
-    u: float
-    distances: np.ndarray
-
-    def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.distances, dtype=float)).copy()
-        if self.beta0 <= 0:
-            raise ValueError("beta0 must be positive")
-        if not np.all(d > 0):
-            raise ValueError("distances must be positive")
-        d.setflags(write=False)
-        object.__setattr__(self, "distances", d)
-
-
-def path_loss(model: PathLossModel) -> np.ndarray:
-    """Per-user path losses for a power-law model."""
-    return model.beta0 * model.distances ** (-model.u)
+def path_loss(beta0: float, u: float, distances) -> np.ndarray:
+    """Per-user power-law path losses beta = beta0 * d^(-u), with beta0 the
+    path loss at unit distance and u the path-loss exponent."""
+    d = np.atleast_1d(np.asarray(distances, dtype=float))
+    if not beta0 > 0:
+        raise ValueError("beta0 must be positive")
+    if not np.all(d > 0):
+        raise ValueError("distances must be positive")
+    return beta0 * d ** (-u)
 
 
 def generate_channel(params: SystemParams, seed) -> np.ndarray:

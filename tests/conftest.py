@@ -10,12 +10,12 @@ import pytest
 
 from wetmm.energy import ResourceAllocation
 from wetmm.optimizer import optimal_xi
-from wetmm.sysmodel import PathLossModel, SystemParams, path_loss
+from wetmm.sysmodel import SystemParams, path_loss
 
 
 def benchmark_params(m: int = 200) -> SystemParams:
     """Benchmark scenario at a given antenna count."""
-    beta = path_loss(PathLossModel(beta0=1e-3, u=3.0, distances=np.array([6.0, 12.0])))
+    beta = path_loss(1e-3, 3.0, np.array([6.0, 12.0]))
     return SystemParams(M=m, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=beta)
 
 

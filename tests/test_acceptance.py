@@ -24,8 +24,8 @@ from wetmm.energy import expected_harvested_energy, harvested_energy_fixedpoint,
 from wetmm.estimation import error_variance
 from wetmm.montecarlo import (
     McConfig,
+    _run_trials,
     estimate_exact_rate,
-    run_trials,
     verify_beamformer_structure,
     verify_bound_tightness,
 )
@@ -153,8 +153,8 @@ def test_criterion_04_closed_forms_match_mc(xi_star, ref_alloc):
         e_closed = harvested_energy_fixedpoint(REF_ALPHA, REF_RHO, xi_star, pm.beta,
                                                m, pm.p_dl, pm.sigma2_ul)
         scores.append((est.energy - e_closed) / est.energy_se)
-        eo, _, _ = run_trials(pm, ref_alloc, McConfig(n_trials=10000, master_seed=12345,
-                                                      detector="zf", system="opmm"))
+        cfg_o = McConfig(n_trials=10000, master_seed=12345, detector="zf", system="opmm")
+        eo, _, _, _ = _run_trials(pm, [(ref_alloc, cfg_o)], error_var=False)[0]
         scores.append((eo.mean(0) - opmm_energy(REF_ALPHA, pm.beta, pm.p_dl))
                       / (eo.std(0, ddof=1) / np.sqrt(len(eo))))
         ev_closed = error_variance(pm.beta, REF_RHO * e_closed, pm.sigma2_ul)

@@ -9,8 +9,10 @@ from wetmm.energy import ResourceAllocation, beamformer, ideal_energy, opmm_ener
 import wetmm.estimation as estimation
 from wetmm.estimation import draw_trials
 import wetmm.montecarlo as montecarlo
-from wetmm.montecarlo import (McConfig, _mean_se, estimate_exact_rate, operating_point,
-                              run_trials, verify_beamformer_structure, verify_bound_tightness)
+from wetmm.montecarlo import (McConfig, _mean_se, _run_trials, estimate_exact_rate,
+                              operating_point, verify_beamformer_structure,
+                              verify_bound_tightness)
+from wetmm.rates import closed_form_rate
 from wetmm.sysmodel import generate_channel, trial_rng
 
 from conftest import benchmark_params
@@ -42,8 +44,8 @@ def test_config_validation():
 
 def test_frame_determinism(params200, ref_alloc):
     cfg = cfg_for(n=5)
-    a_energy, a_sinr, _ = run_trials(params200, ref_alloc, cfg)
-    b_energy, b_sinr, _ = run_trials(params200, ref_alloc, cfg)
+    a_energy, a_sinr, _, _ = _run_trials(params200, [(ref_alloc, cfg)], error_var=False)[0]
+    b_energy, b_sinr, _, _ = _run_trials(params200, [(ref_alloc, cfg)], error_var=False)[0]
     assert np.array_equal(a_sinr, b_sinr) and np.array_equal(a_energy, b_energy)
     assert not np.array_equal(a_sinr[3], a_sinr[4])
 
@@ -54,6 +56,20 @@ def test_frame_requires_energy_phase(params200, xi_star):
         operating_point(params200, alloc, "wetmm")
 
 
+def test_ideal_data_phase_ignores_tau(params200, xi_star):
+    """The ideal system has no estimation phase, so tau + alpha = 1 still
+    leaves it a data phase of 1 - alpha, in the Monte Carlo as in the
+    closed form; tau changes no bit of its estimate."""
+    cfg = cfg_for(system="ideal", n=200, seed=1)
+    est = estimate_exact_rate(params200, ResourceAllocation(0.5, 0.5, 0.0, xi_star), cfg)
+    at_zero = estimate_exact_rate(params200, ResourceAllocation(0.0, 0.5, 0.0, xi_star), cfg)
+    assert np.array_equal(est.rate, at_zero.rate) and np.array_equal(est.energy, at_zero.energy)
+    bound = closed_form_rate(params200, ResourceAllocation(0.5, 0.5, 0.0, xi_star), "ideal", "zf")
+    assert np.all(bound.rate > 0) and np.all(bound.rate <= est.rate + 3.0 * est.rate_se)
+    with pytest.raises(ValueError, match="data phase"):
+        operating_point(params200, ResourceAllocation(0.5, 0.5, 0.5, xi_star), "wetmm")
+
+
 def test_run_trials_computes_operating_point_once(params200, ref_alloc, monkeypatch):
     calls = []
 
@@ -62,14 +78,16 @@ def test_run_trials_computes_operating_point_once(params200, ref_alloc, monkeypa
         return operating_point(*args)
 
     monkeypatch.setattr(montecarlo, "operating_point", counting)
-    energy, sinr, resamples = run_trials(params200, ref_alloc, cfg_for(n=7))
+    energy, sinr, resamples, _ = _run_trials(params200, [(ref_alloc, cfg_for(n=7))],
+                                             error_var=False)[0]
     assert energy.shape == sinr.shape == (7, 2) and resamples.shape == (7,)
     assert len(calls) == 1
 
 
 def test_ideal_zf_perfect_knowledge_identity(params200, ref_alloc):
     """With a perfectly known channel, ZF SINR is p_k / (sigma2 [(G^H G)^-1]_kk)."""
-    _, sinr, _ = run_trials(params200, ref_alloc, cfg_for(system="ideal", n=1, seed=11))
+    cfg = cfg_for(system="ideal", n=1, seed=11)
+    _, sinr, _, _ = _run_trials(params200, [(ref_alloc, cfg)], error_var=False)[0]
     g = generate_channel(params200, trial_rng(11, 0, 0))
     inv = np.linalg.inv(g.conj().T @ g)
     e = ideal_energy(ref_alloc.alpha, ref_alloc.xi, params200.beta, 200, 1.0)
@@ -86,7 +104,7 @@ def test_run_trials_matches_per_frame_reference(ref_alloc):
     noise = np.dot(powers, err_var) + params.sigma2_ul
     for detector in ("zf", "mrc"):
         cfg = cfg_for(n=20, seed=5, detector=detector)
-        energy, sinr, resamples = run_trials(params, ref_alloc, cfg)
+        energy, sinr, resamples, _ = _run_trials(params, [(ref_alloc, cfg)], error_var=False)[0]
         for t in range(cfg.n_trials):
             G, G_hat = (x[0] for x in draw_trials(params, pilot_energy, 5, [t]))
             gram = G_hat.conj().T @ G_hat
@@ -118,7 +136,7 @@ def test_exact_sinr_matches_extended_precision(ref_alloc, detector, m):
     long double on the same estimates (2 x 2 inverse by its adjugate)."""
     params = benchmark_params(m)
     cfg = cfg_for(n=400, seed=3, detector=detector)
-    _, sinr, resamples = run_trials(params, ref_alloc, cfg)
+    _, sinr, resamples, _ = _run_trials(params, [(ref_alloc, cfg)], error_var=False)[0]
     _, pilot_energy, powers, err_var = operating_point(params, ref_alloc, "wetmm")
     G_hat = draw_trials(params, pilot_energy, 3, np.arange(cfg.n_trials))[1].astype(np.clongdouble)
     gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
@@ -138,7 +156,7 @@ def test_exact_sinr_matches_extended_precision(ref_alloc, detector, m):
 def test_opmm_energy_matches_closed_form(params200, ref_alloc):
     # isotropic powering: the harvested-energy mean is alpha p beta exactly
     cfg = cfg_for(system="opmm", n=800, seed=2)
-    en, _, _ = run_trials(params200, ref_alloc, cfg)
+    en, _, _, _ = _run_trials(params200, [(ref_alloc, cfg)], error_var=False)[0]
     want = opmm_energy(ref_alloc.alpha, params200.beta, 1.0)
     se = en.std(axis=0, ddof=1) / np.sqrt(len(en))
     assert np.all(np.abs(en.mean(axis=0) - want) <= 4.0 * se)
@@ -227,7 +245,7 @@ def test_results_do_not_depend_on_chunk_size(ref_alloc, monkeypatch, system, kno
     for workers, chunk_entries in WORKERS_X_CHUNKS:
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
-        energy, sinr, resamples = run_trials(params, ref_alloc, cfg)
+        energy, sinr, resamples, _ = _run_trials(params, [(ref_alloc, cfg)], error_var=False)[0]
         est = estimate_exact_rate(params, ref_alloc, cfg)
         runs.append([energy, sinr, resamples, est.rate, est.rate_se, est.energy,
                      est.energy_se, est.n_resamples])
@@ -251,12 +269,16 @@ def test_forced_resamples_do_not_depend_on_chunk_size(ref_alloc, monkeypatch):
     # trials of one chunk finish at different salts
     params = benchmark_params(3)
     monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
+    # bound before the loop patches _CHUNK_ENTRIES, so every worker count
+    # also runs the default budget
+    chunk_budgets = (montecarlo._CHUNK_ENTRIES, 1, 100)
     runs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-        for chunk_entries in (montecarlo._CHUNK_ENTRIES, 1, 100):
+        for chunk_entries in chunk_budgets:
             monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
-            runs.append(run_trials(params, ref_alloc, cfg_for(n=200, seed=9)))
+            runs.append(_run_trials(params, [(ref_alloc, cfg_for(n=200, seed=9))],
+                                    error_var=False)[0])
     resamples = runs[0][2]
     assert resamples.sum() > 20 and resamples.max() > 1
     for run in runs[1:]:
@@ -272,12 +294,12 @@ def test_many_workers_under_fast_thread_switches(ref_alloc, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
     cfg = cfg_for(n=300, seed=5)
     monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-    want = run_trials(params, ref_alloc, cfg)
+    want = _run_trials(params, [(ref_alloc, cfg)], error_var=False)[0]
     monkeypatch.setattr(montecarlo, "_WORKERS", 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = run_trials(params, ref_alloc, cfg)
+        got = _run_trials(params, [(ref_alloc, cfg)], error_var=False)[0]
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(want, got):
@@ -290,13 +312,13 @@ def test_exhausted_redraw_budget_raises_from_the_first_chunk(ref_alloc, monkeypa
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
     monkeypatch.setattr(montecarlo, "_WORKERS", 3)
     with pytest.raises(np.linalg.LinAlgError, match=r"\(trial 0\)"):
-        run_trials(benchmark_params(3), ref_alloc, cfg_for(n=9))
+        _run_trials(benchmark_params(3), [(ref_alloc, cfg_for(n=9))], error_var=False)
 
 
 def test_exhausted_redraw_budget_raises(ref_alloc, monkeypatch):
     monkeypatch.setattr(montecarlo, "COND_LIMIT", 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="trial 0"):
-        run_trials(benchmark_params(3), ref_alloc, cfg_for(n=3))
+        _run_trials(benchmark_params(3), [(ref_alloc, cfg_for(n=3))], error_var=False)
 
 
 def test_error_variance_estimate_rejects_ideal(params200, ref_alloc):

@@ -176,8 +176,10 @@ def test_search_validation(params200):
         grid_search_p1(params200, "wetmm", "zf", steps=(0.01, 0.01, 1e-320))
     with pytest.raises(ValueError, match="alpha_step"):
         solve_p1_analytic(params200, "zf", alpha_step=1e-320)
-    # a negative radius used to divide by zero, and 1.5 used to be cut to 1
-    for bad in ({"refine_radius": -1}, {"coarse_factor": 1.5}):
+    # a negative radius used to divide by zero, 1.5 used to be cut to 1, and
+    # a NaN radius used to run the full fine sweep
+    for bad in ({"refine_radius": -1}, {"coarse_factor": 1.5},
+                {"refine_radius": np.nan}, {"refine_radius": 2.5}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             grid_search_p1(params200, steps=(0.02, 0.02, 0.02), **bad)
 

@@ -271,6 +271,27 @@ def test_large_k_rate_monotone_and_domain():
         user_load_for_rate(1e9, 0.05, c1, 1.0, 1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("arg", ["target", "alpha_star", "c1", "p_dl", "sigma2_ul"])
+def test_user_load_for_rate_rejects_non_finite(arg, bad):
+    # a NaN argument used to return a load of 2.94e-14
+    args = {"target": 10.0, "alpha_star": 0.05, "c1": c1_limit(1e-3, 3.0, 6.0, 12.0),
+            "p_dl": 1.0, "sigma2_ul": 1e-15}
+    args[arg] = bad
+    with pytest.raises(ValueError, match="finite"):
+        user_load_for_rate(*args.values())
+
+
+@pytest.mark.parametrize("arg", ["zeta", "alpha_star", "c1", "p_dl", "sigma2_ul"])
+def test_large_k_rate_rejects_nan(arg):
+    # alpha_star = nan used to give a NaN rate
+    args = {"zeta": 0.5, "alpha_star": 0.05, "c1": c1_limit(1e-3, 3.0, 6.0, 12.0),
+            "p_dl": 1.0, "sigma2_ul": 1e-15}
+    args[arg] = np.nan
+    with pytest.raises(ValueError):
+        large_k_rate(*args.values())
+
+
 def test_c1_limit_pinned_and_continuous():
     assert np.isclose(c1_limit(1e-3, 3.0, 6.0, 12.0), C1_LIMIT_REF, rtol=1e-12)
     # collapsing the interval reproduces the single-distance value

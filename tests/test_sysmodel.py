@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wetmm.estimation import draw_trials
-from wetmm.sysmodel import (PathLossModel, SystemParams, _pcg64_states, complex_gaussian,
+from wetmm.sysmodel import (SystemParams, _pcg64_states, complex_gaussian,
                             generate_channel, path_loss, trial_rng)
 
 from conftest import benchmark_params
@@ -102,8 +102,11 @@ def test_require_zf():
 
 
 def test_path_loss_benchmark_values():
-    model = PathLossModel(beta0=1e-3, u=3.0, distances=np.array([6.0, 12.0]))
-    beta = path_loss(model)
+    beta = path_loss(1e-3, 3.0, np.array([6.0, 12.0]))
+    for beta0, d, what in ((0.0, 6.0, "beta0"), (np.nan, 6.0, "beta0"),
+                           (1e-3, [6.0, 0.0], "distances")):
+        with pytest.raises(ValueError, match=what):
+            path_loss(beta0, 3.0, d)
     assert np.allclose(beta, [1e-3 * 6.0 ** -3, 1e-3 * 12.0 ** -3], rtol=1e-14)
     # doubling the distance at exponent 3 costs exactly a factor of 8
     assert np.isclose(beta[0] / beta[1], 8.0, rtol=1e-12)
