@@ -33,11 +33,8 @@ from wetmm.energy import (
     expected_harvested_energy,
     general_beamformer,
     harvested_energy_fixedpoint,
-    ideal_energy,
-    opmm_energy,
 )
 from wetmm.rates import (
-    RateReport,
     asymptotic_mrc_rate,
     asymptotic_zf_rate,
     c1_limit,

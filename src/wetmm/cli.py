@@ -40,7 +40,7 @@ from wetmm.rates import (
     large_k_rate,
     mm_dorg,
 )
-from wetmm.sysmodel import _DETECTORS, _SYSTEMS, SystemParams, _check_tags, path_loss, trial_rng
+from wetmm.sysmodel import _TAGS, SystemParams, _check_tags, path_loss, trial_rng
 
 __all__ = [
     "ExperimentSpec",
@@ -107,14 +107,14 @@ class ExperimentSpec:
                 raise ValueError(f"{f.name} must be finite")
         if len(self.distances) < 1 or not all(0 < d < np.inf for d in self.distances):
             raise ValueError("distances must be positive and finite")
-        _check_tags(self.system, self.detector)
-        # rate_vs_m_values is left free: rate-vs-m writes NaN where M <= K
+        _check_tags(system=self.system, detector=self.detector, xi_policy=self.xi_policy)
         low = len(self.distances) + 1 if self.detector == "zf" else 2
         for name in ("m_values", "fairness_m_values"):
             if any(m < low for m in getattr(self, name)):
                 raise ValueError(f"{name} entries must be >= {low} for detector {self.detector}")
-        if self.xi_policy not in ("analytic", "simplex"):
-            raise ValueError(f"unknown xi_policy: {self.xi_policy!r}")
+        # rate-vs-m writes NaN where M <= K, so its counts need only M >= 2
+        if any(m < 2 for m in self.rate_vs_m_values):
+            raise ValueError("rate_vs_m_values entries must be >= 2")
         # the search lattices span the unit interval
         for name in ("tau_step", "alpha_step", "rho_step", "xi_step",
                      "fig_tau_step", "fig_alpha_step", "fig_rho_step", "zeta_step"):
@@ -289,7 +289,7 @@ def run_table1(spec: ExperimentSpec):
         a = res.allocation
         rho_analytic = optimal_rho_zf(params.K, a.tau, a.alpha)
         asym_fn = asymptotic_zf_rate if spec.detector == "zf" else asymptotic_mrc_rate
-        rate_asym = asym_fn(params, a).min_rate
+        rate_asym = float(np.min(asym_fn(params, a)))
         mc = estimate_exact_rate(params, a, _mc_config(spec, "wetmm", spec.detector))
         rows.append([m, a.tau, a.alpha, rho_analytic, a.rho,
                      rate_asym, res.min_rate, mc.rate[0], mc.rate[1]])
@@ -386,7 +386,7 @@ def run_mc_validate(spec: ExperimentSpec):
     cfg = _mc_config(spec, spec.system, spec.detector)
     est = estimate_exact_rate(params, alloc, cfg, error_var=spec.system != "ideal")
     e_closed, _, _, err_var = operating_point(params, alloc, spec.system)
-    bound = closed_form_rate(params, alloc, spec.system, spec.detector).rate
+    bound = closed_form_rate(params, alloc, spec.system, spec.detector)
     blocks = [("energy", e_closed, est.energy, est.energy_se)]
     if spec.system != "ideal":
         blocks.append(("error_var", err_var, est.error_var, est.error_var_se))
@@ -451,9 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, dest="n_trials", help="Monte Carlo trials")
         # an experiment that fixes the system or detector does not take the flag
         if name not in ("rate-vs-m", "large-k"):
-            p.add_argument("--detector", choices=_DETECTORS)
+            p.add_argument("--detector", choices=_TAGS["detector"])
         if name in ("optimize", "mc-validate", "contour", "rho-sweep"):
-            p.add_argument("--system", choices=_SYSTEMS)
+            p.add_argument("--system", choices=_TAGS["system"])
             p.add_argument("--m", type=int, help="antenna count")
         if name == "contour":
             p.add_argument("--rho", type=float, dest="contour_rho", help="fixed energy split")

@@ -32,8 +32,6 @@ __all__ = [
     "general_beamformer",
     "expected_harvested_energy",
     "harvested_energy_fixedpoint",
-    "ideal_energy",
-    "opmm_energy",
     "asymptotic_energy",
     "energies",
 ]
@@ -116,7 +114,7 @@ def general_beamformer(G_hat: np.ndarray, xi_prime, theta) -> np.ndarray:
     xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     m, k = G_hat.shape
-    if np.any(xi_prime < 0) or np.any(theta < 0):
+    if not (np.all(xi_prime >= 0) and np.all(theta >= 0)):
         raise ValueError("beam weights must be nonnegative")
     total = xi_prime.sum() + theta.sum()
     if abs(total - 1.0) > 1e-9:
@@ -145,7 +143,7 @@ def expected_harvested_energy(pilot_energy, alpha, xi, beta, M, p_dl, sigma2_ul)
     """
     pilot_energy = np.asarray(pilot_energy, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if np.any(pilot_energy < 0):
+    if not np.all(pilot_energy >= 0):
         raise ValueError("pilot energy must be nonnegative")
     directed = alpha * p_dl * xi * beta * M * (
         1.0 - (M - 1) * sigma2_ul / (M * (beta * pilot_energy + sigma2_ul))
@@ -186,32 +184,16 @@ def harvested_energy_fixedpoint(alpha, rho, xi, beta, M, p_dl, sigma2_ul):
         xi, beta, M, p_dl, sigma2_ul: as elsewhere; broadcastable.
 
     Raises:
-        ValueError: if alpha <= 0 or rho outside (0, 1).
+        ValueError: if alpha is not positive and finite or rho lies outside
+            (0, 1).
     """
     alpha = np.asarray(alpha, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if np.any(alpha <= 0):
-        raise ValueError("alpha must be positive")
-    if np.any(rho <= 0) or np.any(rho >= 1):
+    if not np.all(np.isfinite(alpha) & (alpha > 0)):
+        raise ValueError("alpha must be positive and finite")
+    if not np.all((rho > 0) & (rho < 1)):
         raise ValueError("rho must lie strictly inside (0, 1)")
     return _fixedpoint_raw(alpha, clamp_rho(rho), xi, beta, M, p_dl, sigma2_ul)
-
-
-def ideal_energy(alpha, xi, beta, M, p_dl):
-    """Harvested energy with perfect channel knowledge (no pilots, no error).
-
-        E = alpha p_dl beta (xi M + 1 - xi)
-    """
-    beta = np.asarray(beta, dtype=float)
-    return alpha * p_dl * beta * (np.asarray(xi, dtype=float) * (M - 1) + 1.0)
-
-
-def opmm_energy(alpha, beta, p_dl):
-    """Harvested energy under an isotropic (non-beamformed) energy phase.
-
-    The all-ones beam w = 1/sqrt(M) delivers no array gain: E = alpha p_dl beta.
-    """
-    return alpha * p_dl * np.asarray(beta, dtype=float)
 
 
 def asymptotic_energy(alpha, xi, beta, M, p_dl):
@@ -227,18 +209,22 @@ def asymptotic_energy(alpha, xi, beta, M, p_dl):
 def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
     """Steady-state banked energy per user for one of the three systems.
 
-    "wetmm" is the harvested-energy fixed point at rho clamped to
-    [RHO_CLAMP, 1 - RHO_CLAMP] (exactly 0 where alpha = 0), "opmm" the
-    isotropic harvest alpha p_dl beta, and "ideal" the perfect-knowledge
-    harvest.  ``alpha``, ``rho`` and ``xi`` broadcast against each other with
-    users on the last axis; rho is unused by "opmm" and "ideal", xi by "opmm",
-    so the result carries only the axes of the arguments its system uses.
+        wetmm: the harvested-energy fixed point at rho clamped to
+               [RHO_CLAMP, 1 - RHO_CLAMP], exactly 0 where alpha = 0
+        opmm:  E = alpha p_dl beta  (the isotropic beam w = 1/sqrt(M)
+               delivers no array gain)
+        ideal: E = alpha p_dl beta (xi (M-1) + 1)  (perfect channel
+               knowledge: no pilots, no estimation error)
+
+    ``alpha``, ``rho`` and ``xi`` broadcast against each other with users on
+    the last axis; rho is unused by "opmm" and "ideal", xi by "opmm", so the
+    result carries only the axes of the arguments its system uses.
     """
-    _check_tags(system)
+    _check_tags(system=system)
     xi = np.asarray(xi, dtype=float)
     if system == "wetmm":
         return _fixedpoint_raw(alpha, clamp_rho(rho), xi, params.beta,
                                params.M, params.p_dl, params.sigma2_ul)
     if system == "opmm":
-        return opmm_energy(alpha, params.beta, params.p_dl)
-    return ideal_energy(alpha, xi, params.beta, params.M, params.p_dl)
+        return alpha * params.p_dl * params.beta
+    return alpha * params.p_dl * params.beta * (xi * (params.M - 1) + 1.0)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams, _pcg64_states, complex_gaussian, trial_rng
+from wetmm.sysmodel import SystemParams, _check_tags, _pcg64_states, complex_gaussian, trial_rng
 
 __all__ = [
     "PilotConfig",
@@ -74,13 +74,13 @@ def make_pilots(L: int, K: int, pilot_energy) -> PilotConfig:
         pilot_energy: scalar or length-K total pilot energy per user.
 
     Raises:
-        ValueError: if L < K or any pilot energy is negative.
+        ValueError: if L < K or any pilot energy is negative or not finite.
     """
     if L < K:
         raise ValueError(f"pilot length must cover all users, got L={L} < K={K}")
     energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,)).copy()
-    if np.any(energy < 0):
-        raise ValueError("pilot energy must be nonnegative")
+    if not np.all(np.isfinite(energy) & (energy >= 0)):
+        raise ValueError("pilot energy must be nonnegative and finite")
     rows = np.arange(L)[:, None]
     cols = np.arange(K)[None, :]
     phi = np.exp(-2j * np.pi * rows * cols / L) / np.sqrt(L)
@@ -122,8 +122,8 @@ def mmse_estimate(Y_p: np.ndarray, pilots: PilotConfig, beta: np.ndarray, sigma2
         (..., M, K) estimate whose column k has per-entry variance
         beta_k - error_variance(beta_k, D_k, sigma2_ul).
     """
-    if sigma2_ul <= 0:
-        raise ValueError("sigma2_ul must be positive")
+    if not (np.isfinite(sigma2_ul) and sigma2_ul > 0):
+        raise ValueError("sigma2_ul must be positive and finite")
     beta = np.asarray(beta, dtype=float)
     energy = pilots.pilot_energy
     # diagonal K x K factors collapse to a per-column scale
@@ -141,10 +141,10 @@ def error_variance(beta_k, pilot_energy_k, sigma2_ul):
     """
     beta_k = np.asarray(beta_k, dtype=float)
     pilot_energy_k = np.asarray(pilot_energy_k, dtype=float)
-    if np.any(pilot_energy_k < 0):
+    if not np.all(pilot_energy_k >= 0):
         raise ValueError("pilot energy must be nonnegative")
-    if np.any(sigma2_ul <= 0):
-        raise ValueError("sigma2_ul must be positive")
+    if not np.all(np.isfinite(sigma2_ul) & (sigma2_ul > 0)):
+        raise ValueError("sigma2_ul must be positive and finite")
     return beta_k / (1.0 + beta_k * pilot_energy_k / sigma2_ul)
 
 
@@ -173,8 +173,7 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
         ``(G, G_hat)``, complex (len(trials), M, K), with independent
         estimate and error.
     """
-    if method not in ("statistical", "pilot"):
-        raise ValueError(f"unknown channel-knowledge method: {method!r}")
+    _check_tags(channel_knowledge=method)
     buf = _trial_normals(params, pilot_energy, master_seed, trials, salt)
     return _channels(params, pilot_energy, buf, method)
 

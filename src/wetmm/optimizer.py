@@ -83,8 +83,8 @@ def optimal_xi(beta) -> np.ndarray:
     beta_k^2 xi_k.
     """
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or beta.size == 0 or np.any(beta <= 0):
-        raise ValueError("beta must be a nonempty 1-D vector of positive gains")
+    if beta.ndim != 1 or beta.size == 0 or not np.all(np.isfinite(beta) & (beta > 0)):
+        raise ValueError("beta must be a nonempty 1-D vector of positive, finite gains")
     w = 1.0 / beta**2
     return w / w.sum()
 
@@ -94,35 +94,30 @@ def optimal_rho_zf(K: int, tau, alpha):
 
         rho* = sqrt(K) / (sqrt(K) + sqrt(1 - tau - alpha))
 
-    Broadcasts over tau and alpha.
+    Broadcasts over tau and alpha, which must be finite.
     """
     if K < 1:
         raise ValueError("need at least one user")
     rem = 1.0 - np.asarray(tau, dtype=float) - np.asarray(alpha, dtype=float)
-    if np.any(rem < 0):
-        raise ValueError("tau + alpha must not exceed 1")
+    if not np.all(np.isfinite(rem) & (rem >= 0)):
+        raise ValueError("tau + alpha must not exceed 1 and must be finite")
     sk = np.sqrt(float(K))
     out = sk / (sk + np.sqrt(rem))
     return out if out.ndim else float(out)
 
 
-def asymptotic_allocation(params: SystemParams, detector: str,
-                          c: float = 1.0, nu: float = 0.05, phi: float = 0.9) -> ResourceAllocation:
+def asymptotic_allocation(params: SystemParams, detector: str) -> ResourceAllocation:
     """Advisory large-array allocation: a starting point, not a final answer.
 
     tau = 0 (the large-array analysis sends it to the lattice minimum) and
-    the energy-phase fraction follows the decay orders alpha ~ c M^(-2 nu)
-    for ZF and alpha ~ c M^(-phi) for MRC; the constants are not pinned by
-    the theory, so the returned point only seeds a finite-M search.
+    the energy-phase fraction follows the decay orders alpha = M^(-0.1) for
+    ZF and alpha = M^(-0.9) for MRC; the constants are not pinned by the
+    theory, so the returned point only seeds a finite-M search.
     rho is the analytic ZF optimum, or 1/2 for MRC (whose large-array rate
     does not depend on rho).
     """
     _check_tags(detector=detector)
-    if detector == "zf":
-        alpha = c * params.M ** (-2.0 * nu)
-    else:
-        alpha = c * params.M ** (-phi)
-    alpha = float(np.clip(alpha, 1e-6, 1.0 - 1e-6))
+    alpha = float(np.clip(params.M ** (-0.1 if detector == "zf" else -0.9), 1e-6, 1.0 - 1e-6))
     rho = optimal_rho_zf(params.K, 0.0, alpha) if detector == "zf" else 0.5
     return ResourceAllocation(tau=0.0, alpha=alpha, rho=float(rho), xi=optimal_xi(params.beta))
 
@@ -139,7 +134,7 @@ def _lattice_count(span: float, step: float, name: str, open_end: bool = False) 
 
 
 def _check_problem(params: SystemParams, system: str, detector: str) -> None:
-    _check_tags(system, detector)
+    _check_tags(system=system, detector=detector)
     if detector == "zf":
         params.require_zf()
 
@@ -229,8 +224,7 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         ValueError: on invalid tags or steps.
     """
     _check_problem(params, system, detector)
-    if xi_policy not in ("analytic", "simplex"):
-        raise ValueError(f"unknown xi policy: {xi_policy!r}")
+    _check_tags(xi_policy=xi_policy)
     if len(steps) != 3:
         raise ValueError("steps must be three positive lattice spacings")
     n_t = _lattice_count(1.0, steps[0], "tau step")
@@ -277,21 +271,21 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     xi_best = _xi_candidates(params, system, xi_policy, np.array([bx]), xi_step)[1][0]
     steps_used = tuple(steps[1:2] if system == "ideal" else steps) + ((xi_step,) if simplex else ())
     alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi_best)
-    report = closed_form_rate(params, alloc, system, detector)
+    rates = closed_form_rate(params, alloc, system, detector)
     return OptimizationResult(
-        allocation=alloc, min_rate=report.min_rate, rates=report.rate,
+        allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
         detector=detector, system=system, grid_steps=steps_used,
         n_evaluations=n_eval,
     )
 
 
 def solve_p1_analytic(params: SystemParams, detector: str = "zf",
-                      alpha_step: float = 0.0005, mrc_rho: float = 0.5) -> OptimizationResult:
+                      alpha_step: float = 0.0005) -> OptimizationResult:
     """Fast approximate solution built from the analytic components.
 
     tau = 0 and xi = optimal_xi throughout; rho follows the analytic ZF
-    optimum as a function of alpha (or the fixed ``mrc_rho`` for MRC, whose
-    large-array rate is rho-independent); alpha comes from a 1-D sweep of
+    optimum as a function of alpha (or 1/2 for MRC, whose large-array rate
+    is rho-independent); alpha comes from a 1-D sweep of
     the closed-form min rate on its fine lattice.  Tracks grid_search_p1
     within a few percent at large M; the full search remains the oracle.
     """
@@ -302,16 +296,16 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     if detector == "zf":
         rho_vals = np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals))
     else:
-        rho_vals = np.full_like(alpha_vals, mrc_rho)
+        rho_vals = np.full_like(alpha_vals, 0.5)
     sinr = closed_form_sinr(params, "wetmm", detector, 0.0, alpha_vals[:, None],
                             rho_vals[:, None], optimal_xi(params.beta))
     min_rate = _fold_users(np.minimum, (1.0 - alpha_vals)[:, None] * np.log2(1.0 + sinr))
     ia = int(np.argmax(min_rate))
     alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]),
                                rho=float(rho_vals[ia]), xi=optimal_xi(params.beta))
-    report = closed_form_rate(params, alloc, "wetmm", detector)
+    rates = closed_form_rate(params, alloc, "wetmm", detector)
     return OptimizationResult(
-        allocation=alloc, min_rate=report.min_rate, rates=report.rate,
+        allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
         detector=detector, system="wetmm", grid_steps=(alpha_step,),
         n_evaluations=int(alpha_vals.size),
     )

@@ -30,7 +30,6 @@ perfect knowledge ("ideal": tau = rho = 0, no estimation error),
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from wetmm.energy import ResourceAllocation, clamp_rho, energies
 from wetmm.sysmodel import SystemParams, _check_tags
 
 __all__ = [
-    "RateReport",
     "zf_sinr_from_energy",
     "mrc_sinr_from_energy",
     "closed_form_sinr",
@@ -55,27 +53,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class RateReport:
-    """Per-user rates at one allocation.
-
-    Attributes:
-        rate: length-K achievable rates, bits/s/Hz.
-        sinr: length-K effective SINRs (linear).
-        detector: "zf" or "mrc".
-        system: "wetmm", "ideal", or "opmm".
-        allocation: the allocation the report was evaluated at.
-    """
-
-    rate: np.ndarray
-    sinr: np.ndarray
-    detector: str
-    system: str
-    allocation: ResourceAllocation
-
-    @property
-    def min_rate(self) -> float:
-        return float(np.min(self.rate))
+def _data_phase(system: str, tau, alpha):
+    """Data-phase fraction: 1 - tau - alpha, or 1 - alpha for the ideal
+    system, which has no estimation phase."""
+    return 1.0 - alpha if system == "ideal" else 1.0 - tau - alpha
 
 
 def _fold_users(ufunc, x):
@@ -96,7 +77,7 @@ def zf_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
 
     ``E`` and ``beta`` carry users on the last axis; ``tau``, ``alpha`` and
     ``rho`` broadcast against the leading axes.  Entries with E = 0 give
-    SINR 0.  Requires M >= K + 1.
+    SINR 0; a NaN argument gives a NaN SINR.  Requires M >= K + 1.
     """
     E = np.asarray(E, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -112,7 +93,7 @@ def zf_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
         sinr = (M - K) * beta**2 * rho * E / (
             sigma2_ul * (beta * rho + sigma2_ul / safe_e) * bracket
         )
-    return np.where(E > 0, sinr, 0.0)
+    return np.where(E <= 0, 0.0, sinr)
 
 
 def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
@@ -135,7 +116,7 @@ def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
             sigma2_ul * rem / (1.0 - rho) + cross
         ) + beta * sigma2_ul
         sinr = (M - 1) * beta**2 * rho * E / denom
-    return np.where(E > 0, sinr, 0.0)
+    return np.where(E <= 0, 0.0, sinr)
 
 
 def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alpha, rho, xi):
@@ -145,7 +126,7 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     users on the last axis.  Energies come from :func:`wetmm.energy.energies`
     at rho clamped to [RHO_CLAMP, 1 - RHO_CLAMP].  The "ideal" system
     ignores tau and rho, and its SINR is zero where alpha = 1 leaves no data
-    phase.
+    phase.  A NaN argument that the system uses gives a NaN SINR.
     """
     _check_tags(detector=detector)
     rho_c = clamp_rho(rho)
@@ -154,7 +135,7 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     if system != "ideal":
         sinr_fn = zf_sinr_from_energy if detector == "zf" else mrc_sinr_from_energy
         return sinr_fn(e, beta, tau, alpha, rho_c, M, s2)
-    rem = 1.0 - np.asarray(alpha, dtype=float)
+    rem = _data_phase(system, tau, np.asarray(alpha, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         if detector == "zf":
             params.require_zf()
@@ -163,10 +144,10 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
             be = e * beta
             cross = _fold_users(np.add, be)[..., None] - be
             sinr = e * (M - 1) * beta / (cross + rem * s2)
-    return np.where(rem > 0, sinr, 0.0)
+    return np.where(rem <= 0, 0.0, sinr)
 
 
-def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
+def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> np.ndarray:
     """Large-array zero-forcing rate.
 
         rem log2(1 + M (M-K) alpha p_dl beta_k^2 xi_k rho /
@@ -180,27 +161,24 @@ def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> RateR
     rho = min(float(alloc.rho), 1.0 - 1e-12)
     num = params.M * (params.M - params.K) * alloc.alpha * params.p_dl * params.beta**2 * alloc.xi * rho
     den = params.sigma2_ul * (params.K + rem * rho / (1.0 - rho))
-    sinr = num / den
-    return RateReport(rate=rem * np.log2(1.0 + sinr), sinr=sinr, detector="zf",
-                      system="wetmm", allocation=alloc)
+    return rem * np.log2(1.0 + num / den)
 
 
-def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> RateReport:
+def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> np.ndarray:
     """Large-array MRC rate: interference-limited and independent of rho.
 
         rem log2(1 + (M-1) beta_k^2 xi_k / sum_{i != k} beta_i^2 xi_i)
 
     With a single user the interference sum is empty and the limit is
-    unbounded; the report then carries infinite SINR and rate rather than
-    raising, since that is the honest value of the limit.
+    unbounded; the rate is then infinite rather than raising, since that is
+    the honest value of the limit.
     """
     rem = 1.0 - alloc.tau - alloc.alpha
     w = params.beta**2 * alloc.xi
     cross = w.sum() - w
     with np.errstate(divide="ignore"):
         sinr = np.where(cross > 0, (params.M - 1) * w / np.where(cross > 0, cross, 1.0), np.inf)
-    return RateReport(rate=rem * np.log2(1.0 + sinr), sinr=sinr, detector="mrc",
-                      system="wetmm", allocation=alloc)
+    return rem * np.log2(1.0 + sinr)
 
 
 def maxmin_asymptotic_rate(params: SystemParams, detector: str) -> float:
@@ -242,17 +220,14 @@ def ideal_asymptotic_rate(params: SystemParams, alpha: float, detector: str) -> 
     return float((1.0 - alpha) * np.log2(1.0 + (params.M - 1) / (params.K - 1)))
 
 
-def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: str, detector: str) -> RateReport:
-    """Closed-form per-user rates (1 - tau - alpha) log2(1 + sinr) at one allocation.
+def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: str, detector: str) -> np.ndarray:
+    """Closed-form length-K rates (1 - tau - alpha) log2(1 + sinr) at one allocation.
 
     For the "ideal" system the allocation's tau and rho are ignored (both
     are structurally zero with perfect channel knowledge).
     """
-    if system == "ideal":
-        alloc = ResourceAllocation(tau=0.0, alpha=alloc.alpha, rho=0.0, xi=alloc.xi)
     sinr = closed_form_sinr(params, system, detector, alloc.tau, alloc.alpha, alloc.rho, alloc.xi)
-    rate = (1.0 - alloc.tau - alloc.alpha) * np.log2(1.0 + sinr)
-    return RateReport(rate=rate, sinr=sinr, detector=detector, system=system, allocation=alloc)
+    return _data_phase(system, alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
 
 
 def mm_dorg(rates, m_values) -> float:
@@ -289,12 +264,12 @@ def large_k_rate(zeta, alpha_star, c1, p_dl, sigma2_ul):
     return np.log2(alpha_star * p_dl * (1.0 - zeta) / (c1 * sigma2_ul * zeta**2))
 
 
-def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul,
-                       tol: float = 1e-13, max_iter: int = 200) -> float:
+def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul) -> float:
     """Largest supportable user load K/M for a per-user rate target.
 
-    Inverts :func:`large_k_rate` by bisection; the function is strictly
-    decreasing on (0, 1), so the root is unique when it exists.
+    Inverts :func:`large_k_rate` by bisection, to a relative width of 1e-13
+    within 200 halvings; the function is strictly decreasing on (0, 1), so
+    the root is unique when it exists.
 
     Raises:
         ValueError: if the target is not finite or exceeds the rate at
@@ -305,13 +280,13 @@ def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul,
     lo, hi = 1e-15, 1.0 - 1e-15
     if large_k_rate(lo, alpha_star, c1, p_dl, sigma2_ul) < target_rate:
         raise ValueError("target rate unattainable at any positive user load")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if large_k_rate(mid, alpha_star, c1, p_dl, sigma2_ul) >= target_rate:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(1.0, lo):
+        if hi - lo < 1e-13 * max(1.0, lo):
             break
     return 0.5 * (lo + hi)
 
@@ -323,8 +298,8 @@ def c1_limit(beta0: float, u: float, a: float, b: float) -> float:
 
     Continuous at a = b, where it degenerates to beta0^(-2) a^(2u).
     """
-    if beta0 <= 0 or a <= 0 or b < a:
-        raise ValueError("need beta0 > 0 and 0 < a <= b")
+    if not (np.all(np.isfinite([beta0, u, a, b])) and beta0 > 0 and 0 < a <= b):
+        raise ValueError("need beta0 > 0 and 0 < a <= b, all finite, and a finite u")
     if np.isclose(a, b):
         return float(a ** (2 * u) / beta0**2)
     n = 2 * u + 1
@@ -334,6 +309,6 @@ def c1_limit(beta0: float, u: float, a: float, b: float) -> float:
 def c1_sample(beta) -> float:
     """Empirical c1 = (1/K) sum_i 1/beta_i^2 for a drawn user population."""
     beta = np.asarray(beta, dtype=float)
-    if beta.size == 0 or np.any(beta <= 0):
-        raise ValueError("need a nonempty vector of positive path losses")
+    if beta.size == 0 or not np.all(np.isfinite(beta) & (beta > 0)):
+        raise ValueError("need a nonempty vector of positive, finite path losses")
     return float(np.mean(1.0 / beta**2))

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the systems (subspace beam, isotropic beam, perfect-CSI bound) and detectors
-_SYSTEMS = ("wetmm", "opmm", "ideal")
-_DETECTORS = ("zf", "mrc")
+# every tag vocabulary: the systems (subspace beam, isotropic beam, perfect-CSI
+# bound), the detectors, the beam-weight search policies and the two
+# distributionally identical ways of drawing a channel estimate
+_TAGS = {"system": ("wetmm", "opmm", "ideal"), "detector": ("zf", "mrc"),
+         "xi_policy": ("analytic", "simplex"), "channel_knowledge": ("statistical", "pilot")}
 
 __all__ = [
     "SystemParams",
@@ -31,12 +33,11 @@ __all__ = [
 ]
 
 
-def _check_tags(system: str | None = None, detector: str | None = None) -> None:
-    """Raise ValueError on an unknown system or detector; None skips a tag."""
-    if system is not None and system not in _SYSTEMS:
-        raise ValueError(f"unknown system: {system!r}")
-    if detector is not None and detector not in _DETECTORS:
-        raise ValueError(f"unknown detector: {detector!r}")
+def _check_tags(**tags) -> None:
+    """Raise ValueError on a tag outside its ``_TAGS`` vocabulary."""
+    for name, value in tags.items():
+        if value not in _TAGS[name]:
+            raise ValueError(f"unknown {name}: {value!r}")
 
 
 def trial_rng(master_seed: int, trial: int = 0, salt: int = 0) -> np.random.Generator:
@@ -117,8 +118,8 @@ def complex_gaussian(rng: np.random.Generator, shape, var=1.0) -> np.ndarray:
     be passed directly.
     """
     var = np.asarray(var, dtype=float)
-    if np.any(var < 0):
-        raise ValueError("variance must be nonnegative")
+    if not np.all(np.isfinite(var) & (var >= 0)):
+        raise ValueError("variance must be nonnegative and finite")
     std = np.sqrt(var / 2.0)
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
@@ -167,10 +168,10 @@ def path_loss(beta0: float, u: float, distances) -> np.ndarray:
     """Per-user power-law path losses beta = beta0 * d^(-u), with beta0 the
     path loss at unit distance and u the path-loss exponent."""
     d = np.atleast_1d(np.asarray(distances, dtype=float))
-    if not beta0 > 0:
-        raise ValueError("beta0 must be positive")
-    if not np.all(d > 0):
-        raise ValueError("distances must be positive")
+    if not (np.isfinite(beta0) and beta0 > 0 and np.isfinite(u)):
+        raise ValueError("beta0 must be positive and finite, and u finite")
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("distances must be positive and finite")
     return beta0 * d ** (-u)
 
 

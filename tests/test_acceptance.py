@@ -20,7 +20,7 @@ from wetmm.cli import (
     run_rate_vs_m,
     run_table1,
 )
-from wetmm.energy import expected_harvested_energy, harvested_energy_fixedpoint, opmm_energy
+from wetmm.energy import energies, expected_harvested_energy, harvested_energy_fixedpoint
 from wetmm.estimation import error_variance
 from wetmm.montecarlo import (
     McConfig,
@@ -155,7 +155,7 @@ def test_criterion_04_closed_forms_match_mc(xi_star, ref_alloc):
         scores.append((est.energy - e_closed) / est.energy_se)
         cfg_o = McConfig(n_trials=10000, master_seed=12345, detector="zf", system="opmm")
         eo, _, _, _ = _run_trials(pm, [(ref_alloc, cfg_o)], error_var=False)[0]
-        scores.append((eo.mean(0) - opmm_energy(REF_ALPHA, pm.beta, pm.p_dl))
+        scores.append((eo.mean(0) - energies(pm, "opmm", REF_ALPHA, REF_RHO, xi_star))
                       / (eo.std(0, ddof=1) / np.sqrt(len(eo))))
         ev_closed = error_variance(pm.beta, REF_RHO * e_closed, pm.sigma2_ul)
         scores.append((est.error_var - ev_closed) / est.error_var_se)

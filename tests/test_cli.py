@@ -147,6 +147,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentSpec) if isinstance
                             {"fairness_m_values": (1,), "detector": "mrc"},
                             {"m_values": (25, 2)}, {"fairness_m_values": (50, 2)},
                             {"m_values": (3,), "distances": (5.0, 6.0, 7.0)},
+                            {"rate_vs_m_values": (3, 4, 1)},
                             {"contour_rho": 1.5}, {"contour_rho": -2.0},
                             {"contour_rho": 1.0 + 1e-12},
                             {"zeta_min": 0.5, "zeta_max": 0.1}, {"zeta_min": 0.0},
@@ -173,7 +174,8 @@ def test_spec_m_values_checked_against_k(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("experiment", ["contour", "rho-sweep"])
-@pytest.mark.parametrize("line", ["xi_policy = bogus", "master_seed = -5"])
+@pytest.mark.parametrize("line", ["xi_policy = bogus", "master_seed = -5",
+                                  "rate_vs_m_values = 3, 4, 1"])
 def test_bad_spec_values_rejected_before_any_output(tmp_path, capsys, experiment, line):
     # neither experiment reads these keys, so only the spec can catch them
     cfg = write_config(tmp_path, line + "\n")

@@ -1,11 +1,13 @@
 """Energy phase: beamformers, mean harvest, and the banked-energy fixed point."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wetmm.energy import (ResourceAllocation, asymptotic_energy, beamformer,
-                          clamp_rho, expected_harvested_energy, general_beamformer,
-                          harvested_energy_fixedpoint, ideal_energy, opmm_energy)
+                          clamp_rho, energies, expected_harvested_energy, general_beamformer,
+                          harvested_energy_fixedpoint)
 from wetmm.estimation import draw_trials, error_variance
 from wetmm.montecarlo import operating_point
 from wetmm.sysmodel import trial_rng
@@ -110,7 +112,7 @@ def test_expected_harvest_perfect_estimate_limit():
     p = benchmark_params(64)
     xi = np.array([0.2, 0.8])
     q = expected_harvested_energy(1.0, 0.1, xi, p.beta, 64, 1.0, 1e-15)
-    assert np.allclose(q, ideal_energy(0.1, xi, p.beta, 64, 1.0), rtol=1e-6)
+    assert np.allclose(q, energies(p, "ideal", 0.1, 0.5, xi), rtol=1e-6)
 
 
 def test_fixedpoint_reference_values(params200, xi_star):
@@ -176,9 +178,10 @@ def test_uplink_power(params200, xi_star):
 def test_benchmark_energy_formulas(params200):
     beta = params200.beta
     xi = np.array([0.5, 0.5])
-    assert np.allclose(ideal_energy(0.1, xi, beta, 200, 2.0),
+    p2 = dataclasses.replace(params200, p_dl=2.0)
+    assert np.allclose(energies(p2, "ideal", 0.1, 0.5, xi),
                        0.1 * 2.0 * beta * (0.5 * 199 + 1.0), rtol=1e-14)
-    assert np.allclose(opmm_energy(0.1, beta, 2.0), 0.2 * beta, rtol=1e-14)
+    assert np.allclose(energies(p2, "opmm", 0.1, 0.5, xi), 0.2 * beta, rtol=1e-14)
     assert np.allclose(asymptotic_energy(0.1, xi, beta, 200, 2.0),
                        0.1 * 2.0 * beta * 0.5 * 200, rtol=1e-14)
 

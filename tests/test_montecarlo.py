@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from wetmm.energy import ResourceAllocation, beamformer, ideal_energy, opmm_energy
+from wetmm.energy import ResourceAllocation, beamformer, energies
 import wetmm.estimation as estimation
 from wetmm.estimation import draw_trials
 import wetmm.montecarlo as montecarlo
@@ -65,7 +65,7 @@ def test_ideal_data_phase_ignores_tau(params200, xi_star):
     at_zero = estimate_exact_rate(params200, ResourceAllocation(0.0, 0.5, 0.0, xi_star), cfg)
     assert np.array_equal(est.rate, at_zero.rate) and np.array_equal(est.energy, at_zero.energy)
     bound = closed_form_rate(params200, ResourceAllocation(0.5, 0.5, 0.0, xi_star), "ideal", "zf")
-    assert np.all(bound.rate > 0) and np.all(bound.rate <= est.rate + 3.0 * est.rate_se)
+    assert np.all(bound > 0) and np.all(bound <= est.rate + 3.0 * est.rate_se)
     with pytest.raises(ValueError, match="data phase"):
         operating_point(params200, ResourceAllocation(0.5, 0.5, 0.5, xi_star), "wetmm")
 
@@ -90,7 +90,7 @@ def test_ideal_zf_perfect_knowledge_identity(params200, ref_alloc):
     _, sinr, _, _ = _run_trials(params200, [(ref_alloc, cfg)], error_var=False)[0]
     g = generate_channel(params200, trial_rng(11, 0, 0))
     inv = np.linalg.inv(g.conj().T @ g)
-    e = ideal_energy(ref_alloc.alpha, ref_alloc.xi, params200.beta, 200, 1.0)
+    e = energies(params200, "ideal", ref_alloc.alpha, ref_alloc.rho, ref_alloc.xi)
     p = e / (1.0 - ref_alloc.alpha)
     want = p / (params200.sigma2_ul * np.real(np.diag(inv)))
     assert np.allclose(sinr[0], want, rtol=1e-9)
@@ -157,7 +157,7 @@ def test_opmm_energy_matches_closed_form(params200, ref_alloc):
     # isotropic powering: the harvested-energy mean is alpha p beta exactly
     cfg = cfg_for(system="opmm", n=800, seed=2)
     en, _, _, _ = _run_trials(params200, [(ref_alloc, cfg)], error_var=False)[0]
-    want = opmm_energy(ref_alloc.alpha, params200.beta, 1.0)
+    want = energies(params200, "opmm", ref_alloc.alpha, ref_alloc.rho, ref_alloc.xi)
     se = en.std(axis=0, ddof=1) / np.sqrt(len(en))
     assert np.all(np.abs(en.mean(axis=0) - want) <= 4.0 * se)
 

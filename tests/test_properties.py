@@ -38,8 +38,8 @@ def test_rates_strictly_decrease_in_tau(scenario, tau, dtau, system, detector):
     params, alpha, rho, xi = scenario
     lo = ResourceAllocation(tau=tau, alpha=alpha, rho=rho, xi=xi)
     hi = ResourceAllocation(tau=tau + dtau, alpha=alpha, rho=rho, xi=xi)
-    r_lo = closed_form_rate(params, lo, system, detector).rate
-    r_hi = closed_form_rate(params, hi, system, detector).rate
+    r_lo = closed_form_rate(params, lo, system, detector)
+    r_hi = closed_form_rate(params, hi, system, detector)
     assert np.all(r_hi < r_lo), (r_lo, r_hi)
 
 

@@ -1,4 +1,5 @@
-"""The package's public surface: one tag vocabulary, consistent exports."""
+"""The package's public surface: one validator for every tag vocabulary,
+guards that refuse NaN, consistent exports."""
 
 import ast
 import importlib
@@ -10,33 +11,79 @@ import pytest
 
 import wetmm
 from wetmm.cli import ExperimentSpec
-from wetmm.energy import energies
+from wetmm.energy import (energies, expected_harvested_energy, general_beamformer,
+                          harvested_energy_fixedpoint)
+from wetmm.estimation import draw_trials, error_variance, make_pilots, mmse_estimate
 from wetmm.montecarlo import McConfig
-from wetmm.optimizer import asymptotic_allocation, grid_search_p1, rate_map
-from wetmm.rates import closed_form_sinr
+from wetmm.optimizer import (asymptotic_allocation, grid_search_p1, optimal_rho_zf, optimal_xi,
+                             rate_map)
+from wetmm.rates import c1_limit, c1_sample, closed_form_sinr
+from wetmm.sysmodel import complex_gaussian, path_loss, trial_rng
 
 from conftest import benchmark_params
 
 XI = np.array([0.5, 0.5])
+VALID = {"system": "wetmm", "detector": "zf", "xi_policy": "analytic",
+         "channel_knowledge": "statistical"}
+# each entry point with the tags it takes
 ENTRY_POINTS = {
-    "closed_form_sinr": lambda p, s, d: closed_form_sinr(p, s, d, 0.0, 0.1, 0.5, XI),
-    "grid_search_p1": lambda p, s, d: grid_search_p1(p, s, d, steps=(0.02, 0.02, 0.02)),
-    "rate_map": lambda p, s, d: rate_map(p, s, d, 0.0, 0.1, 0.5, XI),
-    "asymptotic_allocation": lambda p, s, d: asymptotic_allocation(p, d),
-    "energies": lambda p, s, d: energies(p, s, 0.1, 0.5, XI),
-    "McConfig": lambda p, s, d: McConfig(system=s, detector=d),
-    "ExperimentSpec": lambda p, s, d: ExperimentSpec(system=s, detector=d),
+    "closed_form_sinr": (("system", "detector"), lambda p, t: closed_form_sinr(
+        p, t["system"], t["detector"], 0.0, 0.1, 0.5, XI)),
+    "grid_search_p1": (("system", "detector", "xi_policy"), lambda p, t: grid_search_p1(
+        p, t["system"], t["detector"], steps=(0.02, 0.02, 0.02), xi_policy=t["xi_policy"])),
+    "rate_map": (("system", "detector"), lambda p, t: rate_map(
+        p, t["system"], t["detector"], 0.0, 0.1, 0.5, XI)),
+    "asymptotic_allocation": (("detector",), lambda p, t: asymptotic_allocation(p, t["detector"])),
+    "energies": (("system",), lambda p, t: energies(p, t["system"], 0.1, 0.5, XI)),
+    "McConfig": (("system", "detector", "channel_knowledge"), lambda p, t: McConfig(
+        system=t["system"], detector=t["detector"], channel_knowledge=t["channel_knowledge"])),
+    "ExperimentSpec": (("system", "detector", "xi_policy"), lambda p, t: ExperimentSpec(
+        system=t["system"], detector=t["detector"], xi_policy=t["xi_policy"])),
+    "draw_trials": (("channel_knowledge",), lambda p, t: draw_trials(
+        p, 1e-9, 0, [0], method=t["channel_knowledge"])),
 }
-# each entry point with each tag it takes
-CASES = [(entry, tag) for entry in ENTRY_POINTS for tag in ("system", "detector")
-         if (entry, tag) not in {("asymptotic_allocation", "system"), ("energies", "detector")}]
+CASES = [(entry, tag) for entry, (tags, _) in ENTRY_POINTS.items() for tag in tags]
 
 
 @pytest.mark.parametrize("entry, tag", CASES)
 def test_entry_points_reject_unknown_tags(entry, tag):
-    tags = {"system": "wetmm", "detector": "zf", tag: "bogus"}
     with pytest.raises(ValueError, match=f"^unknown {tag}: 'bogus'$"):
-        ENTRY_POINTS[entry](benchmark_params(10), tags["system"], tags["detector"])
+        ENTRY_POINTS[entry][1](benchmark_params(10), {**VALID, tag: "bogus"})
+
+
+GUARDED = {
+    "optimal_xi nan": lambda: optimal_xi([np.nan, 1.0]),
+    "optimal_xi inf": lambda: optimal_xi([np.inf, 1.0]),
+    "optimal_rho_zf": lambda: optimal_rho_zf(2, np.nan, 0.1),
+    "fixed point alpha nan": lambda: harvested_energy_fixedpoint(np.nan, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15),
+    "fixed point alpha inf": lambda: harvested_energy_fixedpoint(np.inf, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15),
+    "fixed point rho nan": lambda: harvested_energy_fixedpoint(0.1, np.nan, 0.5, 1e-6, 64, 1.0, 1e-15),
+    "error_variance energy": lambda: error_variance(1e-6, np.nan, 1e-15),
+    "error_variance sigma2": lambda: error_variance(1e-6, 1e-9, np.nan),
+    "make_pilots nan": lambda: make_pilots(2, 2, np.nan),
+    "make_pilots inf": lambda: make_pilots(2, 2, np.inf),
+    "c1_limit beta0": lambda: c1_limit(np.nan, 3.0, 6.0, 12.0),
+    "c1_limit u": lambda: c1_limit(1e-3, np.nan, 6.0, 12.0),
+    "c1_limit b": lambda: c1_limit(1e-3, 3.0, 6.0, np.inf),
+    "c1_sample": lambda: c1_sample([np.nan, 1e-6]),
+    "path_loss u": lambda: path_loss(1e-3, np.nan, [6.0, 12.0]),
+    "path_loss distance": lambda: path_loss(1e-3, 3.0, [6.0, np.inf]),
+    "expected_harvested_energy": lambda: expected_harvested_energy(np.nan, 0.1, 0.5, 1e-6, 64,
+                                                                   1.0, 1e-15),
+    "mmse_estimate": lambda: mmse_estimate(np.zeros((4, 2)), make_pilots(2, 2, 1e-9),
+                                           np.array([1e-6, 1e-7]), np.nan),
+    "general_beamformer": lambda: general_beamformer(np.eye(4, 2), [np.nan, 0.5], [0.5]),
+    "complex_gaussian nan": lambda: complex_gaussian(trial_rng(0), (2,), np.nan),
+    "complex_gaussian inf": lambda: complex_gaussian(trial_rng(0), (2,), np.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(GUARDED))
+def test_guards_refuse_nan_and_infinite_inputs(case):
+    """A guard written as ``np.any(x < 0)`` lets NaN through; each one reads
+    as a positive test and refuses infinities where the value must be finite."""
+    with pytest.raises(ValueError):
+        GUARDED[case]()
 
 
 def test_exports_are_listed_in_module_all():

@@ -4,10 +4,9 @@ pinned benchmark values."""
 import numpy as np
 import pytest
 
-from wetmm.energy import (ResourceAllocation, energies, harvested_energy_fixedpoint,
-                          opmm_energy)
+from wetmm.energy import ResourceAllocation, energies, harvested_energy_fixedpoint
 from wetmm.rates import (_fold_users, asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit,
-                         c1_sample, closed_form_rate, ideal_asymptotic_rate,
+                         c1_sample, closed_form_rate, closed_form_sinr, ideal_asymptotic_rate,
                          large_k_rate, maxmin_asymptotic_rate,
                          mm_dorg, mrc_sinr_from_energy, user_load_for_rate,
                          zf_sinr_from_energy)
@@ -106,6 +105,20 @@ def test_sinr_zero_energy_gives_zero():
     assert np.all(np.isfinite(z)) and np.all(np.isfinite(m))
 
 
+@pytest.mark.parametrize("system, detector, nan_arg",
+                         [(s, d, a) for s in ("wetmm", "opmm", "ideal") for d in ("zf", "mrc")
+                          for a in ("alpha", "rho", "xi")
+                          if (s, a) not in {("opmm", "xi"), ("ideal", "rho")}])
+def test_closed_form_sinr_propagates_nan(params200, system, detector, nan_arg):
+    # a NaN argument the system uses gives NaN SINRs (for xi, at least the
+    # user whose weight is NaN), not the zero of an empty energy or data phase
+    args = {"alpha": 0.076, "rho": 0.5965, "xi": np.array([0.5, 0.5])}
+    args[nan_arg] = np.array([np.nan, 0.5]) if nan_arg == "xi" else np.nan
+    sinr = closed_form_sinr(params200, system, detector, 0.0, args["alpha"], args["rho"],
+                            args["xi"])
+    assert np.all(np.isnan(sinr[:1] if nan_arg == "xi" else sinr)), sinr
+
+
 def test_sinr_antenna_floor():
     beta = np.array([1e-6, 1e-7])
     with pytest.raises(ValueError):
@@ -115,78 +128,75 @@ def test_sinr_antenna_floor():
 
 
 def test_reference_point_rates(params200, ref_alloc):
-    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "zf").rate,
-                       ZF_REF, rtol=1e-10)
-    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "mrc").rate,
+    rates = closed_form_rate(params200, ref_alloc, "wetmm", "zf")
+    assert np.allclose(rates, ZF_REF, rtol=1e-10)
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "mrc"),
                        MRC_REF, rtol=1e-10)
-    rep = closed_form_rate(params200, ref_alloc, "wetmm", "zf")
-    assert np.isclose(rep.min_rate, ZF_REF.min(), rtol=1e-12)
+    assert np.isclose(np.min(rates), ZF_REF.min(), rtol=1e-12)
 
 
 def test_zero_alpha_zero_rate(params200, xi_star):
     alloc = ResourceAllocation(tau=0.01, alpha=0.0, rho=0.5, xi=xi_star)
-    assert np.all(closed_form_rate(params200, alloc, "wetmm", "zf").rate == 0.0)
-    assert np.all(closed_form_rate(params200, alloc, "wetmm", "mrc").rate == 0.0)
+    assert np.all(closed_form_rate(params200, alloc, "wetmm", "zf") == 0.0)
+    assert np.all(closed_form_rate(params200, alloc, "wetmm", "mrc") == 0.0)
 
 
 def test_opmm_rates_against_reference(params200, ref_alloc):
     # omnidirectional powering: same SINR cores at E = alpha p beta
-    e = opmm_energy(ref_alloc.alpha, params200.beta, params200.p_dl)
+    e = ref_alloc.alpha * params200.p_dl * params200.beta
     rem = 1.0 - ref_alloc.tau - ref_alloc.alpha
     want_zf = rem * np.log2(1.0 + zf_sinr_ref(e, params200.beta, ref_alloc.tau,
                                               ref_alloc.alpha, ref_alloc.rho, 200, 1e-15))
     want_mrc = rem * np.log2(1.0 + mrc_sinr_ref(e, params200.beta, ref_alloc.tau,
                                                 ref_alloc.alpha, ref_alloc.rho, 200, 1e-15))
-    assert np.allclose(closed_form_rate(params200, ref_alloc, "opmm", "zf").rate,
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "opmm", "zf"),
                        want_zf, rtol=1e-12)
-    assert np.allclose(closed_form_rate(params200, ref_alloc, "opmm", "mrc").rate,
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "opmm", "mrc"),
                        want_mrc, rtol=1e-12)
 
 
 def test_system_ordering_at_reference_point(params200, ref_alloc, xi_star):
     """Perfect knowledge >= wireless-powered >= omnidirectional, per user."""
-    wet = closed_form_rate(params200, ref_alloc, "wetmm", "zf").rate
-    opm = closed_form_rate(params200, ref_alloc, "opmm", "zf").rate
+    wet = closed_form_rate(params200, ref_alloc, "wetmm", "zf")
+    opm = closed_form_rate(params200, ref_alloc, "opmm", "zf")
     idl = closed_form_rate(params200, ResourceAllocation(0.0, ref_alloc.alpha, 0.0, xi_star),
-                           "ideal", "zf").rate
+                           "ideal", "zf")
     assert np.all(idl >= wet) and np.all(wet >= opm)
 
 
 def test_ideal_rate_formula(params200, xi_star):
     alpha = 0.076
-    rep = closed_form_rate(params200, ResourceAllocation(0.0, alpha, 0.0, xi_star), "ideal", "zf")
+    rates = closed_form_rate(params200, ResourceAllocation(0.0, alpha, 0.0, xi_star), "ideal", "zf")
     e = alpha * params200.p_dl * params200.beta * (xi_star * 199 + 1.0)
     want = (1.0 - alpha) * np.log2(
         1.0 + e * 198 * params200.beta / ((1.0 - alpha) * 1e-15))
-    assert np.allclose(rep.rate, want, rtol=1e-12)
-    assert np.isclose(rep.min_rate, 18.512076999856536, rtol=1e-12)
+    assert np.allclose(rates, want, rtol=1e-12)
+    assert np.isclose(np.min(rates), 18.512076999856536, rtol=1e-12)
 
 
 def test_asymptotic_zf_matches_pinned_value(params200, ref_alloc):
-    rep = asymptotic_zf_rate(params200, ref_alloc)
-    assert np.allclose(rep.rate, ASYM_ZF_REF, rtol=1e-10)
+    rates = asymptotic_zf_rate(params200, ref_alloc)
+    assert np.allclose(rates, ASYM_ZF_REF, rtol=1e-10)
     # user index drops out in the limit: both users see the same rate
-    assert np.isclose(rep.rate[0], rep.rate[1], rtol=1e-12)
+    assert np.isclose(rates[0], rates[1], rtol=1e-12)
 
 
 def test_asymptotic_zf_finite_at_rho_one(params200, xi_star):
     alloc = ResourceAllocation(tau=0.0, alpha=0.076, rho=1.0, xi=xi_star)
-    rep = asymptotic_zf_rate(params200, alloc)
-    assert np.all(np.isfinite(rep.rate))
+    assert np.all(np.isfinite(asymptotic_zf_rate(params200, alloc)))
 
 
 def test_asymptotic_mrc_identity(params200, xi_star):
     # with weights inverse to beta^2 the MRC limit SINR is exactly M - 1
     alloc = ResourceAllocation(tau=0.01, alpha=0.05, rho=0.4, xi=xi_star)
-    rep = asymptotic_mrc_rate(params200, alloc)
     want = (1.0 - 0.01 - 0.05) * np.log2(200.0)
-    assert np.allclose(rep.rate, want, rtol=1e-12)
+    assert np.allclose(asymptotic_mrc_rate(params200, alloc), want, rtol=1e-12)
 
 
 def test_asymptotic_mrc_single_user_unbounded():
     p = SystemParams(M=64, K=1, p_dl=1.0, sigma2_ul=1e-15, beta=np.array([1e-6]))
     alloc = ResourceAllocation(tau=0.0, alpha=0.1, rho=0.5, xi=np.array([1.0]))
-    assert np.all(np.isinf(asymptotic_mrc_rate(p, alloc).rate))
+    assert np.all(np.isinf(asymptotic_mrc_rate(p, alloc)))
     assert maxmin_asymptotic_rate(p, "mrc") == float("inf")
 
 
@@ -200,8 +210,8 @@ def test_maxmin_asymptotic_values(params200):
 
 def test_ideal_asymptotic_close_to_finite_m(params200, xi_star):
     # at M=200 the exact perfect-knowledge rate sits just above its limit form
-    exact = closed_form_rate(params200, ResourceAllocation(0.0, 0.076, 0.0, xi_star),
-                             "ideal", "zf").min_rate
+    exact = np.min(closed_form_rate(params200, ResourceAllocation(0.0, 0.076, 0.0, xi_star),
+                                    "ideal", "zf"))
     asym = ideal_asymptotic_rate(params200, 0.076, "zf")
     assert np.isclose(asym, 18.511972859473165, rtol=1e-12)
     assert 0 < exact - asym < 0.01
@@ -219,11 +229,13 @@ def test_closed_form_rate_dispatch(params200, ref_alloc):
             want = rem * np.log2(1.0 + core(e, params200.beta, a.tau, a.alpha, a.rho,
                                             200, 1e-15))
             got = closed_form_rate(params200, a, system, det)
-            assert np.allclose(got.rate, want, rtol=1e-14)
-    got = closed_form_rate(params200, ref_alloc, "ideal", "zf")
-    want = closed_form_rate(params200, ResourceAllocation(0.0, ref_alloc.alpha, 0.0, ref_alloc.xi),
-                            "ideal", "zf")
-    assert np.allclose(got.rate, want.rate, rtol=1e-14)
+            assert np.allclose(got, want, rtol=1e-14)
+    # the ideal system ignores tau and rho: nonzero values change no bit
+    assert a.tau > 0 and a.rho > 0
+    for det in ("zf", "mrc"):
+        got = closed_form_rate(params200, a, "ideal", det)
+        want = closed_form_rate(params200, ResourceAllocation(0.0, a.alpha, 0.0, a.xi), "ideal", det)
+        assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         closed_form_rate(params200, ref_alloc, "nonesuch", "zf")
     with pytest.raises(ValueError):
@@ -324,5 +336,5 @@ def test_wetmm_energies_feed_rates(params200, ref_alloc):
     sinr = zf_sinr_from_energy(e, params200.beta, ref_alloc.tau, ref_alloc.alpha,
                                ref_alloc.rho, 200, 1e-15)
     want = (1.0 - ref_alloc.tau - ref_alloc.alpha) * np.log2(1.0 + sinr)
-    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "zf").rate,
+    assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "zf"),
                        want, rtol=1e-12)
