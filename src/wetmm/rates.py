@@ -135,7 +135,7 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     if system != "ideal":
         sinr_fn = zf_sinr_from_energy if detector == "zf" else mrc_sinr_from_energy
         return sinr_fn(e, beta, tau, alpha, rho_c, M, s2)
-    rem = _data_phase(system, tau, np.asarray(alpha, dtype=float))
+    rem = 1.0 - np.asarray(alpha, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         if detector == "zf":
             params.require_zf()

@@ -4,6 +4,7 @@ guards that refuse NaN, consistent exports."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,39 +52,53 @@ def test_entry_points_reject_unknown_tags(entry, tag):
         ENTRY_POINTS[entry][1](benchmark_params(10), {**VALID, tag: "bogus"})
 
 
+# case -> (a fragment of the guard's own message, the call it refuses)
 GUARDED = {
-    "optimal_xi nan": lambda: optimal_xi([np.nan, 1.0]),
-    "optimal_xi inf": lambda: optimal_xi([np.inf, 1.0]),
-    "optimal_rho_zf": lambda: optimal_rho_zf(2, np.nan, 0.1),
-    "fixed point alpha nan": lambda: harvested_energy_fixedpoint(np.nan, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15),
-    "fixed point alpha inf": lambda: harvested_energy_fixedpoint(np.inf, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15),
-    "fixed point rho nan": lambda: harvested_energy_fixedpoint(0.1, np.nan, 0.5, 1e-6, 64, 1.0, 1e-15),
-    "error_variance energy": lambda: error_variance(1e-6, np.nan, 1e-15),
-    "error_variance sigma2": lambda: error_variance(1e-6, 1e-9, np.nan),
-    "make_pilots nan": lambda: make_pilots(2, 2, np.nan),
-    "make_pilots inf": lambda: make_pilots(2, 2, np.inf),
-    "c1_limit beta0": lambda: c1_limit(np.nan, 3.0, 6.0, 12.0),
-    "c1_limit u": lambda: c1_limit(1e-3, np.nan, 6.0, 12.0),
-    "c1_limit b": lambda: c1_limit(1e-3, 3.0, 6.0, np.inf),
-    "c1_sample": lambda: c1_sample([np.nan, 1e-6]),
-    "path_loss u": lambda: path_loss(1e-3, np.nan, [6.0, 12.0]),
-    "path_loss distance": lambda: path_loss(1e-3, 3.0, [6.0, np.inf]),
-    "expected_harvested_energy": lambda: expected_harvested_energy(np.nan, 0.1, 0.5, 1e-6, 64,
-                                                                   1.0, 1e-15),
-    "mmse_estimate": lambda: mmse_estimate(np.zeros((4, 2)), make_pilots(2, 2, 1e-9),
-                                           np.array([1e-6, 1e-7]), np.nan),
-    "general_beamformer": lambda: general_beamformer(np.eye(4, 2), [np.nan, 0.5], [0.5]),
-    "complex_gaussian nan": lambda: complex_gaussian(trial_rng(0), (2,), np.nan),
-    "complex_gaussian inf": lambda: complex_gaussian(trial_rng(0), (2,), np.inf),
+    "optimal_xi nan": ("positive, finite gains", lambda: optimal_xi([np.nan, 1.0])),
+    "optimal_xi inf": ("positive, finite gains", lambda: optimal_xi([np.inf, 1.0])),
+    "optimal_rho_zf": ("tau + alpha must not exceed 1 and must be finite",
+                       lambda: optimal_rho_zf(2, np.nan, 0.1)),
+    "fixed point alpha nan": ("alpha must be positive and finite", lambda: harvested_energy_fixedpoint(
+        np.nan, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15)),
+    "fixed point alpha inf": ("alpha must be positive and finite", lambda: harvested_energy_fixedpoint(
+        np.inf, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15)),
+    "fixed point rho nan": ("rho must lie strictly inside (0, 1)", lambda: harvested_energy_fixedpoint(
+        0.1, np.nan, 0.5, 1e-6, 64, 1.0, 1e-15)),
+    "error_variance energy": ("pilot energy must be nonnegative",
+                              lambda: error_variance(1e-6, np.nan, 1e-15)),
+    "error_variance sigma2": ("sigma2_ul must be positive and finite",
+                              lambda: error_variance(1e-6, 1e-9, np.nan)),
+    "make_pilots nan": ("pilot energy must be nonnegative and finite", lambda: make_pilots(2, 2, np.nan)),
+    "make_pilots inf": ("pilot energy must be nonnegative and finite", lambda: make_pilots(2, 2, np.inf)),
+    "c1_limit beta0": ("need beta0 > 0", lambda: c1_limit(np.nan, 3.0, 6.0, 12.0)),
+    "c1_limit u": ("and a finite u", lambda: c1_limit(1e-3, np.nan, 6.0, 12.0)),
+    "c1_limit b": ("0 < a <= b, all finite", lambda: c1_limit(1e-3, 3.0, 6.0, np.inf)),
+    "c1_sample": ("positive, finite path losses", lambda: c1_sample([np.nan, 1e-6])),
+    "path_loss u": ("beta0 must be positive and finite, and u finite",
+                    lambda: path_loss(1e-3, np.nan, [6.0, 12.0])),
+    "path_loss distance": ("distances must be positive and finite",
+                           lambda: path_loss(1e-3, 3.0, [6.0, np.inf])),
+    "expected_harvested_energy": ("pilot energy must be nonnegative", lambda: expected_harvested_energy(
+        np.nan, 0.1, 0.5, 1e-6, 64, 1.0, 1e-15)),
+    "mmse_estimate": ("sigma2_ul must be positive and finite", lambda: mmse_estimate(
+        np.zeros((4, 2)), make_pilots(2, 2, 1e-9), np.array([1e-6, 1e-7]), np.nan)),
+    "general_beamformer": ("beam weights must be nonnegative",
+                           lambda: general_beamformer(np.eye(4, 2), [np.nan, 0.5], [0.5])),
+    "complex_gaussian nan": ("variance must be nonnegative and finite",
+                             lambda: complex_gaussian(trial_rng(0), (2,), np.nan)),
+    "complex_gaussian inf": ("variance must be nonnegative and finite",
+                             lambda: complex_gaussian(trial_rng(0), (2,), np.inf)),
 }
 
 
 @pytest.mark.parametrize("case", list(GUARDED))
 def test_guards_refuse_nan_and_infinite_inputs(case):
     """A guard written as ``np.any(x < 0)`` lets NaN through; each one reads
-    as a positive test and refuses infinities where the value must be finite."""
-    with pytest.raises(ValueError):
-        GUARDED[case]()
+    as a positive test and refuses infinities where the value must be finite.
+    The message is matched, so a shape or range check elsewhere cannot pass."""
+    message, call = GUARDED[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_exports_are_listed_in_module_all():
