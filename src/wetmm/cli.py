@@ -19,8 +19,8 @@ downlink power, -120 dBm noise).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -193,12 +193,6 @@ def build_params(spec: ExperimentSpec, m: int | None = None) -> SystemParams:
                         beta=path_loss(spec.beta0, spec.pathloss_exponent, spec.distances))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".10g")
-    return str(value)
-
-
 def _write_atomic(path: str, data: bytes) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -213,14 +207,27 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
-    import io
+    """Write the bytes ``csv.writer`` gives for ``header`` and ``rows``, each
+    float as %.10g and any other value as str(), through one %-template per
+    file: a line built from the first row's value kinds, repeated per row.
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _write_atomic(path, buf.getvalue().encode("utf-8"))
+    Raises:
+        ValueError: if a row's length differs from the header's, or a field
+            would need quoting, which a template cannot write.
+    """
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: every row must have {len(header)} fields")
+    line = ",".join("%.10g" if isinstance(v, (float, np.floating)) else "%s"
+                    for v in (rows[0] if rows else header)) + "\r\n"
+    template = ",".join(header).replace("%", "%%") + "\r\n" + line * len(rows)
+    text = template % tuple(itertools.chain.from_iterable(rows))
+    n_lines = len(rows) + 1
+    if ('"' in text or text.count(",") != n_lines * (len(header) - 1)
+            or text.count("\r") != n_lines or text.count("\n") != n_lines
+            or text.startswith("\r\n") or "\n\r\n" in text):
+        raise ValueError(f"{path}: a field holds a comma, quote or line break, "
+                         "or is the empty only field of its row")
+    _write_atomic(path, text.encode("utf-8"))
 
 
 def _emit(spec: ExperimentSpec, experiment: str, files: list, extra: dict | None = None):
@@ -266,8 +273,8 @@ def run_optimize(spec: ExperimentSpec):
     row = ([params.M, spec.system, spec.detector, a.tau, a.alpha, a.rho]
            + list(a.xi) + list(res.rates) + [res.min_rate, res.n_evaluations])
     out = _emit(spec, "optimize", [("optimize.csv", header, [row])])
-    print(f"m={row[0]} system={row[1]} detector={row[2]} tau={_fmt(row[3])} "
-          f"alpha={_fmt(row[4])} rho={_fmt(row[5])} min_rate={_fmt(row[-2])}")
+    print(f"m={row[0]} system={row[1]} detector={row[2]} tau={a.tau:.10g} "
+          f"alpha={a.alpha:.10g} rho={a.rho:.10g} min_rate={res.min_rate:.10g}")
     return out
 
 
@@ -310,10 +317,9 @@ def run_contour(spec: ExperimentSpec):
     rates = rate_map(params, spec.system, spec.detector, tau_vals[:, None, None],
                      alpha_vals[None, :, None], spec.contour_rho, xi)
     header = ["tau", "alpha"] + [f"rate_user{k + 1}" for k in range(params.K)]
-    rows = []
-    for i, tau in enumerate(tau_vals):
-        for j, alpha in enumerate(alpha_vals):
-            rows.append([tau, alpha] + list(rates[i, j]))
+    rows = np.column_stack([np.repeat(tau_vals, alpha_vals.size),
+                            np.tile(alpha_vals, tau_vals.size),
+                            rates.reshape(-1, params.K)]).tolist()
     return _emit(spec, "contour", [("contour.csv", header, rows)],
                  {"fixed_rho": spec.contour_rho})
 

@@ -137,10 +137,14 @@ def error_variance(beta_k, pilot_energy_k, sigma2_ul):
         error_var = beta / (1 + beta * D / sigma2)
 
     Decreasing in the pilot energy D; equals beta at D = 0 (estimate carries
-    no information) and tends to 0 as D grows.  Broadcasts over arrays.
+    no information) and tends to 0 as D grows.  Broadcasts over arrays;
+    beta must be positive and finite, D nonnegative and sigma2 positive and
+    finite.
     """
     beta_k = np.asarray(beta_k, dtype=float)
     pilot_energy_k = np.asarray(pilot_energy_k, dtype=float)
+    if not np.all(np.isfinite(beta_k) & (beta_k > 0)):
+        raise ValueError("beta must be positive and finite")
     if not np.all(pilot_energy_k >= 0):
         raise ValueError("pilot energy must be nonnegative")
     if not np.all(np.isfinite(sigma2_ul) & (sigma2_ul > 0)):

@@ -12,6 +12,7 @@ import pytest
 
 from wetmm.cli import (
     ExperimentSpec,
+    _write_csv,
     build_params,
     dbm_to_watts,
     load_config,
@@ -238,6 +239,50 @@ def test_optimize_csv_matches_direct_search(tmp_path, capsys):
     with open(out / "optimize.csv", "rb") as fh:
         data = fh.read()
     assert data.endswith(b"\r\n")
+
+
+def csv_writer_bytes(header, rows):
+    """The reference rendering: csv.writer over each value formatted as a
+    float's '.10g' or any other value's str()."""
+    import io
+
+    def fmt(value):
+        return format(float(value), ".10g") if isinstance(value, (float, np.floating)) \
+            else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_template_matches_csv_writer(tmp_path):
+    header = ["n", "big", "label", "x", "share_%"]
+    rows = [[3, np.int64(-7), "wetmm", 0.1 + 0.2, np.float64(-0.0)],
+            [2 ** 40, np.int64(2 ** 62), "energy", math.nan, math.inf],
+            [0, np.int64(0), "zf", -math.inf, np.float64(1.2345678901234e-300)],
+            [-1, np.int64(1), "rate_bound", 16.10031444046324, np.nan]]
+    for name, body in (("rows.csv", rows), ("empty.csv", [])):
+        _write_csv(str(tmp_path / name), header, body)
+        assert (tmp_path / name).read_bytes() == csv_writer_bytes(header, body)
+
+
+QUOTED = "comma, quote or line break"
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    (["a", "b"], [["x,y", 1.0]], QUOTED), (["a", "b"], [['say "hi"', 1.0]], QUOTED),
+    (["a", "b"], [["one\ntwo", 1.0]], QUOTED), (["a", "b"], [["one\rtwo", 1.0]], QUOTED),
+    (["a,b", "c"], [["x", 1.0]], QUOTED), (["a"], [[""]], QUOTED),
+    (["a", "b"], [["x", 1.0], ["y"], ["z", 2.0, 3.0]], "every row must have 2 fields"),
+])
+def test_csv_template_refuses_what_it_cannot_write(tmp_path, header, rows, message):
+    """A field csv.writer would quote, or a row of the wrong length, is
+    refused before anything is written."""
+    with pytest.raises(ValueError, match=message):
+        _write_csv(str(tmp_path / "bad.csv"), header, rows)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_optimize_rerun_is_byte_identical(tmp_path):

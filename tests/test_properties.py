@@ -1,5 +1,7 @@
 """Property tests over random scenarios."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 from wetmm.energy import (RHO_CLAMP, ResourceAllocation, clamp_rho, energies,
                           expected_harvested_energy)
 from wetmm.estimation import draw_trials
+import wetmm.optimizer as optimizer
+from wetmm.optimizer import (_block_bounds, _lattice_count, _lattice_rates, _xi_candidates,
+                             grid_search_p1)
 from wetmm.rates import closed_form_rate
 from wetmm.sysmodel import SystemParams, _pcg64_states, trial_rng
 
@@ -134,3 +139,118 @@ def test_vector_stream_states_equal_scalar_states(master_seed, trials, salt):
     trials = trials + [0, 2 ** 32 - 1]
     assert _pcg64_states(master_seed, trials, salt) == [
         trial_rng(master_seed, t, salt).bit_generator.state["state"] for t in trials]
+
+
+@st.composite
+def search_problems(draw):
+    """Scenario, system, detector and xi policy for the lattice searches:
+    K = 2 or 3 users 2-30 m from the array, simplex weights at K = 2 only."""
+    k = draw(st.integers(2, 3))
+    system = draw(st.sampled_from(["wetmm", "opmm"]))
+    detector = draw(st.sampled_from(["zf", "mrc"]))
+    policy = draw(st.sampled_from(["analytic", "simplex"])) if k == 2 else "analytic"
+    m = draw(st.integers(k + 1 if detector == "zf" else 2, 1024))
+    dist = np.array(draw(st.lists(st.floats(2.0, 30.0), min_size=k, max_size=k)))
+    params = SystemParams(M=m, K=k, p_dl=10.0 ** draw(st.floats(-1.0, 1.0)),
+                          sigma2_ul=10.0 ** draw(st.floats(-16.0, -13.0)),
+                          beta=1e-3 * dist ** -3.0)
+    return params, system, detector, policy
+
+
+@PROPERTY_SETTINGS
+@given(fixed_point_boxes(), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from(["wetmm", "opmm"]))
+def test_energies_rise_in_alpha_rho_and_xi(box, u, v, w, system):
+    """Each user's energy is nondecreasing in alpha, in rho (clamped or not)
+    and in its own xi_k, on both roots of the fixed point: the monotonicity
+    the search's block bounds rest on."""
+    params, alpha, rho, xi = box
+    hi = (alpha + u * (1.0 - alpha), rho + v * (1.0 - rho) * (1.0 - 1e-9), xi + w * (1.0 - xi))
+    lo = energies(params, system, alpha, rho, xi)
+    assert np.all(lo <= energies(params, system, *hi) * (1.0 + 1e-12)), (lo, hi)
+
+
+@PROPERTY_SETTINGS
+@given(search_problems(), st.data())
+def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
+    """No lattice value in a block exceeds the block's bound by more than
+    the relative 1e-12 that a pruned pass allows for rounding.
+
+    Blocks hold up to 4 positions per axis.  They reach alpha = 0, and rho
+    steps below RHO_CLAMP put blocks across both clamp edges.  A block of
+    one point is bounded by its own value."""
+    params, system, detector, policy = problem
+    a_step = data.draw(st.floats(1e-3, 0.05))
+    r_step = data.draw(st.one_of(st.floats(2e-5, 1e-4), st.floats(1e-4, 0.05)))
+    x_step = data.draw(st.floats(0.01, 0.3))
+    n_a = _lattice_count(1.0, a_step, "alpha")
+    n_r = _lattice_count(1.0, r_step, "rho", open_end=True)
+    n_x = _lattice_count(1.0, x_step, "xi")
+    sizes = [data.draw(st.integers(1, min(4, n))) for n in (n_a + 1, n_r, n_x + 1)]
+    a0 = data.draw(st.one_of(st.just(0), st.integers(0, n_a + 1 - sizes[0])))
+    r0 = data.draw(st.one_of(st.just(1), st.just(n_r + 1 - sizes[1]),
+                             st.integers(1, n_r + 1 - sizes[1])))
+    x0 = data.draw(st.integers(0, n_x + 1 - sizes[2]))
+    _, xi = _xi_candidates(params, system, policy, np.arange(x0, x0 + sizes[2]), x_step)
+    alpha = a_step * np.arange(a0, a0 + sizes[0])
+    rho = r_step * np.arange(r0, r0 + sizes[1])
+    values = _lattice_rates(params, system, detector, alpha[:, None, None, None],
+                            rho[None, :, None, None], xi[None, None])
+    bound = _block_bounds(params, system, detector,
+                          [np.array([[[[v]]]]) for v in (alpha[0], alpha[-1])],
+                          [np.array([[[[v]]]]) for v in (rho[0], rho[-1])],
+                          [v[None, None, None] for v in (xi.min(axis=0), xi.max(axis=0))])
+    assert bound.shape == (1, 1, 1)
+    assert not np.any(bound < values - 1e-12 * np.abs(values)), (bound, values.max())
+    if values.size == 1 and np.isfinite(values).all():
+        assert np.isclose(bound.item(), values.item(), rtol=1e-9, atol=0.0)
+
+
+def coarse_to_fine(params, system, detector, steps, policy, xi_step, cf, radius):
+    """grid_search_p1's two passes, each a full ``_search_pass``: the
+    reference winner's (alpha, rho, xi) lattice indices for a pruned search."""
+    tops = (_lattice_count(1.0, steps[1], "alpha"),
+            _lattice_count(1.0, steps[2], "rho", open_end=True),
+            _lattice_count(1.0, xi_step, "xi"))
+    r_coarse = np.arange(cf, tops[1] + 1, cf)
+    val, idx, _ = optimizer._search_pass(
+        params, system, detector, steps, policy, xi_step, np.arange(0, tops[0] + 1, cf),
+        r_coarse if r_coarse.size else np.arange(1, tops[1] + 1), np.arange(0, tops[2] + 1, cf))
+    fine = [np.arange(max(low, i - radius * cf), min(top, i + radius * cf) + 1)
+            for i, top, low in zip(idx, tops, (0, 1, 0))]
+    val_f, idx_f, _ = optimizer._search_pass(params, system, detector, steps, policy, xi_step,
+                                             *fine)
+    return idx_f if val_f > val or (val_f == val and idx_f < idx) else idx
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(search_problems(), st.data())
+def test_pruned_search_returns_the_full_passes_winner(problem, data):
+    """With coarse_factor > 1 both passes skip blocks by their bounds, yet
+    return the same lattice point, hence a bit-identical min rate, as the
+    coarse-to-fine search built from full passes.
+
+    In some examples every lattice value is floored to whole bits.  That
+    keeps the block bounds valid and makes wide plateaus of exact ties, so
+    the tie order (smallest alpha, then rho, then xi) is exercised.  In
+    some, slabs of 64 entries split every pass into many evaluations, so
+    ties also fall between them."""
+    params, system, detector, policy = problem
+    steps = (0.01, data.draw(st.floats(0.002, 0.05)), data.draw(st.floats(0.002, 0.05)))
+    xi_step = data.draw(st.floats(0.005, 0.2))
+    cf = data.draw(st.integers(2, 12))
+    radius = data.draw(st.integers(0, 10))
+    rates = optimizer._lattice_rates
+    floored = data.draw(st.booleans())
+    with mock.patch.multiple(optimizer, _SLAB_ENTRIES=data.draw(st.sampled_from([2 ** 13, 64])),
+                             _lattice_rates=(lambda *args: np.floor(rates(*args))) if floored
+                             else rates):
+        ia, ir, ix = coarse_to_fine(params, system, detector, steps, policy, xi_step, cf, radius)
+        got = grid_search_p1(params, system, detector, steps=steps, xi_policy=policy,
+                             xi_step=xi_step, coarse_factor=cf, refine_radius=radius)
+    want = ResourceAllocation(0.0, steps[1] * ia, steps[2] * ir,
+                              _xi_candidates(params, system, policy, np.array([ix]), xi_step)[1][0])
+    a = got.allocation
+    assert (a.alpha, a.rho) == (want.alpha, want.rho)
+    assert np.array_equal(a.xi, want.xi)
+    assert got.min_rate == float(np.min(closed_form_rate(params, want, system, detector)))

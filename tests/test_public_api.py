@@ -58,6 +58,10 @@ GUARDED = {
     "optimal_xi inf": ("positive, finite gains", lambda: optimal_xi([np.inf, 1.0])),
     "optimal_rho_zf": ("tau + alpha must not exceed 1 and must be finite",
                        lambda: optimal_rho_zf(2, np.nan, 0.1)),
+    "optimal_rho_zf negative tau": ("tau and alpha must be nonnegative",
+                                    lambda: optimal_rho_zf(2, -5.0, 0.0)),
+    "optimal_rho_zf negative alpha": ("tau and alpha must be nonnegative",
+                                      lambda: optimal_rho_zf(2, 0.0, [0.1, -0.2])),
     "fixed point alpha nan": ("alpha must be positive and finite", lambda: harvested_energy_fixedpoint(
         np.nan, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15)),
     "fixed point alpha inf": ("alpha must be positive and finite", lambda: harvested_energy_fixedpoint(
@@ -68,6 +72,12 @@ GUARDED = {
                               lambda: error_variance(1e-6, np.nan, 1e-15)),
     "error_variance sigma2": ("sigma2_ul must be positive and finite",
                               lambda: error_variance(1e-6, 1e-9, np.nan)),
+    "error_variance beta negative": ("beta must be positive and finite",
+                                     lambda: error_variance(-1.0, 1.0, 1e-15)),
+    "error_variance beta nan": ("beta must be positive and finite",
+                                lambda: error_variance(np.nan, 1.0, 1e-15)),
+    "error_variance beta inf": ("beta must be positive and finite",
+                                lambda: error_variance([1e-6, np.inf], 1.0, 1e-15)),
     "make_pilots nan": ("pilot energy must be nonnegative and finite", lambda: make_pilots(2, 2, np.nan)),
     "make_pilots inf": ("pilot energy must be nonnegative and finite", lambda: make_pilots(2, 2, np.inf)),
     "c1_limit beta0": ("need beta0 > 0", lambda: c1_limit(np.nan, 3.0, 6.0, 12.0)),
