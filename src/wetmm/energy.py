@@ -91,9 +91,13 @@ def beamformer(G_hat: np.ndarray, xi) -> np.ndarray:
     (..., M, K) gives a stack of beams (..., M).
 
     Raises:
-        ValueError: if any estimate column is numerically zero.
+        ValueError: if any estimate column is numerically zero, or a beam
+            weight is negative or not finite.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    # the Monte Carlo calls this per chunk; a K-entry check is cheapest in Python
+    if not all(0.0 <= v < np.inf for v in xi.tolist()):
+        raise ValueError("xi must be nonnegative and finite")
     norms = np.linalg.norm(G_hat, axis=-2)
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise ValueError("degenerate channel estimate: zero-norm column")

@@ -12,16 +12,16 @@ analytic formulas for xi and rho plus a one-dimensional alpha search
 (:func:`solve_p1_analytic`) give a fast approximation that tracks the grid
 optimum closely at large M.
 
-The search lattice is the set of integer multiples of the step sizes.  A
-coarse pass (steps scaled by ``coarse_factor``) locates an incumbent, then a
+The search lattice is the set of integer multiples of the step sizes.  One
+pass runs every sweep: it skips blocks of points whose monotone upper bound
+cannot reach its incumbent, so it returns what evaluating every point would.
+A coarse pass (steps scaled by ``coarse_factor``) locates a winner, then a
 fine pass re-evaluates the box within ``refine_radius`` coarse steps of it.
-Both passes skip blocks of points whose monotone upper bound cannot reach
-their incumbent, and return what the full passes would.
-Only tau = 0 is evaluated, since it is the exact argmax over tau (see
-:func:`grid_search_p1`).  The perfect-knowledge ("ideal") system has no tau
-or rho, so the same pass runs once over its whole (alpha, xi) lattice at
-rho index 0.  Ties are broken toward smaller alpha, then rho, then xi_1,
-and the reduction is deterministic.
+``coarse_factor = 1`` and the perfect-knowledge ("ideal") system, which has
+no tau or rho, take one pass that evaluates every point.  Only tau = 0 is
+evaluated, since it is the exact argmax over tau (see
+:func:`grid_search_p1`).  Ties are broken toward smaller alpha, then rho,
+then xi_1, and the reduction is deterministic.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = (0.00025, 0.0005, 0.0005)
-# A search pass evaluates its (alpha, rho, xi, K) block in alpha slabs of
-# about this many entries, which caps the memory of its temporaries.
+# A search pass computes its bounds and evaluates its kept blocks in slabs of
+# about this many (alpha, rho, xi, K) entries, which caps the memory of its
+# temporaries.
 _SLAB_ENTRIES = 2 ** 13
-# A pruned pass bounds the objective over blocks of this many consecutive
-# lattice positions per axis.
+# A search pass with an incumbent bounds and evaluates the objective over
+# blocks of this many consecutive lattice positions per axis.
 _BLOCK = 4
 
 
@@ -66,10 +67,10 @@ class OptimizationResult:
         grid_steps: fine lattice steps used, (tau, alpha, rho[, xi_1]) or
             (alpha[, xi_1]) for the ideal system.
         n_evaluations: number of objective evaluations at feasible
-            lattice points, coarse and fine passes combined.  A pruned pass
-            counts the points it evaluated (its block corners and the points
-            of its kept blocks), not its block bounds.  The lattice searches
-            tau = 0 only, so these are (alpha, rho[, xi]) points.
+            lattice points, coarse and fine passes combined: the coarse
+            pass's block corners and the points of each pass's kept blocks,
+            not the block bounds.  The lattice searches tau = 0 only, so
+            these are (alpha, rho[, xi]) points.
     """
 
     allocation: ResourceAllocation
@@ -171,29 +172,6 @@ def _lattice_rates(params, system, detector, alpha, rho, xi):
         return np.where(rem >= 0.0, rem * np.log2(1.0 + _fold_users(np.minimum, sinr)), -np.inf)
 
 
-def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_idx, x_idx):
-    """Best (alpha, rho, xi) lattice point at tau = 0.
-
-    Returns (best value, (alpha, rho, xi) lattice indices, feasible count).
-    The block is evaluated in alpha slabs.  np.argmax on a C-ordered slab
-    picks the smallest alpha, then rho, then xi index among ties, and a
-    later slab wins only if strictly better.
-    """
-    x_idx, xi_arr = _xi_candidates(params, system, xi_policy, x_idx, xi_step)
-    rho = steps[2] * r_idx[None, :, None, None]
-    slab = max(1, _SLAB_ENTRIES // (r_idx.size * x_idx.size * params.K))
-    best, n_eval = None, 0
-    for lo in range(0, a_idx.size, slab):
-        alpha = steps[1] * a_idx[lo:lo + slab, None, None, None]
-        rate = _lattice_rates(params, system, detector, alpha, rho, xi_arr[None, None])
-        j = int(np.argmax(rate))
-        if best is None or rate.flat[j] > best[0]:
-            ia, ir, ix = np.unravel_index(j, rate.shape)
-            best = (float(rate.flat[j]), (int(a_idx[lo + ia]), int(r_idx[ir]), int(x_idx[ix])))
-        n_eval += int(np.count_nonzero(rate != -np.inf))
-    return *best, n_eval
-
-
 def _block_bounds(params, system, detector, alpha, rho, xi):
     """Upper bounds on the tau = 0 min rate over boxes of lattice points.
 
@@ -221,59 +199,76 @@ def _block_bounds(params, system, detector, alpha, rho, xi):
     return (1.0 - a_lo[..., 0]) * np.log2(1.0 + _fold_users(np.minimum, sinr))
 
 
-def _pruned_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_idx, x_idx,
+def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_idx, x_idx,
                  inc=None):
-    """:func:`_search_pass`'s result over the same lattice, from fewer points.
+    """Best (alpha, rho, xi) lattice point at tau = 0.
 
+    Returns (best value, (alpha, rho, xi) lattice indices, evaluation count).
     The lattice is cut into blocks of ``_BLOCK`` consecutive positions per
     axis.  A block is skipped when its bound from :func:`_block_bounds` lies
     below the incumbent ``inc`` by more than a relative 1e-12, which covers
-    rounding; a NaN bound keeps its block.  ``inc`` defaults to the best
-    block corner, and those corners count as evaluations.  The bounds are
-    computed, and the kept blocks evaluated, in slabs of about
-    ``_SLAB_ENTRIES`` entries.  Among equal values the point with the
-    smallest flat (C-order) index wins, so ties go as in
-    :func:`_search_pass`.
+    rounding; a NaN bound keeps its block.  ``inc = None`` takes the best
+    value at the blocks' low corners, which count as evaluations.
+    ``inc = -inf`` prunes nothing, so it computes no bounds, and its blocks
+    are alpha slabs of whole rho and xi rows.  Bounds and corners are
+    computed in alpha slabs, and the kept blocks evaluated in groups, of
+    about ``_SLAB_ENTRIES`` entries.  Among equal values the smallest flat
+    (C-order) lattice index wins, as np.argmax picks over the whole lattice.
     """
-    n_eval = 0
-    if inc is None:
-        inc, _, n_eval = _search_pass(params, system, detector, steps, xi_policy, xi_step,
-                                      a_idx[::_BLOCK], r_idx[::_BLOCK], x_idx[::_BLOCK])
     x_idx, xi_arr = _xi_candidates(params, system, xi_policy, x_idx, xi_step)
     axes = (steps[1] * a_idx, steps[2] * r_idx, xi_arr)
-    edges = []  # per axis, each block's smallest and largest values
-    for v in axes:
-        starts = np.arange(0, len(v), _BLOCK)
-        edges.append([np.minimum.reduceat(v, starts, axis=0),
-                      np.maximum.reduceat(v, starts, axis=0)])
-    rows = max(1, _SLAB_ENTRIES // (len(edges[1][0]) * len(edges[2][0]) * params.K))
-    bound = np.concatenate([_block_bounds(params, system, detector,
-                                          [v[lo:lo + rows, None, None, None] for v in edges[0]],
-                                          [v[None, :, None, None] for v in edges[1]],
-                                          [v[None, None] for v in edges[2]])
-                            for lo in range(0, len(edges[0][0]), rows)])
-    shape = tuple(len(v) for v in axes)
-    kept = np.unravel_index(np.flatnonzero(~(bound < inc - 1e-12 * abs(inc))), bound.shape)
-    sizes = [min(_BLOCK, n) for n in shape]
-    offsets = np.unravel_index(np.arange(sizes[0] * sizes[1] * sizes[2]), sizes)
-    group = max(1, _SLAB_ENTRIES // (params.K * offsets[0].size))
-    best = None
+    shape = [len(v) for v in axes]
+    width = ([max(1, _SLAB_ENTRIES // (shape[1] * shape[2] * params.K)), *shape[1:]]
+             if inc == -np.inf else [_BLOCK] * 3)
+    width = [min(w, n) for w, n in zip(width, shape)]
+    # per axis, each block's positions; a short last block repeats its last one
+    pos = [np.minimum(np.arange(-(-n // w) * w).reshape(-1, w), n - 1)
+           for n, w in zip(shape, width)]
+    blocks = [v[p] for v, p in zip(axes, pos)]
+    # per block, its feasible (alpha <= 1) alphas and its rhos and xis
+    counts = [np.add.reduceat(1.0 - axes[0] >= 0.0, pos[0][:, 0])] + [
+        np.minimum(w, n - p[:, 0]) for n, w, p in zip(shape[1:], width[1:], pos[1:])]
+    n_eval = 0
+    if inc == -np.inf:
+        keep = np.ones([len(p) for p in pos], dtype=bool)
+    else:
+        # per axis: each block's smallest values, largest values, low corner
+        ends = [(b.min(axis=1), b.max(axis=1), b[:, 0]) for b in blocks]
+        rows = max(1, _SLAB_ENTRIES // (len(pos[1]) * len(pos[2]) * params.K))
+        bound, corner = [], []
+        for lo in range(0, len(pos[0]), rows):
+            a, r, x = ([v[lo:lo + rows, None, None, None] for v in ends[0]],
+                       [v[None, :, None, None] for v in ends[1]], [v[None, None] for v in ends[2]])
+            bound.append(_block_bounds(params, system, detector, a[:2], r[:2], x[:2]))
+            if inc is None:
+                corner.append(np.max(_lattice_rates(params, system, detector, a[2], r[2], x[2])))
+        if inc is None:
+            inc = np.max(corner)
+            n_eval = int(np.count_nonzero(1.0 - ends[0][2] >= 0.0)) * len(pos[1]) * len(pos[2])
+        keep = ~(np.concatenate(bound) < inc - 1e-12 * abs(inc))
+    kept = np.nonzero(keep)
+    n_eval += int(np.sum(counts[0][kept[0]] * counts[1][kept[1]] * counts[2][kept[2]]))
+    group = max(1, _SLAB_ENTRIES // (params.K * width[0] * width[1] * width[2]))
+    best = None  # (value, flat lattice index)
     for lo in range(0, kept[0].size, group):
-        pos = [_BLOCK * b[lo:lo + group, None] + off for b, off in zip(kept, offsets)]
-        inside = (pos[0] < shape[0]) & (pos[1] < shape[1]) & (pos[2] < shape[2])
-        ia, ir, ix = (p[inside] for p in pos)
-        rate = _lattice_rates(params, system, detector, axes[0][ia, None], axes[1][ir, None],
-                              xi_arr[ix])
-        key = (ia * shape[1] + ir) * shape[2] + ix
+        ka, kr, kx = (k[lo:lo + group] for k in kept)
+        # an axis of one block broadcasts, so its factors are computed once
+        a, r, x = (b if len(b) == 1 else b[k] for b, k in zip(blocks, (ka, kr, kx)))
+        rate = _lattice_rates(params, system, detector, a[:, :, None, None, None],
+                              r[:, None, :, None, None], x[:, None, None])
         j = int(np.argmax(rate))
-        ties = np.flatnonzero(rate == rate[j])
-        if ties.size:
-            j = int(ties[np.argmin(key[ties])])
-        if best is None or rate[j] > best[0] or (rate[j] == best[0] and key[j] < best[2]):
-            best = (float(rate[j]), (int(a_idx[ia[j]]), int(r_idx[ir[j]]), int(x_idx[ix[j]])),
-                    key[j])
-        n_eval += int(np.count_nonzero(rate != -np.inf))
-    return *best[:2], n_eval
+        top = rate.flat[j]
+        if best is not None and not top >= best[0]:
+            continue
+        # the flat lattice index of each tie, from its block and its offsets
+        n, da, dr, dx = np.unravel_index(np.flatnonzero(rate == top) if top == top else [j],
+                                         rate.shape)
+        key = (pos[0][ka[n], da] * shape[1] + pos[1][kr[n], dr]) * shape[2] + pos[2][kx[n], dx]
+        t = int(np.argmin(key))
+        if best is None or top > best[0] or key[t] < best[1]:
+            best = (float(top), int(key[t]))
+    ia, ir, ix = np.unravel_index(best[1], shape)
+    return best[0], (int(a_idx[ia]), int(r_idx[ir]), int(x_idx[ix])), n_eval
 
 
 def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = "zf",
@@ -309,11 +304,11 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     So every rate, and hence the min rate, strictly decreases in tau, and
     the search runs over (alpha, rho, xi) at tau = 0 only.
 
-    With ``coarse_factor`` > 1, each pass skips blocks of ``_BLOCK``
-    consecutive lattice positions per axis whose upper bound lies below the
-    pass's incumbent, and returns the same point as the full pass over its
-    index sets.  The bound rests on these monotonicities, with rho clamped
-    as everywhere (the clamp is nondecreasing):
+    Each pass skips blocks of ``_BLOCK`` consecutive lattice positions per
+    axis whose upper bound lies below the pass's incumbent, and returns the
+    point that evaluating all of its index sets would.  The bound rests on
+    these monotonicities, with rho clamped as everywhere (the clamp is
+    nondecreasing):
 
     - E_k rises in alpha, rho and xi_k.  For wetmm, E_k is the positive
       root of F(E) = Q(rho E) - E, where Q(D) = alpha p beta_k [1 + xi_k
@@ -338,13 +333,15 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     covers the rounding of both sides, and the incumbent is a value of the
     pass's own lattice: the coarse winner for the refine box and the best
     block corner for the coarse pass.  So the block holding the pass's
-    first maximum is always kept.  ``coarse_factor = 1`` and the ideal
-    system keep the full sweep.
+    first maximum is always kept.  The refine box holds the coarse winner,
+    so its winner is at least as good and is the search's result.  With
+    ``coarse_factor = 1`` the one pass has no incumbent and evaluates every
+    block.
 
     The ideal system has no tau or rho (both are structurally zero), so the
-    same pass runs once over its whole (alpha, xi) lattice at rho index 0:
-    no coarse pass, and the tau and rho steps do not apply.  Its
-    ``grid_steps`` are (alpha[, xi_1]).
+    same pass, without an incumbent, runs once over its whole (alpha, xi)
+    lattice at rho index 0: no coarse pass, and the tau and rho steps do not
+    apply.  Its ``grid_steps`` are (alpha[, xi_1]).
 
     Returns:
         OptimizationResult at the lattice argmax (ties: smallest alpha, then
@@ -368,34 +365,22 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     simplex = system != "opmm" and xi_policy == "simplex"
     n_x = _lattice_count(1.0, xi_step, "xi_step")
     if system == "ideal":
-        val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy, xi_step,
-                                        np.arange(n_a + 1), np.array([0]), np.arange(n_x + 1))
+        cf, r_coarse = 1, np.array([0])
     else:
-        if refine_radius is None:
-            refine_radius = 2 if simplex else 10
         if n_t < 1 or n_a < 1 or n_r < 1:
             raise ValueError("step sizes leave an empty lattice")
-
         cf = int(coarse_factor)
-        a_coarse = np.arange(0, n_a + 1, cf)
-        r_coarse = np.arange(cf, n_r + 1, cf)
-        if r_coarse.size == 0:
-            r_coarse = np.arange(1, n_r + 1)
-        x_coarse = np.arange(0, n_x + 1, cf)
-        val, idx, n_eval = (_pruned_pass if cf > 1 else _search_pass)(
-            params, system, detector, steps, xi_policy, xi_step, a_coarse, r_coarse, x_coarse)
-
-        if cf > 1:
-            half = int(refine_radius) * cf
-            ba, br, bx = idx
-            a_fine = np.arange(max(0, ba - half), min(n_a, ba + half) + 1)
-            r_fine = np.arange(max(1, br - half), min(n_r, br + half) + 1)
-            x_fine = np.arange(max(0, bx - half), min(n_x, bx + half) + 1)
-            val_f, idx_f, n_eval_f = _pruned_pass(params, system, detector, steps, xi_policy,
-                                                  xi_step, a_fine, r_fine, x_fine, inc=val)
-            n_eval += n_eval_f
-            if val_f > val or (val_f == val and idx_f < idx):
-                val, idx = val_f, idx_f
+        r_coarse = np.arange(cf, n_r + 1, cf) if cf <= n_r else np.arange(1, n_r + 1)
+    val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy, xi_step,
+                                    np.arange(0, n_a + 1, cf), r_coarse, np.arange(0, n_x + 1, cf),
+                                    inc=-np.inf if cf == 1 else None)
+    if cf > 1:
+        half = int((2 if simplex else 10) if refine_radius is None else refine_radius) * cf
+        fine = [np.arange(max(low, i - half), min(top, i + half) + 1)
+                for i, low, top in zip(idx, (0, 1, 0), (n_a, n_r, n_x))]
+        _, idx, n_fine = _search_pass(params, system, detector, steps, xi_policy, xi_step, *fine,
+                                      inc=val)
+        n_eval += n_fine
 
     ba, br, bx = idx
     xi_best = _xi_candidates(params, system, xi_policy, np.array([bx]), xi_step)[1][0]
@@ -415,8 +400,8 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
 
     tau = 0 and xi = optimal_xi throughout; rho follows the analytic ZF
     optimum as a function of alpha (or 1/2 for MRC, whose large-array rate
-    is rho-independent); alpha comes from a 1-D sweep of
-    the closed-form min rate on its fine lattice.  Tracks grid_search_p1
+    is rho-independent); alpha comes from a 1-D sweep of the search's
+    closed-form min rate on its fine lattice.  Tracks grid_search_p1
     within a few percent at large M; the full search remains the oracle.
     """
     _check_problem(params, "wetmm", detector)
@@ -427,12 +412,10 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
         rho_vals = np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals))
     else:
         rho_vals = np.full_like(alpha_vals, 0.5)
-    sinr = closed_form_sinr(params, "wetmm", detector, 0.0, alpha_vals[:, None],
-                            rho_vals[:, None], optimal_xi(params.beta))
-    min_rate = _fold_users(np.minimum, (1.0 - alpha_vals)[:, None] * np.log2(1.0 + sinr))
-    ia = int(np.argmax(min_rate))
-    alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]),
-                               rho=float(rho_vals[ia]), xi=optimal_xi(params.beta))
+    xi = optimal_xi(params.beta)
+    ia = int(np.argmax(_lattice_rates(params, "wetmm", detector, alpha_vals[:, None],
+                                      rho_vals[:, None], xi)))
+    alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]), rho=float(rho_vals[ia]), xi=xi)
     rates = closed_form_rate(params, alloc, "wetmm", detector)
     return OptimizationResult(
         allocation=alloc, min_rate=float(np.min(rates)), rates=rates,

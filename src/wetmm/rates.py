@@ -241,6 +241,8 @@ def mm_dorg(rates, m_values) -> float:
     m_values = np.asarray(m_values, dtype=float)
     if rates.shape != m_values.shape:
         raise ValueError("rates and m_values must have matching shapes")
+    if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(m_values) & (m_values > 0))):
+        raise ValueError("rates must be finite and m_values positive and finite")
     keep = m_values >= m_values.max() / 10.0
     if keep.sum() < 2:
         raise ValueError("need at least two antenna counts in the top decade")

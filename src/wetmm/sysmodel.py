@@ -144,6 +144,11 @@ class SystemParams:
 
     def __post_init__(self):
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float)).copy()
+        for name in ("M", "K"):
+            value = getattr(self, name)
+            # bools are ints to Python, and NaN or 200.5 would pass the size checks
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.M < 2:
             raise ValueError(f"need at least 2 antennas, got M={self.M}")
         if self.K < 1:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wetmm.energy import ResourceAllocation
+import wetmm.optimizer as optimizer
 from wetmm.optimizer import (DEFAULT_STEPS, _lattice_count, asymptotic_allocation,
                              grid_search_p1, optimal_rho_zf, optimal_xi, rate_map,
                              solve_p1_analytic)
@@ -336,3 +337,22 @@ def test_grid_search_keeps_the_last_interior_rho():
     assert got.n_evaluations == 21 * 3
     want, want_rate = brute_force_p1(params, "wetmm", "zf", steps)
     assert got.allocation.rho == want.rho and got.min_rate == want_rate
+
+
+@pytest.mark.parametrize("slab", [64, 200])
+@pytest.mark.parametrize("system, xi_policy, n_xi", [
+    ("wetmm", "analytic", 1), ("wetmm", "simplex", 3), ("ideal", "analytic", 1),
+    ("ideal", "simplex", 3),
+])
+def test_full_sweep_counts_each_point_once(params200, monkeypatch, slab, system, xi_policy, n_xi):
+    """A sweep without an incumbent runs in alpha slabs, and a short last
+    slab repeats its last alpha (slabs of 5 alphas at 200 entries for wetmm,
+    of 10 at 64 for the ideal simplex lattice).  Each feasible lattice point
+    still counts once, and the winner is the default slabs' one."""
+    kwargs = dict(steps=(0.05, 0.05, 0.05), xi_policy=xi_policy, xi_step=0.35, coarse_factor=1)
+    want = grid_search_p1(params200, system, "zf", **kwargs)
+    monkeypatch.setattr(optimizer, "_SLAB_ENTRIES", slab)
+    got = grid_search_p1(params200, system, "zf", **kwargs)
+    assert got.n_evaluations == want.n_evaluations == 21 * (1 if system == "ideal" else 19) * n_xi
+    a, b = got.allocation, want.allocation
+    assert (a.alpha, a.rho) == (b.alpha, b.rho) and np.array_equal(a.xi, b.xi)

@@ -206,20 +206,33 @@ def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
         assert np.isclose(bound.item(), values.item(), rtol=1e-9, atol=0.0)
 
 
+def lattice_argmax(params, system, detector, steps, policy, xi_step, a_idx, r_idx, x_idx):
+    """Value and (alpha, rho, xi) lattice indices of the first maximum, in C
+    order, of ``_lattice_rates`` over the full broadcast lattice of the index
+    sets.  The values are computed 8 alphas at a time, which caps the memory
+    of the temporaries, and np.argmax runs once over all of them."""
+    _, xi = _xi_candidates(params, system, policy, x_idx, xi_step)
+    rate = np.concatenate([optimizer._lattice_rates(
+        params, system, detector, steps[1] * a_idx[lo:lo + 8, None, None, None],
+        steps[2] * r_idx[None, :, None, None], xi[None, None]) for lo in range(0, a_idx.size, 8)])
+    j = np.unravel_index(np.argmax(rate), rate.shape)
+    return rate[j], tuple(int(v[i]) for v, i in zip((a_idx, r_idx, x_idx), j))
+
+
 def coarse_to_fine(params, system, detector, steps, policy, xi_step, cf, radius):
-    """grid_search_p1's two passes, each a full ``_search_pass``: the
-    reference winner's (alpha, rho, xi) lattice indices for a pruned search."""
+    """grid_search_p1's two passes, each one argmax over its whole lattice:
+    the reference winner's (alpha, rho, xi) lattice indices for a pruned
+    search."""
     tops = (_lattice_count(1.0, steps[1], "alpha"),
             _lattice_count(1.0, steps[2], "rho", open_end=True),
             _lattice_count(1.0, xi_step, "xi"))
     r_coarse = np.arange(cf, tops[1] + 1, cf)
-    val, idx, _ = optimizer._search_pass(
+    val, idx = lattice_argmax(
         params, system, detector, steps, policy, xi_step, np.arange(0, tops[0] + 1, cf),
         r_coarse if r_coarse.size else np.arange(1, tops[1] + 1), np.arange(0, tops[2] + 1, cf))
     fine = [np.arange(max(low, i - radius * cf), min(top, i + radius * cf) + 1)
             for i, top, low in zip(idx, tops, (0, 1, 0))]
-    val_f, idx_f, _ = optimizer._search_pass(params, system, detector, steps, policy, xi_step,
-                                             *fine)
+    val_f, idx_f = lattice_argmax(params, system, detector, steps, policy, xi_step, *fine)
     return idx_f if val_f > val or (val_f == val and idx_f < idx) else idx
 
 

@@ -12,14 +12,14 @@ import pytest
 
 import wetmm
 from wetmm.cli import ExperimentSpec
-from wetmm.energy import (energies, expected_harvested_energy, general_beamformer,
+from wetmm.energy import (beamformer, energies, expected_harvested_energy, general_beamformer,
                           harvested_energy_fixedpoint)
 from wetmm.estimation import draw_trials, error_variance, make_pilots, mmse_estimate
 from wetmm.montecarlo import McConfig
 from wetmm.optimizer import (asymptotic_allocation, grid_search_p1, optimal_rho_zf, optimal_xi,
                              rate_map)
-from wetmm.rates import c1_limit, c1_sample, closed_form_sinr
-from wetmm.sysmodel import complex_gaussian, path_loss, trial_rng
+from wetmm.rates import c1_limit, c1_sample, closed_form_sinr, mm_dorg
+from wetmm.sysmodel import SystemParams, complex_gaussian, path_loss, trial_rng
 
 from conftest import benchmark_params
 
@@ -98,6 +98,24 @@ GUARDED = {
                              lambda: complex_gaussian(trial_rng(0), (2,), np.nan)),
     "complex_gaussian inf": ("variance must be nonnegative and finite",
                              lambda: complex_gaussian(trial_rng(0), (2,), np.inf)),
+    "SystemParams M nan": ("M must be an integer", lambda: SystemParams(
+        M=np.nan, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=[1e-6, 1e-7])),
+    "SystemParams M fractional": ("M must be an integer", lambda: SystemParams(
+        M=200.5, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=[1e-6, 1e-7])),
+    "SystemParams M bool": ("M must be an integer", lambda: SystemParams(
+        M=True, K=1, p_dl=1.0, sigma2_ul=1e-15, beta=[1e-6])),
+    "SystemParams K float": ("K must be an integer", lambda: SystemParams(
+        M=8, K=2.0, p_dl=1.0, sigma2_ul=1e-15, beta=[1e-6, 1e-7])),
+    "beamformer xi nan": ("xi must be nonnegative and finite",
+                          lambda: beamformer(np.eye(4, 2), [np.nan, 1.0])),
+    "beamformer xi negative": ("xi must be nonnegative and finite",
+                               lambda: beamformer(np.eye(4, 2), [-0.5, 1.5])),
+    "beamformer xi inf": ("xi must be nonnegative and finite",
+                          lambda: beamformer(np.eye(4, 2), [np.inf, 1.0])),
+    "mm_dorg rates": ("rates must be finite",
+                      lambda: mm_dorg([np.nan, 1.0, 2.0], [100, 500, 1000])),
+    "mm_dorg m_values": ("m_values positive and finite",
+                         lambda: mm_dorg([0.5, 1.0, 2.0], [100, np.inf, 1000])),
 }
 
 
