@@ -19,14 +19,19 @@ draw of estimate and error from their exact marginals.  Both give the same
 distribution for every downstream statistic; the direct draw skips the
 (M x L) pilot block and is the default inside Monte Carlo loops.
 
-:func:`draw_trials` takes a chunk of trials in two steps.
-:func:`_trial_normals` draws each trial's normals in one call on that
-trial's own stream into one stacked buffer; :func:`_channels` then does the
-scaling, the subtraction and the pilot pipeline once for the chunk.  The
-per-trial ``complex_gaussian``, ``generate_channel`` and :func:`receive_pilots`
-are the reference both methods reproduce bit for bit.  Both methods read the
-same buffer, so the Monte Carlo builds the statistical and the pilot draw of
-one trial from one set of normals.
+The Monte Carlo draws its trials a chunk at a time and builds what no chunk
+changes once per walk: :func:`_channel_consts` holds one pilot energy's
+estimate and error scales, pilot block and MMSE column scale, and one
+``_pcg64_states`` call gives the seed words of every trial's first stream.
+Per chunk, :func:`_trial_normals` sets one generator (one per worker) to
+each trial's stream in turn and draws that trial's normals in one call into
+a stacked buffer; :func:`_channels` then does the scaling, the subtraction
+and the pilot pipeline once for the chunk.  :func:`draw_trials` builds the
+same values for its one call.  The per-trial ``complex_gaussian``,
+``generate_channel`` and :func:`receive_pilots` are the reference both
+methods reproduce bit for bit.  Both methods read the same buffer, so the
+Monte Carlo builds the statistical and the pilot draw of one trial from one
+set of normals.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams, _check_tags, _pcg64_states, complex_gaussian, trial_rng
+from wetmm.sysmodel import (SystemParams, _check_tags, _pcg64_assemble, _pcg64_states,
+                            complex_gaussian, trial_rng)
 
 __all__ = [
     "PilotConfig",
@@ -124,11 +130,15 @@ def mmse_estimate(Y_p: np.ndarray, pilots: PilotConfig, beta: np.ndarray, sigma2
     """
     if not (np.isfinite(sigma2_ul) and sigma2_ul > 0):
         raise ValueError("sigma2_ul must be positive and finite")
+    return (Y_p @ pilots.Phi.conj()) * _mmse_scale(pilots, beta, sigma2_ul)[None, :]
+
+
+def _mmse_scale(pilots: PilotConfig, beta, sigma2_ul: float) -> np.ndarray:
+    """The length-K column scale of :func:`mmse_estimate`, into which its
+    diagonal K x K factors collapse."""
     beta = np.asarray(beta, dtype=float)
     energy = pilots.pilot_energy
-    # diagonal K x K factors collapse to a per-column scale
-    scale = np.sqrt(energy) * beta / (beta * energy + sigma2_ul)
-    return (Y_p @ pilots.Phi.conj()) * scale[None, :]
+    return np.sqrt(energy) * beta / (beta * energy + sigma2_ul)
 
 
 def error_variance(beta_k, pilot_energy_k, sigma2_ul):
@@ -178,60 +188,83 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
         estimate and error.
     """
     _check_tags(channel_knowledge=method)
-    buf = _trial_normals(params, pilot_energy, master_seed, trials, salt)
-    return _channels(params, pilot_energy, buf, method)
+    consts = _channel_consts(params, pilot_energy)
+    buf = _trial_normals(params, consts, _pcg64_states(master_seed, trials, salt),
+                         np.random.default_rng(0))
+    return _channels(params, consts, buf, method)
 
 
-def _trial_normals(params: SystemParams, pilot_energy, master_seed: int, trials,
-                   salt: int = 0) -> np.ndarray:
-    """The (trials, blocks, M, K) standard normals of a chunk of trials.
+def _channel_consts(params: SystemParams, pilot_energy, err_var=None) -> tuple | None:
+    """What :func:`_channels` needs of one pilot energy, built once for all
+    the chunks of a walk: the estimate and error scales sqrt((beta -
+    error_var) / 2) and sqrt(error_var / 2), then the pilot amplitudes
+    sqrt(D) as a row, Phi^T, Phi^* and :func:`mmse_estimate`'s column scale
+    as a row, for the K x K pilot block of :func:`make_pilots`.  None for
+    perfect channel knowledge (``pilot_energy`` None).  ``err_var`` is
+    ``error_variance(params.beta, pilot_energy, params.sigma2_ul)``, computed
+    here unless the caller already has it."""
+    if pilot_energy is None:
+        return None
+    K = params.K
+    energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,))
+    if err_var is None:
+        err_var = error_variance(params.beta, energy, params.sigma2_ul)
+    pilots = make_pilots(K, K, energy)
+    return (np.sqrt((params.beta - err_var) / 2.0), np.sqrt(err_var / 2.0),
+            np.sqrt(pilots.pilot_energy)[None, :], pilots.Phi.T, pilots.Phi.conj(),
+            _mmse_scale(pilots, params.beta, params.sigma2_ul)[None, :])
 
-    The PCG64 states of the trials are computed together, then one PCG64
-    generator is set to each trial's ``trial_rng(master_seed, t, salt)``
-    state in turn and makes one ``standard_normal`` call into that trial's
-    row: the real and imaginary parts that ``complex_gaussian`` draws, in
-    the order of the per-trial draw (channel, then pilot noise; or estimate,
-    then error).  With ``pilot_energy`` None (the ideal system) a trial draws
-    the channel alone, 2 blocks; otherwise a second (M, K) pair, 4 blocks.
-    Either method of :func:`_channels` reads the same buffer.
+
+def _trial_normals(params: SystemParams, consts, words: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The (trials, blocks, M, K) standard normals of the trials whose
+    :func:`_pcg64_states` rows are ``words``.
+
+    ``rng``'s PCG64 is set to each trial's ``trial_rng(master_seed, t,
+    salt)`` state in turn and makes one ``standard_normal`` call into that
+    trial's row: the real and imaginary parts that ``complex_gaussian``
+    draws, in the order of the per-trial draw (channel, then pilot noise;
+    or estimate, then error).  With ``consts`` None (the ideal system) a
+    trial draws the channel alone, 2 blocks; otherwise a second (M, K)
+    pair, 4 blocks.  Either method of :func:`_channels` reads the same
+    buffer.
     """
-    buf = np.empty((len(trials), 2 if pilot_energy is None else 4, params.M, params.K))
-    bit_gen = np.random.PCG64(0)
-    state, draw = bit_gen.state, np.random.Generator(bit_gen).standard_normal
-    for i, pcg in enumerate(_pcg64_states(master_seed, trials, salt)):
+    buf = np.empty((len(words), 2 if consts is None else 4, params.M, params.K))
+    bit_gen = rng.bit_generator
+    state, draw = bit_gen.state, rng.standard_normal
+    for i, pcg in enumerate(_pcg64_assemble(words)):
         state["state"] = pcg
         bit_gen.state = state
         draw(out=buf[i])
     return buf
 
 
-def _channels(params: SystemParams, pilot_energy, buf: np.ndarray,
+def _channels(params: SystemParams, consts, buf: np.ndarray,
               method: str) -> tuple[np.ndarray, np.ndarray]:
     """``(G, G_hat)`` of :func:`draw_trials` from a :func:`_trial_normals`
-    buffer, which is left unchanged: the complex stacks, their scaling, the
+    buffer, which is left unchanged, and the :func:`_channel_consts` of its
+    pilot energy: the complex stacks, their scaling, the
     estimate-minus-error subtraction and the pilot pipeline, each once for
     the whole stack."""
     M, K = params.M, params.K
     stacks = [np.empty((len(buf), M, K), dtype=complex) for _ in range(buf.shape[1] // 2)]
     for b, z in enumerate(stacks):
         z.real, z.imag = buf[:, 2 * b], buf[:, 2 * b + 1]
-    if pilot_energy is not None:
-        energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,))
-        err_var = error_variance(params.beta, energy, params.sigma2_ul)
-    if pilot_energy is not None and method == "statistical":
+    if consts is not None:
+        est_scale, err_scale, amp, phi_t, phi_conj, scale = consts
+    if consts is not None and method == "statistical":
         g_hat, g = stacks
-        g_hat *= np.sqrt((params.beta - err_var) / 2.0)
-        g *= np.sqrt(err_var / 2.0)
+        g_hat *= est_scale
+        g *= err_scale
         np.subtract(g_hat, g, out=g)
         return g, g_hat
     # generate_channel: CN(0, 1) entries, then column k times sqrt(beta_k)
     g = stacks[0]
     g *= np.sqrt(0.5)
     g *= np.sqrt(params.beta)
-    if pilot_energy is None:
+    if consts is None:
         return g, g
-    pilots = make_pilots(K, K, energy)
     y = stacks[1]
     y *= np.sqrt(params.sigma2_ul / 2.0)
-    y += (g * np.sqrt(pilots.pilot_energy)[None, :]) @ pilots.Phi.T
-    return g, mmse_estimate(y, pilots, params.beta, params.sigma2_ul)
+    y += (g * amp) @ phi_t
+    return g, (y @ phi_conj) * scale

@@ -16,6 +16,11 @@ operating point, reproduced here so the Monte Carlo estimates the same
 quantity the formulas predict.  Trials are evaluated in stacked chunks,
 spread over one thread per usable CPU; each trial keeps its own random
 stream, so no result depends on the chunking or on the worker count.
+What no chunk changes is built once per walk: the operating point, the
+channel constants of its pilot energy, the noise term n, the seed words of
+every trial's first stream, the MRC off-diagonal mask and the isotropic
+beam; each worker builds one generator.  A chunk sets that generator to
+its trials' streams, draws their normals, and evaluates them.
 The MMSE error-variance check rides along in the same walk: a trial's
 first draw feeds both the rate and energy rows and the pilot-pipeline
 error |g_hat - g|^2, so its normals are drawn once.  One walk also serves
@@ -38,7 +43,8 @@ from wetmm.energy import (
     energies,
     general_beamformer,
 )
-from wetmm.estimation import _channels, _trial_normals, draw_trials, error_variance
+from wetmm import estimation
+from wetmm.estimation import _channel_consts, _channels, _trial_normals, error_variance
 from wetmm.rates import _data_phase, closed_form_rate
 # trial_rng stays bound here for bench/selftest.py, which checks that the
 # tracer rebinds it in every namespace that imported it
@@ -172,7 +178,8 @@ def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str
 def _run_chunks(params: SystemParams, n_trials: int, body) -> None:
     """Run ``body(chunks)`` on up to _WORKERS threads, this one included, each
     over every n-th chunk (consecutive trial indices) of range(n_trials) and
-    writing only those trials' rows; re-raise the first failing chunk's error."""
+    writing only those trials' rows; re-raise the first failing chunk's error.
+    A body that fails before it takes a chunk fails at its worker's first."""
     from concurrent.futures import ThreadPoolExecutor
     size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
     chunks = [np.arange(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
@@ -187,7 +194,7 @@ def _run_chunks(params: SystemParams, n_trials: int, body) -> None:
         try:
             body(share())
         except Exception as exc:  # re-raised below, in chunk order
-            failures[started[-1]] = exc
+            failures[started[-1] if started else first] = exc
 
     with ThreadPoolExecutor(max(1, n_workers - 1)) as pool:
         others = pool.map(work, range(1, n_workers))
@@ -203,22 +210,22 @@ def _harvest(G: np.ndarray, w: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.abs((G.conj().swapaxes(-1, -2) @ w[..., None])[..., 0]) ** 2
 
 
-def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, err_var: np.ndarray,
-                sigma2: float, detector: str):
+def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, noise: float, off_diag: np.ndarray,
+                detector: str):
     """Exact SINRs of stacked estimates (T, M, K) from their Grams Q = Ghat^H
-    Ghat, with n = sum_i p_i sigma2_e_i + sigma2 -- zf: p_k / ([Q^-1]_kk n);
-    mrc: p_k Q_kk^2 / (sum_{i != k} p_i |Q_ki|^2 + Q_kk n), its interference
-    summed over i != k alone, since subtracting the diagonal from a full sum
-    cancels digits.  Returns ``(ok, sinr)``: the mask of trials whose ZF Gram
-    passes COND_LIMIT (all for MRC) and their SINRs."""
+    Ghat, with ``noise`` n = sum_i p_i sigma2_e_i + sigma2 -- zf: p_k /
+    ([Q^-1]_kk n); mrc: p_k Q_kk^2 / (sum_{i != k} p_i |Q_ki|^2 + Q_kk n),
+    its interference summed over i != k alone (``off_diag`` is the K x K
+    mask of i != k), since subtracting the diagonal from a full sum cancels
+    digits.  Returns ``(ok, sinr)``: the mask of trials whose ZF Gram passes
+    COND_LIMIT (all for MRC) and their SINRs."""
     gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
-    noise = float(np.dot(powers, err_var)) + sigma2
     if detector == "zf":
         ok = ~(np.linalg.cond(gram) > COND_LIMIT)
         inv_diag = np.diagonal(np.linalg.inv(gram[ok]), axis1=-2, axis2=-1)
         return ok, powers / (inv_diag.real * noise)
     diag = np.diagonal(gram, axis1=-2, axis2=-1).real
-    cross = np.abs(gram) ** 2 * ~np.eye(len(powers), dtype=bool)
+    cross = np.abs(gram) ** 2 * off_diag
     return np.ones(len(gram), dtype=bool), powers * diag ** 2 / (cross @ powers + diag * noise)
 
 
@@ -258,41 +265,46 @@ def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
                 raise ValueError(f"operating points must share {name}, got {want[name]!r} "
                                  f"and {value!r}")
     n, K = cfg0.n_trials, params.K
+    # per walk: each point's channel constants, powers and noise term, the
+    # salt-0 stream words of every trial, the MRC mask and the isotropic beam
     ops = []
     for alloc, cfg in points:
         if cfg.detector == "zf":
             params.require_zf()
-        ops.append(operating_point(params, alloc, cfg.system))
+        _, pilot_energy, powers, err_var = operating_point(params, alloc, cfg.system)
+        ops.append((_channel_consts(params, pilot_energy, err_var), powers,
+                    float(np.dot(powers, err_var)) + params.sigma2_ul))
+    words = estimation._pcg64_states(cfg0.master_seed, range(n), 0)
+    off_diag = ~np.eye(K, dtype=bool)
+    isotropic = np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
     out = [(np.empty((n, K)), np.empty((n, K)), np.zeros(n, dtype=int),
             np.empty((n, K)) if error_var else None) for _ in points]
 
-    def draw(cfg, pilot_energy, err_sq, pending, salt, shared):
-        buf = (shared if salt == 0 else
-               _trial_normals(params, pilot_energy, cfg.master_seed, pending, salt))
+    def draw(cfg, consts, err_sq, pending, salt, shared, rng):
+        buf = (shared if salt == 0 else _trial_normals(
+            params, consts, estimation._pcg64_states(cfg.master_seed, pending, salt), rng))
         if salt == 0 and err_sq is not None:
-            G, G_hat = _channels(params, pilot_energy, buf, "pilot")
+            G, G_hat = _channels(params, consts, buf, "pilot")
             err_sq[pending] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
             if cfg.channel_knowledge == "pilot":
                 return G, G_hat
             del G, G_hat  # free the pilot stacks before the rate stacks are built
-        return _channels(params, pilot_energy, buf, cfg.channel_knowledge)
+        return _channels(params, consts, buf, cfg.channel_knowledge)
 
     def body(chunks):
+        rng = np.random.default_rng(0)  # one generator per worker, set to each trial in turn
         for trials in chunks:
-            shared = _trial_normals(params, ops[0][1], cfg0.master_seed, trials)
-            for (alloc, cfg), op, rows in zip(points, ops, out):
-                _, pilot_energy, powers, err_var = op
+            shared = _trial_normals(params, ops[0][0], words[trials], rng)
+            for (alloc, cfg), (consts, powers, noise), rows in zip(points, ops, out):
                 energy, sinr, resamples, err_sq = rows
                 pending = trials
                 for salt in range(MAX_RESAMPLES + 1):
-                    G, G_hat = draw(cfg, pilot_energy, err_sq, pending, salt, shared)
-                    ok, sinr_ok = _exact_sinr(G_hat, powers, err_var, params.sigma2_ul,
-                                              cfg.detector)
+                    G, G_hat = draw(cfg, consts, err_sq, pending, salt, shared, rng)
+                    ok, sinr_ok = _exact_sinr(G_hat, powers, noise, off_diag, cfg.detector)
                     done = pending
                     if not ok.all():
                         G, G_hat, done, pending = G[ok], G_hat[ok], pending[ok], pending[~ok]
-                    w = (np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
-                         if cfg.system == "opmm" else beamformer(G_hat, alloc.xi))
+                    w = isotropic if cfg.system == "opmm" else beamformer(G_hat, alloc.xi)
                     sinr[done] = sinr_ok
                     energy[done] = _harvest(G, w, alloc.alpha * params.p_dl)
                     resamples[done] = salt
@@ -392,15 +404,18 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
     n_comp = params.M - params.K
     if n_comp < 1:
         raise ValueError("need M > K for an orthogonal complement")
-    _, pilot_energy, _, _ = operating_point(params, alloc, cfg.system)
+    _, pilot_energy, _, err_var = operating_point(params, alloc, cfg.system)
+    consts = _channel_consts(params, pilot_energy, err_var)
+    words = estimation._pcg64_states(cfg.master_seed, range(cfg.n_trials), 0)
     xi_prime = (1.0 - theta_mass) * alloc.xi
     theta = np.full(n_comp, theta_mass / n_comp)
     scale = alloc.alpha * params.p_dl
     structured, general = np.empty((2, cfg.n_trials, params.K))
     def body(chunks):
+        rng = np.random.default_rng(0)
         for trials in chunks:
-            G, G_hat = draw_trials(params, pilot_energy, cfg.master_seed, trials,
-                                   cfg.channel_knowledge)
+            G, G_hat = _channels(params, consts, _trial_normals(params, consts, words[trials], rng),
+                                 cfg.channel_knowledge)
             # the complete QR of the complement beam stays per trial: a
             # stacked one would hold M x M per trial
             w_g = np.stack([general_beamformer(g_hat, xi_prime, theta) for g_hat in G_hat])

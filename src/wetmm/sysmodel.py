@@ -77,15 +77,18 @@ def _hash_consts(hash_const: int, mult: int) -> np.ndarray:
     return np.array([hash_const * pow(mult, i, 1 << 32) & _M32 for i in range(9)], np.uint32)[:, None]
 
 
-def _pcg64_states(master_seed: int, trials, salt: int) -> list[dict]:
-    """``[trial_rng(master_seed, t, salt).bit_generator.state["state"] for t in
-    trials]``, without building a SeedSequence or a generator.
+def _pcg64_states(master_seed: int, trials, salt: int) -> np.ndarray:
+    """The words that seed ``trial_rng(master_seed, t, salt)`` for each t in
+    ``trials``: a (len(trials), 4) uint64 array whose row i is
+    ``SeedSequence(master_seed, spawn_key=(trials[i], salt)).generate_state(4,
+    np.uint64)``, computed without building a SeedSequence.
+    :func:`_pcg64_assemble` turns rows into PCG64 states.
 
     numpy's SeedSequence mixing runs for all trials at once on a (4, n) pool
     of uint32 lanes, whose arithmetic wraps modulo 2**32 as SeedSequence's
     does; the hash constants do not depend on the data, so they are computed
-    once.  The 128-bit PCG64 assembly runs per trial.  Trials or a salt of
-    2**32 or more take ``trial_rng`` itself.  Negative inputs raise ValueError.
+    once.  Trials or a salt of 2**32 or more take a SeedSequence itself.
+    Negative inputs raise ValueError.
     """
     master_seed, trials, salt = int(master_seed), [int(t) for t in trials], int(salt)
     if salt < 0 or any(t < 0 for t in trials):
@@ -99,12 +102,20 @@ def _pcg64_states(master_seed: int, trials, salt: int) -> list[dict]:
     h = _hash_consts(_INIT_B, _MULT_B)
     w = (np.concatenate([pool, pool]) ^ h[:8]) * h[1:]
     w = (w ^ w >> 16).astype(np.uint64)
-    u = (w[1::2] << 32 | w[::2]).tolist()
-    states = []
-    for t, a, b, c, d in zip(trials, *u):
+    words = np.ascontiguousarray((w[1::2] << 32 | w[::2]).T)
+    for i, t in enumerate(trials):
         if t > _M32 or salt > _M32:
-            states.append(trial_rng(master_seed, t, salt).bit_generator.state["state"])
-            continue
+            words[i] = np.random.SeedSequence(master_seed, spawn_key=(t, salt)).generate_state(
+                4, np.uint64)
+    return words
+
+
+def _pcg64_assemble(words: np.ndarray) -> list[dict]:
+    """``trial_rng(...).bit_generator.state["state"]`` of each row of
+    :func:`_pcg64_states`: PCG64 takes its 128-bit state from the first two
+    words and its increment from the last two, then steps twice."""
+    states = []
+    for a, b, c, d in words.tolist():
         inc = ((c << 64 | d) << 1 | 1) & _M128
         states.append({"state": (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _M128, "inc": inc})
     return states

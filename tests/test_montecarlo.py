@@ -315,6 +315,18 @@ def test_exhausted_redraw_budget_raises_from_the_first_chunk(ref_alloc, monkeypa
         _run_trials(benchmark_params(3), [(ref_alloc, cfg_for(n=9))], error_var=False)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_body_failing_before_its_first_chunk_raises_its_own_error(params200, monkeypatch,
+                                                                    workers):
+    # the per-worker setup runs before a body takes its first chunk
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    def body(chunks):
+        raise RuntimeError("setup failed")
+    with pytest.raises(RuntimeError, match="setup failed"):
+        montecarlo._run_chunks(params200, 9, body)
+
+
 def test_exhausted_redraw_budget_raises(ref_alloc, monkeypatch):
     monkeypatch.setattr(montecarlo, "COND_LIMIT", 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="trial 0"):
@@ -342,6 +354,39 @@ def test_error_variance_shares_the_rate_draw(ref_alloc, monkeypatch, knowledge):
                               cfg_for(n=50, seed=3, knowledge=knowledge), error_var=True)
     assert est.error_var.shape == (2,)
     assert sorted(asked) == list(range(50))
+
+
+@pytest.mark.parametrize("knowledge", ["statistical", "pilot"])
+def test_walk_invariants_are_built_once_per_walk(ref_alloc, monkeypatch, knowledge):
+    """The pilot block, the error variance and the salt-0 stream words are
+    built per walk, however many chunks the trials take."""
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    calls = {}
+    def count(module, name, salt_arg=None):
+        real = getattr(module, name)
+        def counting(*args):
+            if salt_arg is None or args[salt_arg] == 0:
+                calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
+    count(estimation, "make_pilots")
+    count(estimation, "error_variance")
+    count(montecarlo, "error_variance")
+    count(estimation, "_pcg64_states", salt_arg=2)
+    params = benchmark_params(10)
+    runs = []
+    for n in (4, 40):
+        cfg = cfg_for(n=n, seed=3, knowledge=knowledge)
+        calls.clear()
+        estimate_exact_rate(params, ref_alloc, cfg, error_var=True)
+        runs.append(dict(calls))
+        assert calls["_pcg64_states"] == 1
+        calls.clear()
+        verify_beamformer_structure(params, ref_alloc, 0.3, cfg)
+        assert calls["_pcg64_states"] == 1
+        runs.append(dict(calls))
+    assert runs[0] == runs[2] and runs[1] == runs[3]
 
 
 @pytest.mark.parametrize("system, knowledge, m", [

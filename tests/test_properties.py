@@ -13,7 +13,7 @@ import wetmm.optimizer as optimizer
 from wetmm.optimizer import (_block_bounds, _lattice_count, _lattice_rates, _xi_candidates,
                              grid_search_p1)
 from wetmm.rates import closed_form_rate
-from wetmm.sysmodel import SystemParams, _pcg64_states, trial_rng
+from wetmm.sysmodel import SystemParams, _pcg64_assemble, _pcg64_states, trial_rng
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                              database=None)
@@ -128,7 +128,10 @@ def test_fast_stream_state_equals_trial_rng(master_seed, trial, salt):
     """The per-trial PCG64 state draw_trials sets is trial_rng's, seeds of
     more than 4 words and multi-word trials and salts included."""
     want = trial_rng(master_seed, trial, salt).bit_generator.state["state"]
-    assert _pcg64_states(master_seed, [trial], salt) == [want]
+    words = _pcg64_states(master_seed, [trial], salt)
+    assert _pcg64_assemble(words) == [want]
+    seeds = np.random.SeedSequence(master_seed, spawn_key=(trial, salt)).generate_state(4, np.uint64)
+    assert np.array_equal(words, seeds[None])
 
 
 @PROPERTY_SETTINGS
@@ -137,7 +140,7 @@ def test_fast_stream_state_equals_trial_rng(master_seed, trial, salt):
 def test_vector_stream_states_equal_scalar_states(master_seed, trials, salt):
     """draw_trials' per-call states, mixed in numpy lanes, are trial_rng's."""
     trials = trials + [0, 2 ** 32 - 1]
-    assert _pcg64_states(master_seed, trials, salt) == [
+    assert _pcg64_assemble(_pcg64_states(master_seed, trials, salt)) == [
         trial_rng(master_seed, t, salt).bit_generator.state["state"] for t in trials]
 
 
