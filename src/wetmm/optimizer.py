@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.energy import ResourceAllocation, clamp_rho, energies
-from wetmm.rates import _fold_users, closed_form_rate, closed_form_sinr
+from wetmm.rates import _fold_users, _sinr, closed_form_rate, closed_form_sinr
 from wetmm.sysmodel import SystemParams, _check_tags
 
 __all__ = [
@@ -143,12 +143,6 @@ def _lattice_count(span: float, step: float, name: str, open_end: bool = False) 
     return int(np.ceil(count - 1e-9)) - 1 if open_end else int(np.floor(count + 1e-9))
 
 
-def _check_problem(params: SystemParams, system: str, detector: str) -> None:
-    _check_tags(system=system, detector=detector)
-    if detector == "zf":
-        params.require_zf()
-
-
 def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
                    xi_idx: np.ndarray | None, xi_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Return (index vector, candidate array (n, K)) for the xi axis."""
@@ -177,25 +171,15 @@ def _block_bounds(params, system, detector, alpha, rho, xi):
 
     ``alpha``, ``rho`` and ``xi`` are (smallest, largest) pairs over each
     box, broadcasting as in :func:`_lattice_rates`; xi's pair is per user.
-    Each monotone factor of the SINR is taken at its favourable corner (see
-    :func:`grid_search_p1`).
+    The energies are taken at both ends of the box and the SINR is
+    :func:`wetmm.rates._sinr` at those ends, which puts each monotone factor
+    at its favourable corner (see :func:`grid_search_p1`).
     """
     (a_lo, a_hi), (r_lo, r_hi), (x_lo, x_hi) = alpha, (clamp_rho(r) for r in rho), xi
     e_lo = energies(params, system, a_lo, r_lo, x_lo)
     e_hi = energies(params, system, a_hi, r_hi, x_hi)
-    beta, s2 = params.beta, params.sigma2_ul
-    frame = np.maximum(1.0 - a_hi, 0.0) / (1.0 - r_lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = beta * r_lo + s2 / e_hi
-        if detector == "zf":
-            load = beta * e_lo / (beta * r_hi * e_lo + s2)
-            den = s2 * near * (frame + _fold_users(np.add, load)[..., None])
-            gain = params.M - params.K
-        else:
-            be = beta * e_lo
-            den = near * (s2 * frame + _fold_users(np.add, be)[..., None] - be) + beta * s2
-            gain = params.M - 1
-        sinr = np.where(e_hi <= 0, 0.0, gain * beta**2 * r_hi * e_hi / den)
+    sinr = _sinr(detector, params.M, params.K, params.beta, params.sigma2_ul,
+                 e_lo, e_hi, r_lo, r_hi, np.maximum(1.0 - a_hi, 0.0))
     return (1.0 - a_lo[..., 0]) * np.log2(1.0 + _fold_users(np.minimum, sinr))
 
 
@@ -328,15 +312,16 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     Every denominator factor is nonnegative, so each SINR is at most
     sinr_ub_k, its numerator at the favourable corner over its denominator
     factors at theirs, and the min rate rem log2(1 + min_k sinr_k) is at
-    most rem_hi log2(1 + min_k sinr_ub_k).  A block is dropped only when
-    that bound is below the incumbent by more than a relative 1e-12, which
-    covers the rounding of both sides, and the incumbent is a value of the
-    pass's own lattice: the coarse winner for the refine box and the best
-    block corner for the coarse pass.  So the block holding the pass's
-    first maximum is always kept.  The refine box holds the coarse winner,
-    so its winner is at least as good and is the search's result.  With
-    ``coarse_factor = 1`` the one pass has no incumbent and evaluates every
-    block.
+    most rem_hi log2(1 + min_k sinr_ub_k).  sinr_ub_k is
+    :func:`wetmm.rates._sinr` at these corners, the kernel of every point.  A
+    block is dropped only when that bound is below the incumbent by more than
+    a relative 1e-12, which covers the rounding of both sides, and the
+    incumbent is a value of the pass's own lattice: the coarse winner for the
+    refine box and the best block corner for the coarse pass.  So the block
+    holding the pass's first maximum is always kept.  The refine box holds the
+    coarse winner, so its winner is at least as good and is the search's
+    result.  With ``coarse_factor = 1`` the one pass has no incumbent and
+    evaluates every block.
 
     The ideal system has no tau or rho (both are structurally zero), so the
     same pass, without an incumbent, runs once over its whole (alpha, xi)
@@ -350,8 +335,9 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     Raises:
         ValueError: on invalid tags or steps.
     """
-    _check_problem(params, system, detector)
-    _check_tags(xi_policy=xi_policy)
+    _check_tags(system=system, detector=detector, xi_policy=xi_policy)
+    if detector == "zf":
+        params.require_zf()
     if len(steps) != 3:
         raise ValueError("steps must be three positive lattice spacings")
     n_t = _lattice_count(1.0, steps[0], "tau step")
@@ -404,7 +390,6 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     closed-form min rate on its fine lattice.  Tracks grid_search_p1
     within a few percent at large M; the full search remains the oracle.
     """
-    _check_problem(params, "wetmm", detector)
     if not 0 < alpha_step <= 1:
         raise ValueError("alpha_step must lie in (0, 1]")
     alpha_vals = alpha_step * np.arange(_lattice_count(1.0, alpha_step, "alpha_step") + 1, dtype=float)
@@ -434,14 +419,20 @@ def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, 
 
     Raises:
         ValueError: on invalid tags, the ideal system (it has no tau or rho
-            axes), or a non-finite argument.
+            axes), or an entry that :class:`ResourceAllocation` refuses
+            (tau + alpha > 1 aside).
     """
-    _check_problem(params, system, detector)
     if system == "ideal":
         raise ValueError("the ideal system has no (tau, rho) axes to map")
     tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
     if not all(np.all(np.isfinite(v)) for v in (tau, alpha, rho, xi)):
         raise ValueError("tau, alpha, rho and xi must be finite")
+    if np.any(tau < 0) or np.any(alpha < 0):
+        raise ValueError("time fractions must be nonnegative")
+    if np.any((rho < 0) | (rho > 1)):
+        raise ValueError("rho must lie in [0, 1]")
+    if np.any(xi < 0) or np.any(np.abs(np.sum(xi, axis=-1) - 1.0) > 1e-9):
+        raise ValueError("beam weights must be nonnegative and sum to 1 over the users")
     sinr = closed_form_sinr(params, system, detector, tau, alpha, rho, xi)
     rem = 1.0 - tau - alpha
     with np.errstate(invalid="ignore"):

@@ -20,8 +20,9 @@ Maximum-ratio combining:
                + beta_k sigma2 }
 
 Both hold for any per-user energy vector E, which is how the isotropic
-benchmark ("opmm": E = alpha p_dl beta) reuses the same code path.  With
-perfect knowledge ("ideal": tau = rho = 0, no estimation error),
+benchmark ("opmm": E = alpha p_dl beta) reuses the same code path.  The
+private ``_sinr`` computes both, at a point or as the search's block bound.
+With perfect knowledge ("ideal": tau = rho = 0, no estimation error),
 
     zf:  sinr_k = (M-K) beta_k E_k / ((1-alpha) sigma2)
     mrc: sinr_k = (M-1) beta_k E_k / (sum_{i != k} beta_i E_i + (1-alpha) sigma2)
@@ -72,6 +73,27 @@ def _fold_users(ufunc, x):
     return functools.reduce(ufunc, (x[..., k] for k in range(x.shape[-1])))
 
 
+def _sinr(detector: str, M: int, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rho_hi, rem):
+    """Finite-M ZF or MRC SINR, each monotone factor at its own corner: the
+    numerator at (rho_hi, e_hi), beta rho + sigma2/E at (rho_lo, e_hi),
+    rem/(1 - rho) at rho_lo, the ZF load and MRC cross term at (e_lo,
+    rho_hi).  At one point (lo = hi) it is the SINR; over a box, the bound
+    proved in :func:`wetmm.optimizer.grid_search_p1`.  e_hi = 0 gives 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = beta * rho_lo + sigma2_ul / e_hi
+        if detector == "zf":
+            load = beta * e_lo / (beta * rho_hi * e_lo + sigma2_ul)
+            den = sigma2_ul * near * (rem / (1.0 - rho_lo) + _fold_users(np.add, load)[..., None])
+            gain = M - K
+        else:
+            be = beta * e_lo
+            cross = _fold_users(np.add, be)[..., None] - be
+            den = near * (sigma2_ul * rem / (1.0 - rho_lo) + cross) + beta * sigma2_ul
+            gain = M - 1
+        sinr = gain * beta**2 * rho_hi * e_hi / den
+    return np.where(e_hi <= 0, 0.0, sinr)
+
+
 def zf_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
     """Zero-forcing effective SINR for arbitrary per-user energies.
 
@@ -86,14 +108,7 @@ def zf_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
         raise ValueError(f"ZF requires M >= K+1, got M={M}, K={K}")
     rho = np.asarray(rho, dtype=float)
     rem = 1.0 - np.asarray(tau, dtype=float) - np.asarray(alpha, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        load = beta * E / (beta * rho * E + sigma2_ul)
-        bracket = rem / (1.0 - rho) + _fold_users(np.add, load)[..., None]
-        safe_e = np.where(E > 0, E, 1.0)
-        sinr = (M - K) * beta**2 * rho * E / (
-            sigma2_ul * (beta * rho + sigma2_ul / safe_e) * bracket
-        )
-    return np.where(E <= 0, 0.0, sinr)
+    return _sinr("zf", M, K, beta, sigma2_ul, E, E, rho, rho, rem)
 
 
 def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
@@ -108,15 +123,7 @@ def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
         raise ValueError(f"MRC requires M >= 2, got M={M}")
     rho = np.asarray(rho, dtype=float)
     rem = 1.0 - np.asarray(tau, dtype=float) - np.asarray(alpha, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        be = beta * E
-        cross = _fold_users(np.add, be)[..., None] - be
-        safe_e = np.where(E > 0, E, 1.0)
-        denom = (beta * rho + sigma2_ul / safe_e) * (
-            sigma2_ul * rem / (1.0 - rho) + cross
-        ) + beta * sigma2_ul
-        sinr = (M - 1) * beta**2 * rho * E / denom
-    return np.where(E <= 0, 0.0, sinr)
+    return _sinr("mrc", M, beta.shape[-1], beta, sigma2_ul, E, E, rho, rho, rem)
 
 
 def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alpha, rho, xi):
@@ -129,17 +136,17 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     phase.  A NaN argument that the system uses gives a NaN SINR.
     """
     _check_tags(detector=detector)
+    if detector == "zf":
+        params.require_zf()
     rho_c = clamp_rho(rho)
     e = energies(params, system, alpha, rho_c, xi)
-    beta, M, s2 = params.beta, params.M, params.sigma2_ul
+    beta, M, K, s2 = params.beta, params.M, params.K, params.sigma2_ul
+    rem = _data_phase(system, np.asarray(tau, dtype=float), np.asarray(alpha, dtype=float))
     if system != "ideal":
-        sinr_fn = zf_sinr_from_energy if detector == "zf" else mrc_sinr_from_energy
-        return sinr_fn(e, beta, tau, alpha, rho_c, M, s2)
-    rem = 1.0 - np.asarray(alpha, dtype=float)
+        return _sinr(detector, M, K, beta, s2, e, e, rho_c, rho_c, rem)
     with np.errstate(divide="ignore", invalid="ignore"):
         if detector == "zf":
-            params.require_zf()
-            sinr = e * (M - params.K) * beta / (rem * s2)
+            sinr = e * (M - K) * beta / (rem * s2)
         else:
             be = e * beta
             cross = _fold_users(np.add, be)[..., None] - be

@@ -9,6 +9,7 @@ from wetmm.optimizer import (DEFAULT_STEPS, _lattice_count, asymptotic_allocatio
                              grid_search_p1, optimal_rho_zf, optimal_xi, rate_map,
                              solve_p1_analytic)
 from wetmm.rates import closed_form_rate
+from wetmm.sysmodel import SystemParams
 
 from conftest import benchmark_params
 
@@ -241,6 +242,23 @@ def test_rate_map_rejects_non_finite(params200, xi_star, arg, bad):
         rate_map(params200, "wetmm", "zf", **args)
 
 
+@pytest.mark.parametrize("arg, value, match", [
+    ("tau", -0.5, "time fractions must be nonnegative"),
+    ("alpha", -0.01, "time fractions must be nonnegative"),
+    ("rho", 1.7, r"rho must lie in \[0, 1\]"),
+    ("rho", -3.0, r"rho must lie in \[0, 1\]"),
+    ("xi", [1.5, -0.5], "beam weights must be nonnegative and sum to 1"),
+    ("xi", [[0.5, 0.5], [0.6, 0.5]], "beam weights must be nonnegative and sum to 1"),
+])
+def test_rate_map_refuses_out_of_domain(params200, xi_star, arg, value, match):
+    # each would otherwise give a rate: tau = -0.5 a data phase of 1.4,
+    # rho = 1.7 or -3 a clamped rho, xi = (1.5, -0.5) a negative beam
+    args = dict(tau=0.00825, alpha=0.076, rho=0.5965, xi=xi_star)
+    args[arg] = value
+    with pytest.raises(ValueError, match=match):
+        rate_map(params200, "wetmm", "zf", **args)
+
+
 def test_min_rate_unimodal_in_rho(params200, xi_star):
     """Along the benchmark slice the min rate rises to one peak and falls."""
     rho_vals = np.linspace(0.01, 0.99, 99)
@@ -261,6 +279,19 @@ def test_grid_search_rejects_mrc_antenna_floor():
     with pytest.raises(ValueError):
         tiny = type(p)(M=2, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=p.beta)
         grid_search_p1(tiny, "wetmm", "zf", steps=(0.02, 0.02, 0.02))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p: grid_search_p1(p, "wetmm", "zf", steps=(0.02, 0.02, 0.02)),
+    lambda p: solve_p1_analytic(p, "zf", alpha_step=0.02),
+    lambda p: rate_map(p, "wetmm", "zf", 0.0, 0.1, 0.5, np.array([0.5, 0.5])),
+], ids=["grid_search_p1", "solve_p1_analytic", "rate_map"])
+def test_zf_entry_points_refuse_antenna_floor(entry):
+    # the search entry points leave the ZF antenna floor to closed_form_sinr
+    # or check it themselves; either way M = K is refused by name
+    tiny = SystemParams(M=2, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=benchmark_params(3).beta)
+    with pytest.raises(ValueError, match=r"ZF requires M >= K\+1"):
+        entry(tiny)
 
 
 def brute_force_p1(params, system, detector, steps, xi_policy="analytic", xi_step=0.25):

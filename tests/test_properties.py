@@ -180,8 +180,10 @@ def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
     the relative 1e-12 that a pruned pass allows for rounding.
 
     Blocks hold up to 4 positions per axis.  They reach alpha = 0, and rho
-    steps below RHO_CLAMP put blocks across both clamp edges.  A block of
-    one point is bounded by its own value."""
+    steps below RHO_CLAMP put blocks across both clamp edges.  The box of
+    the block's first point alone is bounded by exactly that point's value:
+    the bound and the point evaluate the same kernel with the same
+    arguments."""
     params, system, detector, policy = problem
     a_step = data.draw(st.floats(1e-3, 0.05))
     r_step = data.draw(st.one_of(st.floats(2e-5, 1e-4), st.floats(1e-4, 0.05)))
@@ -205,8 +207,10 @@ def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
                           [v[None, None, None] for v in (xi.min(axis=0), xi.max(axis=0))])
     assert bound.shape == (1, 1, 1)
     assert not np.any(bound < values - 1e-12 * np.abs(values)), (bound, values.max())
-    if values.size == 1 and np.isfinite(values).all():
-        assert np.isclose(bound.item(), values.item(), rtol=1e-9, atol=0.0)
+    point = _block_bounds(params, system, detector, [np.array([[[[alpha[0]]]]])] * 2,
+                          [np.array([[[[rho[0]]]]])] * 2, [xi[0][None, None, None]] * 2)
+    if np.isfinite(values[0, 0, 0]):
+        assert point.item() == values[0, 0, 0], (point.item(), values[0, 0, 0])
 
 
 def lattice_argmax(params, system, detector, steps, policy, xi_step, a_idx, r_idx, x_idx):

@@ -1,6 +1,8 @@
 """Closed-form rate expressions against naive scalar reference loops and
 pinned benchmark values."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,30 @@ def test_user_folds_match_numpy_reductions(k):
                                   equal_nan=True)
 
 
-def test_sinr_zero_energy_gives_zero():
+def test_sinr_zero_energy_gives_zero(params200):
+    # E = 0 divides sigma2 by zero inside the kernel: the SINR is 0, with no
+    # floating-point warning leaking out
     beta = np.array([1e-6, 1e-7])
     e = np.array([0.0, 1e-6])
-    z = zf_sinr_from_energy(e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
-    m = mrc_sinr_from_energy(e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = zf_sinr_from_energy(e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
+        m = mrc_sinr_from_energy(e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
+        # alpha = 0 harvests nothing, so every user's E is 0
+        dark = [closed_form_sinr(params200, system, detector, 0.0, 0.0, 0.5, np.array([0.5, 0.5]))
+                for system in ("wetmm", "opmm", "ideal") for detector in ("zf", "mrc")]
     assert z[0] == 0.0 and m[0] == 0.0
     assert z[1] > 0 and m[1] > 0
     assert np.all(np.isfinite(z)) and np.all(np.isfinite(m))
+    assert all(np.array_equal(sinr, [0.0, 0.0]) for sinr in dark), dark
+
+
+@pytest.mark.parametrize("system", ["wetmm", "opmm", "ideal"])
+def test_closed_form_sinr_refuses_zf_below_antenna_floor(system):
+    params = SystemParams(M=2, K=2, p_dl=1.0, sigma2_ul=1e-15, beta=np.array([1e-6, 1e-7]))
+    with pytest.raises(ValueError, match=r"ZF requires M >= K\+1"):
+        closed_form_sinr(params, system, "zf", 0.0, 0.1, 0.5, np.array([0.5, 0.5]))
+    assert np.all(closed_form_sinr(params, system, "mrc", 0.0, 0.1, 0.5, np.array([0.5, 0.5])) > 0)
 
 
 @pytest.mark.parametrize("system, detector, nan_arg",
