@@ -18,6 +18,7 @@ That quadratic has the closed-form positive root implemented here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ RHO_CLAMP = 1e-4
 
 def clamp_rho(rho):
     """Pull the energy-splitting fraction away from its singular endpoints."""
-    return np.clip(rho, RHO_CLAMP, 1.0 - RHO_CLAMP)
+    # np.clip gives the same bits, NaN included, at twice the call cost
+    return np.minimum(np.maximum(rho, RHO_CLAMP), 1.0 - RHO_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,10 @@ class ResourceAllocation:
 
     def __post_init__(self):
         xi = np.atleast_1d(np.asarray(self.xi, dtype=float)).copy()
-        if not (np.all(np.isfinite([self.tau, self.alpha, self.rho])) and np.all(np.isfinite(xi))):
+        # plain float checks: numpy reductions over three scalars cost most
+        # of a construction
+        scalars = (self.tau, self.alpha, self.rho)
+        if not (all(map(math.isfinite, scalars)) and np.isfinite(xi).all()):
             raise ValueError("allocation entries must be finite")
         if self.tau < 0 or self.alpha < 0:
             raise ValueError("time fractions must be nonnegative")
@@ -74,7 +79,7 @@ class ResourceAllocation:
             raise ValueError(f"tau + alpha = {self.tau + self.alpha} exceeds the frame")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if np.any(xi < 0):
+        if (xi < 0).any():
             raise ValueError("beam weights must be nonnegative")
         if abs(xi.sum() - 1.0) > 1e-9:
             raise ValueError(f"beam weights must sum to 1, got {xi.sum()}")
@@ -162,7 +167,9 @@ def _fixedpoint_raw(alpha, rho, xi, beta, M, p_dl, sigma2_ul):
     Returns exactly 0 where alpha == 0 (g < 0 and the constant term vanishes).
     For g < 0 the textbook form (g + sqrt(g^2 + c)) / 2 cancels
     catastrophically, so the root is rewritten as c / (2 (sqrt(g^2 + c) - g)),
-    which is additive in that regime.  Callers are responsible for clamping rho.
+    which is additive in that regime.  Callers are responsible for clamping
+    rho.  Elementwise: the search passes users on axis 0, with ``beta``
+    shaped (K, 1, ...) (see :func:`_energies`).
     """
     g = alpha * p_dl * beta * (xi * (M - 1) + 1.0) - sigma2_ul / (beta * rho)
     c = 4.0 * alpha * p_dl * sigma2_ul / rho
@@ -210,6 +217,18 @@ def asymptotic_energy(alpha, xi, beta, M, p_dl):
     return alpha * p_dl * np.asarray(beta, dtype=float) * np.asarray(xi, dtype=float) * M
 
 
+def _energies(params: SystemParams, system: str, beta, alpha, rho, xi):
+    """:func:`energies` with no checks, ``rho`` already clamped.  The search
+    passes users on axis 0 (``beta`` shaped (K, 1, ...) to ``xi``'s rank,
+    ``alpha`` and ``rho`` without it); every step is elementwise, so
+    :func:`energies` passes users-last operands and ``params.beta``."""
+    if system == "wetmm":
+        return _fixedpoint_raw(alpha, rho, xi, beta, params.M, params.p_dl, params.sigma2_ul)
+    if system == "opmm":
+        return alpha * params.p_dl * beta
+    return alpha * params.p_dl * beta * (xi * (params.M - 1) + 1.0)
+
+
 def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
     """Steady-state banked energy per user for one of the three systems.
 
@@ -226,9 +245,4 @@ def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
     """
     _check_tags(system=system)
     xi = np.asarray(xi, dtype=float)
-    if system == "wetmm":
-        return _fixedpoint_raw(alpha, clamp_rho(rho), xi, params.beta,
-                               params.M, params.p_dl, params.sigma2_ul)
-    if system == "opmm":
-        return alpha * params.p_dl * params.beta
-    return alpha * params.p_dl * params.beta * (xi * (params.M - 1) + 1.0)
+    return _energies(params, system, params.beta, alpha, clamp_rho(rho), xi)

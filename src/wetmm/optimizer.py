@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.energy import ResourceAllocation, clamp_rho, energies
-from wetmm.rates import _fold_users, _sinr, closed_form_rate, closed_form_sinr
+from wetmm.energy import ResourceAllocation, _energies, clamp_rho
+from wetmm.rates import (_check_model, _closed_form_sinr, _fold_users, _sinr, closed_form_rate,
+                         closed_form_sinr)
 from wetmm.sysmodel import SystemParams, _check_tags
 
 __all__ = [
@@ -158,10 +159,12 @@ def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
 
 def _lattice_rates(params, system, detector, alpha, rho, xi):
     """Min rate at tau = 0 of lattice points given by broadcasting ``alpha``
-    and ``rho`` (each with a trailing axis of 1) against ``xi`` (users on the
-    last axis); -inf where alpha > 1 leaves no data phase."""
-    sinr = closed_form_sinr(params, system, detector, 0.0, alpha, rho, xi)
-    rem = 1.0 - alpha[..., 0]
+    and ``rho`` against ``xi``, which has users on axis 0 and the full rank
+    (``alpha`` and ``rho`` have no user axis); -inf where alpha > 1 leaves
+    no data phase.  No checks: the search makes them once."""
+    beta = params.beta.reshape((-1,) + (1,) * (xi.ndim - 1))
+    sinr = _closed_form_sinr(params, system, detector, beta, 0.0, alpha, clamp_rho(rho), xi)
+    rem = 1.0 - alpha
     with np.errstate(invalid="ignore"):
         return np.where(rem >= 0.0, rem * np.log2(1.0 + _fold_users(np.minimum, sinr)), -np.inf)
 
@@ -170,17 +173,18 @@ def _block_bounds(params, system, detector, alpha, rho, xi):
     """Upper bounds on the tau = 0 min rate over boxes of lattice points.
 
     ``alpha``, ``rho`` and ``xi`` are (smallest, largest) pairs over each
-    box, broadcasting as in :func:`_lattice_rates`; xi's pair is per user.
-    The energies are taken at both ends of the box and the SINR is
-    :func:`wetmm.rates._sinr` at those ends, which puts each monotone factor
-    at its favourable corner (see :func:`grid_search_p1`).
+    box, broadcasting as in :func:`_lattice_rates` with users on axis 0;
+    xi's pair is per user.  The energies are taken at both ends of the box
+    and the SINR is :func:`wetmm.rates._sinr` at those ends, which puts each
+    monotone factor at its favourable corner (see :func:`grid_search_p1`).
     """
     (a_lo, a_hi), (r_lo, r_hi), (x_lo, x_hi) = alpha, (clamp_rho(r) for r in rho), xi
-    e_lo = energies(params, system, a_lo, r_lo, x_lo)
-    e_hi = energies(params, system, a_hi, r_hi, x_hi)
-    sinr = _sinr(detector, params.M, params.K, params.beta, params.sigma2_ul,
+    beta = params.beta.reshape((-1,) + (1,) * (x_lo.ndim - 1))
+    e_lo = _energies(params, system, beta, a_lo, r_lo, x_lo)
+    e_hi = _energies(params, system, beta, a_hi, r_hi, x_hi)
+    sinr = _sinr(detector, params.M, params.K, beta, params.sigma2_ul,
                  e_lo, e_hi, r_lo, r_hi, np.maximum(1.0 - a_hi, 0.0))
-    return (1.0 - a_lo[..., 0]) * np.log2(1.0 + _fold_users(np.minimum, sinr))
+    return (1.0 - a_lo) * np.log2(1.0 + _fold_users(np.minimum, sinr))
 
 
 def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_idx, x_idx,
@@ -198,17 +202,21 @@ def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_i
     computed in alpha slabs, and the kept blocks evaluated in groups, of
     about ``_SLAB_ENTRIES`` entries.  Among equal values the smallest flat
     (C-order) lattice index wins, as np.argmax picks over the whole lattice.
+
+    Every operand is built with users on axis 0: the xi axis is the
+    candidates' transpose (K, n), whose blocks index its last axis, so a
+    slab is (K, alpha, rho, xi) and each ufunc call runs over whole slabs.
     """
     x_idx, xi_arr = _xi_candidates(params, system, xi_policy, x_idx, xi_step)
-    axes = (steps[1] * a_idx, steps[2] * r_idx, xi_arr)
-    shape = [len(v) for v in axes]
+    axes = (steps[1] * a_idx, steps[2] * r_idx, xi_arr.T)
+    shape = [v.shape[-1] for v in axes]
     width = ([max(1, _SLAB_ENTRIES // (shape[1] * shape[2] * params.K)), *shape[1:]]
              if inc == -np.inf else [_BLOCK] * 3)
     width = [min(w, n) for w, n in zip(width, shape)]
     # per axis, each block's positions; a short last block repeats its last one
     pos = [np.minimum(np.arange(-(-n // w) * w).reshape(-1, w), n - 1)
            for n, w in zip(shape, width)]
-    blocks = [v[p] for v, p in zip(axes, pos)]
+    blocks = [v[..., p] for v, p in zip(axes, pos)]
     # per block, its feasible (alpha <= 1) alphas and its rhos and xis
     counts = [np.add.reduceat(1.0 - axes[0] >= 0.0, pos[0][:, 0])] + [
         np.minimum(w, n - p[:, 0]) for n, w, p in zip(shape[1:], width[1:], pos[1:])]
@@ -217,12 +225,12 @@ def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_i
         keep = np.ones([len(p) for p in pos], dtype=bool)
     else:
         # per axis: each block's smallest values, largest values, low corner
-        ends = [(b.min(axis=1), b.max(axis=1), b[:, 0]) for b in blocks]
+        ends = [(b.min(axis=-1), b.max(axis=-1), b[..., 0]) for b in blocks]
         rows = max(1, _SLAB_ENTRIES // (len(pos[1]) * len(pos[2]) * params.K))
         bound, corner = [], []
         for lo in range(0, len(pos[0]), rows):
-            a, r, x = ([v[lo:lo + rows, None, None, None] for v in ends[0]],
-                       [v[None, :, None, None] for v in ends[1]], [v[None, None] for v in ends[2]])
+            a, r, x = ([v[lo:lo + rows, None, None] for v in ends[0]],
+                       [v[:, None] for v in ends[1]], [v[:, None, None] for v in ends[2]])
             bound.append(_block_bounds(params, system, detector, a[:2], r[:2], x[:2]))
             if inc is None:
                 corner.append(np.max(_lattice_rates(params, system, detector, a[2], r[2], x[2])))
@@ -237,9 +245,10 @@ def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_i
     for lo in range(0, kept[0].size, group):
         ka, kr, kx = (k[lo:lo + group] for k in kept)
         # an axis of one block broadcasts, so its factors are computed once
-        a, r, x = (b if len(b) == 1 else b[k] for b, k in zip(blocks, (ka, kr, kx)))
-        rate = _lattice_rates(params, system, detector, a[:, :, None, None, None],
-                              r[:, None, :, None, None], x[:, None, None])
+        a, r, x = (b if b.shape[-2] == 1 else b[..., k, :]
+                   for b, k in zip(blocks, (ka, kr, kx)))
+        rate = _lattice_rates(params, system, detector, a[:, :, None, None],
+                              r[:, None, :, None], x[..., None, None, :])
         j = int(np.argmax(rate))
         top = rate.flat[j]
         if best is not None and not top >= best[0]:
@@ -335,9 +344,8 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     Raises:
         ValueError: on invalid tags or steps.
     """
-    _check_tags(system=system, detector=detector, xi_policy=xi_policy)
-    if detector == "zf":
-        params.require_zf()
+    _check_model(params, system, detector)
+    _check_tags(xi_policy=xi_policy)
     if len(steps) != 3:
         raise ValueError("steps must be three positive lattice spacings")
     n_t = _lattice_count(1.0, steps[0], "tau step")
@@ -390,6 +398,7 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     closed-form min rate on its fine lattice.  Tracks grid_search_p1
     within a few percent at large M; the full search remains the oracle.
     """
+    _check_model(params, "wetmm", detector)
     if not 0 < alpha_step <= 1:
         raise ValueError("alpha_step must lie in (0, 1]")
     alpha_vals = alpha_step * np.arange(_lattice_count(1.0, alpha_step, "alpha_step") + 1, dtype=float)
@@ -398,8 +407,8 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     else:
         rho_vals = np.full_like(alpha_vals, 0.5)
     xi = optimal_xi(params.beta)
-    ia = int(np.argmax(_lattice_rates(params, "wetmm", detector, alpha_vals[:, None],
-                                      rho_vals[:, None], xi)))
+    ia = int(np.argmax(_lattice_rates(params, "wetmm", detector, alpha_vals, rho_vals,
+                                      xi[:, None])))
     alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]), rho=float(rho_vals[ia]), xi=xi)
     rates = closed_form_rate(params, alloc, "wetmm", detector)
     return OptimizationResult(
@@ -419,20 +428,14 @@ def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, 
 
     Raises:
         ValueError: on invalid tags, the ideal system (it has no tau or rho
-            axes), or an entry that :class:`ResourceAllocation` refuses
-            (tau + alpha > 1 aside).
+            axes), a non-finite entry, or an entry that
+            :func:`wetmm.rates.closed_form_sinr` refuses.
     """
     if system == "ideal":
         raise ValueError("the ideal system has no (tau, rho) axes to map")
     tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
     if not all(np.all(np.isfinite(v)) for v in (tau, alpha, rho, xi)):
         raise ValueError("tau, alpha, rho and xi must be finite")
-    if np.any(tau < 0) or np.any(alpha < 0):
-        raise ValueError("time fractions must be nonnegative")
-    if np.any((rho < 0) | (rho > 1)):
-        raise ValueError("rho must lie in [0, 1]")
-    if np.any(xi < 0) or np.any(np.abs(np.sum(xi, axis=-1) - 1.0) > 1e-9):
-        raise ValueError("beam weights must be nonnegative and sum to 1 over the users")
     sinr = closed_form_sinr(params, system, detector, tau, alpha, rho, xi)
     rem = 1.0 - tau - alpha
     with np.errstate(invalid="ignore"):

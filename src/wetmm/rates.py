@@ -22,6 +22,9 @@ Maximum-ratio combining:
 Both hold for any per-user energy vector E, which is how the isotropic
 benchmark ("opmm": E = alpha p_dl beta) reuses the same code path.  The
 private ``_sinr`` computes both, at a point or as the search's block bound.
+The private kernels compute with users on axis 0, which the search builds
+directly; the public functions take users on the last axis and move it at
+their boundary.
 With perfect knowledge ("ideal": tau = rho = 0, no estimation error),
 
     zf:  sinr_k = (M-K) beta_k E_k / ((1-alpha) sigma2)
@@ -34,7 +37,7 @@ import functools
 
 import numpy as np
 
-from wetmm.energy import ResourceAllocation, clamp_rho, energies
+from wetmm.energy import ResourceAllocation, _energies, clamp_rho
 from wetmm.sysmodel import SystemParams, _check_tags
 
 __all__ = [
@@ -60,17 +63,51 @@ def _data_phase(system: str, tau, alpha):
     return 1.0 - alpha if system == "ideal" else 1.0 - tau - alpha
 
 
-def _fold_users(ufunc, x):
-    """``ufunc`` folded left to right over the trailing user axis of ``x``.
+def _users_first(n: int, *arrays) -> list:
+    """Users-last ``arrays`` (a scalar broadcasts) as rank-``n`` float arrays
+    with users on axis 0; one of higher rank only has its last axis moved.
+    Plain transposes: np.moveaxis costs several times as much."""
+    out = []
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        a = a.reshape((1,) * (n - a.ndim) + a.shape)
+        out.append(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
+    return out
 
-    numpy reduces a short trailing axis with one inner-loop call per output
-    element, so on a search slab its min over the users takes about 50 times
-    as long as the K - 1 elementwise calls made here.  With ``np.add`` the
-    result equals numpy's sum over that axis bit for bit for K <= 7 (numpy
-    sums 8 or more terms pairwise); with ``np.minimum`` it equals the values
-    of numpy's min.
+
+def _users_last(x):
+    """The users-first ``x`` with its user axis moved from the front to the end."""
+    return x.transpose(*range(1, x.ndim), 0)
+
+
+def _check_model(params: SystemParams, system: str, detector: str) -> None:
+    """Refuse unknown system or detector tags and ZF below M = K + 1."""
+    _check_tags(system=system, detector=detector)
+    if detector == "zf":
+        params.require_zf()
+
+
+def _check_fractions(tau, alpha, rho) -> None:
+    """Refuse a negative tau or alpha and a rho outside [0, 1]; NaN passes.
+    Array methods: np.any costs several times as much on a few entries."""
+    if (tau < 0).any() or (alpha < 0).any():
+        raise ValueError("time fractions must be nonnegative")
+    if ((rho < 0) | (rho > 1)).any():
+        raise ValueError("rho must lie in [0, 1]")
+
+
+def _fold_users(ufunc, x):
+    """``ufunc`` folded left to right over the leading user axis of ``x``:
+    ``ufunc(ufunc(x[0], x[1]), x[2])`` and so on.
+
+    Each step is one elementwise call over a whole user slice, so on a
+    search slab the fold costs K - 1 ufunc calls, where numpy's reduction
+    over a short trailing user axis makes one inner-loop call per output
+    element.  With ``np.add`` the result equals numpy's sum over the user
+    axis bit for bit for K <= 7 (numpy sums 8 or more contiguous terms
+    pairwise); with ``np.minimum`` it equals the values of numpy's min.
     """
-    return functools.reduce(ufunc, (x[..., k] for k in range(x.shape[-1])))
+    return functools.reduce(ufunc, x)
 
 
 def _sinr(detector: str, M: int, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rho_hi, rem):
@@ -78,20 +115,37 @@ def _sinr(detector: str, M: int, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rh
     numerator at (rho_hi, e_hi), beta rho + sigma2/E at (rho_lo, e_hi),
     rem/(1 - rho) at rho_lo, the ZF load and MRC cross term at (e_lo,
     rho_hi).  At one point (lo = hi) it is the SINR; over a box, the bound
-    proved in :func:`wetmm.optimizer.grid_search_p1`.  e_hi = 0 gives 0."""
+    proved in :func:`wetmm.optimizer.grid_search_p1`.  e_hi = 0 gives 0.
+
+    Users sit on axis 0: ``e_lo`` and ``e_hi`` carry it at the full rank,
+    ``beta`` is shaped (K, 1, ...) to that rank, and ``rho_lo``, ``rho_hi``
+    and ``rem`` broadcast against the rest, so the sums over users need no
+    re-expansion.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         near = beta * rho_lo + sigma2_ul / e_hi
         if detector == "zf":
             load = beta * e_lo / (beta * rho_hi * e_lo + sigma2_ul)
-            den = sigma2_ul * near * (rem / (1.0 - rho_lo) + _fold_users(np.add, load)[..., None])
+            den = sigma2_ul * near * (rem / (1.0 - rho_lo) + _fold_users(np.add, load))
             gain = M - K
         else:
             be = beta * e_lo
-            cross = _fold_users(np.add, be)[..., None] - be
+            cross = _fold_users(np.add, be) - be
             den = near * (sigma2_ul * rem / (1.0 - rho_lo) + cross) + beta * sigma2_ul
             gain = M - 1
         sinr = gain * beta**2 * rho_hi * e_hi / den
     return np.where(e_hi <= 0, 0.0, sinr)
+
+
+def _sinr_from_energy(detector: str, M: int, E, beta, tau, alpha, rho, sigma2_ul):
+    """The users-last boundary of the two public ``*_sinr_from_energy``
+    kernels: :func:`_sinr` at one point, computed with users on axis 0."""
+    tau, alpha, rho = (np.asarray(v, dtype=float) for v in (tau, alpha, rho))
+    _check_fractions(tau, alpha, rho)
+    rem = 1.0 - tau - alpha
+    n = max(map(np.ndim, (E, beta, rem, rho)))
+    E, beta, rem, rho = _users_first(n, E, beta, rem, rho)
+    return _users_last(_sinr(detector, M, beta.shape[0], beta, sigma2_ul, E, E, rho, rho, rem))
 
 
 def zf_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
@@ -99,16 +153,14 @@ def zf_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
 
     ``E`` and ``beta`` carry users on the last axis; ``tau``, ``alpha`` and
     ``rho`` broadcast against the leading axes.  Entries with E = 0 give
-    SINR 0; a NaN argument gives a NaN SINR.  Requires M >= K + 1.
+    SINR 0; a NaN argument gives a NaN SINR.  Requires M >= K + 1; refuses
+    a negative tau or alpha and rho outside [0, 1], as
+    :func:`closed_form_sinr` does.
     """
-    E = np.asarray(E, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    K = beta.shape[-1]
+    K = np.shape(beta)[-1]
     if M < K + 1:
         raise ValueError(f"ZF requires M >= K+1, got M={M}, K={K}")
-    rho = np.asarray(rho, dtype=float)
-    rem = 1.0 - np.asarray(tau, dtype=float) - np.asarray(alpha, dtype=float)
-    return _sinr("zf", M, K, beta, sigma2_ul, E, E, rho, rho, rem)
+    return _sinr_from_energy("zf", M, E, beta, tau, alpha, rho, sigma2_ul)
 
 
 def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
@@ -117,13 +169,28 @@ def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
     Same conventions as :func:`zf_sinr_from_energy`.  Requires M >= 2; works
     for K = 1, where the cross-user interference sum is empty.
     """
-    E = np.asarray(E, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     if M < 2:
         raise ValueError(f"MRC requires M >= 2, got M={M}")
-    rho = np.asarray(rho, dtype=float)
-    rem = 1.0 - np.asarray(tau, dtype=float) - np.asarray(alpha, dtype=float)
-    return _sinr("mrc", M, beta.shape[-1], beta, sigma2_ul, E, E, rho, rho, rem)
+    return _sinr_from_energy("mrc", M, E, beta, tau, alpha, rho, sigma2_ul)
+
+
+def _closed_form_sinr(params: SystemParams, system: str, detector: str, beta, tau, alpha, rho, xi):
+    """:func:`closed_form_sinr` with users on axis 0 and no checks: the
+    operands, ``beta`` and the clamped ``rho`` as in
+    :func:`wetmm.energy._energies`, ``tau`` broadcasting like ``alpha``."""
+    e = _energies(params, system, beta, alpha, rho, xi)
+    M, K, s2 = params.M, params.K, params.sigma2_ul
+    rem = _data_phase(system, tau, alpha)
+    if system != "ideal":
+        return _sinr(detector, M, K, beta, s2, e, e, rho, rho, rem)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if detector == "zf":
+            sinr = e * (M - K) * beta / (rem * s2)
+        else:
+            be = e * beta
+            cross = _fold_users(np.add, be) - be
+            sinr = e * (M - 1) * beta / (cross + rem * s2)
+    return np.where(rem <= 0, 0.0, sinr)
 
 
 def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alpha, rho, xi):
@@ -133,25 +200,25 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     users on the last axis.  Energies come from :func:`wetmm.energy.energies`
     at rho clamped to [RHO_CLAMP, 1 - RHO_CLAMP].  The "ideal" system
     ignores tau and rho, and its SINR is zero where alpha = 1 leaves no data
-    phase.  A NaN argument that the system uses gives a NaN SINR.
+    phase.  tau + alpha > 1 is allowed (callers such as
+    :func:`wetmm.optimizer.rate_map` mark it), and a NaN argument that the
+    system uses gives a NaN SINR.
+
+    Raises:
+        ValueError: on invalid tags, ZF below M = K + 1, a negative tau or
+            alpha, rho outside [0, 1], or beam weights that are negative or
+            do not sum to 1 over the users within 1e-9.
     """
-    _check_tags(detector=detector)
-    if detector == "zf":
-        params.require_zf()
-    rho_c = clamp_rho(rho)
-    e = energies(params, system, alpha, rho_c, xi)
-    beta, M, K, s2 = params.beta, params.M, params.K, params.sigma2_ul
-    rem = _data_phase(system, np.asarray(tau, dtype=float), np.asarray(alpha, dtype=float))
-    if system != "ideal":
-        return _sinr(detector, M, K, beta, s2, e, e, rho_c, rho_c, rem)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if detector == "zf":
-            sinr = e * (M - K) * beta / (rem * s2)
-        else:
-            be = e * beta
-            cross = _fold_users(np.add, be)[..., None] - be
-            sinr = e * (M - 1) * beta / (cross + rem * s2)
-    return np.where(rem <= 0, 0.0, sinr)
+    _check_model(params, system, detector)
+    tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
+    _check_fractions(tau, alpha, rho)
+    if (xi < 0).any() or (abs(np.atleast_1d(xi).sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("beam weights must be nonnegative and sum to 1 over the users")
+    used = {"wetmm": (tau, alpha, rho, xi), "opmm": (tau, alpha, rho), "ideal": (alpha, xi)}[system]
+    n = max(1, *map(np.ndim, used))
+    beta, tau, alpha, rho, xi = _users_first(n, params.beta, tau, alpha, rho, xi)
+    return _users_last(_closed_form_sinr(params, system, detector, beta, tau, alpha,
+                                         clamp_rho(rho), xi))
 
 
 def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> np.ndarray:
@@ -233,7 +300,10 @@ def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: st
     For the "ideal" system the allocation's tau and rho are ignored (both
     are structurally zero with perfect channel knowledge).
     """
-    sinr = closed_form_sinr(params, system, detector, alloc.tau, alloc.alpha, alloc.rho, alloc.xi)
+    _check_model(params, system, detector)
+    # the allocation is validated and its xi is 1-D, users-first already
+    sinr = _closed_form_sinr(params, system, detector, params.beta, alloc.tau, alloc.alpha,
+                             clamp_rho(alloc.rho), alloc.xi)
     return _data_phase(system, alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
 
 

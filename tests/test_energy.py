@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wetmm.energy import (ResourceAllocation, asymptotic_energy, beamformer,
+from wetmm.energy import (RHO_CLAMP, ResourceAllocation, asymptotic_energy, beamformer,
                           clamp_rho, energies, expected_harvested_energy, general_beamformer,
                           harvested_energy_fixedpoint)
 from wetmm.estimation import draw_trials, error_variance
@@ -40,6 +40,33 @@ def test_allocation_rejects_non_finite():
                                      (0.0, 0.1, 0.5, np.array([np.nan, 0.5]))):
         with pytest.raises(ValueError, match="finite"):
             ResourceAllocation(tau=tau, alpha=alpha, rho=rho, xi=weights)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ((-0.01, 0.1, 0.5, [0.5, 0.5]), "time fractions must be nonnegative"),
+    ((0.0, -0.1, 0.5, [0.5, 0.5]), "time fractions must be nonnegative"),
+    ((0.6, 0.5, 0.5, [0.5, 0.5]), r"tau \+ alpha = 1.1 exceeds the frame"),
+    ((0.0, 0.1, 1.5, [0.5, 0.5]), r"rho must lie in \[0, 1\], got 1.5"),
+    ((0.0, 0.1, -0.5, [0.5, 0.5]), r"rho must lie in \[0, 1\], got -0.5"),
+    ((0.0, 0.1, 0.5, [-0.1, 1.1]), "beam weights must be nonnegative"),
+    ((0.0, 0.1, 0.5, [0.7, 0.2]), "beam weights must sum to 1, got 0.8999999999999999"),
+    ((0.0, 0.1, 0.5, [0.5, np.inf]), "allocation entries must be finite"),
+] + [(tuple(bad if i == j else v for j, v in enumerate((0.0, 0.1, 0.5))) + ([0.5, 0.5],),
+      "allocation entries must be finite")
+     for i in range(3) for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan))])
+def test_allocation_refusals_keep_their_messages(fields, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        ResourceAllocation(*fields)
+
+
+def test_clamp_rho_matches_np_clip_bit_for_bit():
+    x = np.array([np.nan, -np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-5, RHO_CLAMP, 0.5,
+                  1.0 - RHO_CLAMP, 1.0 - 5e-5, 1.0, 2.0, np.inf])
+    want = np.clip(x, RHO_CLAMP, 1.0 - RHO_CLAMP)
+    assert clamp_rho(x).tobytes() == want.tobytes()
+    assert clamp_rho(x[:, None]).shape == (x.size, 1)
+    for v, w in zip(x.tolist(), want):
+        assert np.asarray(clamp_rho(v)).tobytes() == w.tobytes()
 
 
 def test_clamp_rho_endpoints():

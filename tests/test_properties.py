@@ -6,13 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wetmm.energy import (RHO_CLAMP, ResourceAllocation, clamp_rho, energies,
+from wetmm.energy import (RHO_CLAMP, ResourceAllocation, _energies, clamp_rho, energies,
                           expected_harvested_energy)
 from wetmm.estimation import draw_trials
 import wetmm.optimizer as optimizer
 from wetmm.optimizer import (_block_bounds, _lattice_count, _lattice_rates, _xi_candidates,
                              grid_search_p1)
-from wetmm.rates import closed_form_rate
+from wetmm.rates import _closed_form_sinr, closed_form_rate, closed_form_sinr
 from wetmm.sysmodel import SystemParams, _pcg64_assemble, _pcg64_states, trial_rng
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -199,16 +199,16 @@ def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
     _, xi = _xi_candidates(params, system, policy, np.arange(x0, x0 + sizes[2]), x_step)
     alpha = a_step * np.arange(a0, a0 + sizes[0])
     rho = r_step * np.arange(r0, r0 + sizes[1])
-    values = _lattice_rates(params, system, detector, alpha[:, None, None, None],
-                            rho[None, :, None, None], xi[None, None])
+    values = _lattice_rates(params, system, detector, alpha[:, None, None],
+                            rho[None, :, None], xi.T[:, None, None])
     bound = _block_bounds(params, system, detector,
-                          [np.array([[[[v]]]]) for v in (alpha[0], alpha[-1])],
-                          [np.array([[[[v]]]]) for v in (rho[0], rho[-1])],
-                          [v[None, None, None] for v in (xi.min(axis=0), xi.max(axis=0))])
+                          [np.array([[[v]]]) for v in (alpha[0], alpha[-1])],
+                          [np.array([[[v]]]) for v in (rho[0], rho[-1])],
+                          [v[:, None, None, None] for v in (xi.min(axis=0), xi.max(axis=0))])
     assert bound.shape == (1, 1, 1)
     assert not np.any(bound < values - 1e-12 * np.abs(values)), (bound, values.max())
-    point = _block_bounds(params, system, detector, [np.array([[[[alpha[0]]]]])] * 2,
-                          [np.array([[[[rho[0]]]]])] * 2, [xi[0][None, None, None]] * 2)
+    point = _block_bounds(params, system, detector, [np.array([[[alpha[0]]]])] * 2,
+                          [np.array([[[rho[0]]]])] * 2, [xi[0][:, None, None, None]] * 2)
     if np.isfinite(values[0, 0, 0]):
         assert point.item() == values[0, 0, 0], (point.item(), values[0, 0, 0])
 
@@ -220,8 +220,8 @@ def lattice_argmax(params, system, detector, steps, policy, xi_step, a_idx, r_id
     of the temporaries, and np.argmax runs once over all of them."""
     _, xi = _xi_candidates(params, system, policy, x_idx, xi_step)
     rate = np.concatenate([optimizer._lattice_rates(
-        params, system, detector, steps[1] * a_idx[lo:lo + 8, None, None, None],
-        steps[2] * r_idx[None, :, None, None], xi[None, None]) for lo in range(0, a_idx.size, 8)])
+        params, system, detector, steps[1] * a_idx[lo:lo + 8, None, None],
+        steps[2] * r_idx[None, :, None], xi.T[:, None, None]) for lo in range(0, a_idx.size, 8)])
     j = np.unravel_index(np.argmax(rate), rate.shape)
     return rate[j], tuple(int(v[i]) for v, i in zip((a_idx, r_idx, x_idx), j))
 
@@ -274,3 +274,73 @@ def test_pruned_search_returns_the_full_passes_winner(problem, data):
     assert (a.alpha, a.rho) == (want.alpha, want.rho)
     assert np.array_equal(a.xi, want.xi)
     assert got.min_rate == float(np.min(closed_form_rate(params, want, system, detector)))
+
+
+@st.composite
+def layout_cases(draw):
+    """A scenario and its tags, with the same operands in both layouts.
+
+    The lattice has rank 0, 1 or 3, with 1-3 points per axis, and each of
+    tau, alpha, rho and xi varies along a drawn subset of its axes, or is a
+    Python float (not xi).  Users-last, every array operand ends in a user
+    axis (K for xi, 1 for the others) and keeps all its leading axes of
+    size 1 or drops them, down to a scalar.  Users-first, tau, alpha and
+    rho have no user axis and xi has it first.  The values cover the domain's edges: tau + alpha > 1, alpha = 0, rho at
+    0 and 1, and beam weights of 0."""
+    k = draw(st.integers(1, 3))
+    system = draw(st.sampled_from(["wetmm", "opmm", "ideal"]))
+    detector = draw(st.sampled_from(["zf", "mrc"]))
+    m = draw(st.integers(k + 1 if detector == "zf" else 2, 1024))
+    dist = np.array(draw(st.lists(st.floats(2.0, 30.0), min_size=k, max_size=k)))
+    params = SystemParams(M=m, K=k, p_dl=10.0 ** draw(st.floats(-1.0, 1.0)),
+                          sigma2_ul=10.0 ** draw(st.floats(-16.0, -13.0)),
+                          beta=1e-3 * dist ** -3.0)
+    dims = [draw(st.integers(1, 3)) for _ in range(draw(st.sampled_from([0, 1, 3])))]
+    first, last = {}, {}
+    for name, top in (("tau", 0.5), ("alpha", 1.0), ("rho", 1.0), ("xi", 1.0)):
+        if name != "xi" and draw(st.booleans()):
+            first[name] = last[name] = draw(st.floats(0.0, top))
+            continue
+        shape = [n if draw(st.booleans()) else 1 for n in dims]
+        size = (k if name == "xi" else 1) * int(np.prod(shape))
+        v = np.array(draw(st.lists(st.floats(0.0, top), min_size=size, max_size=size)))
+        if name == "xi":
+            w = v.reshape(k, *shape)
+            total = w.sum(axis=0)
+            first[name] = np.where(total > 0, w / np.where(total > 0, total, 1.0), 1.0 / k)
+            users_last = np.moveaxis(first[name], 0, -1)
+        else:
+            first[name] = v.reshape(shape)
+            users_last = first[name][..., None]
+        ones = next((i for i, n in enumerate(users_last.shape) if n != 1), users_last.ndim)
+        users_last = users_last.reshape(users_last.shape[draw(st.sampled_from([0, ones])):])
+        last[name] = float(users_last) if users_last.ndim == 0 else users_last
+    beta = params.beta.reshape(k, *[1] * len(dims))
+    return params, system, detector, beta, first, last
+
+
+def assert_same_bytes(got, users_first, used):
+    """``got``, users-last, has the users-first result's entries bit for bit
+    and the shape the arguments its system uses broadcast to."""
+    want = np.moveaxis(users_first, 0, -1)
+    assert got.shape == np.broadcast_shapes(*(np.shape(v) for v in used), got.shape[-1:])
+    assert got.tobytes() == want.reshape(got.shape).tobytes(), (got, want)
+
+
+@PROPERTY_SETTINGS
+@given(layout_cases())
+def test_users_last_boundary_matches_the_users_first_kernels(case):
+    """The public closed_form_sinr and energies take users on the last axis,
+    the kernels the search calls directly take them on axis 0, and both
+    public functions give the kernels' bytes, on scalar, 1-D and 3-D
+    broadcast operands."""
+    params, system, detector, beta, f, l = case
+    rho = clamp_rho(f["rho"])
+    sinr = _closed_form_sinr(params, system, detector, beta, f["tau"], f["alpha"], rho, f["xi"])
+    used = {"wetmm": "tau alpha rho xi", "opmm": "tau alpha rho", "ideal": "alpha xi"}[system]
+    assert_same_bytes(closed_form_sinr(params, system, detector, l["tau"], l["alpha"], l["rho"],
+                                       l["xi"]), sinr, [l[n] for n in used.split()])
+    e = _energies(params, system, beta, f["alpha"], rho, f["xi"])
+    used = {"wetmm": "alpha rho xi", "opmm": "alpha", "ideal": "alpha xi"}[system]
+    assert_same_bytes(energies(params, system, l["alpha"], l["rho"], l["xi"]), e,
+                      [l[n] for n in used.split()])

@@ -85,15 +85,16 @@ def test_user_folds_match_numpy_reductions(k):
               x[:, :1, :] * rng.uniform(0.5, 2.0, (7, 1))]
     special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], size=(400, k))
     for x in inputs:
-        pairs = [(_fold_users(np.minimum, x), x.min(axis=-1))]
+        pairs = [(_fold_users(np.minimum, np.moveaxis(x, -1, 0)), x.min(axis=-1))]
         if k <= 7:
-            pairs.append((_fold_users(np.add, x)[..., None], np.sum(x, axis=-1, keepdims=True)))
+            pairs.append((_fold_users(np.add, np.moveaxis(x, -1, 0))[..., None],
+                          np.sum(x, axis=-1, keepdims=True)))
         for got, want in pairs:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     with np.errstate(invalid="ignore"):  # inf - inf
         for ufunc, reduce in ((np.add, np.sum), (np.minimum, np.min)):
-            assert np.array_equal(_fold_users(ufunc, special), reduce(special, axis=-1),
+            assert np.array_equal(_fold_users(ufunc, special.T), reduce(special, axis=-1),
                                   equal_nan=True)
 
 
@@ -135,6 +136,40 @@ def test_closed_form_sinr_propagates_nan(params200, system, detector, nan_arg):
     sinr = closed_form_sinr(params200, system, detector, 0.0, args["alpha"], args["rho"],
                             args["xi"])
     assert np.all(np.isnan(sinr[:1] if nan_arg == "xi" else sinr)), sinr
+
+
+@pytest.mark.parametrize("system", ["wetmm", "opmm", "ideal"])
+@pytest.mark.parametrize("tau, rho, xi, match", [
+    (-0.5, 0.5, [0.5, 0.5], "time fractions must be nonnegative"),
+    (0.0, 1.7, [0.5, 0.5], r"rho must lie in \[0, 1\]"),
+    (0.0, 0.5, [1.5, -0.5], "beam weights must be nonnegative and sum to 1"),
+    (0.0, np.array([[0.5], [-0.1]]), [0.5, 0.5], r"rho must lie in \[0, 1\]"),
+    (0.0, 0.5, [[0.5, 0.5], [0.6, 0.5]], "beam weights must be nonnegative and sum to 1"),
+])
+def test_closed_form_sinr_refuses_out_of_domain(params200, system, tau, rho, xi, match):
+    # each gave SINRs before the guard: tau = -0.5 from a data phase of 1.4,
+    # rho = 1.7 clamped, xi = (1.5, -0.5) a negative beam
+    with pytest.raises(ValueError, match=match):
+        closed_form_sinr(params200, system, "zf", tau, 0.1, rho, np.array(xi))
+
+
+@pytest.mark.parametrize("kernel", [zf_sinr_from_energy, mrc_sinr_from_energy])
+@pytest.mark.parametrize("tau, rho, match", [
+    (-0.5, 0.5, "time fractions must be nonnegative"),
+    (0.0, 1.7, r"rho must lie in \[0, 1\]"),
+    (0.0, np.array([[0.5], [-0.1]]), r"rho must lie in \[0, 1\]"),
+])
+def test_sinr_kernels_refuse_out_of_domain(kernel, tau, rho, match):
+    with pytest.raises(ValueError, match=match):
+        kernel(np.ones(2) * 1e-6, np.array([1e-6, 1e-7]), tau, 0.1, rho, 50, 1e-15)
+
+
+def test_closed_form_sinr_allows_an_overfull_frame(params200):
+    # tau + alpha > 1 stays allowed: rate_map marks those cells NaN
+    sinr = closed_form_sinr(params200, "wetmm", "zf", 0.6, np.array([[0.3], [0.5]]), 0.5,
+                            np.array([0.5, 0.5]))
+    assert sinr.shape == (2, 2)
+    assert np.all(np.isfinite(sinr[0]))
 
 
 def test_sinr_antenna_floor():
