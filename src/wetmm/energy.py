@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams, _check_tags
+from wetmm.sysmodel import SystemParams, _antenna_sum, _check_tags, _check_users
 
 __all__ = [
     "RHO_CLAMP",
@@ -93,20 +93,26 @@ def beamformer(G_hat: np.ndarray, xi) -> np.ndarray:
     w = sum_k sqrt(xi_k) g_hat_k / ||g_hat_k||.  The norm of w is 1 only in
     expectation; per realization it fluctuates and must not be renormalized,
     otherwise the harvested-energy statistics change.  A stack of estimates
-    (..., M, K) gives a stack of beams (..., M).
+    (..., M, K) gives a stack of beams (..., M), each equal bit for bit to
+    the beam of its (M, K) slice: the column norms are ``np.linalg.norm``'s
+    sum of squares over the antennas, added in the same order by
+    ``sysmodel._antenna_sum``, and the columns are multiplied by the norms'
+    reciprocals, which is what numpy's complex division by a real divisor
+    computes (a real ``G_hat`` may differ from a division in the last bit).
 
     Raises:
         ValueError: if any estimate column is numerically zero, or a beam
-            weight is negative or not finite.
+            weight is negative or not finite, or xi does not have K entries.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    _check_users(xi, G_hat.shape[-1])
     # the Monte Carlo calls this per chunk; a K-entry check is cheapest in Python
     if not all(0.0 <= v < np.inf for v in xi.tolist()):
         raise ValueError("xi must be nonnegative and finite")
-    norms = np.linalg.norm(G_hat, axis=-2)
-    if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
+    norms = np.sqrt(_antenna_sum((G_hat.conj() * G_hat).real))
+    if not ((norms > 0) & (norms < np.inf)).all():
         raise ValueError("degenerate channel estimate: zero-norm column")
-    return (G_hat / norms[..., None, :]) @ np.sqrt(xi)
+    return (G_hat * (1.0 / norms)[..., None, :]) @ np.sqrt(xi)
 
 
 def general_beamformer(G_hat: np.ndarray, xi_prime, theta) -> np.ndarray:
@@ -123,6 +129,7 @@ def general_beamformer(G_hat: np.ndarray, xi_prime, theta) -> np.ndarray:
     xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     m, k = G_hat.shape
+    _check_users(xi_prime, k)
     if not (np.all(xi_prime >= 0) and np.all(theta >= 0)):
         raise ValueError("beam weights must be nonnegative")
     total = xi_prime.sum() + theta.sum()
@@ -241,8 +248,10 @@ def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
 
     ``alpha``, ``rho`` and ``xi`` broadcast against each other with users on
     the last axis; rho is unused by "opmm" and "ideal", xi by "opmm", so the
-    result carries only the axes of the arguments its system uses.
+    result carries only the axes of the arguments its system uses.  A
+    non-scalar xi must have K entries on that axis (ValueError otherwise).
     """
     _check_tags(system=system)
     xi = np.asarray(xi, dtype=float)
+    _check_users(xi, params.K)
     return _energies(params, system, params.beta, alpha, clamp_rho(rho), xi)

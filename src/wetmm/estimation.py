@@ -21,17 +21,26 @@ distribution for every downstream statistic; the direct draw skips the
 
 The Monte Carlo draws its trials a chunk at a time and builds what no chunk
 changes once per walk: :func:`_channel_consts` holds one pilot energy's
-estimate and error scales, pilot block and MMSE column scale, and one
+column scales, pilot block and MMSE column scale, and one
 ``_pcg64_states`` call gives the seed words of every trial's first stream.
 Per chunk, :func:`_trial_normals` sets one generator (one per worker) to
-each trial's stream in turn and draws that trial's normals in one call into
-a stacked buffer; :func:`_channels` then does the scaling, the subtraction
-and the pilot pipeline once for the chunk.  :func:`draw_trials` builds the
+each trial's stream in turn, draws that trial's normals in one call into a
+stacked buffer and interleaves them into complex stacks once; :func:`_channels`
+then does the scaling, the subtraction and the pilot pipeline once for the
+chunk, without writing to the stacks, so the Monte Carlo builds the
+statistical and the pilot draw of a trial, and the draws of several
+operating points, from one set of stacks.  :func:`draw_trials` builds the
 same values for its one call.  The per-trial ``complex_gaussian``,
 ``generate_channel`` and :func:`receive_pilots` are the reference both
-methods reproduce bit for bit.  Both methods read the same buffer, so the
-Monte Carlo builds the statistical and the pilot draw of one trial from one
-set of normals.
+methods reproduce bit for bit, with numpy's inner loops kept long:
+
+- the column scales are stored at one trial's full (M, K) shape, so a
+  chunk's scaling runs M K entries per inner loop rather than K; each entry
+  is still multiplied by the same number;
+- each pilot product is one 2-D product ``(trials M, K) @ (K, K)``
+  reshaped back, not one (M, K) product per trial; each row of it is the
+  same K-term sum of one input row (the tests pin it to the per-trial
+  products bit for bit).
 """
 
 from __future__ import annotations
@@ -189,82 +198,96 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
     """
     _check_tags(channel_knowledge=method)
     consts = _channel_consts(params, pilot_energy)
-    buf = _trial_normals(params, consts, _pcg64_states(master_seed, trials, salt),
-                         np.random.default_rng(0))
-    return _channels(params, consts, buf, method)
+    stacks = _trial_normals(params, consts, _pcg64_states(master_seed, trials, salt),
+                            np.random.default_rng(0))
+    return _channels(params, consts, stacks, method)
 
 
-def _channel_consts(params: SystemParams, pilot_energy, err_var=None) -> tuple | None:
+def _channel_consts(params: SystemParams, pilot_energy, err_var=None) -> tuple:
     """What :func:`_channels` needs of one pilot energy, built once for all
-    the chunks of a walk: the estimate and error scales sqrt((beta -
-    error_var) / 2) and sqrt(error_var / 2), then the pilot amplitudes
-    sqrt(D) as a row, Phi^T, Phi^* and :func:`mmse_estimate`'s column scale
-    as a row, for the K x K pilot block of :func:`make_pilots`.  None for
-    perfect channel knowledge (``pilot_energy`` None).  ``err_var`` is
-    ``error_variance(params.beta, pilot_energy, params.sigma2_ul)``, computed
-    here unless the caller already has it."""
+    the chunks of a walk.  The column scales are (M, K) arrays, one trial's
+    full shape: sqrt(beta), then, unless ``pilot_energy`` is None (perfect
+    channel knowledge, where the tuple ends there), the estimate and error
+    scales sqrt((beta - error_var) / 2) and sqrt(error_var / 2), the pilot
+    amplitudes sqrt(D), Phi^T and Phi^* of the K x K pilot block of
+    :func:`make_pilots`, and :func:`mmse_estimate`'s column scale.
+    ``err_var`` is ``error_variance(params.beta, pilot_energy,
+    params.sigma2_ul)``, computed here unless the caller already has it."""
+    def full(row):
+        return np.broadcast_to(row, (params.M, params.K)).copy()
+    sqrt_beta = full(np.sqrt(params.beta))
     if pilot_energy is None:
-        return None
-    K = params.K
-    energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,))
+        return (sqrt_beta,)
+    energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (params.K,))
     if err_var is None:
         err_var = error_variance(params.beta, energy, params.sigma2_ul)
-    pilots = make_pilots(K, K, energy)
-    return (np.sqrt((params.beta - err_var) / 2.0), np.sqrt(err_var / 2.0),
-            np.sqrt(pilots.pilot_energy)[None, :], pilots.Phi.T, pilots.Phi.conj(),
-            _mmse_scale(pilots, params.beta, params.sigma2_ul)[None, :])
+    pilots = make_pilots(params.K, params.K, energy)
+    return (sqrt_beta, full(np.sqrt((params.beta - err_var) / 2.0)), full(np.sqrt(err_var / 2.0)),
+            full(np.sqrt(pilots.pilot_energy)), pilots.Phi.T, pilots.Phi.conj(),
+            full(_mmse_scale(pilots, params.beta, params.sigma2_ul)))
 
 
 def _trial_normals(params: SystemParams, consts, words: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The (trials, blocks, M, K) standard normals of the trials whose
-    :func:`_pcg64_states` rows are ``words``.
+                   rng: np.random.Generator) -> list[np.ndarray]:
+    """The complex (trials, M, K) stacks of standard normals of the trials
+    whose :func:`_pcg64_states` rows are ``words``.
 
     ``rng``'s PCG64 is set to each trial's ``trial_rng(master_seed, t,
     salt)`` state in turn and makes one ``standard_normal`` call into that
-    trial's row: the real and imaginary parts that ``complex_gaussian``
-    draws, in the order of the per-trial draw (channel, then pilot noise;
-    or estimate, then error).  With ``consts`` None (the ideal system) a
-    trial draws the channel alone, 2 blocks; otherwise a second (M, K)
-    pair, 4 blocks.  Either method of :func:`_channels` reads the same
-    buffer.
+    trial's row of a real buffer: the real and imaginary parts that
+    ``complex_gaussian`` draws, in the order of the per-trial draw (channel,
+    then pilot noise; or estimate, then error).  The buffer is interleaved
+    into one complex stack per (M, K) draw: the channel alone under perfect
+    channel knowledge (``consts`` of length 1), else a second stack.  Either
+    method of :func:`_channels` reads the same stacks.
     """
-    buf = np.empty((len(words), 2 if consts is None else 4, params.M, params.K))
+    pairs = 1 if len(consts) == 1 else 2
+    M, K = params.M, params.K
+    buf = np.empty((len(words), 2 * pairs, M, K))
     bit_gen = rng.bit_generator
     state, draw = bit_gen.state, rng.standard_normal
     for i, pcg in enumerate(_pcg64_assemble(words)):
         state["state"] = pcg
         bit_gen.state = state
         draw(out=buf[i])
-    return buf
-
-
-def _channels(params: SystemParams, consts, buf: np.ndarray,
-              method: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(G, G_hat)`` of :func:`draw_trials` from a :func:`_trial_normals`
-    buffer, which is left unchanged, and the :func:`_channel_consts` of its
-    pilot energy: the complex stacks, their scaling, the
-    estimate-minus-error subtraction and the pilot pipeline, each once for
-    the whole stack."""
-    M, K = params.M, params.K
-    stacks = [np.empty((len(buf), M, K), dtype=complex) for _ in range(buf.shape[1] // 2)]
+    stacks = [np.empty((len(words), M, K), dtype=complex) for _ in range(pairs)]
     for b, z in enumerate(stacks):
         z.real, z.imag = buf[:, 2 * b], buf[:, 2 * b + 1]
-    if consts is not None:
-        est_scale, err_scale, amp, phi_t, phi_conj, scale = consts
-    if consts is not None and method == "statistical":
-        g_hat, g = stacks
-        g_hat *= est_scale
-        g *= err_scale
+    return stacks
+
+
+def _channels(params: SystemParams, consts, stacks: list,
+              method: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, G_hat)`` of :func:`draw_trials` from :func:`_trial_normals`
+    stacks, which are left unchanged, and the :func:`_channel_consts` of
+    their pilot energy: the scaling, the estimate-minus-error subtraction and
+    the pilot pipeline, each once for the whole stack."""
+    sqrt_beta, *pilot = consts
+    if pilot and method == "statistical":
+        est_scale, err_scale = pilot[:2]
+        g_hat = stacks[0] * est_scale
+        g = stacks[1] * err_scale
         np.subtract(g_hat, g, out=g)
         return g, g_hat
     # generate_channel: CN(0, 1) entries, then column k times sqrt(beta_k)
-    g = stacks[0]
-    g *= np.sqrt(0.5)
-    g *= np.sqrt(params.beta)
-    if consts is None:
+    g = stacks[0] * np.sqrt(0.5)
+    g *= sqrt_beta
+    if not pilot:
         return g, g
-    y = stacks[1]
-    y *= np.sqrt(params.sigma2_ul / 2.0)
-    y += (g * amp) @ phi_t
-    return g, (y @ phi_conj) * scale
+    amp, phi_t, phi_conj, scale = pilot[2:]
+    # receive_pilots' signal plus noise, added the other way round (IEEE
+    # addition commutes); the noise and then the estimate reuse one buffer
+    buf = g * amp
+    y = _stacked_product(buf, phi_t, np.empty_like(buf))
+    y += np.multiply(stacks[1], np.sqrt(params.sigma2_ul / 2.0), out=buf)
+    g_hat = _stacked_product(y, phi_conj, buf)
+    g_hat *= scale
+    return g, g_hat
+
+
+def _stacked_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` of a contiguous (..., M, K) stack and a K x K matrix into
+    ``out``, of ``a``'s shape, as one 2-D product over all the stack's rows."""
+    K = a.shape[-1]
+    np.matmul(a.reshape(-1, K), b, out=out.reshape(-1, K))
+    return out

@@ -20,13 +20,19 @@ What no chunk changes is built once per walk: the operating point, the
 channel constants of its pilot energy, the noise term n, the seed words of
 every trial's first stream, the MRC off-diagonal mask and the isotropic
 beam; each worker builds one generator.  A chunk sets that generator to
-its trials' streams, draws their normals, and evaluates them.
+its trials' streams, draws their normals into complex stacks once, and
+evaluates them.
 The MMSE error-variance check rides along in the same walk: a trial's
 first draw feeds both the rate and energy rows and the pilot-pipeline
-error |g_hat - g|^2, so its normals are drawn once.  One walk also serves
-several operating points that share the seed and trials (the fairness
-comparison's two beams): each trial's first normals are drawn once for all
-of them, and every point redraws its own ill-conditioned trials.
+error |g_hat - g|^2, so its normals are drawn and interleaved once.  One
+walk also serves several operating points that share the seed and trials
+(the fairness comparison's two beams): each trial's first stacks are built
+once for all of them, and every point redraws its own ill-conditioned
+trials.  The chunk's sums over the antennas (the beam's column norms and
+the error rows' means) add the antenna rows in numpy's own order over a
+non-last axis, but on an antenna-major copy, so each add runs over the
+whole chunk instead of K entries (``sysmodel._antenna_sum``); every result
+is bit for bit what the per-trial arithmetic gives.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from wetmm.estimation import _channel_consts, _channels, _trial_normals, error_v
 from wetmm.rates import _data_phase, closed_form_rate
 # trial_rng stays bound here for bench/selftest.py, which checks that the
 # tracer rebinds it in every namespace that imported it
-from wetmm.sysmodel import SystemParams, _check_tags, trial_rng  # noqa: F401
+from wetmm.sysmodel import SystemParams, _antenna_sum, _check_tags, trial_rng  # noqa: F401
 
 __all__ = [
     "COND_LIMIT",
@@ -229,6 +235,15 @@ def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, noise: float, off_diag: n
     return np.ones(len(gram), dtype=bool), powers * diag ** 2 / (cross @ powers + diag * noise)
 
 
+def _error_rows(G: np.ndarray, G_hat: np.ndarray) -> np.ndarray:
+    """Means of |g_hat - g|^2 over the antennas of stacked channels (T, M, K),
+    shape (T, K): ``np.mean(np.abs(G_hat - G) ** 2, axis=1)`` bit for bit,
+    its sum taken by ``sysmodel._antenna_sum``."""
+    sq = np.abs(G_hat - G)
+    sq *= sq
+    return _antenna_sum(sq) / G.shape[1]
+
+
 def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
     """Simulate ``cfg.n_trials`` independent frames at each ``(alloc, cfg)``
     of ``points`` in one walk over the trial chunks; one ``(energy, sinr,
@@ -281,15 +296,15 @@ def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
             np.empty((n, K)) if error_var else None) for _ in points]
 
     def draw(cfg, consts, err_sq, pending, salt, shared, rng):
-        buf = (shared if salt == 0 else _trial_normals(
+        stacks = (shared if salt == 0 else _trial_normals(
             params, consts, estimation._pcg64_states(cfg.master_seed, pending, salt), rng))
         if salt == 0 and err_sq is not None:
-            G, G_hat = _channels(params, consts, buf, "pilot")
-            err_sq[pending] = np.mean(np.abs(G_hat - G) ** 2, axis=1)
+            G, G_hat = _channels(params, consts, stacks, "pilot")
+            err_sq[pending] = _error_rows(G, G_hat)
             if cfg.channel_knowledge == "pilot":
                 return G, G_hat
             del G, G_hat  # free the pilot stacks before the rate stacks are built
-        return _channels(params, consts, buf, cfg.channel_knowledge)
+        return _channels(params, consts, stacks, cfg.channel_knowledge)
 
     def body(chunks):
         rng = np.random.default_rng(0)  # one generator per worker, set to each trial in turn

@@ -38,7 +38,7 @@ import functools
 import numpy as np
 
 from wetmm.energy import ResourceAllocation, _energies, clamp_rho
-from wetmm.sysmodel import SystemParams, _check_tags
+from wetmm.sysmodel import SystemParams, _check_tags, _check_users
 
 __all__ = [
     "zf_sinr_from_energy",
@@ -206,11 +206,13 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
 
     Raises:
         ValueError: on invalid tags, ZF below M = K + 1, a negative tau or
-            alpha, rho outside [0, 1], or beam weights that are negative or
-            do not sum to 1 over the users within 1e-9.
+            alpha, rho outside [0, 1], or beam weights that are negative,
+            do not sum to 1 over the users within 1e-9 or do not have K
+            entries on the last axis.
     """
     _check_model(params, system, detector)
     tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
+    _check_users(xi, params.K)
     _check_fractions(tau, alpha, rho)
     if (xi < 0).any() or (abs(np.atleast_1d(xi).sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("beam weights must be nonnegative and sum to 1 over the users")
@@ -231,6 +233,7 @@ def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> np.nd
     just inside the boundary to keep the division finite.
     """
     params.require_zf()
+    _check_users(alloc.xi, params.K)
     rem = 1.0 - alloc.tau - alloc.alpha
     rho = min(float(alloc.rho), 1.0 - 1e-12)
     num = params.M * (params.M - params.K) * alloc.alpha * params.p_dl * params.beta**2 * alloc.xi * rho
@@ -247,6 +250,7 @@ def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> np.n
     unbounded; the rate is then infinite rather than raising, since that is
     the honest value of the limit.
     """
+    _check_users(alloc.xi, params.K)
     rem = 1.0 - alloc.tau - alloc.alpha
     w = params.beta**2 * alloc.xi
     cross = w.sum() - w
@@ -298,9 +302,11 @@ def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: st
     """Closed-form length-K rates (1 - tau - alpha) log2(1 + sinr) at one allocation.
 
     For the "ideal" system the allocation's tau and rho are ignored (both
-    are structurally zero with perfect channel knowledge).
+    are structurally zero with perfect channel knowledge).  ValueError if
+    the allocation's xi does not have K entries.
     """
     _check_model(params, system, detector)
+    _check_users(alloc.xi, params.K)
     # the allocation is validated and its xi is 1-D, users-first already
     sinr = _closed_form_sinr(params, system, detector, params.beta, alloc.tau, alloc.alpha,
                              clamp_rho(alloc.rho), alloc.xi)

@@ -40,6 +40,31 @@ def _check_tags(**tags) -> None:
             raise ValueError(f"unknown {name}: {value!r}")
 
 
+def _check_users(xi, K: int) -> None:
+    """Raise ValueError unless beam weights ``xi`` carry K users on their
+    last axis; a scalar weight broadcasts to every user."""
+    n = np.shape(xi)[-1:]
+    if n and n[0] != K:
+        raise ValueError(f"beam weights have length {n[0]}, expected K = {K}")
+
+
+def _antenna_sum(x: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=-2)`` of a real (..., M, K) stack, bit for bit,
+    with long inner loops.  Over a non-last axis numpy adds the antenna rows
+    one after another, each add an inner loop of K entries.  An
+    antenna-major copy keeps that order and makes each add one loop over
+    the whole stack; it moves each K-entry row as one item of a K-entry
+    void dtype, which numpy copies far faster than K doubles.  A 2-D array
+    is antenna-major already, and at K = 1 the antenna axis is the inner
+    loop, which numpy sums pairwise, so both reduce in place."""
+    K = x.shape[-1]
+    if x.ndim == 2 or K == 1:
+        return np.add.reduce(x, axis=-2)
+    rows = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * K)))[..., 0]
+    rows = np.moveaxis(rows, -1, 0).copy()
+    return np.add.reduce(rows.view(x.dtype).reshape(rows.shape + (K,)), axis=0)
+
+
 def trial_rng(master_seed: int, trial: int = 0, salt: int = 0) -> np.random.Generator:
     """Independent random stream for one Monte Carlo trial.
 

@@ -98,11 +98,13 @@ def test_ideal_zf_perfect_knowledge_identity(params200, ref_alloc):
 
 def test_run_trials_matches_per_frame_reference(ref_alloc):
     """The stacked evaluator equals the one-frame-at-a-time Gram formulas bit
-    for bit, and the detector-matrix formulas to within rounding (rtol 1e-12)."""
-    params = benchmark_params(10)
-    _, pilot_energy, powers, err_var = operating_point(params, ref_alloc, "wetmm")
-    noise = np.dot(powers, err_var) + params.sigma2_ul
-    for detector in ("zf", "mrc"):
+    for bit, and the detector-matrix formulas to within rounding: rtol 1e-13
+    M, since that route sums M terms per entry (1e-12 at M = 10).  At
+    M = 1000 the 20 trials run as two 8-trial chunks and a partial one."""
+    for m, detector in ((10, "zf"), (10, "mrc"), (1000, "zf"), (1000, "mrc")):
+        params = benchmark_params(m)
+        _, pilot_energy, powers, err_var = operating_point(params, ref_alloc, "wetmm")
+        noise = np.dot(powers, err_var) + params.sigma2_ul
         cfg = cfg_for(n=20, seed=5, detector=detector)
         energy, sinr, resamples, _ = _run_trials(params, [(ref_alloc, cfg)], error_var=False)[0]
         for t in range(cfg.n_trials):
@@ -122,7 +124,7 @@ def test_run_trials_matches_per_frame_reference(ref_alloc):
                 interference + np.sum(np.abs(A) ** 2, axis=0) * noise)
             w = beamformer(G_hat, ref_alloc.xi)
             assert np.array_equal(sinr[t], gram_form)
-            np.testing.assert_allclose(sinr[t], detector_form, rtol=1e-12)
+            np.testing.assert_allclose(sinr[t], detector_form, rtol=1e-13 * m)
             assert np.array_equal(energy[t], ref_alloc.alpha * params.p_dl * np.abs(G.conj().T @ w) ** 2)
         assert not resamples.any()
 
@@ -391,15 +393,17 @@ def test_walk_invariants_are_built_once_per_walk(ref_alloc, monkeypatch, knowled
 
 @pytest.mark.parametrize("system, knowledge, m", [
     ("wetmm", "statistical", 40), ("wetmm", "pilot", 40), ("opmm", "statistical", 40),
-    ("wetmm", "statistical", 3), ("opmm", "pilot", 3)])
+    ("wetmm", "statistical", 3), ("opmm", "pilot", 3), ("wetmm", "statistical", 1000),
+    ("wetmm", "pilot", 1000), ("opmm", "statistical", 1000)])
 def test_error_variance_matches_per_trial_pilot_draws(ref_alloc, monkeypatch, system,
                                                        knowledge, m):
     """The shared error rows are the salt-0 pilot-pipeline draws of each
-    trial alone, bit for bit, whatever redraws the rate rows needed."""
+    trial alone, bit for bit, whatever redraws the rate rows needed.  At
+    M = 1000 the 20 trials run as two 8-trial chunks and a partial one."""
     # at M = K + 1 a low condition limit forces redraws at later salts
     monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0 if m == 3 else montecarlo.COND_LIMIT)
     params = benchmark_params(m)
-    cfg = cfg_for(system=system, n=60, seed=8, knowledge=knowledge)
+    cfg = cfg_for(system=system, n=20 if m == 1000 else 60, seed=8, knowledge=knowledge)
     est = estimate_exact_rate(params, ref_alloc, cfg, error_var=True)
     _, pilot_energy, _, _ = operating_point(params, ref_alloc, system)
     err_sq = []

@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wetmm.energy import (RHO_CLAMP, ResourceAllocation, _energies, clamp_rho, energies,
-                          expected_harvested_energy)
+from wetmm.energy import (RHO_CLAMP, ResourceAllocation, _energies, beamformer, clamp_rho,
+                          energies, expected_harvested_energy)
 from wetmm.estimation import draw_trials
 import wetmm.optimizer as optimizer
 from wetmm.optimizer import (_block_bounds, _lattice_count, _lattice_rates, _xi_candidates,
@@ -344,3 +344,23 @@ def test_users_last_boundary_matches_the_users_first_kernels(case):
     used = {"wetmm": "alpha rho xi", "opmm": "alpha", "ideal": "alpha xi"}[system]
     assert_same_bytes(energies(params, system, l["alpha"], l["rho"], l["xi"]), e,
                       [l[n] for n in used.split()])
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 9), st.integers(1, 1200), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_stacked_beamformer_equals_its_slices_bit_for_bit(trials, m, k, seed):
+    """A (T, M, K) stack of estimates gives the beams of its (M, K) slices
+    bit for bit, and each slice gives the beam of np.linalg.norm and a
+    division by the norms: the antenna-major sum of squares and the
+    reciprocal multiply change no bit, in any stack shape."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-8.0, 2.0, size=k)
+    shape = (trials, m, k)
+    G_hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scales
+    xi = rng.dirichlet(np.ones(k))
+    w = beamformer(G_hat, xi)
+    assert w.shape == (trials, m)
+    for t in range(trials):
+        want = (G_hat[t] / np.linalg.norm(G_hat[t], axis=0)) @ np.sqrt(xi)
+        assert beamformer(G_hat[t], xi).tobytes() == want.tobytes()
+        assert w[t].tobytes() == want.tobytes(), t

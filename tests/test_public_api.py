@@ -12,13 +12,14 @@ import pytest
 
 import wetmm
 from wetmm.cli import ExperimentSpec
-from wetmm.energy import (beamformer, energies, expected_harvested_energy, general_beamformer,
-                          harvested_energy_fixedpoint)
+from wetmm.energy import (ResourceAllocation, beamformer, energies, expected_harvested_energy,
+                          general_beamformer, harvested_energy_fixedpoint)
 from wetmm.estimation import draw_trials, error_variance, make_pilots, mmse_estimate
-from wetmm.montecarlo import McConfig
+from wetmm.montecarlo import McConfig, estimate_exact_rate, verify_beamformer_structure
 from wetmm.optimizer import (asymptotic_allocation, grid_search_p1, optimal_rho_zf, optimal_xi,
                              rate_map)
-from wetmm.rates import c1_limit, c1_sample, closed_form_sinr, mm_dorg
+from wetmm.rates import (asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit, c1_sample,
+                         closed_form_rate, closed_form_sinr, mm_dorg)
 from wetmm.sysmodel import SystemParams, complex_gaussian, path_loss, trial_rng
 
 from conftest import benchmark_params
@@ -127,6 +128,38 @@ def test_guards_refuse_nan_and_infinite_inputs(case):
     message, call = GUARDED[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# entry -> the call with beam weights xi for the K = 2 benchmark users
+BEAM_WEIGHT_ENTRIES = {
+    "energies": lambda p, xi: energies(p, "wetmm", 0.1, 0.5, xi),
+    "energies opmm": lambda p, xi: energies(p, "opmm", 0.1, 0.5, xi),
+    "closed_form_sinr": lambda p, xi: closed_form_sinr(p, "wetmm", "zf", 0.0, 0.1, 0.5, xi),
+    "rate_map": lambda p, xi: rate_map(p, "wetmm", "zf", 0.0, 0.1, 0.5, xi),
+    "closed_form_rate": lambda p, xi: closed_form_rate(
+        p, ResourceAllocation(0.01, 0.1, 0.5, xi), "wetmm", "zf"),
+    "asymptotic_zf_rate": lambda p, xi: asymptotic_zf_rate(
+        p, ResourceAllocation(0.01, 0.1, 0.5, xi)),
+    "asymptotic_mrc_rate": lambda p, xi: asymptotic_mrc_rate(
+        p, ResourceAllocation(0.01, 0.1, 0.5, xi)),
+    "estimate_exact_rate": lambda p, xi: estimate_exact_rate(
+        p, ResourceAllocation(0.01, 0.1, 0.5, xi), McConfig(n_trials=4)),
+    "verify_beamformer_structure": lambda p, xi: verify_beamformer_structure(
+        p, ResourceAllocation(0.01, 0.1, 0.5, xi), 0.2, McConfig(n_trials=4)),
+    "beamformer": lambda p, xi: beamformer(draw_trials(p, 1e-9, 0, [0, 1])[1], xi),
+    "general_beamformer": lambda p, xi: general_beamformer(
+        draw_trials(p, 1e-9, 0, [0])[1][0], xi, [0.0]),
+}
+
+
+@pytest.mark.parametrize("entry", list(BEAM_WEIGHT_ENTRIES))
+@pytest.mark.parametrize("xi", [[0.25, 0.25, 0.5], [1.0]], ids=["longer", "shorter"])
+def test_entry_points_refuse_beam_weights_of_the_wrong_length(entry, xi):
+    """Every public entry refuses beam weights that are not one per user,
+    with both lengths in the message; unchecked, a longer vector fails deep
+    inside numpy and a one-entry vector broadcasts to every user."""
+    with pytest.raises(ValueError, match=f"^beam weights have length {len(xi)}, expected K = 2$"):
+        BEAM_WEIGHT_ENTRIES[entry](benchmark_params(10), np.array(xi))
 
 
 def test_exports_are_listed_in_module_all():
