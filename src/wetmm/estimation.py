@@ -23,8 +23,9 @@ The Monte Carlo draws its trials a chunk at a time and builds what no chunk
 changes once per walk: :func:`_channel_consts` holds one pilot energy's
 column scales, pilot block and MMSE column scale, and one
 ``_pcg64_states`` call gives the seed words of every trial's first stream.
-Per chunk, :func:`_trial_normals` sets one generator (one per worker) to
-each trial's stream in turn, draws that trial's normals in one call into a
+Per chunk, :func:`_trial_normals` sets one generator (one per worker
+process; the Monte Carlo forks its workers, so each builds its own) to each
+trial's stream in turn, draws that trial's normals in one call into a
 stacked buffer and interleaves them into complex stacks once; :func:`_channels`
 then does the scaling, the subtraction and the pilot pipeline once for the
 chunk, without writing to the stacks, so the Monte Carlo builds the

@@ -14,8 +14,18 @@ the closed-form expressions lower-bound.
 Uplink powers use the steady-state energies: the analytical model's
 operating point, reproduced here so the Monte Carlo estimates the same
 quantity the formulas predict.  Trials are evaluated in stacked chunks,
-spread over one thread per usable CPU; each trial keeps its own random
-stream, so no result depends on the chunking or on the worker count.
+spread over one worker process per usable CPU; each trial keeps its own
+random stream, so no result depends on the chunking or on the worker count.
+The walk's process runs one share of the chunks itself and forks
+(``os.fork``) a child for each other share.  The children inherit the walk's
+state and write their trials' rows straight into the output arrays, which
+lie in an anonymous shared mapping, so no row is pickled; a child sends back
+only the errors of its failed chunks, through a pipe, and leaves through
+``os._exit``.  Where ``os.fork`` is missing the walk runs on one worker, in
+its own process, as the beam-structure check always does (its per-trial
+complete QR runs on the BLAS threads).  CPython 3.12 and later may issue a
+DeprecationWarning when a process that runs other threads, such as BLAS
+threads, forks; the walk lets it through.
 What no chunk changes is built once per walk: the operating point, the
 channel constants of its pilot energy, the noise term n, the seed words of
 every trial's first stream, the MRC off-diagonal mask and the isotropic
@@ -38,6 +48,7 @@ is bit for bit what the per-trial arithmetic gives.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +84,15 @@ __all__ = [
 COND_LIMIT = 1e12
 MAX_RESAMPLES = 8
 # Trials run in chunks of stacked (trials, M, K) arrays of about this many
-# entries, on one thread per usable CPU; no result depends on either.
+# entries, in one process per usable CPU (one, where os.fork is missing); no
+# result depends on either.
 _CHUNK_ENTRIES = 2 ** 14
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+if not hasattr(os, "fork"):
+    _WORKERS = 1
+elif hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -181,17 +198,66 @@ def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str
     return e, pilot_energy, powers, err_var
 
 
-def _run_chunks(params: SystemParams, n_trials: int, body) -> None:
-    """Run ``body(chunks)`` on up to _WORKERS threads, this one included, each
-    over every n-th chunk (consecutive trial indices) of range(n_trials) and
-    writing only those trials' rows; re-raise the first failing chunk's error.
-    A body that fails before it takes a chunk fails at its worker's first."""
-    from concurrent.futures import ThreadPoolExecutor
+def _shared_rows(shape, dtype=float) -> np.ndarray:
+    """Zeroed array of a walk's rows over an anonymous shared mapping, so
+    the rows a forked worker writes are the parent's rows."""
+    import mmap  # here, like signal below, to keep them out of wetmm's import time
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or a RuntimeError naming its type and message when it does
+    not survive pickling."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__qualname__}: {exc}")
+    return exc
+
+
+def _fork_share(run, first: int) -> tuple[int, int]:
+    """Fork a worker that runs ``run(first)`` and pickles the failures it
+    returns into a pipe; returns its pid and the pipe's read end.  The
+    worker leaves only through os._exit, never into the caller's stack."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        report = {index: _portable(exc) for index, exc in run(first).items()}
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(report, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_chunks(params: SystemParams, n_trials: int, body,
+                max_workers: int | None = None) -> None:
+    """Run ``body(chunks)`` in up to ``max_workers`` (default _WORKERS)
+    processes, this one included, each over every n-th chunk (consecutive
+    trial indices) of range(n_trials) and writing only those trials' rows,
+    which must be ``_shared_rows``; re-raise the first failing chunk's error.
+    A body that fails before it takes a chunk fails at its worker's first.
+    Every forked worker is reaped before this returns or raises; one that
+    exits without its report makes the walk raise, so no partial rows are
+    returned."""
+    import signal
     size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
     chunks = [np.arange(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
-    n_workers, failures = min(_WORKERS, len(chunks)), {}
+    n_workers = min(_WORKERS if max_workers is None else max_workers, len(chunks))
 
-    def work(first: int) -> None:
+    def run(first: int) -> dict:
         started = []
         def share():
             for index in range(first, len(chunks), n_workers):
@@ -199,13 +265,34 @@ def _run_chunks(params: SystemParams, n_trials: int, body) -> None:
                 yield chunks[index]
         try:
             body(share())
-        except Exception as exc:  # re-raised below, in chunk order
-            failures[started[-1] if started else first] = exc
+        except Exception as exc:  # re-raised by the parent, in chunk order
+            return {started[-1] if started else first: exc}
+        return {}
 
-    with ThreadPoolExecutor(max(1, n_workers - 1)) as pool:
-        others = pool.map(work, range(1, n_workers))
-        work(0)
-        list(others)
+    children = []  # (pid, read end of its report pipe), not yet reaped
+    try:
+        for first in range(1, n_workers):
+            children.append(_fork_share(run, first))
+        failures = run(0)
+        while children:
+            pid, report = children[0]
+            data = b"".join(iter(lambda: os.read(report, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(report)
+            if status != 0:
+                how = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
+                raise RuntimeError(f"a Monte Carlo worker {how} without its report")
+            failures.update(pickle.loads(data))
+    except BaseException:
+        # the walk fails either way: stop the workers rather than wait for them
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, report in children:
+            os.close(report)
+            os.waitpid(pid, 0)
     if failures:
         raise failures[min(failures)]
 
@@ -214,6 +301,32 @@ def _harvest(G: np.ndarray, w: np.ndarray, scale: float) -> np.ndarray:
     """Harvested energies scale |g_k^H w|^2 of stacked channels (T, M, K)
     under beams w, shared (M,) or per trial (T, M); shape (T, K)."""
     return scale * np.abs((G.conj().swapaxes(-1, -2) @ w[..., None])[..., 0]) ** 2
+
+
+def _within_cond_limit(gram: np.ndarray, limit: float) -> np.ndarray:
+    """``~(np.linalg.cond(gram) > limit)`` for stacked Grams (T, K, K), with
+    the SVD run only on the Grams a cheap bound cannot clear.
+
+    A Hermitian positive-definite Q with eigenvalues l_1 >= ... >= l_K > 0
+    has cond(Q) = l_1 / l_K.  Its trace bounds l_1 <= tr Q, and
+    det Q = l_1 ... l_K <= l_K (tr Q)^(K - 1), so cond(Q) <= (tr Q)^K / det Q.
+    A Gram whose bound, taken in logs so that nothing overflows, is at most
+    half the limit passes.  The factor 2 covers the rounding of the bound
+    and of the SVD's cond: where the bound is at most 5e11, their relative
+    errors are of order K eps cond <= 1e-3.  The screen never clears a Gram
+    against more than 1e12, since near 1/eps those errors are no longer
+    small.  Every other Gram, with a larger bound or a determinant that is
+    not positive or not finite (NaN included), is decided by np.linalg.cond
+    itself, so it passes, fails or raises exactly as before."""
+    K = gram.shape[-1]
+    trace = np.diagonal(gram, axis1=-2, axis2=-1).real.sum(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sign, logdet = np.linalg.slogdet(gram)
+        ok = (sign.real > 0) & (K * np.log(trace) - logdet <= np.log(min(limit, 1e12) / 2))
+    rest = ~ok
+    if rest.any():
+        ok[rest] = ~(np.linalg.cond(gram[rest]) > limit)
+    return ok
 
 
 def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, noise: float, off_diag: np.ndarray,
@@ -227,7 +340,7 @@ def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, noise: float, off_diag: n
     COND_LIMIT (all for MRC) and their SINRs."""
     gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
     if detector == "zf":
-        ok = ~(np.linalg.cond(gram) > COND_LIMIT)
+        ok = _within_cond_limit(gram, COND_LIMIT)
         inv_diag = np.diagonal(np.linalg.inv(gram[ok]), axis1=-2, axis2=-1)
         return ok, powers / (inv_diag.real * noise)
     diag = np.diagonal(gram, axis1=-2, axis2=-1).real
@@ -292,8 +405,8 @@ def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
     words = estimation._pcg64_states(cfg0.master_seed, range(n), 0)
     off_diag = ~np.eye(K, dtype=bool)
     isotropic = np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
-    out = [(np.empty((n, K)), np.empty((n, K)), np.zeros(n, dtype=int),
-            np.empty((n, K)) if error_var else None) for _ in points]
+    out = [(_shared_rows((n, K)), _shared_rows((n, K)), _shared_rows(n, int),
+            _shared_rows((n, K)) if error_var else None) for _ in points]
 
     def draw(cfg, consts, err_sq, pending, salt, shared, rng):
         stacks = (shared if salt == 0 else _trial_normals(
@@ -425,7 +538,7 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
     xi_prime = (1.0 - theta_mass) * alloc.xi
     theta = np.full(n_comp, theta_mass / n_comp)
     scale = alloc.alpha * params.p_dl
-    structured, general = np.empty((2, cfg.n_trials, params.K))
+    structured, general = _shared_rows((2, cfg.n_trials, params.K))
     def body(chunks):
         rng = np.random.default_rng(0)
         for trials in chunks:
@@ -436,7 +549,9 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
             w_g = np.stack([general_beamformer(g_hat, xi_prime, theta) for g_hat in G_hat])
             structured[trials] = _harvest(G, beamformer(G_hat, alloc.xi), scale)
             general[trials] = _harvest(G, w_g, scale)
-    _run_chunks(params, cfg.n_trials, body)
+    # one worker: each trial's complete M x M QR already runs on the BLAS
+    # threads, and forked workers beside them oversubscribe the cores
+    _run_chunks(params, cfg.n_trials, body, max_workers=1)
     s_mean, s_se = _mean_se(structured)
     g_mean, g_se = _mean_se(general)
     d_mean, d_se = _mean_se(structured - general)

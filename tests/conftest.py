@@ -5,6 +5,8 @@ beta = 1e-3 * d^-3, downlink power 1 W, noise -120 dBm (1e-15 W),
 normalized frame length.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,16 @@ def xi_star(params200):
 @pytest.fixture
 def ref_alloc(xi_star):
     return ResourceAllocation(tau=REF_TAU, alpha=REF_ALPHA, rho=REF_RHO, xi=xi_star)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or unreaped,
+    as the Monte Carlo's forked workers must never be."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"pid {pid} exited but was not reaped"
+    pytest.fail(f"the test left a child process behind: {state}")

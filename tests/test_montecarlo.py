@@ -1,6 +1,8 @@
 """Exact-SINR Monte Carlo: determinism, closed-form agreement, bound checks."""
 
+import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -327,6 +329,74 @@ def test_a_body_failing_before_its_first_chunk_raises_its_own_error(params200, m
         raise RuntimeError("setup failed")
     with pytest.raises(RuntimeError, match="setup failed"):
         montecarlo._run_chunks(params200, 9, body)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_fails_the_walk(ref_alloc, monkeypatch):
+    """A forked worker that exits without its report makes the walk raise,
+    so none of its rows are returned, and it is reaped."""
+    parent = os.getpid()
+    real = montecarlo._harvest
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+    monkeypatch.setattr(montecarlo, "_harvest", dying)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    with pytest.raises(RuntimeError, match="exited 3"):
+        _run_trials(benchmark_params(10), [(ref_alloc, cfg_for(n=6))], error_var=False)
+    assert_no_child_left()
+
+
+def test_an_unpicklable_worker_error_arrives_named(params200, monkeypatch):
+    class Unpicklable(Exception):  # a local class cannot be pickled by name
+        pass
+    parent = os.getpid()
+    def body(chunks):
+        for _ in chunks:
+            if os.getpid() != parent:
+                raise Unpicklable("no way back")
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    with pytest.raises(RuntimeError, match="Unpicklable: no way back"):
+        montecarlo._run_chunks(params200, 4, body)
+    assert_no_child_left()
+
+
+def test_an_interrupted_walk_kills_its_workers(params200, monkeypatch):
+    """An interrupt in the parent stops the workers at once, rather than
+    waiting for their shares, and reaps them."""
+    parent = os.getpid()
+    def body(chunks):
+        next(chunks)
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        montecarlo._run_chunks(params200, 3, body)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_beam_structure_walk_forks_no_workers(params200, ref_alloc, monkeypatch):
+    """Each trial's complete QR already runs on the BLAS threads, so the
+    beam-structure walk runs in-process; forked workers beside those threads
+    made it several times slower on two cores."""
+    def no_fork():
+        raise AssertionError("the beam-structure walk forked a worker")
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cmp = verify_beamformer_structure(params200, ref_alloc, 0.3, cfg_for(n=4))
+    assert cmp.n_trials == 4
 
 
 def test_exhausted_redraw_budget_raises(ref_alloc, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wetmm.energy import (RHO_CLAMP, ResourceAllocation, _energies, beamformer, clamp_rho,
                           energies, expected_harvested_energy)
 from wetmm.estimation import draw_trials
+from wetmm.montecarlo import _within_cond_limit
 import wetmm.optimizer as optimizer
 from wetmm.optimizer import (_block_bounds, _lattice_count, _lattice_rates, _xi_candidates,
                              grid_search_p1)
@@ -364,3 +365,49 @@ def test_stacked_beamformer_equals_its_slices_bit_for_bit(trials, m, k, seed):
         want = (G_hat[t] / np.linalg.norm(G_hat[t], axis=0)) @ np.sqrt(xi)
         assert beamformer(G_hat[t], xi).tobytes() == want.tobytes()
         assert w[t].tobytes() == want.tobytes(), t
+
+
+def cond_verdict(gram, limit, screen):
+    """The pass mask of ``screen``, or the error type it raises."""
+    try:
+        return screen(gram, limit)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 40), st.integers(0, 2 ** 32 - 1),
+       st.floats(-12.0, 0.0), st.floats(-150.0, 150.0), st.booleans(),
+       st.sampled_from([1.0, 1.5, 30.0, 1e6, 1e12, 1e14, 1e17]))
+def test_cond_screen_matches_np_linalg_cond(trials, k, extra_m, seed, log_gap, log_scale,
+                                            with_nan, limit):
+    """The trace-determinant screen passes exactly the Grams that
+    ``~(np.linalg.cond(gram) > limit)`` passes, and raises where it raises:
+    on random Grams, on Grams made near-singular by a column that nearly
+    repeats another, on Grams whose condition number lies near the limit,
+    at extreme scales, and with a NaN trial."""
+    rng = np.random.default_rng(seed)
+    m = k + extra_m
+    G = rng.standard_normal((trials, m, k)) + 1j * rng.standard_normal((trials, m, k))
+    kind = rng.integers(3, size=trials)
+    if k > 1:
+        # kind 1: the last column nearly repeats the first
+        near = kind == 1
+        G[near, :, -1] = G[near, :, 0] + 10.0 ** log_gap * G[near, :, -1]
+        # kind 2: singular values 1, ..., 1 / sqrt(c), so the Gram's condition
+        # number is c, within 0.1% of the limit, where rounding decides
+        for t in np.flatnonzero(kind == 2):
+            u = np.linalg.qr(G[t])[0]
+            v = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+            c = limit * (1.0 + rng.uniform(-1e-3, 1e-3))
+            G[t] = (u * np.geomspace(1.0, c ** -0.5, k)) @ v.conj().T
+    G *= 10.0 ** log_scale
+    if with_nan:
+        G[rng.integers(trials), rng.integers(m), rng.integers(k)] = np.nan
+    gram = G.conj().swapaxes(-1, -2) @ G
+    want = cond_verdict(gram, limit, lambda g, lim: ~(np.linalg.cond(g) > lim))
+    got = cond_verdict(gram, limit, _within_cond_limit)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want), (got, want)
+    else:
+        assert got is want
