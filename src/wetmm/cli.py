@@ -40,7 +40,7 @@ from wetmm.rates import (
     large_k_rate,
     mm_dorg,
 )
-from wetmm.sysmodel import _TAGS, SystemParams, _check_tags, path_loss, trial_rng
+from wetmm.sysmodel import _TAGS, SystemParams, _check_count, _check_tags, path_loss, trial_rng
 
 __all__ = [
     "ExperimentSpec",
@@ -108,22 +108,23 @@ class ExperimentSpec:
         if len(self.distances) < 1 or not all(0 < d < np.inf for d in self.distances):
             raise ValueError("distances must be positive and finite")
         _check_tags(system=self.system, detector=self.detector, xi_policy=self.xi_policy)
-        low = len(self.distances) + 1 if self.detector == "zf" else 2
-        for name in ("m_values", "fairness_m_values"):
-            if any(m < low for m in getattr(self, name)):
-                raise ValueError(f"{name} entries must be >= {low} for detector {self.detector}")
-        # rate-vs-m writes NaN where M <= K, so its counts need only M >= 2
-        if any(m < 2 for m in self.rate_vs_m_values):
-            raise ValueError("rate_vs_m_values entries must be >= 2")
+        # the detector's antenna floor; rate-vs-m writes NaN where M <= K, so
+        # its counts need only M >= 2
+        floor = len(self.distances) + 1 if self.detector == "zf" else 2
+        for name, low in (("m_values", floor), ("fairness_m_values", floor),
+                          ("rate_vs_m_values", 2)):
+            for m in getattr(self, name):
+                _check_count(f"{name} entries", m, low)
         # the search lattices span the unit interval
         for name in ("tau_step", "alpha_step", "rho_step", "xi_step",
                      "fig_tau_step", "fig_alpha_step", "fig_rho_step", "zeta_step"):
             _lattice_count(1.0, getattr(self, name), name)
         for name, low in (("n_trials", 1), ("master_seed", 0), ("m", 2), ("coarse_factor", 1),
-                          ("fig_coarse_factor", 1), ("refine_radius", 0), ("large_k_users", 1),
-                          ("contour_tau_max", 0), ("contour_alpha_max", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+                          ("fig_coarse_factor", 1), ("refine_radius", 0), ("large_k_users", 1)):
+            _check_count(name, getattr(self, name), low)
+        for name in ("contour_tau_max", "contour_alpha_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0 <= self.contour_rho <= 1:
             raise ValueError("contour_rho must lie in [0, 1]")
         if not (self.sweep_tau >= 0 and self.sweep_alpha >= 0

@@ -49,6 +49,16 @@ def clamp_rho(rho):
     return np.minimum(np.maximum(rho, RHO_CLAMP), 1.0 - RHO_CLAMP)
 
 
+def _check_fractions(rho, *times) -> None:
+    """Refuse a negative time fraction in ``times`` and a rho outside [0, 1];
+    NaN passes.  Array methods: np.any costs several times as much on a few
+    entries."""
+    if any((t < 0).any() for t in times):
+        raise ValueError("time fractions must be nonnegative")
+    if ((rho < 0) | (rho > 1)).any():
+        raise ValueError("rho must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ResourceAllocation:
     """One point of the resource-allocation search space.
@@ -248,10 +258,18 @@ def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
 
     ``alpha``, ``rho`` and ``xi`` broadcast against each other with users on
     the last axis; rho is unused by "opmm" and "ideal", xi by "opmm", so the
-    result carries only the axes of the arguments its system uses.  A
-    non-scalar xi must have K entries on that axis (ValueError otherwise).
+    result carries only the axes of the arguments its system uses.  A NaN
+    argument gives NaN energies where it is used.
+
+    Raises:
+        ValueError: on an invalid system tag, a negative alpha, rho outside
+            [0, 1], negative beam weights, or a non-scalar xi without K
+            entries on the last axis.  The weights need not sum to 1.
     """
     _check_tags(system=system)
-    xi = np.asarray(xi, dtype=float)
+    alpha, rho, xi = (np.asarray(v, dtype=float) for v in (alpha, rho, xi))
     _check_users(xi, params.K)
+    _check_fractions(rho, alpha)
+    if (xi < 0).any():
+        raise ValueError("beam weights must be nonnegative")
     return _energies(params, system, params.beta, alpha, clamp_rho(rho), xi)

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import (SystemParams, _check_tags, _pcg64_assemble, _pcg64_states,
-                            complex_gaussian, trial_rng)
+from wetmm.sysmodel import (SystemParams, _check_count, _check_tags, _pcg64_assemble,
+                            _pcg64_states, complex_gaussian, trial_rng)
 
 __all__ = [
     "PilotConfig",
@@ -90,10 +90,11 @@ def make_pilots(L: int, K: int, pilot_energy) -> PilotConfig:
         pilot_energy: scalar or length-K total pilot energy per user.
 
     Raises:
-        ValueError: if L < K or any pilot energy is negative or not finite.
+        ValueError: if K is not an integer >= 1, L not an integer >= K, or
+            any pilot energy is negative or not finite.
     """
-    if L < K:
-        raise ValueError(f"pilot length must cover all users, got L={L} < K={K}")
+    _check_count("K", K, 1)
+    _check_count("pilot length L", L, K)
     energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,)).copy()
     if not np.all(np.isfinite(energy) & (energy >= 0)):
         raise ValueError("pilot energy must be nonnegative and finite")

@@ -27,11 +27,13 @@ complete QR runs on the BLAS threads).  CPython 3.12 and later may issue a
 DeprecationWarning when a process that runs other threads, such as BLAS
 threads, forks; the walk lets it through.
 What no chunk changes is built once per walk: the operating point, the
-channel constants of its pilot energy, the noise term n, the seed words of
-every trial's first stream, the MRC off-diagonal mask and the isotropic
-beam; each worker builds one generator.  A chunk sets that generator to
-its trials' streams, draws their normals into complex stacks once, and
-evaluates them.
+channel constants of its pilot energy, the noise term n, the MRC
+off-diagonal mask and the isotropic beam.  The walk owns the random
+streams: it builds the seed words of every trial's first stream once, each
+worker builds one generator, and per chunk the walk sets that generator to
+the trials' streams, draws their normals into complex stacks once and hands
+them to the chunk's evaluation, with a redraw for its ill-conditioned
+trials.
 The MMSE error-variance check rides along in the same walk: a trial's
 first draw feeds both the rate and energy rows and the pilot-pipeline
 error |g_hat - g|^2, so its normals are drawn and interleaved once.  One
@@ -63,9 +65,10 @@ from wetmm.energy import (
 from wetmm import estimation
 from wetmm.estimation import _channel_consts, _channels, _trial_normals, error_variance
 from wetmm.rates import _data_phase, closed_form_rate
+from wetmm.sysmodel import SystemParams, _antenna_sum, _check_count, _check_tags
 # trial_rng stays bound here for bench/selftest.py, which checks that the
 # tracer rebinds it in every namespace that imported it
-from wetmm.sysmodel import SystemParams, _antenna_sum, _check_tags, trial_rng  # noqa: F401
+from wetmm.sysmodel import trial_rng  # noqa: F401
 
 __all__ = [
     "COND_LIMIT",
@@ -117,12 +120,10 @@ class McConfig:
     system: str = "wetmm"
 
     def __post_init__(self):
-        # bools are ints to Python, and a float count or a negative seed
-        # would only fail deep inside numpy, after the search has run
-        for name, low in (("n_trials", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        # a float count or a negative seed would only fail deep inside
+        # numpy, after the search has run
+        _check_count("n_trials", self.n_trials, 1)
+        _check_count("master_seed", self.master_seed, 0)
         _check_tags(channel_knowledge=self.channel_knowledge, system=self.system,
                     detector=self.detector)
 
@@ -242,31 +243,39 @@ def _fork_share(run, first: int) -> tuple[int, int]:
         os._exit(status)
 
 
-def _run_chunks(params: SystemParams, n_trials: int, body,
+def _run_chunks(params: SystemParams, cfg: McConfig, consts, body,
                 max_workers: int | None = None) -> None:
-    """Run ``body(chunks)`` in up to ``max_workers`` (default _WORKERS)
-    processes, this one included, each over every n-th chunk (consecutive
-    trial indices) of range(n_trials) and writing only those trials' rows,
-    which must be ``_shared_rows``; re-raise the first failing chunk's error.
-    A body that fails before it takes a chunk fails at its worker's first.
-    Every forked worker is reaped before this returns or raises; one that
-    exits without its report makes the walk raise, so no partial rows are
-    returned."""
+    """Call ``body(trials, stacks, redraw)`` once per chunk (consecutive
+    trial indices) of range(cfg.n_trials), in up to ``max_workers`` (default
+    _WORKERS) processes, this one included, each over every n-th chunk;
+    ``body`` writes only its trials' rows, which must be ``_shared_rows``.
+    ``stacks`` are the trials' salt-0 normals and ``redraw(pending, salt)``
+    gives those of trials ``pending`` at ``salt``, both from
+    :func:`_trial_normals` with the block count of ``consts``.  Re-raise the
+    first failing chunk's error.  Every forked worker is reaped before this
+    returns or raises; one that exits without its report makes the walk
+    raise, so no partial rows are returned."""
     import signal
     size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
-    chunks = [np.arange(lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)]
+    chunks = [np.arange(lo, min(lo + size, cfg.n_trials)) for lo in range(0, cfg.n_trials, size)]
     n_workers = min(_WORKERS if max_workers is None else max_workers, len(chunks))
+    words = estimation._pcg64_states(cfg.master_seed, range(cfg.n_trials), 0)
 
     def run(first: int) -> dict:
-        started = []
-        def share():
-            for index in range(first, len(chunks), n_workers):
-                started.append(index)
-                yield chunks[index]
-        try:
-            body(share())
-        except Exception as exc:  # re-raised by the parent, in chunk order
-            return {started[-1] if started else first: exc}
+        rng = np.random.default_rng(0)  # one generator per worker, set to each trial in turn
+        def redraw(pending, salt):
+            return _trial_normals(params, consts,
+                                  estimation._pcg64_states(cfg.master_seed, pending, salt), rng)
+        for index in range(first, len(chunks), n_workers):
+            trials = chunks[index]
+            try:
+                # the last chunk's stacks stay alive while these are drawn:
+                # freed first, they let glibc trim the heap top, and each chunk
+                # faults its pages in anew (26x the minor faults, +25% CPU)
+                stacks = _trial_normals(params, consts, words[trials], rng)
+                body(trials, stacks, redraw)
+            except Exception as exc:  # re-raised by the parent, in chunk order
+                return {index: exc}
         return {}
 
     children = []  # (pid, read end of its report pipe), not yet reaped
@@ -394,7 +403,7 @@ def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
                                  f"and {value!r}")
     n, K = cfg0.n_trials, params.K
     # per walk: each point's channel constants, powers and noise term, the
-    # salt-0 stream words of every trial, the MRC mask and the isotropic beam
+    # MRC mask and the isotropic beam
     ops = []
     for alloc, cfg in points:
         if cfg.detector == "zf":
@@ -402,15 +411,12 @@ def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
         _, pilot_energy, powers, err_var = operating_point(params, alloc, cfg.system)
         ops.append((_channel_consts(params, pilot_energy, err_var), powers,
                     float(np.dot(powers, err_var)) + params.sigma2_ul))
-    words = estimation._pcg64_states(cfg0.master_seed, range(n), 0)
     off_diag = ~np.eye(K, dtype=bool)
     isotropic = np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
     out = [(_shared_rows((n, K)), _shared_rows((n, K)), _shared_rows(n, int),
             _shared_rows((n, K)) if error_var else None) for _ in points]
 
-    def draw(cfg, consts, err_sq, pending, salt, shared, rng):
-        stacks = (shared if salt == 0 else _trial_normals(
-            params, consts, estimation._pcg64_states(cfg.master_seed, pending, salt), rng))
+    def draw(cfg, consts, err_sq, pending, stacks, salt):
         if salt == 0 and err_sq is not None:
             G, G_hat = _channels(params, consts, stacks, "pilot")
             err_sq[pending] = _error_rows(G, G_hat)
@@ -419,29 +425,27 @@ def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
             del G, G_hat  # free the pilot stacks before the rate stacks are built
         return _channels(params, consts, stacks, cfg.channel_knowledge)
 
-    def body(chunks):
-        rng = np.random.default_rng(0)  # one generator per worker, set to each trial in turn
-        for trials in chunks:
-            shared = _trial_normals(params, ops[0][0], words[trials], rng)
-            for (alloc, cfg), (consts, powers, noise), rows in zip(points, ops, out):
-                energy, sinr, resamples, err_sq = rows
-                pending = trials
-                for salt in range(MAX_RESAMPLES + 1):
-                    G, G_hat = draw(cfg, consts, err_sq, pending, salt, shared, rng)
-                    ok, sinr_ok = _exact_sinr(G_hat, powers, noise, off_diag, cfg.detector)
-                    done = pending
-                    if not ok.all():
-                        G, G_hat, done, pending = G[ok], G_hat[ok], pending[ok], pending[~ok]
-                    w = isotropic if cfg.system == "opmm" else beamformer(G_hat, alloc.xi)
-                    sinr[done] = sinr_ok
-                    energy[done] = _harvest(G, w, alloc.alpha * params.p_dl)
-                    resamples[done] = salt
-                    if ok.all():
-                        break
-                else:
-                    raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
-                                                f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
-    _run_chunks(params, n, body)
+    def body(trials, shared, redraw):
+        for (alloc, cfg), (consts, powers, noise), rows in zip(points, ops, out):
+            energy, sinr, resamples, err_sq = rows
+            pending = trials
+            for salt in range(MAX_RESAMPLES + 1):
+                stacks = shared if salt == 0 else redraw(pending, salt)
+                G, G_hat = draw(cfg, consts, err_sq, pending, stacks, salt)
+                ok, sinr_ok = _exact_sinr(G_hat, powers, noise, off_diag, cfg.detector)
+                done = pending
+                if not ok.all():
+                    G, G_hat, done, pending = G[ok], G_hat[ok], pending[ok], pending[~ok]
+                w = isotropic if cfg.system == "opmm" else beamformer(G_hat, alloc.xi)
+                sinr[done] = sinr_ok
+                energy[done] = _harvest(G, w, alloc.alpha * params.p_dl)
+                resamples[done] = salt
+                if ok.all():
+                    break
+            else:
+                raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
+                                            f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
+    _run_chunks(params, cfg0, ops[0][0], body)
     return out
 
 
@@ -534,24 +538,20 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
         raise ValueError("need M > K for an orthogonal complement")
     _, pilot_energy, _, err_var = operating_point(params, alloc, cfg.system)
     consts = _channel_consts(params, pilot_energy, err_var)
-    words = estimation._pcg64_states(cfg.master_seed, range(cfg.n_trials), 0)
     xi_prime = (1.0 - theta_mass) * alloc.xi
     theta = np.full(n_comp, theta_mass / n_comp)
     scale = alloc.alpha * params.p_dl
     structured, general = _shared_rows((2, cfg.n_trials, params.K))
-    def body(chunks):
-        rng = np.random.default_rng(0)
-        for trials in chunks:
-            G, G_hat = _channels(params, consts, _trial_normals(params, consts, words[trials], rng),
-                                 cfg.channel_knowledge)
-            # the complete QR of the complement beam stays per trial: a
-            # stacked one would hold M x M per trial
-            w_g = np.stack([general_beamformer(g_hat, xi_prime, theta) for g_hat in G_hat])
-            structured[trials] = _harvest(G, beamformer(G_hat, alloc.xi), scale)
-            general[trials] = _harvest(G, w_g, scale)
+    def body(trials, stacks, redraw):
+        G, G_hat = _channels(params, consts, stacks, cfg.channel_knowledge)
+        # the complete QR of the complement beam stays per trial: a stacked
+        # one would hold M x M per trial
+        w_g = np.stack([general_beamformer(g_hat, xi_prime, theta) for g_hat in G_hat])
+        structured[trials] = _harvest(G, beamformer(G_hat, alloc.xi), scale)
+        general[trials] = _harvest(G, w_g, scale)
     # one worker: each trial's complete M x M QR already runs on the BLAS
     # threads, and forked workers beside them oversubscribe the cores
-    _run_chunks(params, cfg.n_trials, body, max_workers=1)
+    _run_chunks(params, cfg, consts, body, max_workers=1)
     s_mean, s_se = _mean_se(structured)
     g_mean, g_se = _mean_se(general)
     d_mean, d_se = _mean_se(structured - general)

@@ -33,7 +33,7 @@ import numpy as np
 from wetmm.energy import ResourceAllocation, _energies, clamp_rho
 from wetmm.rates import (_check_model, _closed_form_sinr, _fold_users, _sinr, closed_form_rate,
                          closed_form_sinr)
-from wetmm.sysmodel import SystemParams, _check_tags
+from wetmm.sysmodel import SystemParams, _check_count, _check_tags
 
 __all__ = [
     "OptimizationResult",
@@ -104,8 +104,7 @@ def optimal_rho_zf(K: int, tau, alpha):
 
     Broadcasts over tau and alpha, which must be finite and nonnegative.
     """
-    if K < 1:
-        raise ValueError("need at least one user")
+    _check_count("K", K, 1)
     tau, alpha = np.asarray(tau, dtype=float), np.asarray(alpha, dtype=float)
     rem = 1.0 - tau - alpha
     if not np.all(np.isfinite(rem) & (rem >= 0)):
@@ -353,9 +352,9 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     n_r = _lattice_count(1.0, steps[2], "rho step", open_end=True)
     if not 0 < xi_step <= 1:
         raise ValueError("xi_step must lie in (0, 1]")
-    for name, value, low in (("coarse_factor", coarse_factor, 1), ("refine_radius", refine_radius, 0)):
-        if value is not None and not (np.isfinite(value) and value >= low and value == int(value)):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_count("coarse_factor", coarse_factor, 1)
+    if refine_radius is not None:
+        _check_count("refine_radius", refine_radius, 0)
     simplex = system != "opmm" and xi_policy == "simplex"
     n_x = _lattice_count(1.0, xi_step, "xi_step")
     if system == "ideal":

@@ -21,7 +21,8 @@ Maximum-ratio combining:
 
 Both hold for any per-user energy vector E, which is how the isotropic
 benchmark ("opmm": E = alpha p_dl beta) reuses the same code path.  The
-private ``_sinr`` computes both, at a point or as the search's block bound.
+private ``_sinr`` computes both, at a point or as the search's block bound;
+:func:`closed_form_sinr`, at the energies of a system, is its public entry.
 The private kernels compute with users on axis 0, which the search builds
 directly; the public functions take users on the last axis and move it at
 their boundary.
@@ -37,12 +38,10 @@ import functools
 
 import numpy as np
 
-from wetmm.energy import ResourceAllocation, _energies, clamp_rho
+from wetmm.energy import ResourceAllocation, _check_fractions, _energies, clamp_rho
 from wetmm.sysmodel import SystemParams, _check_tags, _check_users
 
 __all__ = [
-    "zf_sinr_from_energy",
-    "mrc_sinr_from_energy",
     "closed_form_sinr",
     "asymptotic_zf_rate",
     "asymptotic_mrc_rate",
@@ -87,15 +86,6 @@ def _check_model(params: SystemParams, system: str, detector: str) -> None:
         params.require_zf()
 
 
-def _check_fractions(tau, alpha, rho) -> None:
-    """Refuse a negative tau or alpha and a rho outside [0, 1]; NaN passes.
-    Array methods: np.any costs several times as much on a few entries."""
-    if (tau < 0).any() or (alpha < 0).any():
-        raise ValueError("time fractions must be nonnegative")
-    if ((rho < 0) | (rho > 1)).any():
-        raise ValueError("rho must lie in [0, 1]")
-
-
 def _fold_users(ufunc, x):
     """``ufunc`` folded left to right over the leading user axis of ``x``:
     ``ufunc(ufunc(x[0], x[1]), x[2])`` and so on.
@@ -137,43 +127,6 @@ def _sinr(detector: str, M: int, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rh
     return np.where(e_hi <= 0, 0.0, sinr)
 
 
-def _sinr_from_energy(detector: str, M: int, E, beta, tau, alpha, rho, sigma2_ul):
-    """The users-last boundary of the two public ``*_sinr_from_energy``
-    kernels: :func:`_sinr` at one point, computed with users on axis 0."""
-    tau, alpha, rho = (np.asarray(v, dtype=float) for v in (tau, alpha, rho))
-    _check_fractions(tau, alpha, rho)
-    rem = 1.0 - tau - alpha
-    n = max(map(np.ndim, (E, beta, rem, rho)))
-    E, beta, rem, rho = _users_first(n, E, beta, rem, rho)
-    return _users_last(_sinr(detector, M, beta.shape[0], beta, sigma2_ul, E, E, rho, rho, rem))
-
-
-def zf_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
-    """Zero-forcing effective SINR for arbitrary per-user energies.
-
-    ``E`` and ``beta`` carry users on the last axis; ``tau``, ``alpha`` and
-    ``rho`` broadcast against the leading axes.  Entries with E = 0 give
-    SINR 0; a NaN argument gives a NaN SINR.  Requires M >= K + 1; refuses
-    a negative tau or alpha and rho outside [0, 1], as
-    :func:`closed_form_sinr` does.
-    """
-    K = np.shape(beta)[-1]
-    if M < K + 1:
-        raise ValueError(f"ZF requires M >= K+1, got M={M}, K={K}")
-    return _sinr_from_energy("zf", M, E, beta, tau, alpha, rho, sigma2_ul)
-
-
-def mrc_sinr_from_energy(E, beta, tau, alpha, rho, M, sigma2_ul):
-    """Maximum-ratio-combining effective SINR for arbitrary per-user energies.
-
-    Same conventions as :func:`zf_sinr_from_energy`.  Requires M >= 2; works
-    for K = 1, where the cross-user interference sum is empty.
-    """
-    if M < 2:
-        raise ValueError(f"MRC requires M >= 2, got M={M}")
-    return _sinr_from_energy("mrc", M, E, beta, tau, alpha, rho, sigma2_ul)
-
-
 def _closed_form_sinr(params: SystemParams, system: str, detector: str, beta, tau, alpha, rho, xi):
     """:func:`closed_form_sinr` with users on axis 0 and no checks: the
     operands, ``beta`` and the clamped ``rho`` as in
@@ -213,7 +166,7 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     _check_model(params, system, detector)
     tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
     _check_users(xi, params.K)
-    _check_fractions(tau, alpha, rho)
+    _check_fractions(rho, tau, alpha)
     if (xi < 0).any() or (abs(np.atleast_1d(xi).sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("beam weights must be nonnegative and sum to 1 over the users")
     used = {"wetmm": (tau, alpha, rho, xi), "opmm": (tau, alpha, rho), "ideal": (alpha, xi)}[system]
@@ -333,6 +286,12 @@ def mm_dorg(rates, m_values) -> float:
     return float(slope)
 
 
+def _check_large_k(alpha_star, c1, p_dl, sigma2_ul) -> None:
+    """Refuse dense-regime constants that are not positive and finite."""
+    if not all(np.isfinite(v) and v > 0 for v in (alpha_star, c1, p_dl, sigma2_ul)):
+        raise ValueError("alpha_star, c1, p_dl and sigma2_ul must be positive and finite")
+
+
 def large_k_rate(zeta, alpha_star, c1, p_dl, sigma2_ul):
     """Per-user rate in the dense regime, as a function of user load.
 
@@ -344,36 +303,34 @@ def large_k_rate(zeta, alpha_star, c1, p_dl, sigma2_ul):
     zeta = np.asarray(zeta, dtype=float)
     if not np.all((zeta > 0) & (zeta < 1)):
         raise ValueError("user load zeta must lie strictly inside (0, 1)")
-    if not all(np.isfinite(v) and v > 0 for v in (alpha_star, c1, p_dl, sigma2_ul)):
-        raise ValueError("alpha_star, c1, p_dl and sigma2_ul must be positive and finite")
+    _check_large_k(alpha_star, c1, p_dl, sigma2_ul)
     return np.log2(alpha_star * p_dl * (1.0 - zeta) / (c1 * sigma2_ul * zeta**2))
 
 
 def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul) -> float:
     """Largest supportable user load K/M for a per-user rate target.
 
-    Inverts :func:`large_k_rate` by bisection, to a relative width of 1e-13
-    within 200 halvings; the function is strictly decreasing on (0, 1), so
-    the root is unique when it exists.
+    Inverts :func:`large_k_rate` in closed form: with
+    t = 2^R c1 sigma2 / (alpha* p_dl), the load solves t zeta^2 + zeta - 1 = 0,
+    whose one root in (0, 1] is zeta = 2 / (1 + sqrt(1 + 4 t)), written so
+    that nothing cancels; it is computed as 1 / (1/2 + sqrt(1/4 + t)), the
+    same bits without the overflow of 4 t.  A target so low that t vanishes
+    beside 1 gives the load 1.0 to which the root rounds.
 
     Raises:
-        ValueError: if the target is not finite or exceeds the rate at
-            vanishing load.
+        ValueError: if an argument is not finite, a constant is not
+            positive, or the target is so high that t overflows and the
+            root rounds to 0.
     """
     if not np.isfinite(target_rate):
         raise ValueError(f"target rate must be finite, got {target_rate!r}")
-    lo, hi = 1e-15, 1.0 - 1e-15
-    if large_k_rate(lo, alpha_star, c1, p_dl, sigma2_ul) < target_rate:
+    _check_large_k(alpha_star, c1, p_dl, sigma2_ul)
+    with np.errstate(over="ignore"):
+        t = np.exp2(target_rate) * (c1 * sigma2_ul / (alpha_star * p_dl))
+    zeta = float(1.0 / (0.5 + np.sqrt(0.25 + t)))
+    if not zeta > 0:
         raise ValueError("target rate unattainable at any positive user load")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if large_k_rate(mid, alpha_star, c1, p_dl, sigma2_ul) >= target_rate:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
+    return zeta
 
 
 def c1_limit(beta0: float, u: float, a: float, b: float) -> float:

@@ -13,7 +13,6 @@ power times fraction.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,16 @@ def _check_tags(**tags) -> None:
     for name, value in tags.items():
         if value not in _TAGS[name]:
             raise ValueError(f"unknown {name}: {value!r}")
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an int or numpy integer, not a
+    bool, of at least ``low``: bools are ints to Python, and a NaN or 200.5
+    would pass a size check and be cut or fail deep inside numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 def _check_users(xi, K: int) -> None:
@@ -84,7 +93,6 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _PCG64_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@functools.lru_cache(maxsize=16)
 def _seed_pool(master_seed: int) -> tuple[int, ...]:
     """SeedSequence(master_seed, spawn_key=...)'s hash constant and pool before
     the key's words.  A spawn key pads the seed to n = max(4, words) words;
@@ -95,7 +103,6 @@ def _seed_pool(master_seed: int) -> tuple[int, ...]:
     return (_INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _M32, *pool)
 
 
-@functools.lru_cache(maxsize=16)
 def _hash_consts(hash_const: int, mult: int) -> np.ndarray:
     """Hash constants of 8 hashmix steps from ``hash_const``, a (9, 1) uint32
     column: step i xors in row i and multiplies by row i + 1."""
@@ -180,15 +187,8 @@ class SystemParams:
 
     def __post_init__(self):
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float)).copy()
-        for name in ("M", "K"):
-            value = getattr(self, name)
-            # bools are ints to Python, and NaN or 200.5 would pass the size checks
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.M < 2:
-            raise ValueError(f"need at least 2 antennas, got M={self.M}")
-        if self.K < 1:
-            raise ValueError(f"need at least 1 user, got K={self.K}")
+        _check_count("M", self.M, 2)
+        _check_count("K", self.K, 1)
         if beta.shape != (self.K,):
             raise ValueError(f"beta must have shape ({self.K},), got {beta.shape}")
         if not np.all(np.isfinite(beta) & (beta > 0)):

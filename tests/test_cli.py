@@ -163,6 +163,21 @@ def test_spec_rejects_non_finite_and_out_of_range(bad):
         ExperimentSpec(**bad)
 
 
+@pytest.mark.parametrize("bad", [{"m": 200.7}, {"m_values": (25.5, 50)},
+                                 {"fairness_m_values": (25, 50.0)},
+                                 {"rate_vs_m_values": (3, True)}, {"large_k_users": 10.5},
+                                 {"n_trials": 10.0}, {"master_seed": np.float64(3)},
+                                 {"coarse_factor": True}, {"fig_coarse_factor": 2.0},
+                                 {"refine_radius": 2.5}])
+def test_spec_refuses_counts_that_are_not_integers(bad):
+    # each was accepted: m = 200.7 ran M = 200 while the sidecar recorded
+    # 200.7, and large_k_users = 10.5 failed later with a TypeError
+    with pytest.raises(ValueError, match=f"^{next(iter(bad))}( entries)? must be an integer"):
+        ExperimentSpec(**bad)
+    spec = ExperimentSpec(m=np.int64(50), m_values=(np.int64(25),), n_trials=np.int32(3))
+    assert build_params(spec).M == 50
+
+
 def test_spec_m_values_checked_against_k(tmp_path, capsys):
     # MRC needs only M >= 2; ZF needs M > K; rate-vs-m writes NaN for M <= K
     ExperimentSpec(m_values=(2,), fairness_m_values=(2,), detector="mrc")

@@ -59,6 +59,29 @@ def test_allocation_refusals_keep_their_messages(fields, match):
         ResourceAllocation(*fields)
 
 
+@pytest.mark.parametrize("system", ["wetmm", "opmm", "ideal"])
+@pytest.mark.parametrize("alpha, rho, xi, match", [
+    (-0.1, 0.5, [0.5, 0.5], "time fractions must be nonnegative"),
+    (0.1, 1.7, [0.5, 0.5], r"rho must lie in \[0, 1\]"),
+    (0.1, np.array([[0.5], [-0.1]]), [0.5, 0.5], r"rho must lie in \[0, 1\]"),
+    (0.1, 0.5, [1.5, -0.5], "beam weights must be nonnegative"),
+])
+def test_energies_refuse_out_of_domain(system, alpha, rho, xi, match):
+    # each gave energies before the guard: alpha = -0.1 negative ones,
+    # rho = 1.7 clamped, xi = (1.5, -0.5) a negative ideal energy; the
+    # messages are closed_form_sinr's and ResourceAllocation's
+    with pytest.raises(ValueError, match=match):
+        energies(benchmark_params(200), system, alpha, rho, np.array(xi))
+
+
+@pytest.mark.parametrize("system", ["wetmm", "opmm", "ideal"])
+def test_energies_pass_nan_and_weights_off_the_simplex(system):
+    # the guard adds no sum-to-1 rule, and NaN still propagates
+    p = benchmark_params(200)
+    assert np.all(energies(p, system, 0.1, 0.5, np.array([0.9, 0.9])) > 0)
+    assert np.all(np.isnan(energies(p, system, np.nan, 0.5, np.array([0.5, 0.5]))))
+
+
 def test_clamp_rho_matches_np_clip_bit_for_bit():
     x = np.array([np.nan, -np.nan, -np.inf, -1.0, -0.0, 0.0, 5e-5, RHO_CLAMP, 0.5,
                   1.0 - RHO_CLAMP, 1.0 - 5e-5, 1.0, 2.0, np.inf])

@@ -20,6 +20,13 @@ def test_pilots_validation():
         make_pilots(2, 3, 1e-9)
     with pytest.raises(ValueError):
         make_pilots(4, 2, -1.0)
+    # a fractional or boolean length used to give a block of ceil(L) rows
+    for bad in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="pilot length L must be an integer"):
+            make_pilots(bad, 1, 1.0)
+    with pytest.raises(ValueError, match="K must be an integer"):
+        make_pilots(4, 2.5, 1.0)
+    assert make_pilots(np.int64(3), 2, 1.0).Phi.shape == (3, 2)
 
 
 def test_error_variance_closed_form():

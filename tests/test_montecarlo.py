@@ -9,7 +9,7 @@ import pytest
 
 from wetmm.energy import ResourceAllocation, beamformer, energies
 import wetmm.estimation as estimation
-from wetmm.estimation import draw_trials
+from wetmm.estimation import _channel_consts, _channels, draw_trials
 import wetmm.montecarlo as montecarlo
 from wetmm.montecarlo import (McConfig, _mean_se, _run_trials, estimate_exact_rate,
                               operating_point, verify_beamformer_structure,
@@ -319,16 +319,40 @@ def test_exhausted_redraw_budget_raises_from_the_first_chunk(ref_alloc, monkeypa
         _run_trials(benchmark_params(3), [(ref_alloc, cfg_for(n=9))], error_var=False)
 
 
+def run_chunks(params, n_trials, body):
+    """``_run_chunks`` over a perfect-knowledge walk of ``n_trials`` trials."""
+    montecarlo._run_chunks(params, cfg_for(n=n_trials), _channel_consts(params, None), body)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_chunk_gets_its_trials_streams(params200, monkeypatch, workers):
+    """A chunk's stacks are its trials' salt-0 draws and ``redraw`` gives
+    their draws at any salt, on every worker."""
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 400)
+    consts = _channel_consts(params200, None)
+    seen = montecarlo._shared_rows(7, int)
+    def body(trials, stacks, redraw):
+        for salt, normals in ((0, stacks), (3, redraw(trials, 3))):
+            want = draw_trials(params200, None, 0, trials, salt=salt)[0]
+            assert np.array_equal(_channels(params200, consts, normals, "pilot")[0], want)
+        seen[trials] += 1
+    run_chunks(params200, 7, body)
+    assert np.array_equal(seen, np.ones(7))
+
+
 @pytest.mark.parametrize("workers", [1, 3])
-def test_a_body_failing_before_its_first_chunk_raises_its_own_error(params200, monkeypatch,
-                                                                    workers):
-    # the per-worker setup runs before a body takes its first chunk
+def test_the_first_failing_chunk_raises_its_error(params200, monkeypatch, workers):
+    # chunks 5 and 7 fail, on different workers once there are three, and
+    # each worker stops at its first failure; chunk order picks the error
     monkeypatch.setattr(montecarlo, "_WORKERS", workers)
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
-    def body(chunks):
-        raise RuntimeError("setup failed")
-    with pytest.raises(RuntimeError, match="setup failed"):
-        montecarlo._run_chunks(params200, 9, body)
+    def body(trials, stacks, redraw):
+        assert stacks[0].shape == (1, 200, 2)
+        if trials[0] in (5, 7):
+            raise RuntimeError(f"chunk {trials[0]} failed")
+    with pytest.raises(RuntimeError, match="chunk 5 failed"):
+        run_chunks(params200, 9, body)
 
 
 def assert_no_child_left():
@@ -357,14 +381,13 @@ def test_an_unpicklable_worker_error_arrives_named(params200, monkeypatch):
     class Unpicklable(Exception):  # a local class cannot be pickled by name
         pass
     parent = os.getpid()
-    def body(chunks):
-        for _ in chunks:
-            if os.getpid() != parent:
-                raise Unpicklable("no way back")
+    def body(trials, stacks, redraw):
+        if os.getpid() != parent:
+            raise Unpicklable("no way back")
     monkeypatch.setattr(montecarlo, "_WORKERS", 2)
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
     with pytest.raises(RuntimeError, match="Unpicklable: no way back"):
-        montecarlo._run_chunks(params200, 4, body)
+        run_chunks(params200, 4, body)
     assert_no_child_left()
 
 
@@ -372,8 +395,7 @@ def test_an_interrupted_walk_kills_its_workers(params200, monkeypatch):
     """An interrupt in the parent stops the workers at once, rather than
     waiting for their shares, and reaps them."""
     parent = os.getpid()
-    def body(chunks):
-        next(chunks)
+    def body(trials, stacks, redraw):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
@@ -381,7 +403,7 @@ def test_an_interrupted_walk_kills_its_workers(params200, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        montecarlo._run_chunks(params200, 3, body)
+        run_chunks(params200, 3, body)
     assert time.perf_counter() - start < 30
     assert_no_child_left()
 

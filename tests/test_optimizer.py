@@ -39,6 +39,10 @@ def test_optimal_rho_zf_values():
     assert np.isclose(optimal_rho_zf(2, 0.00825, 0.076), want, rtol=1e-14)
     # no overhead, single user: rho* = 1/2
     assert np.isclose(optimal_rho_zf(1, 0.0, 0.0), 0.5, rtol=1e-14)
+    # a user count of 2.5 used to give sqrt(2.5) / (sqrt(2.5) + sqrt(rem))
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match="^K must be"):
+            optimal_rho_zf(bad, 0.0, 0.1)
 
 
 def test_optimal_rho_zf_broadcasts():
@@ -180,8 +184,9 @@ def test_search_validation(params200):
         solve_p1_analytic(params200, "zf", alpha_step=1e-320)
     # a negative radius used to divide by zero, 1.5 used to be cut to 1, and
     # a NaN radius used to run the full fine sweep
-    for bad in ({"refine_radius": -1}, {"coarse_factor": 1.5},
-                {"refine_radius": np.nan}, {"refine_radius": 2.5}):
+    # and coarse_factor = True used to run as 1
+    for bad in ({"refine_radius": -1}, {"coarse_factor": 1.5}, {"coarse_factor": True},
+                {"refine_radius": np.nan}, {"refine_radius": 2.5}, {"refine_radius": False}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             grid_search_p1(params200, steps=(0.02, 0.02, 0.02), **bad)
 

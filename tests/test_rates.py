@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from wetmm.energy import ResourceAllocation, energies, harvested_energy_fixedpoint
-from wetmm.rates import (_fold_users, asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit,
+from wetmm.rates import (_fold_users, _sinr, asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit,
                          c1_sample, closed_form_rate, closed_form_sinr, ideal_asymptotic_rate,
-                         large_k_rate, maxmin_asymptotic_rate,
-                         mm_dorg, mrc_sinr_from_energy, user_load_for_rate,
-                         zf_sinr_from_energy)
+                         large_k_rate, maxmin_asymptotic_rate, mm_dorg, user_load_for_rate)
 from wetmm.sysmodel import SystemParams, trial_rng
 
 from conftest import benchmark_params
@@ -56,6 +54,13 @@ def mrc_sinr_ref(E, beta, tau, alpha, rho, M, s2):
     return out
 
 
+def sinr_at(detector, E, beta, tau, alpha, rho, M, s2):
+    """The SINR kernel ``_sinr`` at one point of arbitrary energies ``E``:
+    a 1-D E or beta is the same array users-first and users-last."""
+    beta = np.asarray(beta, dtype=float)
+    return _sinr(detector, M, len(beta), beta, s2, E, E, rho, rho, 1.0 - tau - alpha)
+
+
 def test_sinr_cores_match_reference_loops():
     rng = trial_rng(17)
     for _ in range(50):
@@ -67,9 +72,9 @@ def test_sinr_cores_match_reference_loops():
         alpha = float(rng.uniform(0.01, 0.3))
         rho = float(rng.uniform(0.05, 0.95))
         s2 = 1e-15
-        assert np.allclose(zf_sinr_from_energy(e, beta, tau, alpha, rho, m, s2),
+        assert np.allclose(sinr_at("zf", e, beta, tau, alpha, rho, m, s2),
                            zf_sinr_ref(e, beta, tau, alpha, rho, m, s2), rtol=1e-12)
-        assert np.allclose(mrc_sinr_from_energy(e, beta, tau, alpha, rho, m, s2),
+        assert np.allclose(sinr_at("mrc", e, beta, tau, alpha, rho, m, s2),
                            mrc_sinr_ref(e, beta, tau, alpha, rho, m, s2), rtol=1e-12)
 
 
@@ -105,8 +110,8 @@ def test_sinr_zero_energy_gives_zero(params200):
     e = np.array([0.0, 1e-6])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = zf_sinr_from_energy(e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
-        m = mrc_sinr_from_energy(e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
+        z = sinr_at("zf", e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
+        m = sinr_at("mrc", e, beta, 0.01, 0.1, 0.5, 50, 1e-15)
         # alpha = 0 harvests nothing, so every user's E is 0
         dark = [closed_form_sinr(params200, system, detector, 0.0, 0.0, 0.5, np.array([0.5, 0.5]))
                 for system in ("wetmm", "opmm", "ideal") for detector in ("zf", "mrc")]
@@ -153,31 +158,12 @@ def test_closed_form_sinr_refuses_out_of_domain(params200, system, tau, rho, xi,
         closed_form_sinr(params200, system, "zf", tau, 0.1, rho, np.array(xi))
 
 
-@pytest.mark.parametrize("kernel", [zf_sinr_from_energy, mrc_sinr_from_energy])
-@pytest.mark.parametrize("tau, rho, match", [
-    (-0.5, 0.5, "time fractions must be nonnegative"),
-    (0.0, 1.7, r"rho must lie in \[0, 1\]"),
-    (0.0, np.array([[0.5], [-0.1]]), r"rho must lie in \[0, 1\]"),
-])
-def test_sinr_kernels_refuse_out_of_domain(kernel, tau, rho, match):
-    with pytest.raises(ValueError, match=match):
-        kernel(np.ones(2) * 1e-6, np.array([1e-6, 1e-7]), tau, 0.1, rho, 50, 1e-15)
-
-
 def test_closed_form_sinr_allows_an_overfull_frame(params200):
     # tau + alpha > 1 stays allowed: rate_map marks those cells NaN
     sinr = closed_form_sinr(params200, "wetmm", "zf", 0.6, np.array([[0.3], [0.5]]), 0.5,
                             np.array([0.5, 0.5]))
     assert sinr.shape == (2, 2)
     assert np.all(np.isfinite(sinr[0]))
-
-
-def test_sinr_antenna_floor():
-    beta = np.array([1e-6, 1e-7])
-    with pytest.raises(ValueError):
-        zf_sinr_from_energy(np.ones(2), beta, 0.0, 0.1, 0.5, 2, 1e-15)
-    with pytest.raises(ValueError):
-        mrc_sinr_from_energy(np.ones(2), beta, 0.0, 0.1, 0.5, 1, 1e-15)
 
 
 def test_reference_point_rates(params200, ref_alloc):
@@ -278,9 +264,9 @@ def test_closed_form_rate_dispatch(params200, ref_alloc):
     rem = 1.0 - a.tau - a.alpha
     for system in ("wetmm", "opmm"):
         e = energies(params200, system, a.alpha, a.rho, a.xi)
-        for det, core in (("zf", zf_sinr_from_energy), ("mrc", mrc_sinr_from_energy)):
-            want = rem * np.log2(1.0 + core(e, params200.beta, a.tau, a.alpha, a.rho,
-                                            200, 1e-15))
+        for det in ("zf", "mrc"):
+            want = rem * np.log2(1.0 + sinr_at(det, e, params200.beta, a.tau, a.alpha, a.rho,
+                                               200, 1e-15))
             got = closed_form_rate(params200, a, system, det)
             assert np.allclose(got, want, rtol=1e-14)
     # the ideal system ignores tau and rho: nonzero values change no bit
@@ -321,6 +307,17 @@ def test_large_k_rate_round_trip():
         r = large_k_rate(zeta, 0.05, c1, 1.0, 1e-15)
         back = user_load_for_rate(float(r), 0.05, c1, 1.0, 1e-15)
         assert np.isclose(back, zeta, rtol=1e-9)
+
+
+@pytest.mark.parametrize("zeta", [1e-150, 1e-20, 1.71e-15, 1e-13, 1e-9, 0.05, 0.95])
+def test_user_load_for_rate_round_trips_small_loads(zeta):
+    """The closed-form inverse returns the load whose rate meets the target,
+    to 1e-12, however small.  A bisection stopping on an absolute width
+    returned 2.94e-14 for the 104-bit target of load 1.71e-15 (8.2 bits
+    short), and refused targets above the rate at load 1e-15."""
+    c1 = c1_limit(1e-3, 3.0, 6.0, 12.0)
+    r = float(large_k_rate(zeta, 0.05, c1, 1.0, 1e-15))
+    assert np.isclose(user_load_for_rate(r, 0.05, c1, 1.0, 1e-15), zeta, rtol=1e-12, atol=0.0)
 
 
 def test_large_k_rate_monotone_and_domain():
@@ -386,8 +383,8 @@ def test_wetmm_energies_feed_rates(params200, ref_alloc):
     # the rate path and the standalone fixed point agree on banked energy
     e = harvested_energy_fixedpoint(ref_alloc.alpha, ref_alloc.rho, ref_alloc.xi,
                                     params200.beta, 200, 1.0, 1e-15)
-    sinr = zf_sinr_from_energy(e, params200.beta, ref_alloc.tau, ref_alloc.alpha,
-                               ref_alloc.rho, 200, 1e-15)
+    sinr = sinr_at("zf", e, params200.beta, ref_alloc.tau, ref_alloc.alpha, ref_alloc.rho,
+                   200, 1e-15)
     want = (1.0 - ref_alloc.tau - ref_alloc.alpha) * np.log2(1.0 + sinr)
     assert np.allclose(closed_form_rate(params200, ref_alloc, "wetmm", "zf"),
                        want, rtol=1e-12)
