@@ -30,8 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.montecarlo import McConfig, estimate_exact_rate, estimate_exact_rates, operating_point
-from wetmm.optimizer import _lattice_count, grid_search_p1, optimal_rho_zf, optimal_xi, rate_map
+from wetmm.optimizer import (_grid, _lattice_count, grid_search_p1, optimal_rho_zf, optimal_xi,
+                             rate_map)
 from wetmm.rates import (
+    _top_decade,
     asymptotic_mrc_rate,
     asymptotic_zf_rate,
     c1_limit,
@@ -162,11 +164,12 @@ def load_config(path: str) -> dict:
     """Parse a flat key = value config file into ExperimentSpec overrides.
 
     Raises:
-        ValueError: on unknown keys, malformed lines or unparsable values,
+        ValueError: on unknown keys, malformed lines, unparsable values or
+            a field set twice (directly or through its ``_dbm`` twin),
             naming the file, line and key.
     """
     known = set(ExperimentSpec.__dataclass_fields__)
-    overrides = {}
+    overrides, first = {}, {}  # field -> its value, and the line that set it
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -177,11 +180,14 @@ def load_config(path: str) -> dict:
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in known and key not in _DBM_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            field = _DBM_KEYS.get(key, key)
+            if field in first:
+                raise ValueError(f"{path}:{lineno}: {key}: {field} was already set on "
+                                 f"line {first[field]}")
+            first[field] = lineno
             try:
-                if key in _DBM_KEYS:
-                    overrides[_DBM_KEYS[key]] = dbm_to_watts(float(raw))
-                else:
-                    overrides[key] = _parse_value(key, raw)
+                overrides[field] = (dbm_to_watts(float(raw)) if key in _DBM_KEYS
+                                    else _parse_value(key, raw))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return overrides
@@ -304,11 +310,6 @@ def run_table1(spec: ExperimentSpec):
     return _emit(spec, "table1", [("table1.csv", header, rows)])
 
 
-def _grid(span: float, step: float, name: str) -> np.ndarray:
-    """0, step, 2 step, ... up to span, which counts when within 1e-9 steps."""
-    return step * np.arange(0, _lattice_count(span, step, name) + 1)
-
-
 def run_contour(spec: ExperimentSpec):
     """Per-user rate over a (tau, alpha) window at fixed rho."""
     params = build_params(spec)
@@ -344,7 +345,7 @@ def run_rate_vs_m(spec: ExperimentSpec):
 
     Columns: wetmm/ideal/opmm with ZF plus wetmm with MRC.  Rate growth
     slopes (fitted over the top decade of the antenna grid) go into the
-    sidecar.
+    sidecar, null for a curve with fewer than two finite rates there.
     """
     curves = [("wetmm_zf", "wetmm", "zf"), ("wetmm_mrc", "wetmm", "mrc"),
               ("ideal_zf", "ideal", "zf"), ("opmm_zf", "opmm", "zf")]
@@ -360,7 +361,8 @@ def run_rate_vs_m(spec: ExperimentSpec):
     for idx, (name, _, _) in enumerate(curves, start=1):
         vals = np.array([r[idx] for r in rows], dtype=float)
         keep = ~np.isnan(vals)
-        slopes[name] = mm_dorg(vals[keep], m_arr[keep]) if keep.sum() >= 2 else None
+        slopes[name] = (mm_dorg(vals[keep], m_arr[keep])
+                        if np.count_nonzero(_top_decade(m_arr[keep])) >= 2 else None)
     return _emit(spec, "rate-vs-m", [("rate_vs_m.csv", header, rows)], {"mm_dorg": slopes})
 
 
@@ -423,8 +425,7 @@ def run_large_k(spec: ExperimentSpec):
     c1_rows = []
     counts = sorted({min(n, spec.large_k_users) for n in (10, 100, 1000, spec.large_k_users)})
     for n in counts:
-        beta = spec.beta0 * d[:n] ** (-spec.pathloss_exponent)
-        c1 = c1_sample(beta)
+        c1 = c1_sample(path_loss(spec.beta0, spec.pathloss_exponent, d[:n]))
         c1_rows.append([n, c1, c1_inf, abs(c1 - c1_inf) / c1_inf])
     return _emit(spec, "large-k",
                  [("large_k_rates.csv", ["zeta", "rate"], rate_rows),

@@ -15,8 +15,9 @@ optimum closely at large M.
 The search lattice is the set of integer multiples of the step sizes.  One
 pass runs every sweep: it skips blocks of points whose monotone upper bound
 cannot reach its incumbent, so it returns what evaluating every point would.
-A coarse pass (steps scaled by ``coarse_factor``) locates a winner, then a
-fine pass re-evaluates the box within ``refine_radius`` coarse steps of it.
+Three levels each take their incumbent from the one before: the coarse
+blocks' low corners, the coarse lattice (steps scaled by ``coarse_factor``)
+and the fine box within ``refine_radius`` coarse steps of its winner.
 ``coarse_factor = 1`` and the perfect-knowledge ("ideal") system, which has
 no tau or rho, take one pass that evaluates every point.  Only tau = 0 is
 evaluated, since it is the exact argmax over tau (see
@@ -68,9 +69,9 @@ class OptimizationResult:
         grid_steps: fine lattice steps used, (tau, alpha, rho[, xi_1]) or
             (alpha[, xi_1]) for the ideal system.
         n_evaluations: number of objective evaluations at feasible
-            lattice points, coarse and fine passes combined: the coarse
-            pass's block corners and the points of each pass's kept blocks,
-            not the block bounds.  The lattice searches tau = 0 only, so
+            lattice points, all levels combined: every point of the corner
+            level and the points of the other passes' kept blocks, not the
+            block bounds.  The lattice searches tau = 0 only, so
             these are (alpha, rho[, xi]) points.
     """
 
@@ -143,6 +144,11 @@ def _lattice_count(span: float, step: float, name: str, open_end: bool = False) 
     return int(np.ceil(count - 1e-9)) - 1 if open_end else int(np.floor(count + 1e-9))
 
 
+def _grid(span: float, step: float, name: str) -> np.ndarray:
+    """0, step, 2 step, ... up to span, which counts when within 1e-9 steps."""
+    return step * np.arange(0, _lattice_count(span, step, name) + 1)
+
+
 def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
                    xi_idx: np.ndarray | None, xi_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Return (index vector, candidate array (n, K)) for the xi axis."""
@@ -186,28 +192,25 @@ def _block_bounds(params, system, detector, alpha, rho, xi):
     return (1.0 - a_lo) * np.log2(1.0 + _fold_users(np.minimum, sinr))
 
 
-def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_idx, x_idx,
-                 inc=None):
+def _search_pass(params, system, detector, steps, xi, a_idx, r_idx, x_idx, inc):
     """Best (alpha, rho, xi) lattice point at tau = 0.
 
+    ``x_idx`` indexes the rows of ``xi``, the search's (n, K) xi lattice.
     Returns (best value, (alpha, rho, xi) lattice indices, evaluation count).
     The lattice is cut into blocks of ``_BLOCK`` consecutive positions per
     axis.  A block is skipped when its bound from :func:`_block_bounds` lies
     below the incumbent ``inc`` by more than a relative 1e-12, which covers
-    rounding; a NaN bound keeps its block.  ``inc = None`` takes the best
-    value at the blocks' low corners, which count as evaluations.
-    ``inc = -inf`` prunes nothing, so it computes no bounds, and its blocks
-    are alpha slabs of whole rho and xi rows.  Bounds and corners are
-    computed in alpha slabs, and the kept blocks evaluated in groups, of
-    about ``_SLAB_ENTRIES`` entries.  Among equal values the smallest flat
-    (C-order) lattice index wins, as np.argmax picks over the whole lattice.
+    rounding; a NaN bound keeps its block.  ``inc = -inf`` prunes nothing: it
+    computes no bounds, and its blocks are alpha slabs of whole rho and xi
+    rows.  Bounds are computed in alpha slabs, and the kept blocks evaluated
+    in groups, of about ``_SLAB_ENTRIES`` entries.  Ties go to the smallest
+    flat (C-order) lattice index, as np.argmax picks over the whole lattice.
 
     Every operand is built with users on axis 0: the xi axis is the
     candidates' transpose (K, n), whose blocks index its last axis, so a
     slab is (K, alpha, rho, xi) and each ufunc call runs over whole slabs.
     """
-    x_idx, xi_arr = _xi_candidates(params, system, xi_policy, x_idx, xi_step)
-    axes = (steps[1] * a_idx, steps[2] * r_idx, xi_arr.T)
+    axes = (steps[1] * a_idx, steps[2] * r_idx, xi[x_idx].T)
     shape = [v.shape[-1] for v in axes]
     width = ([max(1, _SLAB_ENTRIES // (shape[1] * shape[2] * params.K)), *shape[1:]]
              if inc == -np.inf else [_BLOCK] * 3)
@@ -219,26 +222,19 @@ def _search_pass(params, system, detector, steps, xi_policy, xi_step, a_idx, r_i
     # per block, its feasible (alpha <= 1) alphas and its rhos and xis
     counts = [np.add.reduceat(1.0 - axes[0] >= 0.0, pos[0][:, 0])] + [
         np.minimum(w, n - p[:, 0]) for n, w, p in zip(shape[1:], width[1:], pos[1:])]
-    n_eval = 0
     if inc == -np.inf:
         keep = np.ones([len(p) for p in pos], dtype=bool)
     else:
-        # per axis: each block's smallest values, largest values, low corner
-        ends = [(b.min(axis=-1), b.max(axis=-1), b[..., 0]) for b in blocks]
+        # per axis: each block's smallest and largest values
+        a, r, x = [(b.min(axis=-1), b.max(axis=-1)) for b in blocks]
         rows = max(1, _SLAB_ENTRIES // (len(pos[1]) * len(pos[2]) * params.K))
-        bound, corner = [], []
-        for lo in range(0, len(pos[0]), rows):
-            a, r, x = ([v[lo:lo + rows, None, None] for v in ends[0]],
-                       [v[:, None] for v in ends[1]], [v[:, None, None] for v in ends[2]])
-            bound.append(_block_bounds(params, system, detector, a[:2], r[:2], x[:2]))
-            if inc is None:
-                corner.append(np.max(_lattice_rates(params, system, detector, a[2], r[2], x[2])))
-        if inc is None:
-            inc = np.max(corner)
-            n_eval = int(np.count_nonzero(1.0 - ends[0][2] >= 0.0)) * len(pos[1]) * len(pos[2])
-        keep = ~(np.concatenate(bound) < inc - 1e-12 * abs(inc))
+        bound = np.concatenate([
+            _block_bounds(params, system, detector, [v[lo:lo + rows, None, None] for v in a],
+                          [v[:, None] for v in r], [v[:, None, None] for v in x])
+            for lo in range(0, len(pos[0]), rows)])
+        keep = ~(bound < inc - 1e-12 * abs(inc))
     kept = np.nonzero(keep)
-    n_eval += int(np.sum(counts[0][kept[0]] * counts[1][kept[1]] * counts[2][kept[2]]))
+    n_eval = int(np.sum(counts[0][kept[0]] * counts[1][kept[1]] * counts[2][kept[2]]))
     group = max(1, _SLAB_ENTRIES // (params.K * width[0] * width[1] * width[2]))
     best = None  # (value, flat lattice index)
     for lo in range(0, kept[0].size, group):
@@ -324,12 +320,12 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     :func:`wetmm.rates._sinr` at these corners, the kernel of every point.  A
     block is dropped only when that bound is below the incumbent by more than
     a relative 1e-12, which covers the rounding of both sides, and the
-    incumbent is a value of the pass's own lattice: the coarse winner for the
-    refine box and the best block corner for the coarse pass.  So the block
-    holding the pass's first maximum is always kept.  The refine box holds the
-    coarse winner, so its winner is at least as good and is the search's
-    result.  With ``coarse_factor = 1`` the one pass has no incumbent and
-    evaluates every block.
+    incumbent is a value of the pass's own lattice: the best coarse block
+    corner (a sweep of positions 0, 4, 8, ... of each coarse axis) for the
+    coarse pass and the coarse winner for the refine box.  So the block
+    holding the pass's first maximum is always kept.  The refine box holds
+    the coarse winner, so its winner is at least as good and is the search's
+    result.  With ``coarse_factor = 1`` the one pass evaluates every block.
 
     The ideal system has no tau or rho (both are structurally zero), so the
     same pass, without an incumbent, runs once over its whole (alpha, xi)
@@ -364,21 +360,25 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
             raise ValueError("step sizes leave an empty lattice")
         cf = int(coarse_factor)
         r_coarse = np.arange(cf, n_r + 1, cf) if cf <= n_r else np.arange(1, n_r + 1)
-    val, idx, n_eval = _search_pass(params, system, detector, steps, xi_policy, xi_step,
-                                    np.arange(0, n_a + 1, cf), r_coarse, np.arange(0, n_x + 1, cf),
-                                    inc=-np.inf if cf == 1 else None)
+    _, xi = _xi_candidates(params, system, xi_policy, np.arange(n_x + 1), xi_step)
+    coarse = (np.arange(0, n_a + 1, cf), r_coarse, np.arange(0, len(xi), cf))
+    # corner level, coarse pass, refine box: each against the value before it
+    val, n_eval = -np.inf, 0
+    if cf > 1:
+        val, _, n_eval = _search_pass(params, system, detector, steps, xi,
+                                      *(v[::_BLOCK] for v in coarse), val)
+    val, idx, n = _search_pass(params, system, detector, steps, xi, *coarse, val)
+    n_eval += n
     if cf > 1:
         half = int((2 if simplex else 10) if refine_radius is None else refine_radius) * cf
         fine = [np.arange(max(low, i - half), min(top, i + half) + 1)
-                for i, low, top in zip(idx, (0, 1, 0), (n_a, n_r, n_x))]
-        _, idx, n_fine = _search_pass(params, system, detector, steps, xi_policy, xi_step, *fine,
-                                      inc=val)
-        n_eval += n_fine
+                for i, low, top in zip(idx, (0, 1, 0), (n_a, n_r, len(xi) - 1))]
+        _, idx, n = _search_pass(params, system, detector, steps, xi, *fine, val)
+        n_eval += n
 
     ba, br, bx = idx
-    xi_best = _xi_candidates(params, system, xi_policy, np.array([bx]), xi_step)[1][0]
     steps_used = tuple(steps[1:2] if system == "ideal" else steps) + ((xi_step,) if simplex else ())
-    alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi_best)
+    alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi[bx])
     rates = closed_form_rate(params, alloc, system, detector)
     return OptimizationResult(
         allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
@@ -400,11 +400,9 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     _check_model(params, "wetmm", detector)
     if not 0 < alpha_step <= 1:
         raise ValueError("alpha_step must lie in (0, 1]")
-    alpha_vals = alpha_step * np.arange(_lattice_count(1.0, alpha_step, "alpha_step") + 1, dtype=float)
-    if detector == "zf":
-        rho_vals = np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals))
-    else:
-        rho_vals = np.full_like(alpha_vals, 0.5)
+    alpha_vals = _grid(1.0, alpha_step, "alpha_step")
+    rho_vals = (np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals)) if detector == "zf"
+                else np.full_like(alpha_vals, 0.5))
     xi = optimal_xi(params.beta)
     ia = int(np.argmax(_lattice_rates(params, "wetmm", detector, alpha_vals, rho_vals,
                                       xi[:, None])))

@@ -266,6 +266,11 @@ def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: st
     return _data_phase(system, alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
 
 
+def _top_decade(m_values: np.ndarray) -> np.ndarray:
+    """Mask of the antenna counts in the grid's largest decade, M >= max(M)/10."""
+    return m_values >= np.max(m_values, initial=0.0) / 10.0
+
+
 def mm_dorg(rates, m_values) -> float:
     """Rate growth exponent: least-squares slope of rate versus log2(M).
 
@@ -279,7 +284,7 @@ def mm_dorg(rates, m_values) -> float:
         raise ValueError("rates and m_values must have matching shapes")
     if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(m_values) & (m_values > 0))):
         raise ValueError("rates must be finite and m_values positive and finite")
-    keep = m_values >= m_values.max() / 10.0
+    keep = _top_decade(m_values)
     if keep.sum() < 2:
         raise ValueError("need at least two antenna counts in the top decade")
     slope, _ = np.polyfit(np.log2(m_values[keep]), rates[keep], 1)
@@ -315,7 +320,9 @@ def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul) -> float:
     whose one root in (0, 1] is zeta = 2 / (1 + sqrt(1 + 4 t)), written so
     that nothing cancels; it is computed as 1 / (1/2 + sqrt(1/4 + t)), the
     same bits without the overflow of 4 t.  A target so low that t vanishes
-    beside 1 gives the load 1.0 to which the root rounds.
+    beside 1, where the root rounds to 1.0, gives the largest float below 1:
+    the largest load that :func:`large_k_rate` accepts, whose rate still
+    meets the target.
 
     Raises:
         ValueError: if an argument is not finite, a constant is not
@@ -330,7 +337,7 @@ def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul) -> float:
     zeta = float(1.0 / (0.5 + np.sqrt(0.25 + t)))
     if not zeta > 0:
         raise ValueError("target rate unattainable at any positive user load")
-    return zeta
+    return min(zeta, float(np.nextafter(1.0, 0.0)))
 
 
 def c1_limit(beta0: float, u: float, a: float, b: float) -> float:
@@ -338,13 +345,17 @@ def c1_limit(beta0: float, u: float, a: float, b: float) -> float:
 
         c1 -> beta0^(-2) (b^(2u+1) - a^(2u+1)) / ((b - a)(2u + 1))
 
-    Continuous at a = b, where it degenerates to beta0^(-2) a^(2u).
+    Continuous at a = b, where it degenerates to beta0^(-2) a^(2u).  For
+    d = (b - a)/a below 1e-3 the difference quotient is computed as
+    a^(2u) expm1(n log1p(d)) / (n d), with n = 2u + 1, in which nothing
+    cancels.
     """
     if not (np.all(np.isfinite([beta0, u, a, b])) and beta0 > 0 and 0 < a <= b):
         raise ValueError("need beta0 > 0 and 0 < a <= b, all finite, and a finite u")
-    if np.isclose(a, b):
-        return float(a ** (2 * u) / beta0**2)
-    n = 2 * u + 1
+    n, d = 2 * u + 1, (b - a) / a
+    if d < 1e-3:
+        return float(a ** (2 * u) * (np.expm1(n * np.log1p(d)) / (n * d) if d > 0 else 1.0)
+                     / beta0**2)
     return float((b**n - a**n) / ((b - a) * n * beta0**2))
 
 

@@ -18,11 +18,14 @@ from wetmm.cli import (
     load_config,
     main,
 )
+import wetmm.cli as cli
 import wetmm.estimation as estimation
 import wetmm.montecarlo as montecarlo
 from wetmm.energy import ResourceAllocation
 from wetmm.montecarlo import McConfig, estimate_exact_rate
 from wetmm.optimizer import grid_search_p1
+from wetmm.rates import c1_sample
+from wetmm.sysmodel import path_loss, trial_rng
 
 # Coarse search settings so CLI round trips stay fast; values are otherwise
 # the reference scenario.
@@ -35,6 +38,14 @@ coarse_factor = 2
 refine_radius = 2
 n_trials = 40
 """
+
+
+def fast_search(extra: str) -> str:
+    """FAST_SEARCH plus ``extra``'s lines, each in place of the FAST_SEARCH
+    line that sets the same key: a config sets each field once."""
+    keys = {line.split("=", 1)[0].strip() for line in extra.splitlines() if "=" in line}
+    return "".join(line for line in FAST_SEARCH.splitlines(keepends=True)
+                   if line.split("=", 1)[0].strip() not in keys) + extra
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -116,6 +127,18 @@ def test_load_config_bad_value_reports_location(tmp_path, capsys):
         load_config(cfg)
     assert main(["optimize", "--config", cfg]) == 2
     assert f"error: {cfg}:1: p_dl_dbm: " in capsys.readouterr().err
+
+
+def test_load_config_refuses_a_field_set_twice(tmp_path):
+    """A later line used to override an earlier one silently, also through
+    a _dbm twin (p_dl = 2.0 then p_dl_dbm = 30 loaded as 1 W)."""
+    cfg = write_config(tmp_path, "m = 50\n# more antennas\nm = 60\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(cfg)}:3: m: m was already set on line 1$"):
+        load_config(cfg)
+    cfg = write_config(tmp_path, "p_dl = 2.0\np_dl_dbm = 30\n")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(cfg)}:2: p_dl_dbm: p_dl was already set on line 1$"):
+        load_config(cfg)
 
 
 def test_spec_validation():
@@ -359,7 +382,7 @@ def test_table1_requires_two_users(tmp_path, capsys):
 
 
 def test_rho_sweep_rows_and_fixed_point_sidecar(tmp_path):
-    cfg = write_config(tmp_path, FAST_SEARCH + "rho_step = 0.05\n")
+    cfg = write_config(tmp_path, fast_search("rho_step = 0.05\n"))
     out = tmp_path / "out"
     rc = main(["rho-sweep", "--config", cfg, "--out", str(out),
                "--tau", "0.01", "--alpha", "0.08"])
@@ -380,7 +403,7 @@ def test_rho_sweep_rows_and_fixed_point_sidecar(tmp_path):
 def test_rho_sweep_keeps_the_last_interior_point(tmp_path):
     """0.03 does not divide 1: the sweep runs 0.03, ..., 0.99, where the old
     floor(1/step - 1) rule stopped at 0.96."""
-    cfg = write_config(tmp_path, FAST_SEARCH + "rho_step = 0.03\n")
+    cfg = write_config(tmp_path, fast_search("rho_step = 0.03\n"))
     out = tmp_path / "out"
     assert main(["rho-sweep", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_csv(out / "rho_sweep.csv")
@@ -413,8 +436,8 @@ def test_contour_covers_window(tmp_path):
 
 def test_contour_axes_stop_at_the_window_edge(tmp_path):
     # rounding 3.5 and 5.6 steps up would put rows at tau = 0.04 and alpha = 0.03
-    cfg = write_config(tmp_path, FAST_SEARCH + "contour_tau_max = 0.035\ntau_step = 0.01\n"
-                       "contour_alpha_max = 0.028\nalpha_step = 0.005\n")
+    cfg = write_config(tmp_path, fast_search("contour_tau_max = 0.035\ntau_step = 0.01\n"
+                                             "contour_alpha_max = 0.028\nalpha_step = 0.005\n"))
     out = tmp_path / "out"
     assert main(["contour", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_csv(out / "contour.csv")
@@ -426,7 +449,7 @@ def test_contour_axes_stop_at_the_window_edge(tmp_path):
 
 
 def test_mc_validate_blocks_and_allocation_sidecar(tmp_path):
-    cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
+    cfg = write_config(tmp_path, fast_search("m = 20\n"))
     out = tmp_path / "out"
     assert main(["mc-validate", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_csv(out / "mc_validate.csv")
@@ -442,7 +465,7 @@ def test_mc_validate_blocks_and_allocation_sidecar(tmp_path):
 
 
 def test_mc_validate_rows_are_estimate_exact_rate(tmp_path):
-    cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
+    cfg = write_config(tmp_path, fast_search("m = 20\n"))
     out = tmp_path / "out"
     assert main(["mc-validate", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_csv(out / "mc_validate.csv")
@@ -460,7 +483,7 @@ def test_mc_validate_rows_are_estimate_exact_rate(tmp_path):
 
 
 def test_mc_validate_runs_the_ideal_system(tmp_path):
-    cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
+    cfg = write_config(tmp_path, fast_search("m = 20\n"))
     csvs = {}
     for system in ("wetmm", "ideal"):
         out = tmp_path / system
@@ -483,7 +506,7 @@ def test_mc_validate_runs_the_ideal_system(tmp_path):
 @pytest.mark.parametrize("extra", [[], ["--trials", "1"], ["--system", "opmm"],
                                    ["--system", "ideal"], ["--detector", "mrc"]])
 def test_mc_validate_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch, extra):
-    cfg = write_config(tmp_path, FAST_SEARCH + "m = 20\n")
+    cfg = write_config(tmp_path, fast_search("m = 20\n"))
     outputs = []
     for workers, chunk_entries in ((1, montecarlo._CHUNK_ENTRIES), (1, 1), (2, 1)):
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
@@ -570,6 +593,39 @@ fig_coarse_factor = 2
     assert isinstance(slopes["wetmm_mrc"], float)
 
 
+def test_rate_vs_m_slope_is_null_without_two_counts_in_the_top_decade(tmp_path):
+    """Only M = 1000 lies in the top decade of 3, 4, 1000; the run used to
+    search every point and then exit 2 without a CSV."""
+    cfg = write_config(tmp_path, """
+rate_vs_m_values = 3, 4, 1000
+fig_tau_step = 0.01
+fig_alpha_step = 0.02
+fig_rho_step = 0.02
+fig_coarse_factor = 2
+""")
+    out = tmp_path / "out"
+    assert main(["rate-vs-m", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "rate_vs_m.csv")
+    assert [r[0] for r in rows] == ["3", "4", "1000"]
+    assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
+    assert read_sidecar(str(out / "rate_vs_m.csv"))["mm_dorg"] == dict.fromkeys(header[1:])
+
+
+def test_large_k_c1_rows_use_path_loss(tmp_path, monkeypatch):
+    """The sampled path losses come from sysmodel.path_loss, not a copy."""
+    calls = []
+    monkeypatch.setattr(cli, "path_loss", lambda *args: calls.append(args) or path_loss(*args))
+    cfg = write_config(tmp_path, "large_k_users = 50\nzeta_step = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["large-k", "--config", cfg, "--out", str(out)]) == 0
+    assert [len(d) for _, _, d in calls] == [10, 50]
+    spec = ExperimentSpec()
+    d = trial_rng(spec.master_seed, 0, 1).uniform(6.0, 12.0, size=50)
+    want = [c1_sample(path_loss(spec.beta0, spec.pathloss_exponent, d[:n])) for n in (10, 50)]
+    assert [float(r[1]) for r in read_csv(out / "large_k_c1.csv")[1]] == \
+        [float(f"{c:.10g}") for c in want]
+
+
 def test_large_k_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, """
 large_k_users = 500
@@ -608,7 +664,7 @@ def test_large_k_grid_stays_within_zeta_max(tmp_path, zeta_min, zeta_max, want):
 
 
 def test_every_experiment_reports_each_csv_once(tmp_path, capsys):
-    cfg = write_config(tmp_path, FAST_SEARCH + """\
+    cfg = write_config(tmp_path, fast_search("""\
 m = 20
 m_values = 20
 fairness_m_values = 20
@@ -620,7 +676,7 @@ fig_coarse_factor = 2
 contour_tau_max = 0.02
 contour_alpha_max = 0.04
 large_k_users = 500
-""")
+"""))
     for experiment in ("optimize", "table1", "contour", "rho-sweep", "rate-vs-m",
                        "fairness", "mc-validate", "large-k"):
         out = tmp_path / experiment

@@ -201,6 +201,14 @@ def test_solve_p1_analytic_close_to_grid(params200):
                       optimal_rho_zf(2, 0.0, ana.allocation.alpha), rtol=1e-12)
 
 
+def test_solve_p1_analytic_sweeps_the_shared_alpha_grid(params200):
+    """The alpha sweep is the lattice rule the CLI's axes use."""
+    alphas = optimizer._grid(1.0, 0.003, "alpha_step")
+    res = solve_p1_analytic(params200, "mrc", alpha_step=0.003)
+    assert res.n_evaluations == alphas.size == 334
+    assert res.allocation.alpha in alphas
+
+
 def test_asymptotic_allocation_advisory(params200):
     for det in ("zf", "mrc"):
         alloc = asymptotic_allocation(params200, det)
@@ -392,3 +400,16 @@ def test_full_sweep_counts_each_point_once(params200, monkeypatch, slab, system,
     assert got.n_evaluations == want.n_evaluations == 21 * (1 if system == "ideal" else 19) * n_xi
     a, b = got.allocation, want.allocation
     assert (a.alpha, a.rho) == (b.alpha, b.rho) and np.array_equal(a.xi, b.xi)
+
+
+@pytest.mark.parametrize("system, detector, kwargs, n_eval", [
+    ("wetmm", "zf", {}, 16746), ("wetmm", "mrc", {}, 21182), ("opmm", "zf", {}, 17754),
+    ("ideal", "zf", {}, 2001),
+    ("wetmm", "zf", dict(xi_policy="simplex", xi_step=0.001), 190866),
+])
+def test_default_lattice_work_is_pinned(params200, system, detector, kwargs, n_eval):
+    """Points each default-lattice search evaluates at M = 200: every point of
+    the corner level plus the kept blocks of the coarse pass and the refine
+    box (the ideal system's one sweep: 2001 alphas).  Any change to a level's
+    incumbent or blocks moves these counts."""
+    assert grid_search_p1(params200, system, detector, **kwargs).n_evaluations == n_eval

@@ -2,6 +2,7 @@
 pinned benchmark values."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -320,6 +321,16 @@ def test_user_load_for_rate_round_trips_small_loads(zeta):
     assert np.isclose(user_load_for_rate(r, 0.05, c1, 1.0, 1e-15), zeta, rtol=1e-12, atol=0.0)
 
 
+def test_user_load_for_rate_stays_inside_the_unit_interval():
+    """A target so low that t vanishes beside 1 used to give the load 1.0,
+    which large_k_rate refuses; it gives the largest float below 1, whose
+    rate (-47 bits) still meets the target."""
+    c1 = c1_limit(1e-3, 3.0, 6.0, 12.0)
+    zeta = user_load_for_rate(-200.0, 0.05, c1, 1.0, 1e-15)
+    assert zeta == np.nextafter(1.0, 0.0)
+    assert -200.0 <= large_k_rate(zeta, 0.05, c1, 1.0, 1e-15) < -47.0
+
+
 def test_large_k_rate_monotone_and_domain():
     c1 = c1_limit(1e-3, 3.0, 6.0, 12.0)
     z = np.linspace(0.02, 0.98, 49)
@@ -361,6 +372,16 @@ def test_c1_limit_pinned_and_continuous():
     assert np.isclose(point, 9.0 ** 6 / 1e-6, rtol=1e-12)
     near = c1_limit(1e-3, 3.0, 9.0, 9.0 + 1e-9)
     assert np.isclose(near, point, rtol=1e-6)
+
+
+@pytest.mark.parametrize("b", [6.0 + 1e-12, 6.0000001, 6.00005, 6.0059, 6.5, 12.0])
+def test_c1_limit_matches_exact_arithmetic_near_equal_distances(b):
+    """Against the exact rational value of the float inputs.  The former
+    a = b shortcut beta0^(-2) a^(2u), taken wherever np.isclose(a, b), was
+    2.5e-5 off at b = 6.00005 and 5e-8 off at 6.0000001."""
+    a, beta0 = Fraction(6.0), Fraction(1e-3)
+    exact = (Fraction(b) ** 7 - a ** 7) / ((Fraction(b) - a) * 7 * beta0 ** 2)
+    assert abs(c1_limit(1e-3, 3.0, 6.0, b) / float(exact) - 1.0) < 1e-14
 
 
 def test_c1_sample_identity_for_equal_distances():
