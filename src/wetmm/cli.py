@@ -42,7 +42,8 @@ from wetmm.rates import (
     large_k_rate,
     mm_dorg,
 )
-from wetmm.sysmodel import _TAGS, SystemParams, _check_count, _check_tags, path_loss, trial_rng
+from wetmm.sysmodel import (_TAGS, SystemParams, _check_count, _check_finite, _check_tags,
+                            path_loss, trial_rng)
 
 __all__ = [
     "ExperimentSpec",
@@ -105,10 +106,10 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if len(self.distances) < 1 or not all(0 < d < np.inf for d in self.distances):
-            raise ValueError("distances must be positive and finite")
+            if isinstance(f.default, float):
+                _check_finite(f.name, getattr(self, f.name))
+        _check_count("number of distances", len(self.distances), 1)
+        _check_finite("distances", self.distances, "positive")
         _check_tags(system=self.system, detector=self.detector, xi_policy=self.xi_policy)
         # the detector's antenna floor; rate-vs-m writes NaN where M <= K, so
         # its counts need only M >= 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import SystemParams, _antenna_sum, _check_tags, _check_users
+from wetmm.sysmodel import SystemParams, _antenna_sum, _check_finite, _check_tags, _check_users
 
 __all__ = [
     "RHO_CLAMP",
@@ -167,10 +167,8 @@ def expected_harvested_energy(pilot_energy, alpha, xi, beta, M, p_dl, sigma2_ul)
     Only the total pilot energy D matters, not how it splits into pilot
     length times power.  Broadcasts over arrays.
     """
-    pilot_energy = np.asarray(pilot_energy, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if not np.all(pilot_energy >= 0):
-        raise ValueError("pilot energy must be nonnegative")
+    _check_finite("pilot energy", pilot_energy, "nonnegative")
     directed = alpha * p_dl * xi * beta * M * (
         1.0 - (M - 1) * sigma2_ul / (M * (beta * pilot_energy + sigma2_ul))
     )
@@ -217,8 +215,7 @@ def harvested_energy_fixedpoint(alpha, rho, xi, beta, M, p_dl, sigma2_ul):
     """
     alpha = np.asarray(alpha, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(alpha) & (alpha > 0)):
-        raise ValueError("alpha must be positive and finite")
+    _check_finite("alpha", alpha, "positive")
     if not np.all((rho > 0) & (rho < 1)):
         raise ValueError("rho must lie strictly inside (0, 1)")
     return _fixedpoint_raw(alpha, clamp_rho(rho), xi, beta, M, p_dl, sigma2_ul)

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.sysmodel import (SystemParams, _check_count, _check_tags, _pcg64_assemble,
-                            _pcg64_states, complex_gaussian, trial_rng)
+from wetmm.sysmodel import (SystemParams, _check_count, _check_finite, _check_tags,
+                            _pcg64_assemble, _pcg64_states, complex_gaussian, trial_rng)
 
 __all__ = [
     "PilotConfig",
@@ -96,8 +96,7 @@ def make_pilots(L: int, K: int, pilot_energy) -> PilotConfig:
     _check_count("K", K, 1)
     _check_count("pilot length L", L, K)
     energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,)).copy()
-    if not np.all(np.isfinite(energy) & (energy >= 0)):
-        raise ValueError("pilot energy must be nonnegative and finite")
+    _check_finite("pilot energy", energy, "nonnegative")
     rows = np.arange(L)[:, None]
     cols = np.arange(K)[None, :]
     phi = np.exp(-2j * np.pi * rows * cols / L) / np.sqrt(L)
@@ -139,8 +138,7 @@ def mmse_estimate(Y_p: np.ndarray, pilots: PilotConfig, beta: np.ndarray, sigma2
         (..., M, K) estimate whose column k has per-entry variance
         beta_k - error_variance(beta_k, D_k, sigma2_ul).
     """
-    if not (np.isfinite(sigma2_ul) and sigma2_ul > 0):
-        raise ValueError("sigma2_ul must be positive and finite")
+    _check_finite("sigma2_ul", sigma2_ul, "positive")
     return (Y_p @ pilots.Phi.conj()) * _mmse_scale(pilots, beta, sigma2_ul)[None, :]
 
 
@@ -159,17 +157,12 @@ def error_variance(beta_k, pilot_energy_k, sigma2_ul):
 
     Decreasing in the pilot energy D; equals beta at D = 0 (estimate carries
     no information) and tends to 0 as D grows.  Broadcasts over arrays;
-    beta must be positive and finite, D nonnegative and sigma2 positive and
-    finite.
+    beta and sigma2 must be positive and finite, D nonnegative and finite.
     """
     beta_k = np.asarray(beta_k, dtype=float)
-    pilot_energy_k = np.asarray(pilot_energy_k, dtype=float)
-    if not np.all(np.isfinite(beta_k) & (beta_k > 0)):
-        raise ValueError("beta must be positive and finite")
-    if not np.all(pilot_energy_k >= 0):
-        raise ValueError("pilot energy must be nonnegative")
-    if not np.all(np.isfinite(sigma2_ul) & (sigma2_ul > 0)):
-        raise ValueError("sigma2_ul must be positive and finite")
+    _check_finite("beta", beta_k, "positive")
+    _check_finite("pilot energy", pilot_energy_k, "nonnegative")
+    _check_finite("sigma2_ul", sigma2_ul, "positive")
     return beta_k / (1.0 + beta_k * pilot_energy_k / sigma2_ul)
 
 

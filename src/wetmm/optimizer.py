@@ -34,7 +34,7 @@ import numpy as np
 from wetmm.energy import ResourceAllocation, _energies, clamp_rho
 from wetmm.rates import (_check_model, _closed_form_sinr, _fold_users, _sinr, closed_form_rate,
                          closed_form_sinr)
-from wetmm.sysmodel import SystemParams, _check_count, _check_tags
+from wetmm.sysmodel import SystemParams, _check_count, _check_finite, _check_tags
 
 __all__ = [
     "OptimizationResult",
@@ -92,8 +92,9 @@ def optimal_xi(beta) -> np.ndarray:
     beta_k^2 xi_k.
     """
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or beta.size == 0 or not np.all(np.isfinite(beta) & (beta > 0)):
-        raise ValueError("beta must be a nonempty 1-D vector of positive, finite gains")
+    if beta.ndim != 1 or beta.size == 0:
+        raise ValueError("beta must be a nonempty 1-D vector")
+    _check_finite("beta", beta, "positive")
     w = 1.0 / beta**2
     return w / w.sum()
 
@@ -136,8 +137,7 @@ def asymptotic_allocation(params: SystemParams, detector: str) -> ResourceAlloca
 def _lattice_count(span: float, step: float, name: str, open_end: bool = False) -> int:
     """Largest k with k step <= span, where k step within 1e-9 steps of span
     counts as span; with ``open_end``, the largest k with k step < span."""
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"{name} must be positive and finite, got {step!r}")
+    _check_finite(name, step, "positive")
     count = span / step
     if not np.isfinite(count):
         raise ValueError(f"{name} {step!r} is too small: {span!r} / {name} is not finite")
@@ -431,8 +431,8 @@ def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, 
     if system == "ideal":
         raise ValueError("the ideal system has no (tau, rho) axes to map")
     tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
-    if not all(np.all(np.isfinite(v)) for v in (tau, alpha, rho, xi)):
-        raise ValueError("tau, alpha, rho and xi must be finite")
+    for name, v in zip(("tau", "alpha", "rho", "xi"), (tau, alpha, rho, xi)):
+        _check_finite(name, v)
     sinr = closed_form_sinr(params, system, detector, tau, alpha, rho, xi)
     rem = 1.0 - tau - alpha
     with np.errstate(invalid="ignore"):

@@ -39,7 +39,7 @@ import functools
 import numpy as np
 
 from wetmm.energy import ResourceAllocation, _check_fractions, _energies, clamp_rho
-from wetmm.sysmodel import SystemParams, _check_tags, _check_users
+from wetmm.sysmodel import SystemParams, _check_count, _check_finite, _check_tags, _check_users
 
 __all__ = [
     "closed_form_sinr",
@@ -282,19 +282,13 @@ def mm_dorg(rates, m_values) -> float:
     m_values = np.asarray(m_values, dtype=float)
     if rates.shape != m_values.shape:
         raise ValueError("rates and m_values must have matching shapes")
-    if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(m_values) & (m_values > 0))):
-        raise ValueError("rates must be finite and m_values positive and finite")
+    _check_finite("rates", rates)
+    _check_finite("m_values", m_values, "positive")
     keep = _top_decade(m_values)
     if keep.sum() < 2:
         raise ValueError("need at least two antenna counts in the top decade")
     slope, _ = np.polyfit(np.log2(m_values[keep]), rates[keep], 1)
     return float(slope)
-
-
-def _check_large_k(alpha_star, c1, p_dl, sigma2_ul) -> None:
-    """Refuse dense-regime constants that are not positive and finite."""
-    if not all(np.isfinite(v) and v > 0 for v in (alpha_star, c1, p_dl, sigma2_ul)):
-        raise ValueError("alpha_star, c1, p_dl and sigma2_ul must be positive and finite")
 
 
 def large_k_rate(zeta, alpha_star, c1, p_dl, sigma2_ul):
@@ -308,7 +302,8 @@ def large_k_rate(zeta, alpha_star, c1, p_dl, sigma2_ul):
     zeta = np.asarray(zeta, dtype=float)
     if not np.all((zeta > 0) & (zeta < 1)):
         raise ValueError("user load zeta must lie strictly inside (0, 1)")
-    _check_large_k(alpha_star, c1, p_dl, sigma2_ul)
+    for name, v in dict(alpha_star=alpha_star, c1=c1, p_dl=p_dl, sigma2_ul=sigma2_ul).items():
+        _check_finite(name, v, "positive")
     return np.log2(alpha_star * p_dl * (1.0 - zeta) / (c1 * sigma2_ul * zeta**2))
 
 
@@ -329,9 +324,9 @@ def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul) -> float:
             positive, or the target is so high that t overflows and the
             root rounds to 0.
     """
-    if not np.isfinite(target_rate):
-        raise ValueError(f"target rate must be finite, got {target_rate!r}")
-    _check_large_k(alpha_star, c1, p_dl, sigma2_ul)
+    _check_finite("target rate", target_rate)
+    for name, v in dict(alpha_star=alpha_star, c1=c1, p_dl=p_dl, sigma2_ul=sigma2_ul).items():
+        _check_finite(name, v, "positive")
     with np.errstate(over="ignore"):
         t = np.exp2(target_rate) * (c1 * sigma2_ul / (alpha_star * p_dl))
     zeta = float(1.0 / (0.5 + np.sqrt(0.25 + t)))
@@ -345,23 +340,27 @@ def c1_limit(beta0: float, u: float, a: float, b: float) -> float:
 
         c1 -> beta0^(-2) (b^(2u+1) - a^(2u+1)) / ((b - a)(2u + 1))
 
-    Continuous at a = b, where it degenerates to beta0^(-2) a^(2u).  For
-    d = (b - a)/a below 1e-3 the difference quotient is computed as
-    a^(2u) expm1(n log1p(d)) / (n d), with n = 2u + 1, in which nothing
-    cancels.
+    With n = 2u + 1, d = (b - a)/a and L = log1p(d) = log(b/a) this is
+    computed as a^(2u) (expm1(n L) / (n L)) (L / d) / beta0^2, in which
+    nothing cancels at any gap or exponent.  Each quotient is 1 in its
+    limit: at a = b the value is beta0^(-2) a^(2u), and at u = -1/2 it is
+    log(b/a) / ((b - a) beta0^2).
     """
-    if not (np.all(np.isfinite([beta0, u, a, b])) and beta0 > 0 and 0 < a <= b):
-        raise ValueError("need beta0 > 0 and 0 < a <= b, all finite, and a finite u")
+    _check_finite("beta0", beta0, "positive")
+    _check_finite("u", u)
+    _check_finite("distances", (a, b), "positive")
+    if a > b:
+        raise ValueError("need a <= b")
     n, d = 2 * u + 1, (b - a) / a
-    if d < 1e-3:
-        return float(a ** (2 * u) * (np.expm1(n * np.log1p(d)) / (n * d) if d > 0 else 1.0)
-                     / beta0**2)
-    return float((b**n - a**n) / ((b - a) * n * beta0**2))
+    log_ratio = np.log1p(d)
+    x = n * log_ratio
+    return float(a ** (2 * u) * (np.expm1(x) / x if x else 1.0) * (log_ratio / d if d else 1.0)
+                 / beta0**2)
 
 
 def c1_sample(beta) -> float:
     """Empirical c1 = (1/K) sum_i 1/beta_i^2 for a drawn user population."""
     beta = np.asarray(beta, dtype=float)
-    if beta.size == 0 or not np.all(np.isfinite(beta) & (beta > 0)):
-        raise ValueError("need a nonempty vector of positive, finite path losses")
+    _check_count("number of path losses", beta.size, 1)
+    _check_finite("beta", beta, "positive")
     return float(np.mean(1.0 / beta**2))

@@ -651,6 +651,18 @@ zeta_step = 0.1
     assert np.isclose(sidecar["c1_limit"], 846473142857.143, rtol=1e-9)
 
 
+def test_large_k_at_path_loss_exponent_minus_half(tmp_path):
+    """At u = -1/2 the c1 limit is log(b/a) / ((b - a) beta0^2).  It used to
+    divide by 2u + 1 = 0 and exit with a ZeroDivisionError traceback."""
+    cfg = write_config(tmp_path, "pathloss_exponent = -0.5\nlarge_k_users = 50\nzeta_step = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["large-k", "--config", cfg, "--out", str(out)]) == 0
+    want = math.log(12.0 / 6.0) / (6.0 * 1e-3**2)
+    assert np.isclose(want, 115524.53009, rtol=1e-10)
+    assert np.isclose(read_sidecar(str(out / "large_k_rates.csv"))["c1_limit"], want, rtol=1e-12)
+    assert {float(r[2]) for r in read_csv(out / "large_k_c1.csv")[1]} == {float(f"{want:.10g}")}
+
+
 @pytest.mark.parametrize("zeta_min, zeta_max, want", [(0.1, 0.55, [0.1, 0.4]),
                                                      (0.5, 0.95, [0.5, 0.8])])
 def test_large_k_grid_stays_within_zeta_max(tmp_path, zeta_min, zeta_max, want):

@@ -16,10 +16,11 @@ from wetmm.energy import (ResourceAllocation, beamformer, energies, expected_har
                           general_beamformer, harvested_energy_fixedpoint)
 from wetmm.estimation import draw_trials, error_variance, make_pilots, mmse_estimate
 from wetmm.montecarlo import McConfig, estimate_exact_rate, verify_beamformer_structure
-from wetmm.optimizer import (asymptotic_allocation, grid_search_p1, optimal_rho_zf, optimal_xi,
-                             rate_map)
+from wetmm.optimizer import (_lattice_count, asymptotic_allocation, grid_search_p1,
+                             optimal_rho_zf, optimal_xi, rate_map)
 from wetmm.rates import (asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit, c1_sample,
-                         closed_form_rate, closed_form_sinr, mm_dorg)
+                         closed_form_rate, closed_form_sinr, large_k_rate, mm_dorg,
+                         user_load_for_rate)
 from wetmm.sysmodel import SystemParams, complex_gaussian, path_loss, trial_rng
 
 from conftest import benchmark_params
@@ -55,8 +56,8 @@ def test_entry_points_reject_unknown_tags(entry, tag):
 
 # case -> (a fragment of the guard's own message, the call it refuses)
 GUARDED = {
-    "optimal_xi nan": ("positive, finite gains", lambda: optimal_xi([np.nan, 1.0])),
-    "optimal_xi inf": ("positive, finite gains", lambda: optimal_xi([np.inf, 1.0])),
+    "optimal_xi nan": ("beta must be positive and finite", lambda: optimal_xi([np.nan, 1.0])),
+    "optimal_xi inf": ("beta must be positive and finite", lambda: optimal_xi([np.inf, 1.0])),
     "optimal_rho_zf": ("tau + alpha must not exceed 1 and must be finite",
                        lambda: optimal_rho_zf(2, np.nan, 0.1)),
     "optimal_rho_zf negative tau": ("tau and alpha must be nonnegative",
@@ -81,12 +82,13 @@ GUARDED = {
                                 lambda: error_variance([1e-6, np.inf], 1.0, 1e-15)),
     "make_pilots nan": ("pilot energy must be nonnegative and finite", lambda: make_pilots(2, 2, np.nan)),
     "make_pilots inf": ("pilot energy must be nonnegative and finite", lambda: make_pilots(2, 2, np.inf)),
-    "c1_limit beta0": ("need beta0 > 0", lambda: c1_limit(np.nan, 3.0, 6.0, 12.0)),
-    "c1_limit u": ("and a finite u", lambda: c1_limit(1e-3, np.nan, 6.0, 12.0)),
-    "c1_limit b": ("0 < a <= b, all finite", lambda: c1_limit(1e-3, 3.0, 6.0, np.inf)),
-    "c1_sample": ("positive, finite path losses", lambda: c1_sample([np.nan, 1e-6])),
-    "path_loss u": ("beta0 must be positive and finite, and u finite",
-                    lambda: path_loss(1e-3, np.nan, [6.0, 12.0])),
+    "c1_limit beta0": ("beta0 must be positive and finite",
+                       lambda: c1_limit(np.nan, 3.0, 6.0, 12.0)),
+    "c1_limit u": ("u must be finite", lambda: c1_limit(1e-3, np.nan, 6.0, 12.0)),
+    "c1_limit b": ("distances must be positive and finite",
+                   lambda: c1_limit(1e-3, 3.0, 6.0, np.inf)),
+    "c1_sample": ("beta must be positive and finite", lambda: c1_sample([np.nan, 1e-6])),
+    "path_loss u": ("u must be finite", lambda: path_loss(1e-3, np.nan, [6.0, 12.0])),
     "path_loss distance": ("distances must be positive and finite",
                            lambda: path_loss(1e-3, 3.0, [6.0, np.inf])),
     "expected_harvested_energy": ("pilot energy must be nonnegative", lambda: expected_harvested_energy(
@@ -115,9 +117,79 @@ GUARDED = {
                           lambda: beamformer(np.eye(4, 2), [np.inf, 1.0])),
     "mm_dorg rates": ("rates must be finite",
                       lambda: mm_dorg([np.nan, 1.0, 2.0], [100, 500, 1000])),
-    "mm_dorg m_values": ("m_values positive and finite",
+    "mm_dorg m_values": ("m_values must be positive and finite",
                          lambda: mm_dorg([0.5, 1.0, 2.0], [100, np.inf, 1000])),
 }
+
+LARGE_K = {"alpha_star": 0.05, "c1": 8.5e11, "p_dl": 1.0, "sigma2_ul": 1e-15}
+# each input that sysmodel._check_finite guards -> (its message, a call
+# refusing bad value v, the bad values that the cases above do not try)
+FINITE_GUARDS = {
+    "ExperimentSpec float": ("beta0 must be finite", lambda v: ExperimentSpec(beta0=v),
+                             (np.nan, np.inf)),
+    "ExperimentSpec distances": ("distances must be positive and finite",
+                                 lambda v: ExperimentSpec(distances=(6.0, v)),
+                                 (np.nan, np.inf, -1.0)),
+    "expected_harvested_energy": ("pilot energy must be nonnegative and finite",
+                                  lambda v: expected_harvested_energy(
+                                      v, 0.1, 0.5, 1e-6, 64, 1.0, 1e-15), (np.inf, -1.0)),
+    "fixed point alpha": ("alpha must be positive and finite",
+                          lambda v: harvested_energy_fixedpoint(v, 0.5, 0.5, 1e-6, 64, 1.0, 1e-15),
+                          (0.0,)),
+    "make_pilots": ("pilot energy must be nonnegative and finite", lambda v: make_pilots(2, 2, v),
+                    (-1.0,)),
+    "mmse_estimate": ("sigma2_ul must be positive and finite", lambda v: mmse_estimate(
+        np.zeros((4, 2)), make_pilots(2, 2, 1e-9), np.array([1e-6, 1e-7]), v), (np.inf, 0.0)),
+    "error_variance energy": ("pilot energy must be nonnegative and finite",
+                              lambda v: error_variance(1e-6, v, 1e-15), (np.inf, -1.0)),
+    "error_variance sigma2": ("sigma2_ul must be positive and finite",
+                              lambda v: error_variance(1e-6, 1e-9, v), (np.inf, 0.0)),
+    "optimal_xi": ("beta must be positive and finite", lambda v: optimal_xi([v, 1.0]), (0.0,)),
+    "_lattice_count": ("tau_step must be positive and finite",
+                       lambda v: _lattice_count(1.0, v, "tau_step"), (np.nan, np.inf, 0.0)),
+    **{f"rate_map {name}": (
+        f"{name} must be finite",
+        lambda v, name=name: rate_map(benchmark_params(10), "wetmm", "zf",
+                                      **{"tau": 0.0, "alpha": 0.1, "rho": 0.5, "xi": XI,
+                                         name: v if name != "xi" else [v, 0.5]}),
+        (np.nan, np.inf)) for name in ("tau", "alpha", "rho", "xi")},
+    "mm_dorg rates": ("rates must be finite",
+                      lambda v: mm_dorg([0.5, v, 2.0], [100, 500, 1000]), (np.inf,)),
+    "mm_dorg m_values": ("m_values must be positive and finite",
+                         lambda v: mm_dorg([0.5, 1.0, 2.0], [100, v, 1000]), (np.nan, 0.0)),
+    **{f"large_k_rate {name}": (f"{name} must be positive and finite",
+                                lambda v, name=name: large_k_rate(0.5, **{**LARGE_K, name: v}),
+                                (np.nan, np.inf, 0.0)) for name in LARGE_K},
+    **{f"user_load_for_rate {name}": (
+        f"{name} must be positive and finite",
+        lambda v, name=name: user_load_for_rate(10.0, **{**LARGE_K, name: v}), (-1.0,))
+       for name in LARGE_K},
+    "user_load_for_rate target": ("target rate must be finite",
+                                  lambda v: user_load_for_rate(v, **LARGE_K), (np.nan, np.inf)),
+    "c1_limit beta0": ("beta0 must be positive and finite", lambda v: c1_limit(v, 3.0, 6.0, 12.0),
+                       (np.inf, 0.0)),
+    "c1_limit u": ("u must be finite", lambda v: c1_limit(1e-3, v, 6.0, 12.0), (np.inf,)),
+    "c1_limit a": ("distances must be positive and finite", lambda v: c1_limit(1e-3, 3.0, v, 12.0),
+                   (np.nan, -6.0)),
+    "c1_sample": ("beta must be positive and finite", lambda v: c1_sample([v, 1e-6]),
+                  (np.inf, 0.0)),
+    "complex_gaussian": ("variance must be nonnegative and finite",
+                         lambda v: complex_gaussian(trial_rng(0), (2,), v), (-1.0,)),
+    **{f"SystemParams {name}": (
+        f"{name} must be positive and finite",
+        lambda v, name=name: SystemParams(**{"M": 8, "K": 2, "p_dl": 1.0, "sigma2_ul": 1e-15,
+                                             "beta": [1e-6, 1e-7],
+                                             name: v if name != "beta" else [1e-6, v]}),
+        (np.nan, np.inf, 0.0)) for name in ("beta", "p_dl", "sigma2_ul")},
+    "path_loss beta0": ("beta0 must be positive and finite",
+                        lambda v: path_loss(v, 3.0, [6.0, 12.0]), (np.nan, np.inf, 0.0)),
+    "path_loss u": ("u must be finite", lambda v: path_loss(1e-3, v, [6.0, 12.0]), (np.inf,)),
+    "path_loss distance": ("distances must be positive and finite",
+                           lambda v: path_loss(1e-3, 3.0, [6.0, v]), (np.nan, 0.0)),
+}
+for site, (message, call, bad_values) in FINITE_GUARDS.items():
+    for v in bad_values:
+        GUARDED[f"{site} {v}"] = (message, lambda call=call, v=v: call(v))
 
 
 @pytest.mark.parametrize("case", list(GUARDED))
@@ -176,3 +248,31 @@ def test_exports_are_listed_in_module_all():
         module = importlib.import_module(node.module)
         unlisted = [a.name for a in node.names if a.name not in module.__all__]
         assert not unlisted, f"wetmm re-exports names outside {node.module}.__all__: {unlisted}"
+
+
+def _isfinite_scopes(node, scope=""):
+    """The dotted names of the functions or classes whose own code names
+    ``isfinite``; module-level code gives the empty name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _isfinite_scopes(child, f"{scope}.{child.name}" if scope else child.name)
+        elif (isinstance(child, ast.Attribute) and child.attr == "isfinite"
+              or isinstance(child, ast.Name) and child.id == "isfinite"):
+            yield scope
+        else:
+            yield from _isfinite_scopes(child, scope)
+
+
+def test_finiteness_is_checked_by_one_helper():
+    """``isfinite`` appears in wetmm only in ``sysmodel._check_finite`` and in
+    the checks that follow another rule (the tau + alpha rule, the lattice
+    overflow test) or sit on a measured hot path (``ResourceAllocation``), so
+    a new guard goes through the helper instead of being written by hand."""
+    allowed = {"sysmodel._check_finite", "energy.ResourceAllocation.__post_init__",
+               "optimizer.optimal_rho_zf", "optimizer._lattice_count"}
+    found = set()
+    for path in Path(wetmm.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}.{scope}" for scope in _isfinite_scopes(tree)}
+    assert "sysmodel._check_finite" in found
+    assert found <= allowed, f"hand-written finiteness checks: {sorted(found - allowed)}"
