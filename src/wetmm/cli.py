@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.montecarlo import McConfig, estimate_exact_rate, estimate_exact_rates, operating_point
-from wetmm.optimizer import (_grid, _lattice_count, grid_search_p1, optimal_rho_zf, optimal_xi,
-                             rate_map)
+from wetmm.optimizer import (_grid, _grid_search, _lattice_count, grid_search_p1, optimal_rho_zf,
+                             optimal_xi, rate_map)
 from wetmm.rates import (
     _top_decade,
     asymptotic_mrc_rate,
@@ -253,15 +254,24 @@ def _emit(spec: ExperimentSpec, experiment: str, files: list, extra: dict | None
     return files[0][2], paths[0]
 
 
-def _search(spec: ExperimentSpec, params: SystemParams, system: str, detector: str,
-            fig: bool = False):
-    return grid_search_p1(
-        params, system, detector,
-        steps=spec.fig_steps if fig else spec.steps,
-        xi_policy=spec.xi_policy, xi_step=spec.xi_step,
-        coarse_factor=spec.fig_coarse_factor if fig else spec.coarse_factor,
-        refine_radius=spec.refine_radius if spec.xi_policy == "analytic" else None,
-    )
+def _search_args(spec: ExperimentSpec, fig: bool) -> tuple:
+    """The lattice arguments of the spec's searches after (system, detector)."""
+    return (spec.fig_steps if fig else spec.steps, spec.xi_policy, spec.xi_step,
+            spec.fig_coarse_factor if fig else spec.coarse_factor,
+            spec.refine_radius if spec.xi_policy == "analytic" else None)
+
+
+def _search(spec: ExperimentSpec, params: SystemParams, system: str, detector: str):
+    """One allocation search at params on the spec's fine lattice."""
+    return grid_search_p1(params, system, detector, *_search_args(spec, False))
+
+
+def _search_batch(spec: ExperimentSpec, m_values, system: str, detector: str,
+                  fig: bool = False) -> list:
+    """The allocation search at each antenna count of ``m_values``, run as one
+    batch, on the figure lattice or (``fig`` false) the fine one."""
+    return _grid_search([build_params(spec, m) for m in m_values], system, detector,
+                        *_search_args(spec, fig))
 
 
 def _mc_config(spec: ExperimentSpec, system: str, detector: str) -> McConfig:
@@ -298,9 +308,8 @@ def run_table1(spec: ExperimentSpec):
     header = ["M", "tau_star", "alpha_star", "rho_star_analytic", "rho_star_grid",
               "rate_asymptotic", "rate_analytic", "mc_rate_user1", "mc_rate_user2"]
     rows = []
-    for m in spec.m_values:
+    for m, res in zip(spec.m_values, _search_batch(spec, spec.m_values, "wetmm", spec.detector)):
         params = build_params(spec, m)
-        res = _search(spec, params, "wetmm", spec.detector)
         a = res.allocation
         rho_analytic = optimal_rho_zf(params.K, a.tau, a.alpha)
         asym_fn = asymptotic_zf_rate if spec.detector == "zf" else asymptotic_mrc_rate
@@ -351,12 +360,13 @@ def run_rate_vs_m(spec: ExperimentSpec):
     curves = [("wetmm_zf", "wetmm", "zf"), ("wetmm_mrc", "wetmm", "mrc"),
               ("ideal_zf", "ideal", "zf"), ("opmm_zf", "opmm", "zf")]
     header = ["m"] + [name for name, _, _ in curves]
-    rows = []
-    for m in spec.rate_vs_m_values:
-        params = build_params(spec, m)
-        rows.append([m] + [float("nan") if detector == "zf" and m < params.K + 1
-                           else _search(spec, params, system, detector, fig=True).min_rate
-                           for _, system, detector in curves])
+    rows = [[m] for m in spec.rate_vs_m_values]
+    for _, system, detector in curves:
+        # one batch per curve; ZF needs M > K, and its column is NaN below that
+        ms = [m for m in spec.rate_vs_m_values if detector == "mrc" or m > len(spec.distances)]
+        found = dict(zip(ms, _search_batch(spec, ms, system, detector, fig=True) if ms else ()))
+        for row in rows:
+            row.append(found[row[0]].min_rate if row[0] in found else float("nan"))
     m_arr = np.array([r[0] for r in rows], dtype=float)
     slopes = {}
     for idx, (name, _, _) in enumerate(curves, start=1):
@@ -370,19 +380,23 @@ def run_rate_vs_m(spec: ExperimentSpec):
 def run_fairness(spec: ExperimentSpec):
     """Per-user MC rates versus antenna count, subspace beam versus isotropic.
 
-    At each antenna count both beams' allocations are searched first, then
-    one Monte Carlo walk estimates both arms on the same trials, drawing
-    each trial's first normals once for the two (common random numbers).
+    Each beam's allocations are searched first, its antenna counts as one
+    batch.  Then at each antenna count one Monte Carlo walk estimates both
+    arms on the same trials, drawing each trial's first normals once for
+    the two (common random numbers).
     """
     if len(spec.distances) != 2:
         raise ValueError("the fairness comparison is defined for the two-user scenario")
     header = ["m", "wetmm_user1", "wetmm_user2", "opmm_user1", "opmm_user2"]
+    systems = ("wetmm", "opmm")
+    found = [_search_batch(spec, spec.fairness_m_values, system, spec.detector, fig=True)
+             for system in systems]
     rows = []
-    for m in spec.fairness_m_values:
-        params = build_params(spec, m)
-        points = [(_search(spec, params, system, spec.detector, fig=True).allocation,
-                   _mc_config(spec, system, spec.detector)) for system in ("wetmm", "opmm")]
-        rows.append([m] + [r for mc in estimate_exact_rates(params, points) for r in mc.rate])
+    for m, *res in zip(spec.fairness_m_values, *found):
+        points = [(r.allocation, _mc_config(spec, system, spec.detector))
+                  for r, system in zip(res, systems)]
+        rows.append([m] + [r for mc in estimate_exact_rates(build_params(spec, m), points)
+                           for r in mc.rate])
     return _emit(spec, "fairness", [("fairness.csv", header, rows)])
 
 
@@ -446,7 +460,10 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args returns
+    a fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="wetmm",
         description="Energy-harvesting massive-MIMO uplink experiments (CSV out).",

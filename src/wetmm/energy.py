@@ -231,16 +231,18 @@ def asymptotic_energy(alpha, xi, beta, M, p_dl):
     return alpha * p_dl * np.asarray(beta, dtype=float) * np.asarray(xi, dtype=float) * M
 
 
-def _energies(params: SystemParams, system: str, beta, alpha, rho, xi):
-    """:func:`energies` with no checks, ``rho`` already clamped.  The search
-    passes users on axis 0 (``beta`` shaped (K, 1, ...) to ``xi``'s rank,
-    ``alpha`` and ``rho`` without it); every step is elementwise, so
-    :func:`energies` passes users-last operands and ``params.beta``."""
+def _energies(params: SystemParams, system: str, M, beta, alpha, rho, xi):
+    """:func:`energies` with no checks, ``rho`` already clamped, at antenna
+    count ``M``, which broadcasts like ``alpha`` (the search passes one per
+    point).  The search passes users on axis 0 (``beta`` shaped (K, 1, ...)
+    to ``xi``'s rank, ``alpha``, ``rho`` and ``M`` without it); every step
+    is elementwise, so :func:`energies` passes users-last operands,
+    ``params.beta`` and ``params.M``."""
     if system == "wetmm":
-        return _fixedpoint_raw(alpha, rho, xi, beta, params.M, params.p_dl, params.sigma2_ul)
+        return _fixedpoint_raw(alpha, rho, xi, beta, M, params.p_dl, params.sigma2_ul)
     if system == "opmm":
         return alpha * params.p_dl * beta
-    return alpha * params.p_dl * beta * (xi * (params.M - 1) + 1.0)
+    return alpha * params.p_dl * beta * (xi * (M - 1) + 1.0)
 
 
 def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
@@ -269,4 +271,4 @@ def energies(params: SystemParams, system: str, alpha, rho, xi) -> np.ndarray:
     _check_fractions(rho, alpha)
     if (xi < 0).any():
         raise ValueError("beam weights must be nonnegative")
-    return _energies(params, system, params.beta, alpha, clamp_rho(rho), xi)
+    return _energies(params, system, params.M, params.beta, alpha, clamp_rho(rho), xi)

@@ -23,6 +23,12 @@ no tau or rho, take one pass that evaluates every point.  Only tau = 0 is
 evaluated, since it is the exact argmax over tau (see
 :func:`grid_search_p1`).  Ties are broken toward smaller alpha, then rho,
 then xi_1, and the reduction is deterministic.
+
+The levels are batched over antenna counts: searches whose systems differ
+only in M run each level once for all of them, with the antenna count as
+a per-point operand of the kernels.  The experiments that sweep M
+(``rate-vs-m``, ``table1``, ``fairness``) search their whole antenna grid
+that way, and :func:`grid_search_p1` is the batch of one.
 """
 
 from __future__ import annotations
@@ -47,9 +53,9 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = (0.00025, 0.0005, 0.0005)
-# A search pass computes its bounds and evaluates its kept blocks in slabs of
-# about this many (alpha, rho, xi, K) entries, which caps the memory of its
-# temporaries.
+# A search pass computes its block bounds in slabs of about this many blocks
+# and evaluates its kept points in groups of at most this many (point, user)
+# entries, which caps the memory of its temporaries.
 _SLAB_ENTRIES = 2 ** 13
 # A search pass with an incumbent bounds and evaluates the objective over
 # blocks of this many consecutive lattice positions per axis.
@@ -162,101 +168,136 @@ def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
     return xi_idx, np.stack([xi1, 1.0 - xi1], axis=-1)
 
 
-def _lattice_rates(params, system, detector, alpha, rho, xi):
-    """Min rate at tau = 0 of lattice points given by broadcasting ``alpha``
-    and ``rho`` against ``xi``, which has users on axis 0 and the full rank
-    (``alpha`` and ``rho`` have no user axis); -inf where alpha > 1 leaves
-    no data phase.  No checks: the search makes them once."""
+def _lattice_rates(params, system, detector, M, alpha, rho, xi):
+    """Min rate at tau = 0 of lattice points given by broadcasting ``alpha``,
+    ``rho`` and the antenna count ``M`` against ``xi``, which has users on
+    axis 0 and the full rank (the others have no user axis); -inf where
+    alpha > 1 leaves no data phase.  No checks: the search makes them once."""
     beta = params.beta.reshape((-1,) + (1,) * (xi.ndim - 1))
-    sinr = _closed_form_sinr(params, system, detector, beta, 0.0, alpha, clamp_rho(rho), xi)
+    sinr = _closed_form_sinr(params, system, detector, M, beta, 0.0, alpha, clamp_rho(rho), xi)
     rem = 1.0 - alpha
     with np.errstate(invalid="ignore"):
         return np.where(rem >= 0.0, rem * np.log2(1.0 + _fold_users(np.minimum, sinr)), -np.inf)
 
 
-def _block_bounds(params, system, detector, alpha, rho, xi):
+def _block_bounds(params, system, detector, M, alpha, rho, xi):
     """Upper bounds on the tau = 0 min rate over boxes of lattice points.
 
     ``alpha``, ``rho`` and ``xi`` are (smallest, largest) pairs over each
-    box, broadcasting as in :func:`_lattice_rates` with users on axis 0;
-    xi's pair is per user.  The energies are taken at both ends of the box
-    and the SINR is :func:`wetmm.rates._sinr` at those ends, which puts each
-    monotone factor at its favourable corner (see :func:`grid_search_p1`).
+    box, broadcasting with ``M`` as in :func:`_lattice_rates` with users on
+    axis 0; xi's pair is per user.  The energies are taken at both ends of
+    the box and the SINR is :func:`wetmm.rates._sinr` at those ends, which
+    puts each monotone factor at its favourable corner (see
+    :func:`grid_search_p1`).
     """
     (a_lo, a_hi), (r_lo, r_hi), (x_lo, x_hi) = alpha, (clamp_rho(r) for r in rho), xi
     beta = params.beta.reshape((-1,) + (1,) * (x_lo.ndim - 1))
-    e_lo = _energies(params, system, beta, a_lo, r_lo, x_lo)
-    e_hi = _energies(params, system, beta, a_hi, r_hi, x_hi)
-    sinr = _sinr(detector, params.M, params.K, beta, params.sigma2_ul,
+    e_lo = _energies(params, system, M, beta, a_lo, r_lo, x_lo)
+    e_hi = _energies(params, system, M, beta, a_hi, r_hi, x_hi)
+    sinr = _sinr(detector, M, params.K, beta, params.sigma2_ul,
                  e_lo, e_hi, r_lo, r_hi, np.maximum(1.0 - a_hi, 0.0))
     return (1.0 - a_lo) * np.log2(1.0 + _fold_users(np.minimum, sinr))
 
 
-def _search_pass(params, system, detector, steps, xi, a_idx, r_idx, x_idx, inc):
-    """Best (alpha, rho, xi) lattice point at tau = 0.
+def _blocks(rows):
+    """Each row of a (P, n) index array cut into blocks of ``_BLOCK``
+    consecutive positions (or n, if fewer), a short last block repeating the
+    row's last entry as a short row already does.  Returns the (width, P,
+    blocks) entries, position in the block first, and the mask of each
+    entry's first position."""
+    n = rows.shape[1]
+    width = min(_BLOCK, n)
+    padded = rows[:, np.minimum(np.arange(-(-n // width) * width), n - 1)]
+    first = np.ones(padded.shape, dtype=bool)
+    first[:, 1:] = padded[:, 1:] != padded[:, :-1]
+    return (v.reshape(len(rows), -1, width).transpose(2, 0, 1) for v in (padded, first))
 
-    ``x_idx`` indexes the rows of ``xi``, the search's (n, K) xi lattice.
-    Returns (best value, (alpha, rho, xi) lattice indices, evaluation count).
-    The lattice is cut into blocks of ``_BLOCK`` consecutive positions per
-    axis.  A block is skipped when its bound from :func:`_block_bounds` lies
-    below the incumbent ``inc`` by more than a relative 1e-12, which covers
-    rounding; a NaN bound keeps its block.  ``inc = -inf`` prunes nothing: it
-    computes no bounds, and its blocks are alpha slabs of whole rho and xi
-    rows.  Bounds are computed in alpha slabs, and the kept blocks evaluated
-    in groups, of about ``_SLAB_ENTRIES`` entries.  Ties go to the smallest
-    flat (C-order) lattice index, as np.argmax picks over the whole lattice.
 
-    Every operand is built with users on axis 0: the xi axis is the
-    candidates' transpose (K, n), whose blocks index its last axis, so a
-    slab is (K, alpha, rho, xi) and each ufunc call runs over whole slabs.
+def _starts(ids):
+    """Index of the first entry of each run of equal entries of ``ids``."""
+    return np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+
+
+def _segment_best(starts, value, key):
+    """Per segment of the columns of the 2-D ``value``, beginning at the
+    column indices ``starts``: its largest entry (NaN counts as largest, as
+    for np.argmax) and the smallest ``key`` among the entries equal to it."""
+    top = np.maximum.reduceat(value.max(axis=0), starts)
+    tie = (value == np.repeat(top, np.diff(np.append(starts, value.shape[1])))) | (value != value)
+    return top, np.minimum.reduceat(np.where(tie, key, np.iinfo(key.dtype).max).min(axis=0),
+                                    starts)
+
+
+def _search_pass(params, system, detector, steps, xi, M, idx, inc):
+    """Best (alpha, rho, xi) lattice point at tau = 0 of each of P problems
+    that differ only in their antenna count.
+
+    ``M`` and the incumbents ``inc`` are length P.  ``idx`` holds per axis a
+    (P, n) array of each problem's increasing alpha, rho and xi lattice
+    indices, the xi ones indexing the rows of ``xi``, the search's (n, K)
+    xi lattice; a row with fewer than n indices repeats its last one.
+    Returns the best values, a tuple of alpha, rho and xi lattice indices
+    and the evaluation counts, each length P.
+
+    Each row is cut into blocks of ``_BLOCK`` consecutive positions.  A
+    block is skipped when its bound from :func:`_block_bounds` lies below
+    its problem's incumbent by more than a relative 1e-12, which covers
+    rounding; a NaN bound keeps its block.  An incumbent of -inf prunes
+    nothing, and when every incumbent is -inf no bound is computed.  The
+    bounds of all problems' blocks, one problem-major grid, are computed in
+    slabs of about ``_SLAB_ENTRIES`` blocks.  The kept blocks' points are
+    evaluated in groups of at most ``_SLAB_ENTRIES`` (point, user) entries,
+    as 1-D operands with one antenna count per point.  A group's points are
+    ordered by their offset within their block, then by block, so every
+    array of a group has its blocks on the last axis.  Each problem's
+    winner is its largest value, ties going to the smallest flat (C-order)
+    index of its own lattice, as np.argmax picks over that lattice.  Every
+    problem keeps the block that holds its incumbent's point, so each has
+    a winner.
     """
-    axes = (steps[1] * a_idx, steps[2] * r_idx, xi[x_idx].T)
-    shape = [v.shape[-1] for v in axes]
-    width = ([max(1, _SLAB_ENTRIES // (shape[1] * shape[2] * params.K)), *shape[1:]]
-             if inc == -np.inf else [_BLOCK] * 3)
-    width = [min(w, n) for w, n in zip(width, shape)]
-    # per axis, each block's positions; a short last block repeats its last one
-    pos = [np.minimum(np.arange(-(-n // w) * w).reshape(-1, w), n - 1)
-           for n, w in zip(shape, width)]
-    blocks = [v[..., p] for v, p in zip(axes, pos)]
-    # per block, its feasible (alpha <= 1) alphas and its rhos and xis
-    counts = [np.add.reduceat(1.0 - axes[0] >= 0.0, pos[0][:, 0])] + [
-        np.minimum(w, n - p[:, 0]) for n, w, p in zip(shape[1:], width[1:], pos[1:])]
-    if inc == -np.inf:
-        keep = np.ones([len(p) for p in pos], dtype=bool)
-    else:
-        # per axis: each block's smallest and largest values
-        a, r, x = [(b.min(axis=-1), b.max(axis=-1)) for b in blocks]
-        rows = max(1, _SLAB_ENTRIES // (len(pos[1]) * len(pos[2]) * params.K))
+    (ia, ua), (ir, ur), (ix, ux) = (_blocks(v) for v in idx)
+    P, K, xi_t = len(M), params.K, xi.T
+    # per block: its feasible (alpha <= 1) alphas and its rhos and xis
+    counts = [np.sum(ua & (1.0 - steps[1] * ia >= 0.0), axis=0), ur.sum(axis=0), ux.sum(axis=0)]
+    keep = (ua.any(axis=0)[:, :, None, None] & ur.any(axis=0)[:, None, :, None]
+            & ux.any(axis=0)[:, None, None, :])
+    if not np.all(inc == -np.inf):
+        # per block: its smallest and largest values (a positive step keeps
+        # the order of the indices); one row per (problem, alpha block)
+        a, r = [(step * v.min(axis=0), step * v.max(axis=0)) for step, v in zip(steps[1:], (ia, ir))]
+        x = [f(xi_t[:, ix], axis=1) for f in (np.min, np.max)]
+        rows = max(1, _SLAB_ENTRIES // (keep.shape[2] * keep.shape[3]))
+        owner = np.repeat(np.arange(P), keep.shape[1])
         bound = np.concatenate([
-            _block_bounds(params, system, detector, [v[lo:lo + rows, None, None] for v in a],
-                          [v[:, None] for v in r], [v[:, None, None] for v in x])
-            for lo in range(0, len(pos[0]), rows)])
-        keep = ~(bound < inc - 1e-12 * abs(inc))
-    kept = np.nonzero(keep)
-    n_eval = int(np.sum(counts[0][kept[0]] * counts[1][kept[1]] * counts[2][kept[2]]))
-    group = max(1, _SLAB_ENTRIES // (params.K * width[0] * width[1] * width[2]))
-    best = None  # (value, flat lattice index)
-    for lo in range(0, kept[0].size, group):
-        ka, kr, kx = (k[lo:lo + group] for k in kept)
-        # an axis of one block broadcasts, so its factors are computed once
-        a, r, x = (b if b.shape[-2] == 1 else b[..., k, :]
-                   for b, k in zip(blocks, (ka, kr, kx)))
-        rate = _lattice_rates(params, system, detector, a[:, :, None, None],
-                              r[:, None, :, None], x[..., None, None, :])
-        j = int(np.argmax(rate))
-        top = rate.flat[j]
-        if best is not None and not top >= best[0]:
-            continue
-        # the flat lattice index of each tie, from its block and its offsets
-        n, da, dr, dx = np.unravel_index(np.flatnonzero(rate == top) if top == top else [j],
-                                         rate.shape)
-        key = (pos[0][ka[n], da] * shape[1] + pos[1][kr[n], dr]) * shape[2] + pos[2][kx[n], dx]
-        t = int(np.argmin(key))
-        if best is None or top > best[0] or key[t] < best[1]:
-            best = (float(top), int(key[t]))
-    ia, ir, ix = np.unravel_index(best[1], shape)
-    return best[0], (int(a_idx[ia]), int(r_idx[ir]), int(x_idx[ix])), n_eval
+            _block_bounds(params, system, detector, M[p, None, None],
+                          [v.reshape(-1)[lo:lo + rows, None, None] for v in a],
+                          [v[p, :, None] for v in r], [v[:, p, None, :] for v in x])
+            for lo in range(0, owner.size, rows) for p in [owner[lo:lo + rows]]])
+        keep &= ~(bound.reshape(keep.shape) < (inc - 1e-12 * abs(inc))[:, None, None, None])
+    kept, n_eval = np.flatnonzero(keep), np.zeros(P)
+    # a point's key is its flat lattice index, C order over (alpha, rho, xi) indices
+    n_r, n_x = int(ir.max()) + 1, len(xi)
+    width = (len(ia), len(ir), len(ix))
+    group = max(1, _SLAB_ENTRIES // (K * int(np.prod(width))))
+    best = []  # per group and problem: (problem, value, key)
+    for lo in range(0, kept.size, group):
+        gp, ga, gr, gx = np.unravel_index(kept[lo:lo + group], keep.shape)
+        n_eval += np.bincount(gp, counts[0][gp, ga] * counts[1][gp, gr] * counts[2][gp, gx], P)
+        shape = (*width, gp.size)
+        ja, jr, jx = ia[:, gp, ga][:, None, None], ir[:, gp, gr][:, None], ix[:, gp, gx]
+        key = ((ja * n_r + jr) * n_x + jx).reshape(-1, gp.size)
+        rate = _lattice_rates(
+            params, system, detector, np.broadcast_to(M[gp], shape).reshape(-1),
+            *(np.broadcast_to(v, shape).reshape(-1) for v in (steps[1] * ja, steps[2] * jr)),
+            np.broadcast_to(xi_t[:, None, None, jx], (K, *shape)).reshape(K, -1))
+        starts = _starts(gp)
+        best.append((gp[starts], *_segment_best(starts, rate.reshape(key.shape), key)))
+    owner, value, key = (np.concatenate(v) for v in zip(*best))
+    if len(best) > 1:  # a problem's kept blocks may span groups
+        order = np.argsort(owner, kind="stable")
+        value, key = _segment_best(_starts(owner[order]), value[None, order], key[None, order])
+    a_idx, rest = np.divmod(key, n_r * n_x)
+    return value, (a_idx, *np.divmod(rest, n_x)), n_eval.astype(int)
 
 
 def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = "zf",
@@ -332,6 +373,12 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     lattice at rho index 0: no coarse pass, and the tau and rho steps do not
     apply.  Its ``grid_steps`` are (alpha[, xi_1]).
 
+    The levels are batched: a search over several antenna counts (same K,
+    p_dl, sigma2_ul and beta) runs the corner level, the coarse pass and
+    the refine box once each for all of them, with one index set, incumbent
+    and winner per antenna count, and returns for each exactly what its own
+    search would.  This function is the batch of one.
+
     Returns:
         OptimizationResult at the lattice argmax (ties: smallest alpha, then
         rho, then xi_1).
@@ -339,7 +386,27 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     Raises:
         ValueError: on invalid tags or steps.
     """
-    _check_model(params, system, detector)
+    return _grid_search([params], system, detector, steps, xi_policy, xi_step, coarse_factor,
+                        refine_radius)[0]
+
+
+def _grid_search(problems, system, detector, steps, xi_policy, xi_step, coarse_factor,
+                 refine_radius) -> list:
+    """:func:`grid_search_p1` of each of ``problems``, SystemParams that
+    differ only in M, with each level run once for all of them.
+
+    Raises:
+        ValueError: as :func:`grid_search_p1` does, on an empty batch, or
+            naming the field (K, p_dl, sigma2_ul or beta) on which two
+            problems differ.
+    """
+    _check_count("number of problems", len(problems), 1)
+    for params in problems:
+        for name in ("K", "p_dl", "sigma2_ul", "beta"):
+            if not np.array_equal(getattr(params, name), getattr(problems[0], name)):
+                raise ValueError(f"batched problems differ in {name}; they may differ only in M")
+        _check_model(params, system, detector)
+    params = problems[0]
     _check_tags(xi_policy=xi_policy)
     if len(steps) != 3:
         raise ValueError("steps must be three positive lattice spacings")
@@ -361,30 +428,34 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
         cf = int(coarse_factor)
         r_coarse = np.arange(cf, n_r + 1, cf) if cf <= n_r else np.arange(1, n_r + 1)
     _, xi = _xi_candidates(params, system, xi_policy, np.arange(n_x + 1), xi_step)
-    coarse = (np.arange(0, n_a + 1, cf), r_coarse, np.arange(0, len(xi), cf))
-    # corner level, coarse pass, refine box: each against the value before it
-    val, n_eval = -np.inf, 0
+    M = np.array([p.M for p in problems])
+    coarse = [np.broadcast_to(v, (len(M), v.size))
+              for v in (np.arange(0, n_a + 1, cf), r_coarse, np.arange(0, len(xi), cf))]
+    # corner level, coarse pass, refine box: each against the values before it
+    val, n_eval = np.full(len(M), -np.inf), 0
     if cf > 1:
-        val, _, n_eval = _search_pass(params, system, detector, steps, xi,
-                                      *(v[::_BLOCK] for v in coarse), val)
-    val, idx, n = _search_pass(params, system, detector, steps, xi, *coarse, val)
+        val, _, n_eval = _search_pass(params, system, detector, steps, xi, M,
+                                      [v[:, ::_BLOCK] for v in coarse], val)
+    val, idx, n = _search_pass(params, system, detector, steps, xi, M, coarse, val)
     n_eval += n
     if cf > 1:
         half = int((2 if simplex else 10) if refine_radius is None else refine_radius) * cf
-        fine = [np.arange(max(low, i - half), min(top, i + half) + 1)
-                for i, low, top in zip(idx, (0, 1, 0), (n_a, n_r, len(xi) - 1))]
-        _, idx, n = _search_pass(params, system, detector, steps, xi, *fine, val)
+        fine = []
+        for i, low, top in zip(idx, (0, 1, 0), (n_a, n_r, len(xi) - 1)):
+            lo, hi = np.maximum(low, i - half), np.minimum(top, i + half)
+            fine.append(np.minimum(lo[:, None] + np.arange(np.max(hi - lo) + 1), hi[:, None]))
+        _, idx, n = _search_pass(params, system, detector, steps, xi, M, fine, val)
         n_eval += n
 
-    ba, br, bx = idx
     steps_used = tuple(steps[1:2] if system == "ideal" else steps) + ((xi_step,) if simplex else ())
-    alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi[bx])
-    rates = closed_form_rate(params, alloc, system, detector)
-    return OptimizationResult(
-        allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
-        detector=detector, system=system, grid_steps=steps_used,
-        n_evaluations=n_eval,
-    )
+    results = []
+    for params, ba, br, bx, n in zip(problems, *(v.tolist() for v in (*idx, n_eval))):
+        alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi[bx])
+        rates = closed_form_rate(params, alloc, system, detector)
+        results.append(OptimizationResult(
+            allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
+            detector=detector, system=system, grid_steps=steps_used, n_evaluations=n))
+    return results
 
 
 def solve_p1_analytic(params: SystemParams, detector: str = "zf",
@@ -404,7 +475,7 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
     rho_vals = (np.asarray(optimal_rho_zf(params.K, 0.0, alpha_vals)) if detector == "zf"
                 else np.full_like(alpha_vals, 0.5))
     xi = optimal_xi(params.beta)
-    ia = int(np.argmax(_lattice_rates(params, "wetmm", detector, alpha_vals, rho_vals,
+    ia = int(np.argmax(_lattice_rates(params, "wetmm", detector, params.M, alpha_vals, rho_vals,
                                       xi[:, None])))
     alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]), rho=float(rho_vals[ia]), xi=xi)
     rates = closed_form_rate(params, alloc, "wetmm", detector)

@@ -100,7 +100,7 @@ def _fold_users(ufunc, x):
     return functools.reduce(ufunc, x)
 
 
-def _sinr(detector: str, M: int, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rho_hi, rem):
+def _sinr(detector: str, M, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rho_hi, rem):
     """Finite-M ZF or MRC SINR, each monotone factor at its own corner: the
     numerator at (rho_hi, e_hi), beta rho + sigma2/E at (rho_lo, e_hi),
     rem/(1 - rho) at rho_lo, the ZF load and MRC cross term at (e_lo,
@@ -108,9 +108,9 @@ def _sinr(detector: str, M: int, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rh
     proved in :func:`wetmm.optimizer.grid_search_p1`.  e_hi = 0 gives 0.
 
     Users sit on axis 0: ``e_lo`` and ``e_hi`` carry it at the full rank,
-    ``beta`` is shaped (K, 1, ...) to that rank, and ``rho_lo``, ``rho_hi``
-    and ``rem`` broadcast against the rest, so the sums over users need no
-    re-expansion.
+    ``beta`` is shaped (K, 1, ...) to that rank, and ``rho_lo``, ``rho_hi``,
+    ``rem`` and the antenna count ``M`` broadcast against the rest, so the
+    sums over users need no re-expansion.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         near = beta * rho_lo + sigma2_ul / e_hi
@@ -127,12 +127,13 @@ def _sinr(detector: str, M: int, K: int, beta, sigma2_ul, e_lo, e_hi, rho_lo, rh
     return np.where(e_hi <= 0, 0.0, sinr)
 
 
-def _closed_form_sinr(params: SystemParams, system: str, detector: str, beta, tau, alpha, rho, xi):
+def _closed_form_sinr(params: SystemParams, system: str, detector: str, M, beta, tau, alpha,
+                      rho, xi):
     """:func:`closed_form_sinr` with users on axis 0 and no checks: the
-    operands, ``beta`` and the clamped ``rho`` as in
+    operands, ``M``, ``beta`` and the clamped ``rho`` as in
     :func:`wetmm.energy._energies`, ``tau`` broadcasting like ``alpha``."""
-    e = _energies(params, system, beta, alpha, rho, xi)
-    M, K, s2 = params.M, params.K, params.sigma2_ul
+    e = _energies(params, system, M, beta, alpha, rho, xi)
+    K, s2 = params.K, params.sigma2_ul
     rem = _data_phase(system, tau, alpha)
     if system != "ideal":
         return _sinr(detector, M, K, beta, s2, e, e, rho, rho, rem)
@@ -172,7 +173,7 @@ def closed_form_sinr(params: SystemParams, system: str, detector: str, tau, alph
     used = {"wetmm": (tau, alpha, rho, xi), "opmm": (tau, alpha, rho), "ideal": (alpha, xi)}[system]
     n = max(1, *map(np.ndim, used))
     beta, tau, alpha, rho, xi = _users_first(n, params.beta, tau, alpha, rho, xi)
-    return _users_last(_closed_form_sinr(params, system, detector, beta, tau, alpha,
+    return _users_last(_closed_form_sinr(params, system, detector, params.M, beta, tau, alpha,
                                          clamp_rho(rho), xi))
 
 
@@ -261,8 +262,8 @@ def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: st
     _check_model(params, system, detector)
     _check_users(alloc.xi, params.K)
     # the allocation is validated and its xi is 1-D, users-first already
-    sinr = _closed_form_sinr(params, system, detector, params.beta, alloc.tau, alloc.alpha,
-                             clamp_rho(alloc.rho), alloc.xi)
+    sinr = _closed_form_sinr(params, system, detector, params.M, params.beta, alloc.tau,
+                             alloc.alpha, clamp_rho(alloc.rho), alloc.xi)
     return _data_phase(system, alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
 
 

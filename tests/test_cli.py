@@ -705,3 +705,13 @@ large_k_users = 500
         sidecar = read_sidecar(wrote[0][0])
         assert sidecar["csv"] == first and sidecar["experiment"] == experiment
     assert sidecar["c1_csv"] == "large_k_c1.csv"
+
+
+def test_parser_is_built_once_and_each_call_parses_afresh(tmp_path):
+    """main builds its parser once per process; a flag given to one call
+    does not carry over to the next, which reads the default again."""
+    assert cli._build_parser() is cli._build_parser()
+    for argv, m in ((["--m", "50"], "50"), ([], "200")):
+        out = tmp_path / m
+        assert main(["rho-sweep", *argv, "--out", str(out)]) == 0
+        assert read_sidecar(str(out / "rho_sweep.csv"))["spec"]["m"] == int(m)

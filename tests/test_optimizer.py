@@ -1,14 +1,18 @@
 """Max-min allocation search: analytic weights, grid passes, pinned optima."""
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
-from wetmm.energy import ResourceAllocation
+from wetmm.cli import ExperimentSpec, run_rate_vs_m
+from wetmm.energy import ResourceAllocation, energies
 import wetmm.optimizer as optimizer
 from wetmm.optimizer import (DEFAULT_STEPS, _lattice_count, asymptotic_allocation,
                              grid_search_p1, optimal_rho_zf, optimal_xi, rate_map,
                              solve_p1_analytic)
-from wetmm.rates import closed_form_rate
+from wetmm.rates import closed_form_rate, closed_form_sinr
 from wetmm.sysmodel import SystemParams
 
 from conftest import benchmark_params
@@ -389,10 +393,11 @@ def test_grid_search_keeps_the_last_interior_rho():
     ("ideal", "simplex", 3),
 ])
 def test_full_sweep_counts_each_point_once(params200, monkeypatch, slab, system, xi_policy, n_xi):
-    """A sweep without an incumbent runs in alpha slabs, and a short last
-    slab repeats its last alpha (slabs of 5 alphas at 200 entries for wetmm,
-    of 10 at 64 for the ideal simplex lattice).  Each feasible lattice point
-    still counts once, and the winner is the default slabs' one."""
+    """A sweep without an incumbent evaluates blocks of 4 positions per
+    axis, a short last block repeating its last alpha (21 alphas make 6
+    blocks), in groups that a 64- or 200-entry budget makes small.  Each
+    feasible lattice point still counts once, and the winner is the default
+    groups' one."""
     kwargs = dict(steps=(0.05, 0.05, 0.05), xi_policy=xi_policy, xi_step=0.35, coarse_factor=1)
     want = grid_search_p1(params200, system, "zf", **kwargs)
     monkeypatch.setattr(optimizer, "_SLAB_ENTRIES", slab)
@@ -413,3 +418,64 @@ def test_default_lattice_work_is_pinned(params200, system, detector, kwargs, n_e
     box (the ideal system's one sweep: 2001 alphas).  Any change to a level's
     incumbent or blocks moves these counts."""
     assert grid_search_p1(params200, system, detector, **kwargs).n_evaluations == n_eval
+
+
+# Per-user energies and SINRs at M = 200, (tau, alpha, rho) = (0.01, 0.08,
+# 0.6) and xi = optimal_xi, as float.hex, from the code before the kernels
+# took the antenna count as an operand.  Only +, -, *, / and sqrt make them.
+PUBLIC_AT_M200 = {
+    ("wetmm", "energy"): ("0x1.93ba3dc0283fbp-20", "0x1.31d64c8062d58p-17"),
+    ("wetmm", "zf"): ("0x1.e0175f7c7e5b0p+17", "0x1.6ba84a44d0b10p+17"),
+    ("wetmm", "mrc"): ("0x1.066f8a0e1ad37p+8", "0x1.2d3b8b0e783aap+7"),
+    ("opmm", "energy"): ("0x1.8daea1d7f4cf7p-22", "0x1.8daea1d7f4cf7p-25"),
+    ("opmm", "zf"): ("0x1.e0fd05db66195p+15", "0x1.c5427018040d9p+9"),
+    ("opmm", "mrc"): ("0x1.5aa2f92fc8a35p+13", "0x1.75da63c4a9860p+1"),
+    ("ideal", "energy"): ("0x1.93cce3594f390p-20", "0x1.31eee98529fa0p-17"),
+    ("ideal", "zf"): ("0x1.6dec73cea8828p+20", "0x1.153c8dbd581fbp+20"),
+    ("ideal", "mrc"): ("0x1.069d1ac27bf61p+8", "0x1.2d7fb67ccc6d6p+7"),
+}
+
+
+@pytest.mark.parametrize("system, kind", PUBLIC_AT_M200)
+def test_public_closed_forms_are_unchanged(params200, xi_star, system, kind):
+    """energies, closed_form_sinr and rate_map pass the scalar antenna count
+    to the kernels and give the pinned bytes; rate_map is its formula over
+    the pinned SINRs."""
+    want = np.array([float.fromhex(v) for v in PUBLIC_AT_M200[system, kind]])
+    if kind == "energy":
+        got = energies(params200, system, 0.08, 0.6, xi_star)
+    else:
+        got = closed_form_sinr(params200, system, kind, 0.01, 0.08, 0.6, xi_star)
+        if system != "ideal":
+            rates = rate_map(params200, system, kind, 0.01, 0.08, 0.6, xi_star)
+            assert rates.tobytes() == ((1.0 - 0.01 - 0.08) * np.log2(1.0 + want)).tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("K", dict(K=3, beta=(1e-5, 1e-6, 1e-7))), ("p_dl", dict(p_dl=2.0)),
+    ("sigma2_ul", dict(sigma2_ul=2e-15)), ("beta", dict(beta=(1e-5, 1e-6))),
+])
+def test_batched_search_refuses_problems_that_differ_beyond_m(params200, field, changes):
+    """A batch's problems may differ only in M; the error names the field."""
+    other = SystemParams(**{**dataclasses.asdict(params200), "M": 50, **changes})
+    with pytest.raises(ValueError, match=f"differ in {field};"):
+        optimizer._grid_search([params200, other], "wetmm", "zf", (0.1, 0.1, 0.1), "analytic",
+                               0.1, 2, 1)
+    with pytest.raises(ValueError, match="^number of problems must be >= 1"):
+        optimizer._grid_search([], "wetmm", "zf", (0.1, 0.1, 0.1), "analytic", 0.1, 2, 1)
+
+
+def test_rate_vs_m_kernel_calls_are_pinned(tmp_path, monkeypatch):
+    """One default rate-vs-m runs each search level once per curve for its
+    26 antenna counts: 120 lattice evaluations and 27 block-bound slabs,
+    against 317 and 156 (473 calls) for one search per M and curve."""
+    calls = collections.Counter()
+    for name in ("_lattice_rates", "_block_bounds"):
+        def counted(*args, _kernel=getattr(optimizer, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(optimizer, name, counted)
+    run_rate_vs_m(ExperimentSpec(out_dir=str(tmp_path)))
+    assert calls == {"_lattice_rates": 120, "_block_bounds": 27}
+    assert sum(calls.values()) < 473 / 3

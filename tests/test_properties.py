@@ -13,7 +13,7 @@ from wetmm.montecarlo import _within_cond_limit
 import wetmm.optimizer as optimizer
 from wetmm.optimizer import (_block_bounds, _lattice_count, _lattice_rates, _xi_candidates,
                              grid_search_p1)
-from wetmm.rates import _closed_form_sinr, closed_form_rate, closed_form_sinr
+from wetmm.rates import _closed_form_sinr, _sinr, closed_form_rate, closed_form_sinr
 from wetmm.sysmodel import SystemParams, _pcg64_assemble, _pcg64_states, trial_rng
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
@@ -200,15 +200,15 @@ def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
     _, xi = _xi_candidates(params, system, policy, np.arange(x0, x0 + sizes[2]), x_step)
     alpha = a_step * np.arange(a0, a0 + sizes[0])
     rho = r_step * np.arange(r0, r0 + sizes[1])
-    values = _lattice_rates(params, system, detector, alpha[:, None, None],
+    values = _lattice_rates(params, system, detector, params.M, alpha[:, None, None],
                             rho[None, :, None], xi.T[:, None, None])
-    bound = _block_bounds(params, system, detector,
+    bound = _block_bounds(params, system, detector, params.M,
                           [np.array([[[v]]]) for v in (alpha[0], alpha[-1])],
                           [np.array([[[v]]]) for v in (rho[0], rho[-1])],
                           [v[:, None, None, None] for v in (xi.min(axis=0), xi.max(axis=0))])
     assert bound.shape == (1, 1, 1)
     assert not np.any(bound < values - 1e-12 * np.abs(values)), (bound, values.max())
-    point = _block_bounds(params, system, detector, [np.array([[[alpha[0]]]])] * 2,
+    point = _block_bounds(params, system, detector, params.M, [np.array([[[alpha[0]]]])] * 2,
                           [np.array([[[rho[0]]]])] * 2, [xi[0][:, None, None, None]] * 2)
     if np.isfinite(values[0, 0, 0]):
         assert point.item() == values[0, 0, 0], (point.item(), values[0, 0, 0])
@@ -221,7 +221,7 @@ def lattice_argmax(params, system, detector, steps, policy, xi_step, a_idx, r_id
     of the temporaries, and np.argmax runs once over all of them."""
     _, xi = _xi_candidates(params, system, policy, x_idx, xi_step)
     rate = np.concatenate([optimizer._lattice_rates(
-        params, system, detector, steps[1] * a_idx[lo:lo + 8, None, None],
+        params, system, detector, params.M, steps[1] * a_idx[lo:lo + 8, None, None],
         steps[2] * r_idx[None, :, None], xi.T[:, None, None]) for lo in range(0, a_idx.size, 8)])
     j = np.unravel_index(np.argmax(rate), rate.shape)
     return rate[j], tuple(int(v[i]) for v, i in zip((a_idx, r_idx, x_idx), j))
@@ -275,6 +275,96 @@ def test_pruned_search_returns_the_full_passes_winner(problem, data):
     assert (a.alpha, a.rho) == (want.alpha, want.rho)
     assert np.array_equal(a.xi, want.xi)
     assert got.min_rate == float(np.min(closed_form_rate(params, want, system, detector)))
+
+
+@st.composite
+def antenna_batches(draw):
+    """A batch of 3-8 SystemParams that differ only in M, with a system,
+    detector and xi policy: K = 2 or 3 users 2-30 m from the array, simplex
+    weights at K = 2 only.  The antenna counts are unsorted and hold
+    M = K + 1 and at least one repeat."""
+    k = draw(st.integers(2, 3))
+    system = draw(st.sampled_from(["wetmm", "opmm", "ideal"]))
+    detector = draw(st.sampled_from(["zf", "mrc"]))
+    policy = draw(st.sampled_from(["analytic", "simplex"])) if k == 2 else "analytic"
+    ms = draw(st.lists(st.integers(k + 1 if detector == "zf" else 2, 1024), min_size=1,
+                       max_size=5))
+    ms = draw(st.permutations(ms + [k + 1, ms[0]]))
+    dist = np.array(draw(st.lists(st.floats(2.0, 30.0), min_size=k, max_size=k)))
+    p_dl, s2 = 10.0 ** draw(st.floats(-1.0, 1.0)), 10.0 ** draw(st.floats(-16.0, -13.0))
+    return ([SystemParams(M=m, K=k, p_dl=p_dl, sigma2_ul=s2, beta=1e-3 * dist ** -3.0)
+             for m in ms], system, detector, policy)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(antenna_batches(), st.data())
+def test_batched_search_equals_one_search_per_antenna_count(batch, data):
+    """A batch over antenna counts returns, for each count, the allocation,
+    the min rate and rates bit for bit and the evaluation count of that
+    count's own grid_search_p1: coarse factors 1-7 (1 is one full sweep),
+    refine radii 0-3 (0 makes every refine box one point per axis, clipped
+    boxes repeat their last index) and, in some examples, slabs of 64
+    entries, which split a level's bounds and points across problems."""
+    problems, system, detector, policy = batch
+    args = ((0.01, data.draw(st.floats(0.03, 0.1)), data.draw(st.floats(0.03, 0.1))), policy,
+            data.draw(st.floats(0.1, 0.35)), data.draw(st.integers(1, 7)),
+            data.draw(st.integers(0, 3)))
+    with mock.patch.object(optimizer, "_SLAB_ENTRIES", data.draw(st.sampled_from([64, 2 ** 13]))):
+        got = optimizer._grid_search(problems, system, detector, *args)
+        want = [grid_search_p1(params, system, detector, *args) for params in problems]
+    for g, w in zip(got, want, strict=True):
+        a, b = g.allocation, w.allocation
+        assert (a.tau, a.alpha, a.rho) == (b.tau, b.alpha, b.rho)
+        assert a.xi.tobytes() == b.xi.tobytes()
+        assert np.float64(g.min_rate).tobytes() == np.float64(w.min_rate).tobytes()
+        assert g.rates.tobytes() == w.rates.tobytes()
+        assert (g.n_evaluations, g.grid_steps) == (w.n_evaluations, w.grid_steps)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_kernels_take_one_antenna_count_per_point(data):
+    """Each kernel with an array of antenna counts, one per point, gives at
+    every point the bytes of the call with that point's count as a Python
+    int, which is what the public entries pass: _energies, _sinr (at a
+    point and over a box), _closed_form_sinr, _lattice_rates and
+    _block_bounds, on 1-D operands with users on axis 0."""
+    k = data.draw(st.integers(1, 3))
+    system = data.draw(st.sampled_from(["wetmm", "opmm", "ideal"]))
+    detector = data.draw(st.sampled_from(["zf", "mrc"]))
+    m = np.array(data.draw(st.lists(st.integers(k + 1 if detector == "zf" else 2, 1024),
+                                    min_size=1, max_size=6)))
+    n = m.size
+    dist = np.array(data.draw(st.lists(st.floats(2.0, 30.0), min_size=k, max_size=k)))
+    params = SystemParams(M=int(m[0]), K=k, p_dl=10.0 ** data.draw(st.floats(-1.0, 1.0)),
+                          sigma2_ul=10.0 ** data.draw(st.floats(-16.0, -13.0)),
+                          beta=1e-3 * dist ** -3.0)
+
+    def unit(shape):
+        return np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))))).reshape(shape)
+
+    alpha, rho, xi = (np.sort(unit((2, n)), axis=0), clamp_rho(np.sort(unit((2, n)), axis=0)),
+                      np.sort(unit((2, k, n)), axis=0))
+    beta = params.beta[:, None]
+    e = [_energies(params, system, m, beta, alpha[i], rho[i], xi[i]) for i in (0, 1)]
+    kernels = [
+        lambda M, j: _energies(params, system, M, beta, alpha[0, j], rho[0, j], xi[0][:, j]),
+        lambda M, j: _sinr(detector, M, k, beta, params.sigma2_ul, e[0][:, j], e[1][:, j],
+                           rho[0, j], rho[1, j], 1.0 - alpha[1, j]),
+        lambda M, j: _closed_form_sinr(params, system, detector, M, beta, 0.0, alpha[0, j],
+                                       rho[0, j], xi[0][:, j]),
+        lambda M, j: optimizer._lattice_rates(params, system, detector, M, alpha[0, j],
+                                              rho[0, j], xi[0][:, j]),
+        lambda M, j: _block_bounds(params, system, detector, M, alpha[:, j], rho[:, j],
+                                   xi[:, :, j]),
+    ]
+    everywhere = slice(None)
+    for kernel in kernels:
+        batched = kernel(m, everywhere)
+        for j in range(n):
+            one = kernel(int(m[j]), slice(j, j + 1))
+            assert one.tobytes() == batched[..., j:j + 1].tobytes(), (kernel, j)
 
 
 @st.composite
@@ -337,11 +427,12 @@ def test_users_last_boundary_matches_the_users_first_kernels(case):
     broadcast operands."""
     params, system, detector, beta, f, l = case
     rho = clamp_rho(f["rho"])
-    sinr = _closed_form_sinr(params, system, detector, beta, f["tau"], f["alpha"], rho, f["xi"])
+    sinr = _closed_form_sinr(params, system, detector, params.M, beta, f["tau"], f["alpha"], rho,
+                             f["xi"])
     used = {"wetmm": "tau alpha rho xi", "opmm": "tau alpha rho", "ideal": "alpha xi"}[system]
     assert_same_bytes(closed_form_sinr(params, system, detector, l["tau"], l["alpha"], l["rho"],
                                        l["xi"]), sinr, [l[n] for n in used.split()])
-    e = _energies(params, system, beta, f["alpha"], rho, f["xi"])
+    e = _energies(params, system, params.M, beta, f["alpha"], rho, f["xi"])
     used = {"wetmm": "alpha rho xi", "opmm": "alpha", "ideal": "alpha xi"}[system]
     assert_same_bytes(energies(params, system, l["alpha"], l["rho"], l["xi"]), e,
                       [l[n] for n in used.split()])
