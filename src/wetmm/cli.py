@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.montecarlo import McConfig, estimate_exact_rate, estimate_exact_rates, operating_point
+from wetmm.montecarlo import McConfig, _estimate_walks, estimate_exact_rate, operating_point
 from wetmm.optimizer import (_grid, _grid_search, _lattice_count, grid_search_p1, optimal_rho_zf,
                              optimal_xi, rate_map)
 from wetmm.rates import (
@@ -115,6 +115,10 @@ class ExperimentSpec:
         # the detector's antenna floor; rate-vs-m writes NaN where M <= K, so
         # its counts need only M >= 2
         floor = len(self.distances) + 1 if self.detector == "zf" else 2
+        # table1 and fairness write one row per count, so they need one;
+        # rate-vs-m writes an empty table for none
+        for name in ("m_values", "fairness_m_values"):
+            _check_count(f"number of {name}", len(getattr(self, name)), 1)
         for name, low in (("m_values", floor), ("fairness_m_values", floor),
                           ("rate_vs_m_values", 2)):
             for m in getattr(self, name):
@@ -301,22 +305,23 @@ def run_table1(spec: ExperimentSpec):
 
     Per antenna count: grid-search allocation, the closed-form optimal
     energy split at that allocation, the large-array rate, the analytic
-    rate, and per-user Monte Carlo rates.
+    rate, and per-user Monte Carlo rates.  The searches run as one batch,
+    and so do the Monte Carlo walks, one per antenna count.
     """
     if len(spec.distances) != 2:
         raise ValueError("the allocation table is defined for the two-user scenario")
     header = ["M", "tau_star", "alpha_star", "rho_star_analytic", "rho_star_grid",
               "rate_asymptotic", "rate_analytic", "mc_rate_user1", "mc_rate_user2"]
+    found = _search_batch(spec, spec.m_values, "wetmm", spec.detector)
+    cfg = _mc_config(spec, "wetmm", spec.detector)
+    walks = [(build_params(spec, m), [(res.allocation, cfg)])
+             for m, res in zip(spec.m_values, found)]
+    asym_fn = asymptotic_zf_rate if spec.detector == "zf" else asymptotic_mrc_rate
     rows = []
-    for m, res in zip(spec.m_values, _search_batch(spec, spec.m_values, "wetmm", spec.detector)):
-        params = build_params(spec, m)
+    for (params, _), res, [mc] in zip(walks, found, _estimate_walks(walks, error_var=False)):
         a = res.allocation
-        rho_analytic = optimal_rho_zf(params.K, a.tau, a.alpha)
-        asym_fn = asymptotic_zf_rate if spec.detector == "zf" else asymptotic_mrc_rate
-        rate_asym = float(np.min(asym_fn(params, a)))
-        mc = estimate_exact_rate(params, a, _mc_config(spec, "wetmm", spec.detector))
-        rows.append([m, a.tau, a.alpha, rho_analytic, a.rho,
-                     rate_asym, res.min_rate, mc.rate[0], mc.rate[1]])
+        rows.append([params.M, a.tau, a.alpha, optimal_rho_zf(params.K, a.tau, a.alpha), a.rho,
+                     float(np.min(asym_fn(params, a))), res.min_rate, mc.rate[0], mc.rate[1]])
     return _emit(spec, "table1", [("table1.csv", header, rows)])
 
 
@@ -381,9 +386,9 @@ def run_fairness(spec: ExperimentSpec):
     """Per-user MC rates versus antenna count, subspace beam versus isotropic.
 
     Each beam's allocations are searched first, its antenna counts as one
-    batch.  Then at each antenna count one Monte Carlo walk estimates both
-    arms on the same trials, drawing each trial's first normals once for
-    the two (common random numbers).
+    batch.  Then one batch of Monte Carlo walks runs, one walk per antenna
+    count, each estimating both arms on the same trials and drawing each
+    trial's first normals once for the two (common random numbers).
     """
     if len(spec.distances) != 2:
         raise ValueError("the fairness comparison is defined for the two-user scenario")
@@ -391,12 +396,11 @@ def run_fairness(spec: ExperimentSpec):
     systems = ("wetmm", "opmm")
     found = [_search_batch(spec, spec.fairness_m_values, system, spec.detector, fig=True)
              for system in systems]
-    rows = []
-    for m, *res in zip(spec.fairness_m_values, *found):
-        points = [(r.allocation, _mc_config(spec, system, spec.detector))
-                  for r, system in zip(res, systems)]
-        rows.append([m] + [r for mc in estimate_exact_rates(build_params(spec, m), points)
-                           for r in mc.rate])
+    walks = [(build_params(spec, m), [(r.allocation, _mc_config(spec, system, spec.detector))
+                                      for r, system in zip(res, systems)])
+             for m, *res in zip(spec.fairness_m_values, *found)]
+    rows = [[m] + [r for mc in ests for r in mc.rate]
+            for m, ests in zip(spec.fairness_m_values, _estimate_walks(walks, error_var=False))]
     return _emit(spec, "fairness", [("fairness.csv", header, rows)])
 
 

@@ -16,24 +16,30 @@ operating point, reproduced here so the Monte Carlo estimates the same
 quantity the formulas predict.  Trials are evaluated in stacked chunks,
 spread over one worker process per usable CPU; each trial keeps its own
 random stream, so no result depends on the chunking or on the worker count.
-The walk's process runs one share of the chunks itself and forks
-(``os.fork``) a child for each other share.  The children inherit the walk's
-state and write their trials' rows straight into the output arrays, which
-lie in an anonymous shared mapping, so no row is pickled; a child sends back
-only the errors of its failed chunks, through a pipe, and leaves through
-``os._exit``.  Where ``os.fork`` is missing the walk runs on one worker, in
-its own process, as the beam-structure check always does (its per-trial
-complete QR runs on the BLAS threads).  CPython 3.12 and later may issue a
-DeprecationWarning when a process that runs other threads, such as BLAS
-threads, forks; the walk lets it through.
+Workers are forked once per batch of walks, not once per walk: the
+allocation table and the fairness comparison run one walk per antenna count
+as one batch, and every other caller runs a batch of one.  The chunks of
+all the batch's walks are listed in (walk, chunk) order; the calling process
+runs one share of them itself and forks (``os.fork``) a child for each other
+share.  The children inherit the batch's state and write their trials' rows
+straight into the output arrays, which lie in an anonymous shared mapping,
+so no row is pickled; a child sends back only the errors of its failed
+chunks, through a pipe, and leaves through ``os._exit``.  Where ``os.fork``
+is missing the batch runs on one worker, in its own process, as the
+beam-structure check always does (its per-trial complete QR runs on the BLAS
+threads).  CPython 3.12 and later may issue a DeprecationWarning when a
+process that runs other threads, such as BLAS threads, forks; the batch lets
+it through.
 What no chunk changes is built once per walk: the operating point, the
 channel constants of its pilot energy, the noise term n, the MRC
 off-diagonal mask and the isotropic beam.  The walk owns the random
 streams: it builds the seed words of every trial's first stream once, each
-worker builds one generator, and per chunk the walk sets that generator to
-the trials' streams, draws their normals into complex stacks once and hands
-them to the chunk's evaluation, with a redraw for its ill-conditioned
-trials.
+worker builds one generator, and per chunk the worker sets that generator
+to the trials' streams, draws their normals into complex stacks once and
+hands them to the chunk's evaluation, with a redraw for its ill-conditioned
+trials.  A chunk's stacks stay alive while the next chunk's normals are
+drawn and are released before that chunk's evaluation runs (see
+:func:`_run_chunks` for what either mistake costs).
 The MMSE error-variance check rides along in the same walk: a trial's
 first draw feeds both the rate and energy rows and the pilot-pipeline
 error |g_hat - g|^2, so its normals are drawn and interleaved once.  One
@@ -49,6 +55,7 @@ is bit for bit what the per-trial arithmetic gives.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 from dataclasses import dataclass
@@ -64,7 +71,7 @@ from wetmm.energy import (
 )
 from wetmm import estimation
 from wetmm.estimation import _channel_consts, _channels, _trial_normals, error_variance
-from wetmm.rates import _data_phase, closed_form_rate
+from wetmm.rates import _rate_phase, closed_form_rate
 from wetmm.sysmodel import SystemParams, _antenna_sum, _check_count, _check_tags
 # trial_rng stays bound here for bench/selftest.py, which checks that the
 # tracer rebinds it in every namespace that imported it
@@ -186,7 +193,7 @@ def operating_point(params: SystemParams, alloc: ResourceAllocation, system: str
     (1 - rho) E / (1 - tau - alpha), or E / (1 - alpha) for the ideal
     system.  Raises ValueError unless alpha > 0 and the data phase is
     nonempty."""
-    rem = _data_phase(system, alloc.tau, alloc.alpha)
+    rem = _rate_phase(system, alloc.tau, alloc.alpha)
     if alloc.alpha <= 0 or rem <= 0:
         raise ValueError("Monte Carlo needs alpha > 0 and a nonempty data phase")
     e = energies(params, system, alloc.alpha, alloc.rho, alloc.xi)
@@ -243,41 +250,62 @@ def _fork_share(run, first: int) -> tuple[int, int]:
         os._exit(status)
 
 
-def _run_chunks(params: SystemParams, cfg: McConfig, consts, body,
-                max_workers: int | None = None) -> None:
-    """Call ``body(trials, stacks, redraw)`` once per chunk (consecutive
-    trial indices) of range(cfg.n_trials), in up to ``max_workers`` (default
-    _WORKERS) processes, this one included, each over every n-th chunk;
-    ``body`` writes only its trials' rows, which must be ``_shared_rows``.
-    ``stacks`` are the trials' salt-0 normals and ``redraw(pending, salt)``
-    gives those of trials ``pending`` at ``salt``, both from
-    :func:`_trial_normals` with the block count of ``consts``.  Re-raise the
-    first failing chunk's error.  Every forked worker is reaped before this
-    returns or raises; one that exits without its report makes the walk
-    raise, so no partial rows are returned."""
-    import signal
+def _walk_chunks(params: SystemParams, cfg: McConfig, consts, body) -> list:
+    """The chunks of one walk over range(cfg.n_trials), in trial order, for
+    :func:`_run_chunks`: each is ``(trials, normals, body)``, with
+    ``trials`` consecutive indices stacking about _CHUNK_ENTRIES entries and
+    ``normals(pending, salt, rng)`` the :func:`_trial_normals` of trials
+    ``pending`` at ``salt``, with the block count of ``consts``.  The salt-0
+    seed words of every trial are built here, once per walk."""
     size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
-    chunks = [np.arange(lo, min(lo + size, cfg.n_trials)) for lo in range(0, cfg.n_trials, size)]
-    n_workers = min(_WORKERS if max_workers is None else max_workers, len(chunks))
     words = estimation._pcg64_states(cfg.master_seed, range(cfg.n_trials), 0)
+
+    def normals(pending, salt, rng):
+        states = (words[pending] if salt == 0
+                  else estimation._pcg64_states(cfg.master_seed, pending, salt))
+        return _trial_normals(params, consts, states, rng)
+    return [(np.arange(lo, min(lo + size, cfg.n_trials)), normals, body)
+            for lo in range(0, cfg.n_trials, size)]
+
+
+def _run_chunks(chunks: list, max_workers: int | None = None) -> None:
+    """Run ``chunks``, the :func:`_walk_chunks` of one walk or of a batch
+    of walks concatenated in (walk, chunk) order, in up to ``max_workers``
+    (default _WORKERS) processes, this one included, forked once for the
+    whole list: worker w takes every n-th chunk from the w-th on.  Each
+    worker has one generator; per chunk it draws the trials' salt-0 stacks
+    and calls ``body(trials, stacks, redraw)``, where ``redraw(pending,
+    salt)`` gives the stacks of trials ``pending`` at ``salt``.  A body
+    writes only its trials' rows, which must be ``_shared_rows``.  Re-raise
+    the error of the first failing chunk in list order.  Every forked worker
+    is reaped before this returns or raises; one that exits without its
+    report makes the batch raise, so no partial rows are returned."""
+    import signal
+    n_workers = min(_WORKERS if max_workers is None else max_workers, len(chunks))
 
     def run(first: int) -> dict:
         rng = np.random.default_rng(0)  # one generator per worker, set to each trial in turn
-        def redraw(pending, salt):
-            return _trial_normals(params, consts,
-                                  estimation._pcg64_states(cfg.master_seed, pending, salt), rng)
         for index in range(first, len(chunks), n_workers):
-            trials = chunks[index]
+            trials, normals, body = chunks[index]
             try:
                 # the last chunk's stacks stay alive while these are drawn:
                 # freed first, they let glibc trim the heap top, and each chunk
-                # faults its pages in anew (26x the minor faults, +25% CPU)
-                stacks = _trial_normals(params, consts, words[trials], rng)
-                body(trials, stacks, redraw)
-            except Exception as exc:  # re-raised by the parent, in chunk order
+                # faults its pages in anew (26x the minor faults, +25% CPU).
+                # Rebinding releases them before this body runs; kept through
+                # it, they made mc-validate --m 1000 12-15% slower
+                stacks = normals(trials, 0, rng)
+                body(trials, stacks, functools.partial(normals, rng=rng))
+            except Exception as exc:  # re-raised by the parent, in list order
                 return {index: exc}
         return {}
 
+    # an untouched 16 MB block, freed at once, lifts glibc's dynamic mmap and
+    # trim thresholds above every chunk's arrays, here and in the forked
+    # workers, so no chunk maps or trims its heap pages anew.  Without it a
+    # fresh process's 3,000-trial walk at M = 1000 took 59k minor faults on
+    # one worker (1.1k with it), and a warm fairness pass 2.2k or 15.5k as
+    # the heap's layout happened to fall
+    np.empty(1 << 21)
     children = []  # (pid, read end of its report pipe), not yet reaped
     try:
         for first in range(1, n_workers):
@@ -294,7 +322,7 @@ def _run_chunks(params: SystemParams, cfg: McConfig, consts, body,
                 raise RuntimeError(f"a Monte Carlo worker {how} without its report")
             failures.update(pickle.loads(data))
     except BaseException:
-        # the walk fails either way: stop the workers rather than wait for them
+        # the batch fails either way: stop the workers rather than wait for them
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -366,10 +394,11 @@ def _error_rows(G: np.ndarray, G_hat: np.ndarray) -> np.ndarray:
     return _antenna_sum(sq) / G.shape[1]
 
 
-def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
-    """Simulate ``cfg.n_trials`` independent frames at each ``(alloc, cfg)``
-    of ``points`` in one walk over the trial chunks; one ``(energy, sinr,
-    resamples, err_sq)`` per point.
+def _trial_walk(params: SystemParams, points: list, error_var: bool) -> tuple[list, list]:
+    """Plan one walk that simulates ``cfg.n_trials`` independent frames at
+    each ``(alloc, cfg)`` of ``points``: returns ``(rows, chunks)``, where
+    ``rows`` holds one ``(energy, sinr, resamples, err_sq)`` per point,
+    filled once :func:`_run_chunks` has run the walk's ``chunks``.
 
     ``energy`` and ``sinr`` are the (n_trials, K) harvested energies
     alpha p_dl |g_k^H w|^2 and exact SINRs, and ``resamples`` each trial's
@@ -445,7 +474,13 @@ def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
             else:
                 raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
                                             f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
-    _run_chunks(params, cfg0, ops[0][0], body)
+    return out, _walk_chunks(params, cfg0, ops[0][0], body)
+
+
+def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
+    """The rows of :func:`_trial_walk`, its walk run alone."""
+    out, chunks = _trial_walk(params, points, error_var)
+    _run_chunks(chunks)
     return out
 
 
@@ -479,22 +514,42 @@ def estimate_exact_rates(params: SystemParams, points: list, *,
     them (common random numbers).  The points must share ``master_seed``,
     ``n_trials`` and whether the system is ideal; ValueError names the
     field that differs.  Each point's estimate equals its own
-    :func:`estimate_exact_rate` bit for bit.
+    :func:`estimate_exact_rate` bit for bit.  The walk runs as a batch of
+    one, forking its workers once; the allocation table and the fairness
+    comparison batch one walk per antenna count (:func:`_estimate_walks`).
     """
-    if error_var and any(cfg.system == "ideal" for _, cfg in points):
+    return _estimate_walks([(params, points)], error_var)[0]
+
+
+def _estimate_walks(walks: list, error_var: bool) -> list[list[McRateEstimate]]:
+    """:func:`estimate_exact_rates` at each ``(params, points)`` of
+    ``walks``, bit for bit, with the chunks of all the walks run by one set
+    of forked workers (:func:`_run_chunks`), so a batch forks once, not once
+    per walk.  Every walk is planned before the fork, so the rows and seed
+    words of all of them are live at once: per trial, 32 bytes of seed words
+    and, at K = 2, 40 bytes of rows per point (56 with error rows), so 72
+    bytes for a one-point walk."""
+    _check_count("number of walks", len(walks), 1)
+    if error_var and any(cfg.system == "ideal" for _, points in walks for _, cfg in points):
         raise ValueError("the ideal system has no estimation error")
-    ests = []
-    for (alloc, cfg), (energy, sinr, resamples, err_sq) in zip(
-            points, _run_trials(params, points, error_var)):
-        rate, rate_se = _mean_se(_data_phase(cfg.system, alloc.tau, alloc.alpha)
-                                 * np.log2(1.0 + sinr))
-        e_mean, e_se = _mean_se(energy)
-        est = McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
-                             n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
-        if error_var:
-            est.error_var, est.error_var_se = _mean_se(err_sq)
-        ests.append(est)
-    return ests
+    planned = [_trial_walk(params, points, error_var) for params, points in walks]
+    _run_chunks([chunk for _, chunks in planned for chunk in chunks])
+    return [[_estimate(alloc, cfg, rows, error_var) for (alloc, cfg), rows in zip(points, out)]
+            for (_, points), (out, _) in zip(walks, planned)]
+
+
+def _estimate(alloc: ResourceAllocation, cfg: McConfig, rows, error_var: bool) -> McRateEstimate:
+    """The estimate of one point from its walk's ``(energy, sinr, resamples,
+    err_sq)`` rows."""
+    energy, sinr, resamples, err_sq = rows
+    rate, rate_se = _mean_se(_rate_phase(cfg.system, alloc.tau, alloc.alpha)
+                             * np.log2(1.0 + sinr))
+    e_mean, e_se = _mean_se(energy)
+    est = McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
+                         n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
+    if error_var:
+        est.error_var, est.error_var_se = _mean_se(err_sq)
+    return est
 
 
 def verify_bound_tightness(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
@@ -551,7 +606,7 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
         general[trials] = _harvest(G, w_g, scale)
     # one worker: each trial's complete M x M QR already runs on the BLAS
     # threads, and forked workers beside them oversubscribe the cores
-    _run_chunks(params, cfg, consts, body, max_workers=1)
+    _run_chunks(_walk_chunks(params, cfg, consts, body), max_workers=1)
     s_mean, s_se = _mean_se(structured)
     g_mean, g_se = _mean_se(general)
     d_mean, d_se = _mean_se(structured - general)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from wetmm.energy import ResourceAllocation, _energies, clamp_rho
-from wetmm.rates import (_check_model, _closed_form_sinr, _fold_users, _sinr, closed_form_rate,
-                         closed_form_sinr)
+from wetmm.rates import (_check_model, _closed_form_sinr, _fold_users, _rate_phase, _sinr,
+                         closed_form_rate, closed_form_sinr)
 from wetmm.sysmodel import SystemParams, _check_count, _check_finite, _check_tags
 
 __all__ = [
@@ -505,6 +505,6 @@ def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, 
     for name, v in zip(("tau", "alpha", "rho", "xi"), (tau, alpha, rho, xi)):
         _check_finite(name, v)
     sinr = closed_form_sinr(params, system, detector, tau, alpha, rho, xi)
-    rem = 1.0 - tau - alpha
+    rem = np.where(tau + alpha > 1.0 + 1e-12, np.nan, _rate_phase(system, tau, alpha))
     with np.errstate(invalid="ignore"):
-        return np.where(rem >= 0, rem, np.nan) * np.log2(1.0 + np.maximum(sinr, 0.0))
+        return rem * np.log2(1.0 + np.maximum(sinr, 0.0))

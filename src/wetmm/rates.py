@@ -62,6 +62,15 @@ def _data_phase(system: str, tau, alpha):
     return 1.0 - alpha if system == "ideal" else 1.0 - tau - alpha
 
 
+def _rate_phase(system: str, tau, alpha):
+    """The :func:`_data_phase` that multiplies a rate: exactly 0 where it is
+    at most 1e-12, ResourceAllocation's tolerance at the frame edge, so an
+    allocation on the edge rates 0 however its fractions round (1 - 0.9 -
+    0.1 is -2.8e-17 and 1 - 0.7 - 0.3 is 5.6e-17)."""
+    rem = _data_phase(system, tau, alpha)
+    return np.where(rem > 1e-12, rem, 0.0)
+
+
 def _users_first(n: int, *arrays) -> list:
     """Users-last ``arrays`` (a scalar broadcasts) as rank-``n`` float arrays
     with users on axis 0; one of higher rank only has its last axis moved.
@@ -256,15 +265,16 @@ def closed_form_rate(params: SystemParams, alloc: ResourceAllocation, system: st
     """Closed-form length-K rates (1 - tau - alpha) log2(1 + sinr) at one allocation.
 
     For the "ideal" system the allocation's tau and rho are ignored (both
-    are structurally zero with perfect channel knowledge).  ValueError if
-    the allocation's xi does not have K entries.
+    are structurally zero with perfect channel knowledge).  An allocation
+    within 1e-12 of the frame edge has no data phase and rates exactly 0.
+    ValueError if the allocation's xi does not have K entries.
     """
     _check_model(params, system, detector)
     _check_users(alloc.xi, params.K)
     # the allocation is validated and its xi is 1-D, users-first already
     sinr = _closed_form_sinr(params, system, detector, params.M, params.beta, alloc.tau,
                              alloc.alpha, clamp_rho(alloc.rho), alloc.xi)
-    return _data_phase(system, alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
+    return _rate_phase(system, alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
 
 
 def _top_decade(m_values: np.ndarray) -> np.ndarray:

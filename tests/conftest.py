@@ -43,6 +43,12 @@ def ref_alloc(xi_star):
     return ResourceAllocation(tau=REF_TAU, alpha=REF_ALPHA, rho=REF_RHO, xi=xi_star)
 
 
+def assert_no_child_left():
+    """Fail unless every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fails a test that leaves a child process behind, running or unreaped,

@@ -27,6 +27,8 @@ from wetmm.optimizer import grid_search_p1
 from wetmm.rates import c1_sample
 from wetmm.sysmodel import path_loss, trial_rng
 
+from conftest import assert_no_child_left
+
 # Coarse search settings so CLI round trips stay fast; values are otherwise
 # the reference scenario.
 FAST_SEARCH = """\
@@ -210,6 +212,19 @@ def test_spec_m_values_checked_against_k(tmp_path, capsys):
     assert main(["table1", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "m_values entries must be >= 3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, field", [("table1", "m_values"),
+                                               ("fairness", "fairness_m_values")])
+def test_spec_refuses_an_empty_antenna_grid(tmp_path, capsys, experiment, field):
+    # both ran the search on no problem and failed deep inside it
+    with pytest.raises(ValueError, match=f"^number of {field} must be >= 1, got 0$"):
+        ExperimentSpec(**{field: ()})
+    cfg = write_config(tmp_path, f"{field} =\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"number of {field} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    ExperimentSpec(rate_vs_m_values=())  # rate-vs-m writes an empty table
 
 
 @pytest.mark.parametrize("experiment", ["contour", "rho-sweep"])
@@ -538,6 +553,40 @@ def test_fairness_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
         assert main(["fairness", "--config", cfg, "--out", str(out)]) == 0
         outputs.append((out / "fairness.csv").read_bytes())
     assert outputs[1:] == outputs[:1] * 3
+
+
+def test_table1_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    # at M = K + 1 a low condition limit makes the walk redraw trials
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
+    cfg = write_config(tmp_path, FAST_SEARCH + "m_values = 3, 20\n")
+    outputs = []
+    for workers, chunk_entries in ((1, montecarlo._CHUNK_ENTRIES), (1, 1), (2, 1), (3, 100)):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+        out = tmp_path / f"out{workers}-{chunk_entries}"
+        assert main(["table1", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append((out / "table1.csv").read_bytes())
+    assert outputs[1:] == outputs[:1] * 3
+
+
+@pytest.mark.parametrize("experiment", ["table1", "fairness"])
+def test_an_experiments_walks_fork_once(tmp_path, monkeypatch, experiment):
+    """All the Monte Carlo walks of one experiment, one per antenna count,
+    run through one set of forked workers, and every child is reaped."""
+    forks = []
+    real = os.fork
+    def counting():
+        forks.append(os.getpid())
+        return real()
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    cfg = write_config(tmp_path, FAST_FIG + "m_values = 3, 20, 25\n"
+                       "fairness_m_values = 3, 20, 25\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--trials", "5"]) == 0
+    assert forks == [os.getpid()]
+    assert_no_child_left()
 
 
 def test_fairness_arms_share_each_trials_draw(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from wetmm.montecarlo import (McConfig, _mean_se, _run_trials, estimate_exact_ra
 from wetmm.rates import closed_form_rate
 from wetmm.sysmodel import generate_channel, trial_rng
 
-from conftest import benchmark_params
+from conftest import assert_no_child_left, benchmark_params
 
 
 def cfg_for(system="wetmm", detector="zf", n=200, seed=0, knowledge="statistical"):
@@ -319,9 +319,15 @@ def test_exhausted_redraw_budget_raises_from_the_first_chunk(ref_alloc, monkeypa
         _run_trials(benchmark_params(3), [(ref_alloc, cfg_for(n=9))], error_var=False)
 
 
+def walk_chunks(params, n_trials, body):
+    """The chunks of a perfect-knowledge walk of ``n_trials`` trials."""
+    return montecarlo._walk_chunks(params, cfg_for(n=n_trials), _channel_consts(params, None),
+                                   body)
+
+
 def run_chunks(params, n_trials, body):
     """``_run_chunks`` over a perfect-knowledge walk of ``n_trials`` trials."""
-    montecarlo._run_chunks(params, cfg_for(n=n_trials), _channel_consts(params, None), body)
+    montecarlo._run_chunks(walk_chunks(params, n_trials, body))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -355,9 +361,25 @@ def test_the_first_failing_chunk_raises_its_error(params200, monkeypatch, worker
         run_chunks(params200, 9, body)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_batch_raises_the_first_failing_chunk_of_its_first_failing_walk(params200, monkeypatch,
+                                                                        workers):
+    # four walks of three one-trial chunks: walk 2 fails at trials 1 and 2
+    # (chunks 7 and 8) and walk 3 at trial 0 (chunk 9), which with three
+    # workers is this process's first failure; (walk, chunk) order picks
+    # walk 2's trial 1
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1)
+    failing = {2: (1, 2), 3: (0,)}
+    def body_of(walk):
+        def body(trials, stacks, redraw):
+            if trials[0] in failing.get(walk, ()):
+                raise RuntimeError(f"walk {walk} trial {trials[0]} failed")
+        return body
+    chunks = [chunk for walk in range(4) for chunk in walk_chunks(params200, 3, body_of(walk))]
+    with pytest.raises(RuntimeError, match="walk 2 trial 1 failed"):
+        montecarlo._run_chunks(chunks)
+    assert_no_child_left()
 
 
 def test_a_worker_that_dies_fails_the_walk(ref_alloc, monkeypatch):
@@ -552,3 +574,43 @@ def test_multi_point_walk_rejects_points_that_cannot_share_normals(ref_alloc, fi
                                                                point])
     with pytest.raises(ValueError, match="at least one"):
         montecarlo.estimate_exact_rates(benchmark_params(10), [])
+    with pytest.raises(ValueError, match="number of walks"):
+        montecarlo._estimate_walks([], error_var=False)
+
+
+@pytest.mark.parametrize("detector, error_var", [("zf", False), ("zf", True), ("mrc", False),
+                                                 ("mrc", True)])
+def test_batched_walks_match_one_walk_per_antenna_count(ref_alloc, monkeypatch, detector,
+                                                        error_var):
+    """A batch of walks, one per antenna count, equals one
+    estimate_exact_rates call per walk bit for bit, on any number of workers
+    and chunk sizes: each trial keeps its stream, its redraws and its row."""
+    # at M = K + 1 a low condition limit makes the ZF points redraw trials
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
+    walks = []
+    for m in (3, 25, 200):
+        params = benchmark_params(m)
+        points = [(alloc, McConfig(n_trials=60, master_seed=4, detector=detector,
+                                   system=cfg.system))
+                  for alloc, cfg in fairness_points(ref_alloc, n=60)]
+        walks.append((params, points))
+        if not error_var:  # the ideal system draws 2 blocks, so it walks alone
+            walks.append((params, [(ref_alloc, cfg_for(system="ideal", detector=detector,
+                                                       n=60, seed=4))]))
+    fields = ("rate", "rate_se", "energy", "energy_se", "n_trials", "n_resamples",
+              "error_var", "error_var_se")
+    want = [montecarlo.estimate_exact_rates(params, points, error_var=error_var)
+            for params, points in walks]
+    if detector == "zf":
+        assert all(est.n_resamples > 0 for est in want[0])
+    default_chunk = montecarlo._CHUNK_ENTRIES
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        for chunk_entries in (default_chunk, 1):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+            got = montecarlo._estimate_walks(walks, error_var=error_var)
+            assert len(got) == len(want)
+            for want_walk, got_walk in zip(want, got):
+                for a, b in zip(want_walk, got_walk, strict=True):
+                    for field in fields:
+                        assert np.array_equal(getattr(a, field), getattr(b, field)), field

@@ -238,6 +238,22 @@ def test_rate_map_shape_and_values(params200, xi_star):
     assert np.allclose(grid[1, 1], want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("system", ["wetmm", "opmm"])
+@pytest.mark.parametrize("detector", ["zf", "mrc"])
+def test_rate_map_is_zero_on_the_frame_edge_and_nan_beyond(params200, xi_star, system,
+                                                          detector):
+    # 1 - 0.9 - 0.1 = -2.8e-17 was NaN and 1 - 0.7 - 0.3 = 5.6e-17 gave
+    # 9.5e-20; beyond ResourceAllocation's 1e-12 tolerance a cell is NaN
+    tau = np.array([0.9, 0.7, 0.5, 0.5])
+    alpha = np.array([0.1, 0.3, 0.5 + 5e-13, 0.5 + 2e-12])
+    grid = rate_map(params200, system, detector, tau[:, None], alpha[:, None], 0.5, xi_star)
+    assert np.all(grid[:3] == 0.0) and not np.signbit(grid[:3]).any()
+    assert np.all(np.isnan(grid[3]))
+    for row, t, a in zip(grid[:3], tau, alpha):
+        alloc = ResourceAllocation(tau=float(t), alpha=float(a), rho=0.5, xi=xi_star)
+        assert np.array_equal(row, closed_form_rate(params200, alloc, system, detector))
+
+
 def test_rate_vs_rho_matches_pointwise(params200, xi_star):
     rho_vals = np.array([0.2, 0.5965, 0.9])
     out = rate_map(params200, "wetmm", "zf", 0.00825, 0.076, rho_vals[:, None], xi_star)

@@ -282,6 +282,28 @@ def test_closed_form_rate_dispatch(params200, ref_alloc):
         closed_form_rate(params200, ref_alloc, "wetmm", "nonesuch")
 
 
+# allocations ResourceAllocation accepts on the frame edge: 1 - 0.9 - 0.1
+# is -2.8e-17 (a rate of -1.6e-20) and 1 - 0.7 - 0.3 is 5.6e-17; the ideal
+# system's data phase 1 - alpha ends at alpha = 1
+FRAME_EDGES = {"wetmm": [(0.9, 0.1), (0.7, 0.3), (0.5, 0.5 + 5e-13), (0.5, 0.5 - 5e-13)],
+               "ideal": [(0.0, 1.0), (0.0, 0.1 + 0.2 + 0.7), (0.0, 1.0 + 5e-13),
+                         (0.0, 1.0 - 5e-13)]}
+FRAME_EDGES["opmm"] = FRAME_EDGES["wetmm"]
+
+
+@pytest.mark.parametrize("system", ["wetmm", "opmm", "ideal"])
+@pytest.mark.parametrize("detector", ["zf", "mrc"])
+def test_closed_form_rate_is_zero_on_the_frame_edge(params200, xi_star, system, detector):
+    for tau, alpha in FRAME_EDGES[system]:
+        rate = closed_form_rate(params200, ResourceAllocation(tau, alpha, 0.5, xi_star),
+                                system, detector)
+        assert np.all(rate == 0.0) and not np.signbit(rate).any(), (tau, alpha)
+    # 1e-9 inside the edge the data phase is real
+    tau, alpha = FRAME_EDGES[system][0]
+    inside = ResourceAllocation(tau, alpha - 1e-9, 0.5, xi_star)
+    assert np.all(closed_form_rate(params200, inside, system, detector) > 0)
+
+
 def test_mm_dorg_recovers_exact_slope():
     ms = np.array([10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 1000.0])
     rates = 2.0 * np.log2(ms) + 3.0
