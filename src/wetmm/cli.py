@@ -306,7 +306,8 @@ def run_table1(spec: ExperimentSpec):
     Per antenna count: grid-search allocation, the closed-form optimal
     energy split at that allocation, the large-array rate, the analytic
     rate, and per-user Monte Carlo rates.  The searches run as one batch,
-    and so do the Monte Carlo walks, one per antenna count.
+    and so do the Monte Carlo walks, one per antenna count; the walks read
+    only rates, so they draw only the estimates' normals and build no beam.
     """
     if len(spec.distances) != 2:
         raise ValueError("the allocation table is defined for the two-user scenario")
@@ -318,7 +319,8 @@ def run_table1(spec: ExperimentSpec):
              for m, res in zip(spec.m_values, found)]
     asym_fn = asymptotic_zf_rate if spec.detector == "zf" else asymptotic_mrc_rate
     rows = []
-    for (params, _), res, [mc] in zip(walks, found, _estimate_walks(walks, error_var=False)):
+    ests = _estimate_walks(walks, error_var=False, energy=False)
+    for (params, _), res, [mc] in zip(walks, found, ests):
         a = res.allocation
         rows.append([params.M, a.tau, a.alpha, optimal_rho_zf(params.K, a.tau, a.alpha), a.rho,
                      float(np.min(asym_fn(params, a))), res.min_rate, mc.rate[0], mc.rate[1]])
@@ -350,7 +352,8 @@ def run_rho_sweep(spec: ExperimentSpec):
     rates = rate_map(params, spec.system, spec.detector, spec.sweep_tau,
                      spec.sweep_alpha, rho_vals[:, None], xi)
     header = ["rho"] + [f"rate_user{k + 1}" for k in range(params.K)] + ["min_rate"]
-    rows = [[rho] + list(r) + [float(np.min(r))] for rho, r in zip(rho_vals, rates)]
+    rows = [[rho] + r + [low] for rho, r, low in zip(rho_vals.tolist(), rates.tolist(),
+                                                       rates.min(axis=1).tolist())]
     return _emit(spec, "rho-sweep", [("rho_sweep.csv", header, rows)],
                  {"fixed_tau": spec.sweep_tau, "fixed_alpha": spec.sweep_alpha})
 
@@ -388,7 +391,9 @@ def run_fairness(spec: ExperimentSpec):
     Each beam's allocations are searched first, its antenna counts as one
     batch.  Then one batch of Monte Carlo walks runs, one walk per antenna
     count, each estimating both arms on the same trials and drawing each
-    trial's first normals once for the two (common random numbers).
+    trial's first normals once for the two (common random numbers).  The
+    walks read only rates, so they draw only the estimates' normals and
+    build no beam or harvest.
     """
     if len(spec.distances) != 2:
         raise ValueError("the fairness comparison is defined for the two-user scenario")
@@ -400,7 +405,8 @@ def run_fairness(spec: ExperimentSpec):
                                       for r, system in zip(res, systems)])
              for m, *res in zip(spec.fairness_m_values, *found)]
     rows = [[m] + [r for mc in ests for r in mc.rate]
-            for m, ests in zip(spec.fairness_m_values, _estimate_walks(walks, error_var=False))]
+            for m, ests in zip(spec.fairness_m_values,
+                               _estimate_walks(walks, error_var=False, energy=False))]
     return _emit(spec, "fairness", [("fairness.csv", header, rows)])
 
 

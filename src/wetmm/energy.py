@@ -119,10 +119,18 @@ def beamformer(G_hat: np.ndarray, xi) -> np.ndarray:
     # the Monte Carlo calls this per chunk; a K-entry check is cheapest in Python
     if not all(0.0 <= v < np.inf for v in xi.tolist()):
         raise ValueError("xi must be nonnegative and finite")
-    norms = np.sqrt(_antenna_sum((G_hat.conj() * G_hat).real))
-    if not ((norms > 0) & (norms < np.inf)).all():
-        raise ValueError("degenerate channel estimate: zero-norm column")
+    sq_norms = _antenna_sum((G_hat.conj() * G_hat).real)
+    _check_columns(sq_norms)
+    norms = np.sqrt(sq_norms)
     return (G_hat * (1.0 / norms)[..., None, :]) @ np.sqrt(xi)
+
+
+def _check_columns(sq_norms: np.ndarray) -> None:
+    """Refuse estimates whose squared column norms are not all positive and
+    finite, the columns the beam could not aim at; the Monte Carlo applies
+    the same guard to its Gram diagonals where it builds no beam."""
+    if not ((sq_norms > 0) & (sq_norms < np.inf)).all():
+        raise ValueError("degenerate channel estimate: zero-norm column")
 
 
 def general_beamformer(G_hat: np.ndarray, xi_prime, theta) -> np.ndarray:

@@ -26,7 +26,9 @@ column scales, pilot block and MMSE column scale, and one
 Per chunk, :func:`_trial_normals` sets one generator (one per worker
 process; the Monte Carlo forks its workers, so each builds its own) to each
 trial's stream in turn, draws that trial's normals in one call into a
-stacked buffer and interleaves them into complex stacks once; :func:`_channels`
+stacked buffer (4 real (M, K) blocks, or the first 2 alone where only the
+statistical estimate or the perfect-knowledge channel is read) and
+interleaves them into complex stacks once; :func:`_channels`
 then does the scaling, the subtraction and the pilot pipeline once for the
 chunk, without writing to the stacks, so the Monte Carlo builds the
 statistical and the pilot draw of a trial, and the draws of several
@@ -193,8 +195,8 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
     """
     _check_tags(channel_knowledge=method)
     consts = _channel_consts(params, pilot_energy)
-    stacks = _trial_normals(params, consts, _pcg64_states(master_seed, trials, salt),
-                            np.random.default_rng(0))
+    stacks = _trial_normals(params, _pcg64_states(master_seed, trials, salt),
+                            np.random.default_rng(0), 2 if pilot_energy is None else 4)
     return _channels(params, consts, stacks, method)
 
 
@@ -222,45 +224,53 @@ def _channel_consts(params: SystemParams, pilot_energy, err_var=None) -> tuple:
             full(_mmse_scale(pilots, params.beta, params.sigma2_ul)))
 
 
-def _trial_normals(params: SystemParams, consts, words: np.ndarray,
-                   rng: np.random.Generator) -> list[np.ndarray]:
+def _trial_normals(params: SystemParams, words: np.ndarray, rng: np.random.Generator,
+                   blocks: int) -> list[np.ndarray]:
     """The complex (trials, M, K) stacks of standard normals of the trials
-    whose :func:`_pcg64_states` rows are ``words``.
+    whose :func:`_pcg64_states` rows are ``words``, ``blocks`` real (M, K)
+    blocks per trial (2 or 4).
 
     ``rng``'s PCG64 is set to each trial's ``trial_rng(master_seed, t,
     salt)`` state in turn and makes one ``standard_normal`` call into that
     trial's row of a real buffer: the real and imaginary parts that
     ``complex_gaussian`` draws, in the order of the per-trial draw (channel,
     then pilot noise; or estimate, then error).  The buffer is interleaved
-    into one complex stack per (M, K) draw: the channel alone under perfect
-    channel knowledge (``consts`` of length 1), else a second stack.  Either
-    method of :func:`_channels` reads the same stacks.
+    into one complex stack per two blocks.  numpy fills the buffer in stream
+    order, so a trial's first two blocks are the same whether two or four
+    are drawn: 2 blocks give the channel under perfect channel knowledge, or
+    the statistical estimate alone, and 4 add the pilot noise or the
+    statistical error.  Either method of :func:`_channels` reads the same
+    stacks.
     """
-    pairs = 1 if len(consts) == 1 else 2
     M, K = params.M, params.K
-    buf = np.empty((len(words), 2 * pairs, M, K))
+    buf = np.empty((len(words), blocks, M, K))
     bit_gen = rng.bit_generator
     state, draw = bit_gen.state, rng.standard_normal
     for i, pcg in enumerate(_pcg64_assemble(words)):
         state["state"] = pcg
         bit_gen.state = state
         draw(out=buf[i])
-    stacks = [np.empty((len(words), M, K), dtype=complex) for _ in range(pairs)]
+    stacks = [np.empty((len(words), M, K), dtype=complex) for _ in range(blocks // 2)]
     for b, z in enumerate(stacks):
         z.real, z.imag = buf[:, 2 * b], buf[:, 2 * b + 1]
     return stacks
 
 
-def _channels(params: SystemParams, consts, stacks: list,
-              method: str) -> tuple[np.ndarray, np.ndarray]:
+def _channels(params: SystemParams, consts, stacks: list, method: str,
+              truth: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """``(G, G_hat)`` of :func:`draw_trials` from :func:`_trial_normals`
     stacks, which are left unchanged, and the :func:`_channel_consts` of
     their pilot energy: the scaling, the estimate-minus-error subtraction and
-    the pilot pipeline, each once for the whole stack."""
+    the pilot pipeline, each once for the whole stack.  Without ``truth``
+    the statistical method builds the estimate alone, from the first stack,
+    so 2-block stacks suffice, and returns None for G; the other methods
+    build G on the way to the estimate and return it either way."""
     sqrt_beta, *pilot = consts
     if pilot and method == "statistical":
         est_scale, err_scale = pilot[:2]
         g_hat = stacks[0] * est_scale
+        if not truth:
+            return None, g_hat
         g = stacks[1] * err_scale
         np.subtract(g_hat, g, out=g)
         return g, g_hat

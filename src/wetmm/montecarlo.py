@@ -11,6 +11,18 @@ n = sum_i p_i sigma2_e_i + sigma2,
 
 so that (1 - tau - alpha) E[log2(1 + gamma_k)] is the exact ergodic rate
 the closed-form expressions lower-bound.
+The rate thus reads the estimate alone, and a walk computes only the rows
+its caller reads.  The energy rows, like the error rows, are optional:
+without them a walk builds no beam or harvest, and a statistical trial
+builds no true channel and draws only its estimate's 2 M K normals, not
+4 M K.  numpy fills a trial's buffer in stream order, so those are the
+first half of what the full walk draws, and every rate, standard error and
+redraw count is the full walk's bit for bit.  The allocation table, the
+fairness comparison and the bound-tightness check read only rates; the
+public estimates and the closed-form validation keep their energy rows.
+A pilot trial still draws 4 M K normals, since its estimate reads the pilot
+noise.  Where the beam would refuse an estimate with a zero-norm column, a
+walk without energy rows refuses it from the Gram diagonal it already has.
 Uplink powers use the steady-state energies: the analytical model's
 operating point, reproduced here so the Monte Carlo estimates the same
 quantity the formulas predict.  Trials are evaluated in stacked chunks,
@@ -64,6 +76,7 @@ import numpy as np
 
 from wetmm.energy import (
     ResourceAllocation,
+    _check_columns,
     beamformer,
     clamp_rho,
     energies,
@@ -139,14 +152,17 @@ class McConfig:
 class McRateEstimate:
     """Per-user Monte Carlo rate estimate with standard errors.
 
-    ``error_var`` and ``error_var_se`` are the mean of |g_hat - g|^2 over the
-    antennas and its SE, or None unless the estimate was asked for them.
+    ``energy`` and ``energy_se`` are the harvested energies' mean and SE, or
+    None from a walk that reads only rates (the allocation table, the
+    fairness comparison and :func:`verify_bound_tightness`).  ``error_var``
+    and ``error_var_se`` are the mean of |g_hat - g|^2 over the antennas and
+    its SE, or None unless the estimate was asked for them.
     """
 
     rate: np.ndarray
     rate_se: np.ndarray
-    energy: np.ndarray
-    energy_se: np.ndarray
+    energy: np.ndarray | None
+    energy_se: np.ndarray | None
     n_trials: int
     n_resamples: int
     error_var: np.ndarray | None = None
@@ -250,20 +266,20 @@ def _fork_share(run, first: int) -> tuple[int, int]:
         os._exit(status)
 
 
-def _walk_chunks(params: SystemParams, cfg: McConfig, consts, body) -> list:
+def _walk_chunks(params: SystemParams, cfg: McConfig, blocks: int, body) -> list:
     """The chunks of one walk over range(cfg.n_trials), in trial order, for
     :func:`_run_chunks`: each is ``(trials, normals, body)``, with
     ``trials`` consecutive indices stacking about _CHUNK_ENTRIES entries and
     ``normals(pending, salt, rng)`` the :func:`_trial_normals` of trials
-    ``pending`` at ``salt``, with the block count of ``consts``.  The salt-0
-    seed words of every trial are built here, once per walk."""
+    ``pending`` at ``salt``, ``blocks`` real (M, K) blocks per trial.  The
+    salt-0 seed words of every trial are built here, once per walk."""
     size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
     words = estimation._pcg64_states(cfg.master_seed, range(cfg.n_trials), 0)
 
     def normals(pending, salt, rng):
         states = (words[pending] if salt == 0
                   else estimation._pcg64_states(cfg.master_seed, pending, salt))
-        return _trial_normals(params, consts, states, rng)
+        return _trial_normals(params, states, rng, blocks)
     return [(np.arange(lo, min(lo + size, cfg.n_trials)), normals, body)
             for lo in range(0, cfg.n_trials, size)]
 
@@ -367,22 +383,30 @@ def _within_cond_limit(gram: np.ndarray, limit: float) -> np.ndarray:
 
 
 def _exact_sinr(G_hat: np.ndarray, powers: np.ndarray, noise: float, off_diag: np.ndarray,
-                detector: str):
+                detector: str, columns: bool = False):
     """Exact SINRs of stacked estimates (T, M, K) from their Grams Q = Ghat^H
     Ghat, with ``noise`` n = sum_i p_i sigma2_e_i + sigma2 -- zf: p_k /
     ([Q^-1]_kk n); mrc: p_k Q_kk^2 / (sum_{i != k} p_i |Q_ki|^2 + Q_kk n),
     its interference summed over i != k alone (``off_diag`` is the K x K
     mask of i != k), since subtracting the diagonal from a full sum cancels
     digits.  Returns ``(ok, sinr)``: the mask of trials whose ZF Gram passes
-    COND_LIMIT (all for MRC) and their SINRs."""
+    COND_LIMIT (all for MRC) and their SINRs.  With ``columns``, raise the
+    beam's zero-norm ValueError (``energy._check_columns``) when an accepted
+    trial's Q_kk, its squared column norm, is 0 or not finite: a walk that
+    builds no beam still refuses the estimates the beam would refuse."""
     gram = G_hat.conj().swapaxes(-1, -2) @ G_hat
+    diag = np.diagonal(gram, axis1=-2, axis2=-1).real
     if detector == "zf":
         ok = _within_cond_limit(gram, COND_LIMIT)
         inv_diag = np.diagonal(np.linalg.inv(gram[ok]), axis1=-2, axis2=-1)
-        return ok, powers / (inv_diag.real * noise)
-    diag = np.diagonal(gram, axis1=-2, axis2=-1).real
-    cross = np.abs(gram) ** 2 * off_diag
-    return np.ones(len(gram), dtype=bool), powers * diag ** 2 / (cross @ powers + diag * noise)
+        sinr = powers / (inv_diag.real * noise)
+    else:
+        ok = np.ones(len(gram), dtype=bool)
+        cross = np.abs(gram) ** 2 * off_diag
+        sinr = powers * diag ** 2 / (cross @ powers + diag * noise)
+    if columns:
+        _check_columns(diag[ok])
+    return ok, sinr
 
 
 def _error_rows(G: np.ndarray, G_hat: np.ndarray) -> np.ndarray:
@@ -394,35 +418,43 @@ def _error_rows(G: np.ndarray, G_hat: np.ndarray) -> np.ndarray:
     return _antenna_sum(sq) / G.shape[1]
 
 
-def _trial_walk(params: SystemParams, points: list, error_var: bool) -> tuple[list, list]:
+def _trial_walk(params: SystemParams, points: list, error_var: bool,
+                energy: bool = True) -> tuple[list, list]:
     """Plan one walk that simulates ``cfg.n_trials`` independent frames at
     each ``(alloc, cfg)`` of ``points``: returns ``(rows, chunks)``, where
-    ``rows`` holds one ``(energy, sinr, resamples, err_sq)`` per point,
+    ``rows`` holds one ``(harvested, sinr, resamples, err_sq)`` per point,
     filled once :func:`_run_chunks` has run the walk's ``chunks``.
 
-    ``energy`` and ``sinr`` are the (n_trials, K) harvested energies
-    alpha p_dl |g_k^H w|^2 and exact SINRs, and ``resamples`` each trial's
-    redraw count.  A trial whose ZF Gram matrix is near-singular is redrawn
-    at the next salt of its stream; np.linalg.LinAlgError is raised when a
-    trial needs more than MAX_RESAMPLES redraws.  With ``error_var``,
+    ``sinr`` holds the (n_trials, K) exact SINRs and ``resamples`` each
+    trial's redraw count.  A trial whose ZF Gram matrix is near-singular is
+    redrawn at the next salt of its stream; np.linalg.LinAlgError is raised
+    when a trial needs more than MAX_RESAMPLES redraws.  With ``energy``,
+    ``harvested`` holds the (n_trials, K) harvested energies alpha p_dl
+    |g_k^H w|^2 (else it is None, and the walk builds no beam or harvest,
+    nor a statistical point its true channel: the rates read the estimate
+    alone).  With ``error_var``,
     ``err_sq`` holds the (n_trials, K) means of |g_hat - g|^2 over the
     antennas (else it is None).
 
     The points share each chunk's salt-0 normals, so they must agree on
-    ``master_seed``, ``n_trials`` and the normals' block count (an ideal
-    point draws 2 blocks, any other 4); ValueError names the field that
-    differs.  Each point builds its own ``(G, G_hat)`` from that buffer, and
-    redraws at salt >= 1 stay per point, since the points' ZF Grams differ.
-    The error rows read the pilot pipeline's draw, because the statistical
-    draw samples the error from the very variance under test.  They are
-    built from the same salt-0 normals, so no normal is drawn twice;
-    redraws change only the rate and energy rows.
+    ``master_seed``, ``n_trials`` and the normals' block count; ValueError
+    names the field that differs.  A point draws 4 real (M, K) blocks per
+    trial (estimate and error, or channel and pilot noise), or 2 where the
+    last two go unread: the ideal system, whose estimate is the channel, and
+    the statistical estimate of a walk with neither energy nor error rows.
+    Each point builds its own channels from that buffer, and redraws at salt
+    >= 1 stay per point, since the points' ZF Grams differ.  The error rows
+    read the pilot pipeline's draw, because the statistical draw samples the
+    error from the very variance under test.  They are built from the same
+    salt-0 normals, so no normal is drawn twice; redraws change only the
+    rate and energy rows.
     """
     if not points:
         raise ValueError("need at least one operating point")
     def shared_fields(cfg):
+        estimate_only = not (energy or error_var) and cfg.channel_knowledge == "statistical"
         return {"master_seed": cfg.master_seed, "n_trials": cfg.n_trials,
-                "block count": 2 if cfg.system == "ideal" else 4}
+                "block count": 2 if cfg.system == "ideal" or estimate_only else 4}
     cfg0 = points[0][1]
     want = shared_fields(cfg0)
     for _, cfg in points[1:]:
@@ -442,7 +474,7 @@ def _trial_walk(params: SystemParams, points: list, error_var: bool) -> tuple[li
                     float(np.dot(powers, err_var)) + params.sigma2_ul))
     off_diag = ~np.eye(K, dtype=bool)
     isotropic = np.full(params.M, 1.0 / np.sqrt(params.M), dtype=complex)
-    out = [(_shared_rows((n, K)), _shared_rows((n, K)), _shared_rows(n, int),
+    out = [(_shared_rows((n, K)) if energy else None, _shared_rows((n, K)), _shared_rows(n, int),
             _shared_rows((n, K)) if error_var else None) for _ in points]
 
     def draw(cfg, consts, err_sq, pending, stacks, salt):
@@ -452,29 +484,34 @@ def _trial_walk(params: SystemParams, points: list, error_var: bool) -> tuple[li
             if cfg.channel_knowledge == "pilot":
                 return G, G_hat
             del G, G_hat  # free the pilot stacks before the rate stacks are built
-        return _channels(params, consts, stacks, cfg.channel_knowledge)
+        return _channels(params, consts, stacks, cfg.channel_knowledge, truth=energy)
 
     def body(trials, shared, redraw):
         for (alloc, cfg), (consts, powers, noise), rows in zip(points, ops, out):
-            energy, sinr, resamples, err_sq = rows
+            harvested, sinr, resamples, err_sq = rows
             pending = trials
             for salt in range(MAX_RESAMPLES + 1):
                 stacks = shared if salt == 0 else redraw(pending, salt)
                 G, G_hat = draw(cfg, consts, err_sq, pending, stacks, salt)
-                ok, sinr_ok = _exact_sinr(G_hat, powers, noise, off_diag, cfg.detector)
-                done = pending
-                if not ok.all():
-                    G, G_hat, done, pending = G[ok], G_hat[ok], pending[ok], pending[~ok]
-                w = isotropic if cfg.system == "opmm" else beamformer(G_hat, alloc.xi)
+                # with no beam, the rates keep its refusal of zero-norm columns
+                ok, sinr_ok = _exact_sinr(G_hat, powers, noise, off_diag, cfg.detector,
+                                          columns=not energy and cfg.system != "opmm")
+                all_ok = ok.all()
+                done = pending if all_ok else pending[ok]
                 sinr[done] = sinr_ok
-                energy[done] = _harvest(G, w, alloc.alpha * params.p_dl)
                 resamples[done] = salt
-                if ok.all():
+                if energy:
+                    if not all_ok:
+                        G, G_hat = G[ok], G_hat[ok]
+                    w = isotropic if cfg.system == "opmm" else beamformer(G_hat, alloc.xi)
+                    harvested[done] = _harvest(G, w, alloc.alpha * params.p_dl)
+                if all_ok:
                     break
+                pending = pending[~ok]
             else:
                 raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
                                             f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
-    return out, _walk_chunks(params, cfg0, ops[0][0], body)
+    return out, _walk_chunks(params, cfg0, want["block count"], body)
 
 
 def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
@@ -498,11 +535,15 @@ def estimate_exact_rate(params: SystemParams, alloc: ResourceAllocation,
     """Per-user exact ergodic rate: mean of rem * log2(1 + gamma) with SE.
 
     rem is 1 - tau - alpha (1 - alpha for the ideal system, which has no
-    estimation phase).  Harvested-energy statistics ride along for free.
-    With ``error_var`` the estimate also carries the MC mean and SE of the
-    pilot pipeline's |g_hat - g|^2, averaged over the antennas, read from
-    the same trials and normals; the ideal system has no estimation error,
-    so it raises ValueError there.
+    estimation phase).  The estimate also carries the harvested-energy
+    statistics, which are not free: they cost half of each trial's normals
+    (the statistical error, or the pilot noise the channel needs), the true
+    channel, the beam and the harvest.  Callers that read only rates
+    (:func:`verify_bound_tightness`, the allocation table, the fairness
+    comparison) run the walk without them.  With ``error_var`` the estimate
+    also carries the MC mean and SE of the pilot pipeline's |g_hat - g|^2,
+    averaged over the antennas, read from the same trials and normals; the
+    ideal system has no estimation error, so it raises ValueError there.
     """
     return estimate_exact_rates(params, [(alloc, cfg)], error_var=error_var)[0]
 
@@ -521,33 +562,41 @@ def estimate_exact_rates(params: SystemParams, points: list, *,
     return _estimate_walks([(params, points)], error_var)[0]
 
 
-def _estimate_walks(walks: list, error_var: bool) -> list[list[McRateEstimate]]:
+def _estimate_walks(walks: list, error_var: bool,
+                    energy: bool = True) -> list[list[McRateEstimate]]:
     """:func:`estimate_exact_rates` at each ``(params, points)`` of
     ``walks``, bit for bit, with the chunks of all the walks run by one set
     of forked workers (:func:`_run_chunks`), so a batch forks once, not once
-    per walk.  Every walk is planned before the fork, so the rows and seed
-    words of all of them are live at once: per trial, 32 bytes of seed words
-    and, at K = 2, 40 bytes of rows per point (56 with error rows), so 72
-    bytes for a one-point walk."""
+    per walk.  Without ``energy`` the walks read only rates: each estimate's
+    ``energy`` and ``energy_se`` are None, and its rates, ``rate_se`` and
+    ``n_resamples`` are the full walk's bit for bit, with no beam or harvest
+    built and, for a statistical point, half the normals drawn (see
+    :func:`_trial_walk`).  Every walk is planned before the fork, so the
+    rows and seed words of all of them are live at once: per trial, 32
+    bytes of seed words and, at K = 2, 40 bytes of rows per point (24
+    without energy rows, 16 more with error rows), so 72 bytes for a
+    one-point walk."""
     _check_count("number of walks", len(walks), 1)
     if error_var and any(cfg.system == "ideal" for _, points in walks for _, cfg in points):
         raise ValueError("the ideal system has no estimation error")
-    planned = [_trial_walk(params, points, error_var) for params, points in walks]
+    planned = [_trial_walk(params, points, error_var, energy) for params, points in walks]
     _run_chunks([chunk for _, chunks in planned for chunk in chunks])
-    return [[_estimate(alloc, cfg, rows, error_var) for (alloc, cfg), rows in zip(points, out)]
+    return [[_estimate(alloc, cfg, rows) for (alloc, cfg), rows in zip(points, out)]
             for (_, points), (out, _) in zip(walks, planned)]
 
 
-def _estimate(alloc: ResourceAllocation, cfg: McConfig, rows, error_var: bool) -> McRateEstimate:
-    """The estimate of one point from its walk's ``(energy, sinr, resamples,
-    err_sq)`` rows."""
-    energy, sinr, resamples, err_sq = rows
+def _estimate(alloc: ResourceAllocation, cfg: McConfig, rows) -> McRateEstimate:
+    """The estimate of one point from its walk's ``(harvested, sinr,
+    resamples, err_sq)`` rows; the energy and error fields stay None where
+    their rows are."""
+    harvested, sinr, resamples, err_sq = rows
     rate, rate_se = _mean_se(_rate_phase(cfg.system, alloc.tau, alloc.alpha)
                              * np.log2(1.0 + sinr))
-    e_mean, e_se = _mean_se(energy)
-    est = McRateEstimate(rate=rate, rate_se=rate_se, energy=e_mean, energy_se=e_se,
+    est = McRateEstimate(rate=rate, rate_se=rate_se, energy=None, energy_se=None,
                          n_trials=cfg.n_trials, n_resamples=int(resamples.sum()))
-    if error_var:
+    if harvested is not None:
+        est.energy, est.energy_se = _mean_se(harvested)
+    if err_sq is not None:
         est.error_var, est.error_var_se = _mean_se(err_sq)
     return est
 
@@ -560,9 +609,9 @@ def verify_bound_tightness(params: SystemParams, alloc: ResourceAllocation, cfg:
     errors).  ``tight`` additionally checks gap / exact <= 0.05 per user.
     If any user's 3-sigma half width exceeds ``precision`` of its exact
     rate, the check is flagged inconclusive and neither verdict should be
-    trusted.
+    trusted.  The walk reads only rates, so it builds no beam or harvest.
     """
-    est = estimate_exact_rate(params, alloc, cfg)
+    est = _estimate_walks([(params, [(alloc, cfg)])], error_var=False, energy=False)[0][0]
     bound = closed_form_rate(params, alloc, cfg.system, cfg.detector)
     gap = est.rate - bound
     conclusive = bool(np.all(3.0 * est.rate_se <= precision * np.abs(est.rate)))
@@ -606,7 +655,7 @@ def verify_beamformer_structure(params: SystemParams, alloc: ResourceAllocation,
         general[trials] = _harvest(G, w_g, scale)
     # one worker: each trial's complete M x M QR already runs on the BLAS
     # threads, and forked workers beside them oversubscribe the cores
-    _run_chunks(_walk_chunks(params, cfg, consts, body), max_workers=1)
+    _run_chunks(_walk_chunks(params, cfg, 4, body), max_workers=1)
     s_mean, s_se = _mean_se(structured)
     g_mean, g_se = _mean_se(general)
     d_mean, d_se = _mean_se(structured - general)

@@ -193,7 +193,9 @@ def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> np.nd
                      (sigma2 [K + rem rho / (1-rho)]))
 
     The expression vanishes at both rho endpoints; rho = 1 is evaluated
-    just inside the boundary to keep the division finite.
+    just inside the boundary to keep the division finite.  The outer rem is
+    :func:`_rate_phase`'s, so an allocation within 1e-12 of the frame edge
+    rates exactly 0.
     """
     params.require_zf()
     _check_users(alloc.xi, params.K)
@@ -201,7 +203,7 @@ def asymptotic_zf_rate(params: SystemParams, alloc: ResourceAllocation) -> np.nd
     rho = min(float(alloc.rho), 1.0 - 1e-12)
     num = params.M * (params.M - params.K) * alloc.alpha * params.p_dl * params.beta**2 * alloc.xi * rho
     den = params.sigma2_ul * (params.K + rem * rho / (1.0 - rho))
-    return rem * np.log2(1.0 + num / den)
+    return _rate_phase("wetmm", alloc.tau, alloc.alpha) * np.log2(1.0 + num / den)
 
 
 def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> np.ndarray:
@@ -211,15 +213,16 @@ def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> np.n
 
     With a single user the interference sum is empty and the limit is
     unbounded; the rate is then infinite rather than raising, since that is
-    the honest value of the limit.
+    the honest value of the limit.  The outer rem is :func:`_rate_phase`'s,
+    so an allocation within 1e-12 of the frame edge rates exactly 0 (NaN
+    for the single user's unbounded limit).
     """
     _check_users(alloc.xi, params.K)
-    rem = 1.0 - alloc.tau - alloc.alpha
     w = params.beta**2 * alloc.xi
     cross = w.sum() - w
     with np.errstate(divide="ignore"):
         sinr = np.where(cross > 0, (params.M - 1) * w / np.where(cross > 0, cross, 1.0), np.inf)
-    return rem * np.log2(1.0 + sinr)
+    return _rate_phase("wetmm", alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
 
 
 def maxmin_asymptotic_rate(params: SystemParams, detector: str) -> float:

@@ -570,6 +570,23 @@ def test_table1_csv_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("experiment", ["table1", "fairness"])
+def test_an_experiments_walks_build_no_beam_or_harvest(tmp_path, monkeypatch, experiment):
+    """table1 and fairness read only the Monte Carlo rates, so their walks
+    never build a beam or a harvest, and their CSVs are unchanged."""
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    cfg = write_config(tmp_path, FAST_FIG + "m_values = 3, 20\nfairness_m_values = 3, 20\n")
+    csv_name = experiment + ".csv"
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "want")]) == 0
+    def forbidden(*args):
+        raise AssertionError("a rate-only walk built a beam or a harvest")
+    monkeypatch.setattr(montecarlo, "beamformer", forbidden)
+    monkeypatch.setattr(montecarlo, "_harvest", forbidden)
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "got")]) == 0
+    assert ((tmp_path / "got" / csv_name).read_bytes()
+            == (tmp_path / "want" / csv_name).read_bytes())
+
+
+@pytest.mark.parametrize("experiment", ["table1", "fairness"])
 def test_an_experiments_walks_fork_once(tmp_path, monkeypatch, experiment):
     """All the Monte Carlo walks of one experiment, one per antenna count,
     run through one set of forked workers, and every child is reaped."""

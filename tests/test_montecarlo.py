@@ -320,9 +320,9 @@ def test_exhausted_redraw_budget_raises_from_the_first_chunk(ref_alloc, monkeypa
 
 
 def walk_chunks(params, n_trials, body):
-    """The chunks of a perfect-knowledge walk of ``n_trials`` trials."""
-    return montecarlo._walk_chunks(params, cfg_for(n=n_trials), _channel_consts(params, None),
-                                   body)
+    """The chunks of a perfect-knowledge walk of ``n_trials`` trials, 2
+    blocks per trial."""
+    return montecarlo._walk_chunks(params, cfg_for(n=n_trials), 2, body)
 
 
 def run_chunks(params, n_trials, body):
@@ -614,3 +614,84 @@ def test_batched_walks_match_one_walk_per_antenna_count(ref_alloc, monkeypatch, 
                 for a, b in zip(want_walk, got_walk, strict=True):
                     for field in fields:
                         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("system", ["wetmm", "opmm", "ideal"])
+@pytest.mark.parametrize("detector", ["zf", "mrc"])
+def test_rate_only_walks_match_the_full_walks(ref_alloc, monkeypatch, system, detector):
+    """Walks without energy rows give the full walks' rates, standard errors
+    and redraw counts bit for bit, on any number of workers and chunk sizes,
+    and no energy statistics."""
+    # at M = K + 1 a low condition limit makes the ZF walk redraw trials
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
+    walks = [(benchmark_params(m), [(ref_alloc, cfg_for(system=system, detector=detector,
+                                                        n=60, seed=4))])
+             for m in (3, 25, 200)]
+    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+    want = montecarlo._estimate_walks(walks, error_var=False)
+    if detector == "zf":
+        assert want[0][0].n_resamples > 0
+    default_chunk = montecarlo._CHUNK_ENTRIES
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        for chunk_entries in (default_chunk, 1):
+            monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
+            got = montecarlo._estimate_walks(walks, error_var=False, energy=False)
+            for [a], [b] in zip(want, got, strict=True):
+                for field in ("rate", "rate_se", "n_trials", "n_resamples"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field
+                assert b.energy is None and b.energy_se is None and b.error_var is None
+
+
+@pytest.mark.parametrize("system, knowledge, energy, blocks", [
+    ("wetmm", "statistical", False, 2), ("opmm", "statistical", False, 2),
+    ("ideal", "statistical", False, 2), ("wetmm", "pilot", False, 4),
+    ("wetmm", "statistical", True, 4), ("ideal", "statistical", True, 2)])
+def test_a_trial_draws_only_the_normals_its_walk_reads(ref_alloc, monkeypatch, system,
+                                                        knowledge, energy, blocks):
+    """A statistical rate-only trial draws its estimate's 2 M K normals; a
+    pilot trial's estimate reads the pilot noise, so it draws 4 M K."""
+    drawn = []
+    real = montecarlo._trial_normals
+    def counting(params, words, rng, n_blocks):
+        stacks = real(params, words, rng, n_blocks)
+        drawn.append((len(words), 2 * sum(z.size for z in stacks)))
+        return stacks
+    monkeypatch.setattr(montecarlo, "_trial_normals", counting)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 1000)
+    params = benchmark_params(25)
+    cfg = cfg_for(system=system, n=70, seed=2, knowledge=knowledge)
+    montecarlo._estimate_walks([(params, [(ref_alloc, cfg)])], error_var=False, energy=energy)
+    assert sum(trials for trials, _ in drawn) == 70 and len(drawn) > 1
+    assert all(normals == blocks * params.M * params.K * trials for trials, normals in drawn)
+
+
+# the zero column's MRC SINR is 0/0 before the guard raises
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("system", ["wetmm", "ideal"])
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_a_rate_only_walk_refuses_a_zero_norm_estimate_column(ref_alloc, monkeypatch,
+                                                                system, fill):
+    """The walk that builds no beam keeps the beam's refusal of an estimate
+    column whose norm is zero or not finite, with the beam's error."""
+    real = montecarlo._channels
+    def degenerate(*args, **kwargs):
+        G, G_hat = real(*args, **kwargs)
+        G_hat[:, :, 0] = fill
+        return G, G_hat
+    monkeypatch.setattr(montecarlo, "_channels", degenerate)
+    walk = [(benchmark_params(25), [(ref_alloc, cfg_for(system=system, detector="mrc", n=5))])]
+    for energy in (True, False):
+        with pytest.raises(ValueError, match="degenerate channel estimate: zero-norm column"):
+            montecarlo._estimate_walks(walk, error_var=False, energy=energy)
+
+
+def test_the_bound_check_builds_no_beam(params200, ref_alloc, monkeypatch):
+    want = estimate_exact_rate(params200, ref_alloc, cfg_for(n=40))
+    def no_beam(*args):
+        raise AssertionError("the rate-only walk built a beam or a harvest")
+    monkeypatch.setattr(montecarlo, "beamformer", no_beam)
+    monkeypatch.setattr(montecarlo, "_harvest", no_beam)
+    check = verify_bound_tightness(params200, ref_alloc, cfg_for(n=40))
+    assert np.array_equal(check.exact, want.rate) and np.array_equal(check.exact_se, want.rate_se)

@@ -304,6 +304,17 @@ def test_closed_form_rate_is_zero_on_the_frame_edge(params200, xi_star, system, 
     assert np.all(closed_form_rate(params200, inside, system, detector) > 0)
 
 
+@pytest.mark.parametrize("asym_fn", [asymptotic_zf_rate, asymptotic_mrc_rate])
+def test_asymptotic_rates_are_zero_on_the_frame_edge(xi_star, asym_fn):
+    # the raw data phase 1 - 0.9 - 0.1 is -2.8e-17, which gave -5e-16
+    params = benchmark_params(200)
+    for tau, alpha in FRAME_EDGES["wetmm"][:2]:
+        rate = asym_fn(params, ResourceAllocation(tau, alpha, 0.5, xi_star))
+        assert np.all(rate == 0.0) and not np.signbit(rate).any(), (tau, alpha)
+    inside = ResourceAllocation(0.9, 0.1 - 1e-9, 0.5, xi_star)
+    assert np.all(asym_fn(params, inside) > 0)
+
+
 def test_mm_dorg_recovers_exact_slope():
     ms = np.array([10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 1000.0])
     rates = 2.0 * np.log2(ms) + 3.0
