@@ -12,19 +12,10 @@ beam-energy weights xi.
 
 from wetmm.sysmodel import (
     SystemParams,
-    complex_gaussian,
-    generate_channel,
     path_loss,
     trial_rng,
 )
-from wetmm.estimation import (
-    PilotConfig,
-    draw_trials,
-    error_variance,
-    make_pilots,
-    mmse_estimate,
-    receive_pilots,
-)
+from wetmm.estimation import error_variance
 from wetmm.energy import (
     ResourceAllocation,
     asymptotic_energy,

@@ -306,8 +306,7 @@ def run_table1(spec: ExperimentSpec):
     Per antenna count: grid-search allocation, the closed-form optimal
     energy split at that allocation, the large-array rate, the analytic
     rate, and per-user Monte Carlo rates.  The searches run as one batch,
-    and so do the Monte Carlo walks, one per antenna count; the walks read
-    only rates, so they draw only the estimates' normals and build no beam.
+    and so do the rate-only Monte Carlo walks, one per antenna count.
     """
     if len(spec.distances) != 2:
         raise ValueError("the allocation table is defined for the two-user scenario")
@@ -391,9 +390,7 @@ def run_fairness(spec: ExperimentSpec):
     Each beam's allocations are searched first, its antenna counts as one
     batch.  Then one batch of Monte Carlo walks runs, one walk per antenna
     count, each estimating both arms on the same trials and drawing each
-    trial's first normals once for the two (common random numbers).  The
-    walks read only rates, so they draw only the estimates' normals and
-    build no beam or harvest.
+    trial's first normals once for the two (common random numbers).
     """
     if len(spec.distances) != 2:
         raise ValueError("the fairness comparison is defined for the two-user scenario")

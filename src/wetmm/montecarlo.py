@@ -2,67 +2,20 @@
 
 Each trial draws one channel realization, runs the energy phase through the
 actual beamformer, estimates the channel (or injects the statistically
-equivalent estimate), and computes the exact per-user uplink SINR.  It
-depends on the estimate only through the K x K Gram Q = Ghat^H Ghat; with
-n = sum_i p_i sigma2_e_i + sigma2,
+equivalent estimate), and computes the exact per-user uplink SINR gamma_k
+from the estimate's K x K Gram (:func:`_exact_sinr`), so that
+(1 - tau - alpha) E[log2(1 + gamma_k)] is the exact ergodic rate the
+closed-form expressions lower-bound.  Uplink powers use the steady-state
+energies: the analytical model's operating point, reproduced here so the
+Monte Carlo estimates the same quantity the formulas predict.
 
-    zf:  gamma_k = p_k / ( [Q^-1]_kk n )
-    mrc: gamma_k = p_k Q_kk^2 / ( sum_{i != k} p_i |Q_ki|^2 + Q_kk n )
-
-so that (1 - tau - alpha) E[log2(1 + gamma_k)] is the exact ergodic rate
-the closed-form expressions lower-bound.
-The rate thus reads the estimate alone, and a walk computes only the rows
-its caller reads.  The energy rows, like the error rows, are optional:
-without them a walk builds no beam or harvest, and a statistical trial
-builds no true channel and draws only its estimate's 2 M K normals, not
-4 M K.  numpy fills a trial's buffer in stream order, so those are the
-first half of what the full walk draws, and every rate, standard error and
-redraw count is the full walk's bit for bit.  The allocation table, the
-fairness comparison and the bound-tightness check read only rates; the
-public estimates and the closed-form validation keep their energy rows.
-A pilot trial still draws 4 M K normals, since its estimate reads the pilot
-noise.  Where the beam would refuse an estimate with a zero-norm column, a
-walk without energy rows refuses it from the Gram diagonal it already has.
-Uplink powers use the steady-state energies: the analytical model's
-operating point, reproduced here so the Monte Carlo estimates the same
-quantity the formulas predict.  Trials are evaluated in stacked chunks,
-spread over one worker process per usable CPU; each trial keeps its own
-random stream, so no result depends on the chunking or on the worker count.
-Workers are forked once per batch of walks, not once per walk: the
-allocation table and the fairness comparison run one walk per antenna count
-as one batch, and every other caller runs a batch of one.  The chunks of
-all the batch's walks are listed in (walk, chunk) order; the calling process
-runs one share of them itself and forks (``os.fork``) a child for each other
-share.  The children inherit the batch's state and write their trials' rows
-straight into the output arrays, which lie in an anonymous shared mapping,
-so no row is pickled; a child sends back only the errors of its failed
-chunks, through a pipe, and leaves through ``os._exit``.  Where ``os.fork``
-is missing the batch runs on one worker, in its own process, as the
-beam-structure check always does (its per-trial complete QR runs on the BLAS
-threads).  CPython 3.12 and later may issue a DeprecationWarning when a
-process that runs other threads, such as BLAS threads, forks; the batch lets
-it through.
-What no chunk changes is built once per walk: the operating point, the
-channel constants of its pilot energy, the noise term n, the MRC
-off-diagonal mask and the isotropic beam.  The walk owns the random
-streams: it builds the seed words of every trial's first stream once, each
-worker builds one generator, and per chunk the worker sets that generator
-to the trials' streams, draws their normals into complex stacks once and
-hands them to the chunk's evaluation, with a redraw for its ill-conditioned
-trials.  A chunk's stacks stay alive while the next chunk's normals are
-drawn and are released before that chunk's evaluation runs (see
-:func:`_run_chunks` for what either mistake costs).
-The MMSE error-variance check rides along in the same walk: a trial's
-first draw feeds both the rate and energy rows and the pilot-pipeline
-error |g_hat - g|^2, so its normals are drawn and interleaved once.  One
-walk also serves several operating points that share the seed and trials
-(the fairness comparison's two beams): each trial's first stacks are built
-once for all of them, and every point redraws its own ill-conditioned
-trials.  The chunk's sums over the antennas (the beam's column norms and
-the error rows' means) add the antenna rows in numpy's own order over a
-non-last axis, but on an antenna-major copy, so each add runs over the
-whole chunk instead of K entries (``sysmodel._antenna_sum``); every result
-is bit for bit what the per-trial arithmetic gives.
+A walk (:func:`_trial_walk`) simulates the trials of one or more operating
+points that share their seed and trials, builds what no chunk changes once,
+and computes only the rows its caller reads (:func:`_estimate_walks`).  Its
+trials run in stacked chunks, each trial on its own random stream, so no
+result depends on the chunking or on the worker count; the chunks of a
+batch of walks share one set of forked workers (:func:`_run_chunks`).
+Every result is bit for bit what the per-trial arithmetic gives.
 """
 
 from __future__ import annotations
@@ -82,10 +35,9 @@ from wetmm.energy import (
     energies,
     general_beamformer,
 )
-from wetmm import estimation
 from wetmm.estimation import _channel_consts, _channels, _trial_normals, error_variance
 from wetmm.rates import _rate_phase, closed_form_rate
-from wetmm.sysmodel import SystemParams, _antenna_sum, _check_count, _check_tags
+from wetmm.sysmodel import SystemParams, _antenna_sum, _check_count, _check_tags, _pcg64_states
 # trial_rng stays bound here for bench/selftest.py, which checks that the
 # tracer rebinds it in every namespace that imported it
 from wetmm.sysmodel import trial_rng  # noqa: F401
@@ -107,8 +59,7 @@ __all__ = [
 COND_LIMIT = 1e12
 MAX_RESAMPLES = 8
 # Trials run in chunks of stacked (trials, M, K) arrays of about this many
-# entries, in one process per usable CPU (one, where os.fork is missing); no
-# result depends on either.
+# entries, in _WORKERS processes (see _run_chunks); no result depends on either.
 _CHUNK_ENTRIES = 2 ** 14
 if not hasattr(os, "fork"):
     _WORKERS = 1
@@ -153,10 +104,9 @@ class McRateEstimate:
     """Per-user Monte Carlo rate estimate with standard errors.
 
     ``energy`` and ``energy_se`` are the harvested energies' mean and SE, or
-    None from a walk that reads only rates (the allocation table, the
-    fairness comparison and :func:`verify_bound_tightness`).  ``error_var``
-    and ``error_var_se`` are the mean of |g_hat - g|^2 over the antennas and
-    its SE, or None unless the estimate was asked for them.
+    None from a walk that reads only rates (:func:`_estimate_walks`).
+    ``error_var`` and ``error_var_se`` are the mean of |g_hat - g|^2 over
+    the antennas and its SE, or None unless the estimate was asked for them.
     """
 
     rate: np.ndarray
@@ -274,11 +224,11 @@ def _walk_chunks(params: SystemParams, cfg: McConfig, blocks: int, body) -> list
     ``pending`` at ``salt``, ``blocks`` real (M, K) blocks per trial.  The
     salt-0 seed words of every trial are built here, once per walk."""
     size = max(1, _CHUNK_ENTRIES // (params.M * params.K))
-    words = estimation._pcg64_states(cfg.master_seed, range(cfg.n_trials), 0)
+    words = _pcg64_states(cfg.master_seed, range(cfg.n_trials), 0)
 
     def normals(pending, salt, rng):
         states = (words[pending] if salt == 0
-                  else estimation._pcg64_states(cfg.master_seed, pending, salt))
+                  else _pcg64_states(cfg.master_seed, pending, salt))
         return _trial_normals(params, states, rng, blocks)
     return [(np.arange(lo, min(lo + size, cfg.n_trials)), normals, body)
             for lo in range(0, cfg.n_trials, size)]
@@ -288,14 +238,23 @@ def _run_chunks(chunks: list, max_workers: int | None = None) -> None:
     """Run ``chunks``, the :func:`_walk_chunks` of one walk or of a batch
     of walks concatenated in (walk, chunk) order, in up to ``max_workers``
     (default _WORKERS) processes, this one included, forked once for the
-    whole list: worker w takes every n-th chunk from the w-th on.  Each
-    worker has one generator; per chunk it draws the trials' salt-0 stacks
-    and calls ``body(trials, stacks, redraw)``, where ``redraw(pending,
-    salt)`` gives the stacks of trials ``pending`` at ``salt``.  A body
-    writes only its trials' rows, which must be ``_shared_rows``.  Re-raise
-    the error of the first failing chunk in list order.  Every forked worker
-    is reaped before this returns or raises; one that exits without its
-    report makes the batch raise, so no partial rows are returned."""
+    whole list: worker w takes every n-th chunk from the w-th on.  The
+    allocation table and the fairness comparison run one walk per antenna
+    count as one batch; every other caller runs a batch of one.
+
+    Each worker has one generator; per chunk it draws the trials' salt-0
+    stacks and calls ``body(trials, stacks, redraw)``, where
+    ``redraw(pending, salt)`` gives the stacks of trials ``pending`` at
+    ``salt``.  A body writes only its trials' rows, which must be
+    ``_shared_rows``, so no row is pickled; each forked child (``os.fork``)
+    reports only the errors of its failed chunks (:func:`_fork_share`).
+    Re-raise the error of the first failing chunk in list order.  Every
+    forked worker is reaped before this returns or raises; one that exits
+    without its report makes the batch raise, so no partial rows are
+    returned.  Where ``os.fork`` is missing the batch runs in this process
+    alone.  CPython 3.12 and later may issue a DeprecationWarning when a
+    process that runs other threads, such as BLAS threads, forks; the batch
+    lets it through."""
     import signal
     n_workers = min(_WORKERS if max_workers is None else max_workers, len(chunks))
 
@@ -428,21 +387,20 @@ def _trial_walk(params: SystemParams, points: list, error_var: bool,
     ``sinr`` holds the (n_trials, K) exact SINRs and ``resamples`` each
     trial's redraw count.  A trial whose ZF Gram matrix is near-singular is
     redrawn at the next salt of its stream; np.linalg.LinAlgError is raised
-    when a trial needs more than MAX_RESAMPLES redraws.  With ``energy``,
-    ``harvested`` holds the (n_trials, K) harvested energies alpha p_dl
-    |g_k^H w|^2 (else it is None, and the walk builds no beam or harvest,
-    nor a statistical point its true channel: the rates read the estimate
-    alone).  With ``error_var``,
-    ``err_sq`` holds the (n_trials, K) means of |g_hat - g|^2 over the
-    antennas (else it is None).
+    when a trial needs more than MAX_RESAMPLES redraws.  ``harvested`` holds
+    the (n_trials, K) harvested energies alpha p_dl |g_k^H w|^2, or None
+    without ``energy`` (a rate-only walk: :func:`_estimate_walks`), and
+    ``err_sq`` the (n_trials, K) means of |g_hat - g|^2 over the antennas,
+    or None without ``error_var``.
 
     The points share each chunk's salt-0 normals, so they must agree on
     ``master_seed``, ``n_trials`` and the normals' block count; ValueError
     names the field that differs.  A point draws 4 real (M, K) blocks per
     trial (estimate and error, or channel and pilot noise), or 2 where the
     last two go unread: the ideal system, whose estimate is the channel, and
-    the statistical estimate of a walk with neither energy nor error rows.
-    Each point builds its own channels from that buffer, and redraws at salt
+    the statistical estimate of a walk with neither energy nor error rows
+    (``estimation._trial_normals`` draws the same first 2 blocks either
+    way).  Each point builds its own channels from that buffer, and redraws at salt
     >= 1 stay per point, since the points' ZF Grams differ.  The error rows
     read the pilot pipeline's draw, because the statistical draw samples the
     error from the very variance under test.  They are built from the same
@@ -493,7 +451,6 @@ def _trial_walk(params: SystemParams, points: list, error_var: bool,
             for salt in range(MAX_RESAMPLES + 1):
                 stacks = shared if salt == 0 else redraw(pending, salt)
                 G, G_hat = draw(cfg, consts, err_sq, pending, stacks, salt)
-                # with no beam, the rates keep its refusal of zero-norm columns
                 ok, sinr_ok = _exact_sinr(G_hat, powers, noise, off_diag, cfg.detector,
                                           columns=not energy and cfg.system != "opmm")
                 all_ok = ok.all()
@@ -532,18 +489,11 @@ def _mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_exact_rate(params: SystemParams, alloc: ResourceAllocation,
                         cfg: McConfig, *, error_var: bool = False) -> McRateEstimate:
-    """Per-user exact ergodic rate: mean of rem * log2(1 + gamma) with SE.
-
-    rem is 1 - tau - alpha (1 - alpha for the ideal system, which has no
-    estimation phase).  The estimate also carries the harvested-energy
-    statistics, which are not free: they cost half of each trial's normals
-    (the statistical error, or the pilot noise the channel needs), the true
-    channel, the beam and the harvest.  Callers that read only rates
-    (:func:`verify_bound_tightness`, the allocation table, the fairness
-    comparison) run the walk without them.  With ``error_var`` the estimate
-    also carries the MC mean and SE of the pilot pipeline's |g_hat - g|^2,
-    averaged over the antennas, read from the same trials and normals; the
-    ideal system has no estimation error, so it raises ValueError there.
+    """Per-user exact ergodic rate, the mean of rem log2(1 + gamma) with rem
+    the data phase (``rates._rate_phase``), and harvested energy, each with
+    its SE.  With ``error_var`` the estimate also carries the MC mean and SE
+    of the pilot pipeline's |g_hat - g|^2, averaged over the antennas (the
+    ideal system has no estimation error, so it raises ValueError there).
     """
     return estimate_exact_rates(params, [(alloc, cfg)], error_var=error_var)[0]
 
@@ -552,12 +502,10 @@ def estimate_exact_rates(params: SystemParams, points: list, *,
                          error_var: bool = False) -> list[McRateEstimate]:
     """:func:`estimate_exact_rate` at each ``(alloc, cfg)`` of ``points``,
     from one walk that draws each trial's first normals once for all of
-    them (common random numbers).  The points must share ``master_seed``,
-    ``n_trials`` and whether the system is ideal; ValueError names the
-    field that differs.  Each point's estimate equals its own
-    :func:`estimate_exact_rate` bit for bit.  The walk runs as a batch of
-    one, forking its workers once; the allocation table and the fairness
-    comparison batch one walk per antenna count (:func:`_estimate_walks`).
+    them (common random numbers), so they must share ``master_seed``,
+    ``n_trials`` and whether the system is ideal (ValueError names the
+    field that differs).  Each point's estimate equals its own
+    :func:`estimate_exact_rate` bit for bit.
     """
     return _estimate_walks([(params, points)], error_var)[0]
 
@@ -565,17 +513,21 @@ def estimate_exact_rates(params: SystemParams, points: list, *,
 def _estimate_walks(walks: list, error_var: bool,
                     energy: bool = True) -> list[list[McRateEstimate]]:
     """:func:`estimate_exact_rates` at each ``(params, points)`` of
-    ``walks``, bit for bit, with the chunks of all the walks run by one set
-    of forked workers (:func:`_run_chunks`), so a batch forks once, not once
-    per walk.  Without ``energy`` the walks read only rates: each estimate's
-    ``energy`` and ``energy_se`` are None, and its rates, ``rate_se`` and
-    ``n_resamples`` are the full walk's bit for bit, with no beam or harvest
-    built and, for a statistical point, half the normals drawn (see
-    :func:`_trial_walk`).  Every walk is planned before the fork, so the
-    rows and seed words of all of them are live at once: per trial, 32
-    bytes of seed words and, at K = 2, 40 bytes of rows per point (24
-    without energy rows, 16 more with error rows), so 72 bytes for a
-    one-point walk."""
+    ``walks``, bit for bit, with the chunks of all the walks run as one
+    batch (:func:`_run_chunks`).
+
+    Without ``energy`` the walks read only rates, as the allocation table,
+    the fairness comparison and :func:`verify_bound_tightness` do.  The rate
+    reads the estimate alone, so such a walk builds no beam or harvest, nor
+    a statistical point's true channel, and draws only the normals that the
+    estimates read (the block count of :func:`_trial_walk`).  Each
+    estimate's ``energy`` and ``energy_se`` are None, and its rates,
+    ``rate_se`` and ``n_resamples`` are the full walk's bit for bit.
+
+    Every walk is planned before the fork, so the rows and seed words of all
+    of them are live at once: per trial, 32 bytes of seed words and, at
+    K = 2, 40 bytes of rows per point (24 without energy rows, 16 more with
+    error rows), so 72 bytes for a one-point walk."""
     _check_count("number of walks", len(walks), 1)
     if error_var and any(cfg.system == "ideal" for _, points in walks for _, cfg in points):
         raise ValueError("the ideal system has no estimation error")
@@ -603,13 +555,10 @@ def _estimate(alloc: ResourceAllocation, cfg: McConfig, rows) -> McRateEstimate:
 
 def verify_bound_tightness(params: SystemParams, alloc: ResourceAllocation, cfg: McConfig,
                            precision: float = 0.02) -> BoundCheck:
-    """Compare the exact MC rate against the closed-form lower bound.
-
-    The bound must sit below the exact rate up to MC noise (3 standard
-    errors).  ``tight`` additionally checks gap / exact <= 0.05 per user.
-    If any user's 3-sigma half width exceeds ``precision`` of its exact
-    rate, the check is flagged inconclusive and neither verdict should be
-    trusted.  The walk reads only rates, so it builds no beam or harvest.
+    """Compare the exact MC rate against the closed-form lower bound
+    (:class:`BoundCheck`).  If any user's 3-sigma half width exceeds
+    ``precision`` of its exact rate, the check is flagged inconclusive and
+    neither verdict should be trusted.
     """
     est = _estimate_walks([(params, [(alloc, cfg)])], error_var=False, energy=False)[0][0]
     bound = closed_form_rate(params, alloc, cfg.system, cfg.detector)

@@ -12,23 +12,10 @@ analytic formulas for xi and rho plus a one-dimensional alpha search
 (:func:`solve_p1_analytic`) give a fast approximation that tracks the grid
 optimum closely at large M.
 
-The search lattice is the set of integer multiples of the step sizes.  One
-pass runs every sweep: it skips blocks of points whose monotone upper bound
-cannot reach its incumbent, so it returns what evaluating every point would.
-Three levels each take their incumbent from the one before: the coarse
-blocks' low corners, the coarse lattice (steps scaled by ``coarse_factor``)
-and the fine box within ``refine_radius`` coarse steps of its winner.
-``coarse_factor = 1`` and the perfect-knowledge ("ideal") system, which has
-no tau or rho, take one pass that evaluates every point.  Only tau = 0 is
-evaluated, since it is the exact argmax over tau (see
-:func:`grid_search_p1`).  Ties are broken toward smaller alpha, then rho,
-then xi_1, and the reduction is deterministic.
-
-The levels are batched over antenna counts: searches whose systems differ
-only in M run each level once for all of them, with the antenna count as
-a per-point operand of the kernels.  The experiments that sweep M
-(``rate-vs-m``, ``table1``, ``fairness``) search their whole antenna grid
-that way, and :func:`grid_search_p1` is the batch of one.
+The search lattice is the set of integer multiples of the step sizes.
+:func:`grid_search_p1` holds the search's method, its proofs and its
+batching over antenna counts, which the experiments that sweep M
+(``rate-vs-m``, ``table1``, ``fairness``) use for their whole antenna grid.
 """
 
 from __future__ import annotations
@@ -155,17 +142,19 @@ def _grid(span: float, step: float, name: str) -> np.ndarray:
     return step * np.arange(0, _lattice_count(span, step, name) + 1)
 
 
-def _xi_candidates(params: SystemParams, system: str, xi_policy: str,
-                   xi_idx: np.ndarray | None, xi_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (index vector, candidate array (n, K)) for the xi axis."""
+def _xi_candidates(params: SystemParams, system: str, xi_policy: str, n_x: int,
+                   xi_step: float) -> np.ndarray:
+    """The (n, K) candidates of the xi axis: one row where the system or
+    policy fixes xi, else the n_x + 1 points xi_1 = xi_step * i of the
+    simplex lattice."""
     if system == "opmm":
-        return np.array([0]), np.full((1, params.K), 1.0 / params.K)
+        return np.full((1, params.K), 1.0 / params.K)
     if xi_policy == "analytic":
-        return np.array([0]), optimal_xi(params.beta)[None, :]
+        return optimal_xi(params.beta)[None, :]
     if params.K != 2:
         raise ValueError("simplex xi search is implemented for K = 2 only")
-    xi1 = xi_step * xi_idx
-    return xi_idx, np.stack([xi1, 1.0 - xi1], axis=-1)
+    xi1 = xi_step * np.arange(n_x + 1)
+    return np.stack([xi1, 1.0 - xi1], axis=-1)
 
 
 def _lattice_rates(params, system, detector, M, alpha, rho, xi):
@@ -427,7 +416,7 @@ def _grid_search(problems, system, detector, steps, xi_policy, xi_step, coarse_f
             raise ValueError("step sizes leave an empty lattice")
         cf = int(coarse_factor)
         r_coarse = np.arange(cf, n_r + 1, cf) if cf <= n_r else np.arange(1, n_r + 1)
-    _, xi = _xi_candidates(params, system, xi_policy, np.arange(n_x + 1), xi_step)
+    xi = _xi_candidates(params, system, xi_policy, n_x, xi_step)
     M = np.array([p.M for p in problems])
     coarse = [np.broadcast_to(v, (len(M), v.size))
               for v in (np.arange(0, n_a + 1, cf), r_coarse, np.arange(0, len(xi), cf))]

@@ -21,11 +21,9 @@ Maximum-ratio combining:
 
 Both hold for any per-user energy vector E, which is how the isotropic
 benchmark ("opmm": E = alpha p_dl beta) reuses the same code path.  The
-private ``_sinr`` computes both, at a point or as the search's block bound;
-:func:`closed_form_sinr`, at the energies of a system, is its public entry.
-The private kernels compute with users on axis 0, which the search builds
-directly; the public functions take users on the last axis and move it at
-their boundary.
+private ``_sinr`` computes both, at a point or as the search's block bound,
+with users on axis 0; :func:`closed_form_sinr`, at the energies of a
+system, is its public entry, with users on the last axis.
 With perfect knowledge ("ideal": tau = rho = 0, no estimation error),
 
     zf:  sinr_k = (M-K) beta_k E_k / ((1-alpha) sigma2)
@@ -226,7 +224,8 @@ def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> np.n
 
 
 def maxmin_asymptotic_rate(params: SystemParams, detector: str) -> float:
-    """Limit of the optimized max-min rate as the frame overhead vanishes.
+    """Upper bound on the optimized max-min rate that no allocation reaches:
+    alpha = 1 inside the log and a full data phase outside.
 
         zf:  log2(1 + M^2 p_dl / (sigma2 (sqrt(K)+1)^2 sum_i 1/beta_i^2))
         mrc: log2(1 + (M-1)/(K-1)),  unbounded at K = 1.

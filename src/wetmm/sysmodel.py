@@ -1,14 +1,10 @@
-"""Scenario definition, path-loss modeling, and random channel generation.
+"""Scenario definition, path-loss modeling, seeded random streams and the
+input guards every module shares.
 
-The channel between the M-antenna access point and the K single-antenna
-users is independent Rayleigh fading scaled by per-user long-term path loss:
-
-    G = H diag(beta)^(1/2),   H i.i.d. CN(0, 1)
-
-so column k of G is CN(0, beta_k I_M).  Channel reciprocity holds within a
-frame; the frame length is normalized to 1, so all phase durations are
+The frame length is normalized to 1, so all phase durations are
 dimensionless fractions and the energy delivered over a fraction is simply
-power times fraction.
+power times fraction.  The channel model is stated in
+:mod:`wetmm.estimation`, which draws the channels.
 """
 
 from __future__ import annotations
@@ -27,9 +23,7 @@ _TAGS = {"system": ("wetmm", "opmm", "ideal"), "detector": ("zf", "mrc"),
 __all__ = [
     "SystemParams",
     "path_loss",
-    "generate_channel",
     "trial_rng",
-    "complex_gaussian",
 ]
 
 
@@ -169,18 +163,6 @@ def _pcg64_assemble(words: np.ndarray) -> list[dict]:
     return states
 
 
-def complex_gaussian(rng: np.random.Generator, shape, var=1.0) -> np.ndarray:
-    """I.i.d. circularly symmetric complex Gaussian samples CN(0, var).
-
-    Each sample is built from two independent real Gaussians of variance
-    var/2.  ``var`` broadcasts against ``shape``, so per-column variances can
-    be passed directly.
-    """
-    _check_finite("variance", var, "nonnegative")
-    std = np.sqrt(np.asarray(var, dtype=float) / 2.0)
-    return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants of one scenario.
@@ -225,21 +207,3 @@ def path_loss(beta0: float, u: float, distances) -> np.ndarray:
     _check_finite("u", u)
     _check_finite("distances", d, "positive")
     return beta0 * d ** (-u)
-
-
-def generate_channel(params: SystemParams, seed) -> np.ndarray:
-    """One draw of the M x K uplink channel matrix G = H diag(beta)^(1/2).
-
-    Args:
-        params: scenario constants.
-        seed: integer master seed (expanded through :func:`trial_rng`) or an
-            existing numpy Generator to draw from directly.
-
-    Returns:
-        Complex (M, K) array; column k has i.i.d. CN(0, beta_k) entries.
-        A fixed integer seed reproduces the matrix bit for bit.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else trial_rng(int(seed))
-    h = complex_gaussian(rng, (params.M, params.K))
-    return h * np.sqrt(params.beta)[None, :]
-

@@ -19,7 +19,6 @@ from wetmm.cli import (
     main,
 )
 import wetmm.cli as cli
-import wetmm.estimation as estimation
 import wetmm.montecarlo as montecarlo
 from wetmm.energy import ResourceAllocation
 from wetmm.montecarlo import McConfig, estimate_exact_rate
@@ -610,12 +609,12 @@ def test_fairness_arms_share_each_trials_draw(tmp_path, monkeypatch):
     """At each M, the wetmm and opmm arms derive each trial's salt-0 stream
     state, and draw its normals, once for both."""
     asked = []
-    real = estimation._pcg64_states
+    real = montecarlo._pcg64_states
     def counting(master_seed, trials, salt):
         if salt == 0:
             asked.extend(int(t) for t in trials)
         return real(master_seed, trials, salt)
-    monkeypatch.setattr(estimation, "_pcg64_states", counting)
+    monkeypatch.setattr(montecarlo, "_pcg64_states", counting)
     cfg = write_config(tmp_path, FAST_FIG + "fairness_m_values = 20\n")
     assert main(["fairness", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--trials", "50"]) == 0

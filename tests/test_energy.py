@@ -8,11 +8,12 @@ import pytest
 from wetmm.energy import (RHO_CLAMP, ResourceAllocation, asymptotic_energy, beamformer,
                           clamp_rho, energies, expected_harvested_energy, general_beamformer,
                           harvested_energy_fixedpoint)
-from wetmm.estimation import draw_trials, error_variance
+from wetmm.estimation import error_variance
 from wetmm.montecarlo import operating_point
 from wetmm.sysmodel import trial_rng
 
 from conftest import REF_ALPHA, REF_RHO, benchmark_params
+from reference import draw_trials
 
 # Banked energies at the reference operating point, pinned by iterating
 # E <- Q(rho E) to convergence independently of the closed form.

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from wetmm.estimation import (draw_trials, error_variance, make_pilots,
-                              mmse_estimate, receive_pilots)
-from wetmm.sysmodel import SystemParams, complex_gaussian, generate_channel, trial_rng
+from wetmm.estimation import _channel_consts, error_variance
+from wetmm.sysmodel import SystemParams, trial_rng
 
 from conftest import benchmark_params
+from reference import (_mmse_scale, complex_gaussian, draw_trials, generate_channel, make_pilots,
+                       mmse_estimate, receive_pilots)
 
 
 def test_pilots_orthonormal():
@@ -13,6 +14,21 @@ def test_pilots_orthonormal():
         pilots = make_pilots(L, K, 1e-9)
         gram = pilots.Phi.conj().T @ pilots.Phi
         assert np.allclose(gram, np.eye(K), atol=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 16])
+def test_channel_consts_pilot_block_is_orthonormal(K):
+    """The K x K pilot block and MMSE column scale that the Monte Carlo
+    builds inline are the reference's bit for bit, and Phi^H Phi = I_K."""
+    p = SystemParams(M=K + 1, K=K, p_dl=1.0, sigma2_ul=1e-15,
+                     beta=1e-3 * np.linspace(6.0, 20.0, K) ** -3.0)
+    energy = np.linspace(5e-10, 2e-9, K)
+    phi_t, phi_conj, scale = _channel_consts(p, energy)[4:]
+    assert np.max(np.abs(phi_conj.T @ phi_t.T - np.eye(K))) <= 1e-12
+    pilots = make_pilots(K, K, energy)
+    assert np.array_equal(phi_t, pilots.Phi.T) and np.array_equal(phi_conj, pilots.Phi.conj())
+    assert np.array_equal(scale, np.broadcast_to(_mmse_scale(pilots, p.beta, p.sigma2_ul),
+                                                 (p.M, K)))
 
 
 def test_pilots_validation():

@@ -9,15 +9,16 @@ import pytest
 
 from wetmm.energy import ResourceAllocation, beamformer, energies
 import wetmm.estimation as estimation
-from wetmm.estimation import _channel_consts, _channels, draw_trials
+from wetmm.estimation import _channel_consts, _channels
 import wetmm.montecarlo as montecarlo
 from wetmm.montecarlo import (McConfig, _mean_se, _run_trials, estimate_exact_rate,
                               operating_point, verify_beamformer_structure,
                               verify_bound_tightness)
 from wetmm.rates import closed_form_rate
-from wetmm.sysmodel import generate_channel, trial_rng
+from wetmm.sysmodel import trial_rng
 
 from conftest import assert_no_child_left, benchmark_params
+from reference import draw_trials, generate_channel
 
 
 def cfg_for(system="wetmm", detector="zf", n=200, seed=0, knowledge="statistical"):
@@ -460,12 +461,12 @@ def test_error_variance_shares_the_rate_draw(ref_alloc, monkeypatch, knowledge):
     """Each trial's salt-0 stream state is derived, and its normals drawn,
     once for the rate, energy and error-variance rows together."""
     asked = []
-    real = estimation._pcg64_states
+    real = montecarlo._pcg64_states
     def counting(master_seed, trials, salt):
         if salt == 0:
             asked.extend(int(t) for t in trials)
         return real(master_seed, trials, salt)
-    monkeypatch.setattr(estimation, "_pcg64_states", counting)
+    monkeypatch.setattr(montecarlo, "_pcg64_states", counting)
     est = estimate_exact_rate(benchmark_params(10), ref_alloc,
                               cfg_for(n=50, seed=3, knowledge=knowledge), error_var=True)
     assert est.error_var.shape == (2,)
@@ -486,10 +487,10 @@ def test_walk_invariants_are_built_once_per_walk(ref_alloc, monkeypatch, knowled
                 calls[name] = calls.get(name, 0) + 1
             return real(*args)
         monkeypatch.setattr(module, name, counting)
-    count(estimation, "make_pilots")
+    count(montecarlo, "_channel_consts")
     count(estimation, "error_variance")
     count(montecarlo, "error_variance")
-    count(estimation, "_pcg64_states", salt_arg=2)
+    count(montecarlo, "_pcg64_states", salt_arg=2)
     params = benchmark_params(10)
     runs = []
     for n in (4, 40):

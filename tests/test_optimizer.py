@@ -12,7 +12,7 @@ import wetmm.optimizer as optimizer
 from wetmm.optimizer import (DEFAULT_STEPS, _lattice_count, asymptotic_allocation,
                              grid_search_p1, optimal_rho_zf, optimal_xi, rate_map,
                              solve_p1_analytic)
-from wetmm.rates import closed_form_rate, closed_form_sinr
+from wetmm.rates import closed_form_rate, closed_form_sinr, maxmin_asymptotic_rate
 from wetmm.sysmodel import SystemParams
 
 from conftest import benchmark_params
@@ -221,6 +221,24 @@ def test_asymptotic_allocation_advisory(params200):
     # the advisory alpha shrinks with the array size
     big = asymptotic_allocation(benchmark_params(100_000), "zf")
     assert big.alpha < asymptotic_allocation(params200, "zf").alpha
+
+
+@pytest.mark.parametrize("detector", ["zf", "mrc"])
+def test_maxmin_asymptotic_rate_bounds_the_search_at_large_m(detector):
+    """maxmin_asymptotic_rate is an upper bound on the optimized max-min
+    rate at every M of 10^3 ... 10^6 (measured margins: zf 5.33-6.25 bits,
+    mrc 0.0097-0.121 bits), and the ZF optimum's alpha falls with M at an
+    exponent near the asymptotic allocation's -0.1 (measured -0.088)."""
+    ms = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
+    problems = [benchmark_params(m) for m in ms]
+    results = optimizer._grid_search(problems, "wetmm", detector, DEFAULT_STEPS, "analytic",
+                                     0.001, 20, None)
+    for params, res in zip(problems, results):
+        assert maxmin_asymptotic_rate(params, detector) >= res.min_rate, params.M
+    if detector == "zf":
+        alphas = [res.allocation.alpha for res in results]
+        slope = np.polyfit(np.log(ms), np.log(alphas), 1)[0]
+        assert -0.12 <= slope <= -0.06, slope
 
 
 def test_rate_map_shape_and_values(params200, xi_star):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from wetmm.energy import (RHO_CLAMP, ResourceAllocation, _energies, beamformer, clamp_rho,
                           energies, expected_harvested_energy)
-from wetmm.estimation import draw_trials
 from wetmm.montecarlo import _within_cond_limit
 import wetmm.optimizer as optimizer
 from wetmm.optimizer import (_block_bounds, _lattice_count, _lattice_rates, _xi_candidates,
                              grid_search_p1)
 from wetmm.rates import _closed_form_sinr, _sinr, closed_form_rate, closed_form_sinr
 from wetmm.sysmodel import SystemParams, _pcg64_assemble, _pcg64_states, trial_rng
+
+from reference import draw_trials
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
                              database=None)
@@ -197,7 +198,7 @@ def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
     r0 = data.draw(st.one_of(st.just(1), st.just(n_r + 1 - sizes[1]),
                              st.integers(1, n_r + 1 - sizes[1])))
     x0 = data.draw(st.integers(0, n_x + 1 - sizes[2]))
-    _, xi = _xi_candidates(params, system, policy, np.arange(x0, x0 + sizes[2]), x_step)
+    xi = xi_rows(params, system, policy, np.arange(x0, x0 + sizes[2]), x_step)
     alpha = a_step * np.arange(a0, a0 + sizes[0])
     rho = r_step * np.arange(r0, r0 + sizes[1])
     values = _lattice_rates(params, system, detector, params.M, alpha[:, None, None],
@@ -214,12 +215,19 @@ def test_block_bound_covers_every_lattice_value_in_its_block(problem, data):
         assert point.item() == values[0, 0, 0], (point.item(), values[0, 0, 0])
 
 
+def xi_rows(params, system, policy, x_idx, xi_step):
+    """The search's xi candidates at lattice indices ``x_idx``; where the
+    system or policy fixes xi, its one row stands for every index."""
+    xi = _xi_candidates(params, system, policy, _lattice_count(1.0, xi_step, "xi"), xi_step)
+    return xi if len(xi) == 1 else xi[x_idx]
+
+
 def lattice_argmax(params, system, detector, steps, policy, xi_step, a_idx, r_idx, x_idx):
     """Value and (alpha, rho, xi) lattice indices of the first maximum, in C
     order, of ``_lattice_rates`` over the full broadcast lattice of the index
     sets.  The values are computed 8 alphas at a time, which caps the memory
     of the temporaries, and np.argmax runs once over all of them."""
-    _, xi = _xi_candidates(params, system, policy, x_idx, xi_step)
+    xi = xi_rows(params, system, policy, x_idx, xi_step)
     rate = np.concatenate([optimizer._lattice_rates(
         params, system, detector, params.M, steps[1] * a_idx[lo:lo + 8, None, None],
         steps[2] * r_idx[None, :, None], xi.T[:, None, None]) for lo in range(0, a_idx.size, 8)])
@@ -270,7 +278,7 @@ def test_pruned_search_returns_the_full_passes_winner(problem, data):
         got = grid_search_p1(params, system, detector, steps=steps, xi_policy=policy,
                              xi_step=xi_step, coarse_factor=cf, refine_radius=radius)
     want = ResourceAllocation(0.0, steps[1] * ia, steps[2] * ir,
-                              _xi_candidates(params, system, policy, np.array([ix]), xi_step)[1][0])
+                              xi_rows(params, system, policy, np.array([ix]), xi_step)[0])
     a = got.allocation
     assert (a.alpha, a.rho) == (want.alpha, want.rho)
     assert np.array_equal(a.xi, want.xi)

@@ -14,16 +14,17 @@ import wetmm
 from wetmm.cli import ExperimentSpec
 from wetmm.energy import (ResourceAllocation, beamformer, energies, expected_harvested_energy,
                           general_beamformer, harvested_energy_fixedpoint)
-from wetmm.estimation import draw_trials, error_variance, make_pilots, mmse_estimate
+from wetmm.estimation import error_variance
 from wetmm.montecarlo import McConfig, estimate_exact_rate, verify_beamformer_structure
 from wetmm.optimizer import (_lattice_count, asymptotic_allocation, grid_search_p1,
                              optimal_rho_zf, optimal_xi, rate_map)
 from wetmm.rates import (asymptotic_mrc_rate, asymptotic_zf_rate, c1_limit, c1_sample,
                          closed_form_rate, closed_form_sinr, large_k_rate, mm_dorg,
                          user_load_for_rate)
-from wetmm.sysmodel import SystemParams, complex_gaussian, path_loss, trial_rng
+from wetmm.sysmodel import SystemParams, path_loss, trial_rng
 
 from conftest import benchmark_params
+from reference import complex_gaussian, draw_trials, make_pilots, mmse_estimate
 
 XI = np.array([0.5, 0.5])
 VALID = {"system": "wetmm", "detector": "zf", "xi_policy": "analytic",

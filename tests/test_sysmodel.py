@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from wetmm.estimation import draw_trials
-from wetmm.sysmodel import (SystemParams, _pcg64_states, complex_gaussian,
-                            generate_channel, path_loss, trial_rng)
+from wetmm.sysmodel import SystemParams, _pcg64_states, path_loss, trial_rng
 
 from conftest import benchmark_params
+from reference import complex_gaussian, draw_trials, generate_channel
 
 
 def test_trial_rng_reproducible():
