@@ -52,7 +52,6 @@ from wetmm.montecarlo import (
     McConfig,
     McRateEstimate,
     estimate_exact_rate,
-    estimate_exact_rates,
     operating_point,
     verify_beamformer_structure,
     verify_bound_tightness,

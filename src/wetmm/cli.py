@@ -274,8 +274,7 @@ def _search_batch(spec: ExperimentSpec, m_values, system: str, detector: str,
                   fig: bool = False) -> list:
     """The allocation search at each antenna count of ``m_values``, run as one
     batch, on the figure lattice or (``fig`` false) the fine one."""
-    return _grid_search([build_params(spec, m) for m in m_values], system, detector,
-                        *_search_args(spec, fig))
+    return _grid_search(build_params(spec), m_values, system, detector, *_search_args(spec, fig))
 
 
 def _mc_config(spec: ExperimentSpec, system: str, detector: str) -> McConfig:

@@ -55,7 +55,7 @@ def error_variance(beta_k, pilot_energy_k, sigma2_ul):
     return beta_k / (1.0 + beta_k * pilot_energy_k / sigma2_ul)
 
 
-def _channel_consts(params: SystemParams, pilot_energy, err_var=None) -> tuple:
+def _channel_consts(params: SystemParams, pilot_energy, err_var) -> tuple:
     """What :func:`_channels` needs of one pilot energy, built once for all
     the chunks of a walk.  The column scales are (M, K) arrays, one trial's
     full shape, so a chunk's scaling runs M K entries per inner loop, not K:
@@ -66,8 +66,7 @@ def _channel_consts(params: SystemParams, pilot_energy, err_var=None) -> tuple:
     (column k the k-th column of the K-point DFT matrix over sqrt(K)), and
     the MMSE estimate's column scale sqrt(D) beta / (beta D + sigma2), into
     which its diagonal K x K factors collapse.  ``err_var`` is
-    ``error_variance(params.beta, pilot_energy, params.sigma2_ul)``, computed
-    here unless the caller already has it."""
+    ``error_variance(params.beta, pilot_energy, params.sigma2_ul)``."""
     def full(row):
         return np.broadcast_to(row, (params.M, params.K)).copy()
     sqrt_beta = full(np.sqrt(params.beta))
@@ -75,8 +74,6 @@ def _channel_consts(params: SystemParams, pilot_energy, err_var=None) -> tuple:
         return (sqrt_beta,)
     K, beta = params.K, params.beta
     energy = np.broadcast_to(np.asarray(pilot_energy, dtype=float), (K,))
-    if err_var is None:
-        err_var = error_variance(beta, energy, params.sigma2_ul)
     phi = np.exp(-2j * np.pi * np.arange(K)[:, None] * np.arange(K)[None, :] / K) / np.sqrt(K)
     amp = np.sqrt(energy)
     return (sqrt_beta, full(np.sqrt((beta - err_var) / 2.0)), full(np.sqrt(err_var / 2.0)),

@@ -51,7 +51,6 @@ __all__ = [
     "BeamformerComparison",
     "operating_point",
     "estimate_exact_rate",
-    "estimate_exact_rates",
     "verify_bound_tightness",
     "verify_beamformer_structure",
 ]
@@ -394,13 +393,14 @@ def _trial_walk(params: SystemParams, points: list, error_var: bool,
     or None without ``error_var``.
 
     The points share each chunk's salt-0 normals, so they must agree on
-    ``master_seed``, ``n_trials`` and the normals' block count; ValueError
-    names the field that differs.  A point draws 4 real (M, K) blocks per
-    trial (estimate and error, or channel and pilot noise), or 2 where the
-    last two go unread: the ideal system, whose estimate is the channel, and
-    the statistical estimate of a walk with neither energy nor error rows
-    (``estimation._trial_normals`` draws the same first 2 blocks either
-    way).  Each point builds its own channels from that buffer, and redraws at salt
+    ``master_seed`` and ``n_trials``; ValueError names the field that
+    differs.  A point reads 4 real (M, K) blocks per trial (estimate and
+    error, or channel and pilot noise), or 2 where the last two go unread:
+    the ideal system, whose estimate is the channel, and the statistical
+    estimate of a walk with neither energy nor error rows.  The walk draws
+    the largest count its points read, and a point that reads 2 reads the
+    first 2, which ``estimation._trial_normals`` draws the same either way.
+    Each point builds its own channels from that buffer, and redraws at salt
     >= 1 stay per point, since the points' ZF Grams differ.  The error rows
     read the pilot pipeline's draw, because the statistical draw samples the
     error from the very variance under test.  They are built from the same
@@ -409,17 +409,16 @@ def _trial_walk(params: SystemParams, points: list, error_var: bool,
     """
     if not points:
         raise ValueError("need at least one operating point")
-    def shared_fields(cfg):
-        estimate_only = not (energy or error_var) and cfg.channel_knowledge == "statistical"
-        return {"master_seed": cfg.master_seed, "n_trials": cfg.n_trials,
-                "block count": 2 if cfg.system == "ideal" or estimate_only else 4}
     cfg0 = points[0][1]
-    want = shared_fields(cfg0)
     for _, cfg in points[1:]:
-        for name, value in shared_fields(cfg).items():
-            if value != want[name]:
-                raise ValueError(f"operating points must share {name}, got {want[name]!r} "
-                                 f"and {value!r}")
+        for name in ("master_seed", "n_trials"):
+            if getattr(cfg, name) != getattr(cfg0, name):
+                raise ValueError(f"operating points must share {name}, got "
+                                 f"{getattr(cfg0, name)!r} and {getattr(cfg, name)!r}")
+    estimate_only = not (energy or error_var)
+    blocks = max(2 if cfg.system == "ideal"
+                 or estimate_only and cfg.channel_knowledge == "statistical" else 4
+                 for _, cfg in points)
     n, K = cfg0.n_trials, params.K
     # per walk: each point's channel constants, powers and noise term, the
     # MRC mask and the isotropic beam
@@ -468,7 +467,7 @@ def _trial_walk(params: SystemParams, points: list, error_var: bool,
             else:
                 raise np.linalg.LinAlgError(f"ZF Gram matrix stayed ill-conditioned after "
                                             f"{MAX_RESAMPLES} redraws (trial {pending[0]})")
-    return out, _walk_chunks(params, cfg0, want["block count"], body)
+    return out, _walk_chunks(params, cfg0, blocks, body)
 
 
 def _run_trials(params: SystemParams, points: list, error_var: bool) -> list:
@@ -495,26 +494,16 @@ def estimate_exact_rate(params: SystemParams, alloc: ResourceAllocation,
     of the pilot pipeline's |g_hat - g|^2, averaged over the antennas (the
     ideal system has no estimation error, so it raises ValueError there).
     """
-    return estimate_exact_rates(params, [(alloc, cfg)], error_var=error_var)[0]
-
-
-def estimate_exact_rates(params: SystemParams, points: list, *,
-                         error_var: bool = False) -> list[McRateEstimate]:
-    """:func:`estimate_exact_rate` at each ``(alloc, cfg)`` of ``points``,
-    from one walk that draws each trial's first normals once for all of
-    them (common random numbers), so they must share ``master_seed``,
-    ``n_trials`` and whether the system is ideal (ValueError names the
-    field that differs).  Each point's estimate equals its own
-    :func:`estimate_exact_rate` bit for bit.
-    """
-    return _estimate_walks([(params, points)], error_var)[0]
+    return _estimate_walks([(params, [(alloc, cfg)])], error_var)[0][0]
 
 
 def _estimate_walks(walks: list, error_var: bool,
                     energy: bool = True) -> list[list[McRateEstimate]]:
-    """:func:`estimate_exact_rates` at each ``(params, points)`` of
-    ``walks``, bit for bit, with the chunks of all the walks run as one
-    batch (:func:`_run_chunks`).
+    """:func:`estimate_exact_rate` at each ``(alloc, cfg)`` of the
+    ``points`` of each ``(params, points)`` of ``walks``, bit for bit.  Each
+    ``(params, points)`` is one :func:`_trial_walk`, which draws each
+    trial's first normals once for all its points (common random numbers),
+    and the chunks of all the walks run as one batch (:func:`_run_chunks`).
 
     Without ``energy`` the walks read only rates, as the allocation table,
     the fairness comparison and :func:`verify_bound_tightness` do.  The rate

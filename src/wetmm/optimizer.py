@@ -20,7 +20,7 @@ batching over antenna counts, which the experiments that sweep M
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class OptimizationResult:
         allocation: the best allocation found.
         min_rate: minimum per-user rate at that allocation, bits/s/Hz.
         rates: length-K per-user rates at that allocation.
-        detector: "zf" or "mrc".
-        system: "wetmm", "ideal", or "opmm".
-        grid_steps: fine lattice steps used, (tau, alpha, rho[, xi_1]) or
-            (alpha[, xi_1]) for the ideal system.
         n_evaluations: number of objective evaluations at feasible
             lattice points, all levels combined: every point of the corner
             level and the points of the other passes' kept blocks, not the
@@ -71,9 +67,6 @@ class OptimizationResult:
     allocation: ResourceAllocation
     min_rate: float
     rates: np.ndarray
-    detector: str
-    system: str
-    grid_steps: tuple
     n_evaluations: int
 
 
@@ -360,42 +353,38 @@ def grid_search_p1(params: SystemParams, system: str = "wetmm", detector: str = 
     The ideal system has no tau or rho (both are structurally zero), so the
     same pass, without an incumbent, runs once over its whole (alpha, xi)
     lattice at rho index 0: no coarse pass, and the tau and rho steps do not
-    apply.  Its ``grid_steps`` are (alpha[, xi_1]).
+    apply.
 
-    The levels are batched: a search over several antenna counts (same K,
-    p_dl, sigma2_ul and beta) runs the corner level, the coarse pass and
-    the refine box once each for all of them, with one index set, incumbent
-    and winner per antenna count, and returns for each exactly what its own
-    search would.  This function is the batch of one.
+    The levels are batched: a search over several antenna counts runs the
+    corner level, the coarse pass and the refine box once each for all of
+    them, with one index set, incumbent and winner per antenna count, and
+    returns for each exactly what its own search would.  This function is
+    the batch of one.
 
     Returns:
         OptimizationResult at the lattice argmax (ties: smallest alpha, then
         rho, then xi_1).
 
     Raises:
-        ValueError: on invalid tags or steps.
+        ValueError: on invalid tags or steps, or when the winner's min rate
+            is not finite (the scenario's energies or SINRs overflow).
     """
-    return _grid_search([params], system, detector, steps, xi_policy, xi_step, coarse_factor,
-                        refine_radius)[0]
+    return _grid_search(params, [params.M], system, detector, steps, xi_policy, xi_step,
+                        coarse_factor, refine_radius)[0]
 
 
-def _grid_search(problems, system, detector, steps, xi_policy, xi_step, coarse_factor,
+def _grid_search(params, m_values, system, detector, steps, xi_policy, xi_step, coarse_factor,
                  refine_radius) -> list:
-    """:func:`grid_search_p1` of each of ``problems``, SystemParams that
-    differ only in M, with each level run once for all of them.
+    """:func:`grid_search_p1` of ``params`` at each antenna count of
+    ``m_values``, with each level run once for all of them.
 
     Raises:
-        ValueError: as :func:`grid_search_p1` does, on an empty batch, or
-            naming the field (K, p_dl, sigma2_ul or beta) on which two
-            problems differ.
+        ValueError: as :func:`grid_search_p1` does, or on an empty batch.
     """
-    _check_count("number of problems", len(problems), 1)
-    for params in problems:
-        for name in ("K", "p_dl", "sigma2_ul", "beta"):
-            if not np.array_equal(getattr(params, name), getattr(problems[0], name)):
-                raise ValueError(f"batched problems differ in {name}; they may differ only in M")
-        _check_model(params, system, detector)
-    params = problems[0]
+    _check_count("number of antenna counts", len(m_values), 1)
+    problems = [replace(params, M=m) for m in m_values]
+    for p in problems:
+        _check_model(p, system, detector)
     _check_tags(xi_policy=xi_policy)
     if len(steps) != 3:
         raise ValueError("steps must be three positive lattice spacings")
@@ -417,33 +406,38 @@ def _grid_search(problems, system, detector, steps, xi_policy, xi_step, coarse_f
         cf = int(coarse_factor)
         r_coarse = np.arange(cf, n_r + 1, cf) if cf <= n_r else np.arange(1, n_r + 1)
     xi = _xi_candidates(params, system, xi_policy, n_x, xi_step)
-    M = np.array([p.M for p in problems])
+    M = np.array(m_values)
     coarse = [np.broadcast_to(v, (len(M), v.size))
               for v in (np.arange(0, n_a + 1, cf), r_coarse, np.arange(0, len(xi), cf))]
-    # corner level, coarse pass, refine box: each against the values before it
+    # corner level, coarse pass, refine box: each against the values before it.
+    # An energy that overflows to inf makes its points' values inf or NaN, and
+    # such a value wins its problem (NaN counts as largest), so the winner
+    # check below reports the overflow in place of numpy's warning
     val, n_eval = np.full(len(M), -np.inf), 0
-    if cf > 1:
-        val, _, n_eval = _search_pass(params, system, detector, steps, xi, M,
-                                      [v[:, ::_BLOCK] for v in coarse], val)
-    val, idx, n = _search_pass(params, system, detector, steps, xi, M, coarse, val)
-    n_eval += n
-    if cf > 1:
-        half = int((2 if simplex else 10) if refine_radius is None else refine_radius) * cf
-        fine = []
-        for i, low, top in zip(idx, (0, 1, 0), (n_a, n_r, len(xi) - 1)):
-            lo, hi = np.maximum(low, i - half), np.minimum(top, i + half)
-            fine.append(np.minimum(lo[:, None] + np.arange(np.max(hi - lo) + 1), hi[:, None]))
-        _, idx, n = _search_pass(params, system, detector, steps, xi, M, fine, val)
+    with np.errstate(over="ignore"):
+        if cf > 1:
+            val, _, n_eval = _search_pass(params, system, detector, steps, xi, M,
+                                          [v[:, ::_BLOCK] for v in coarse], val)
+        val, idx, n = _search_pass(params, system, detector, steps, xi, M, coarse, val)
         n_eval += n
+        if cf > 1:
+            half = int((2 if simplex else 10) if refine_radius is None else refine_radius) * cf
+            fine = []
+            for i, low, top in zip(idx, (0, 1, 0), (n_a, n_r, len(xi) - 1)):
+                lo, hi = np.maximum(low, i - half), np.minimum(top, i + half)
+                fine.append(np.minimum(lo[:, None] + np.arange(np.max(hi - lo) + 1),
+                                       hi[:, None]))
+            val, idx, n = _search_pass(params, system, detector, steps, xi, M, fine, val)
+            n_eval += n
 
-    steps_used = tuple(steps[1:2] if system == "ideal" else steps) + ((xi_step,) if simplex else ())
     results = []
-    for params, ba, br, bx, n in zip(problems, *(v.tolist() for v in (*idx, n_eval))):
+    for p, v, ba, br, bx, n in zip(problems, *(v.tolist() for v in (val, *idx, n_eval))):
         alloc = ResourceAllocation(tau=0.0, alpha=steps[1] * ba, rho=steps[2] * br, xi=xi[bx])
-        rates = closed_form_rate(params, alloc, system, detector)
-        results.append(OptimizationResult(
-            allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
-            detector=detector, system=system, grid_steps=steps_used, n_evaluations=n))
+        _check_finite(f"the min rate {v} of the search's winner at M = {p.M} (alpha "
+                      f"{alloc.alpha:g}, rho {alloc.rho:g}, xi {alloc.xi.tolist()})", v)
+        rates = closed_form_rate(p, alloc, system, detector)
+        results.append(OptimizationResult(allocation=alloc, min_rate=float(np.min(rates)),
+                                          rates=rates, n_evaluations=n))
     return results
 
 
@@ -468,11 +462,8 @@ def solve_p1_analytic(params: SystemParams, detector: str = "zf",
                                       xi[:, None])))
     alloc = ResourceAllocation(tau=0.0, alpha=float(alpha_vals[ia]), rho=float(rho_vals[ia]), xi=xi)
     rates = closed_form_rate(params, alloc, "wetmm", detector)
-    return OptimizationResult(
-        allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
-        detector=detector, system="wetmm", grid_steps=(alpha_step,),
-        n_evaluations=int(alpha_vals.size),
-    )
+    return OptimizationResult(allocation=alloc, min_rate=float(np.min(rates)), rates=rates,
+                              n_evaluations=int(alpha_vals.size))
 
 
 def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, xi) -> np.ndarray:

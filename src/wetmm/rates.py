@@ -212,15 +212,16 @@ def asymptotic_mrc_rate(params: SystemParams, alloc: ResourceAllocation) -> np.n
     With a single user the interference sum is empty and the limit is
     unbounded; the rate is then infinite rather than raising, since that is
     the honest value of the limit.  The outer rem is :func:`_rate_phase`'s,
-    so an allocation within 1e-12 of the frame edge rates exactly 0 (NaN
-    for the single user's unbounded limit).
+    so an allocation within 1e-12 of the frame edge rates exactly 0, the
+    single user's unbounded limit included.
     """
     _check_users(alloc.xi, params.K)
     w = params.beta**2 * alloc.xi
     cross = w.sum() - w
-    with np.errstate(divide="ignore"):
+    rem = _rate_phase("wetmm", alloc.tau, alloc.alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):  # invalid: 0 x inf on the edge
         sinr = np.where(cross > 0, (params.M - 1) * w / np.where(cross > 0, cross, 1.0), np.inf)
-    return _rate_phase("wetmm", alloc.tau, alloc.alpha) * np.log2(1.0 + sinr)
+        return np.where(rem > 0.0, rem * np.log2(1.0 + sinr), 0.0)
 
 
 def maxmin_asymptotic_rate(params: SystemParams, detector: str) -> float:
@@ -311,13 +312,23 @@ def large_k_rate(zeta, alpha_star, c1, p_dl, sigma2_ul):
         zeta = K / M,  c1 = (1/K) sum_i 1/beta_i^2.
 
     Strictly decreasing in zeta on (0, 1); diverges to -inf as zeta -> 1.
+
+    Raises:
+        ValueError: if zeta leaves (0, 1), a constant is not positive and
+            finite, or a rate is not finite because a product overflows or
+            underflows; the message names the inputs.
     """
     zeta = np.asarray(zeta, dtype=float)
     if not np.all((zeta > 0) & (zeta < 1)):
         raise ValueError("user load zeta must lie strictly inside (0, 1)")
-    for name, v in dict(alpha_star=alpha_star, c1=c1, p_dl=p_dl, sigma2_ul=sigma2_ul).items():
+    inputs = dict(alpha_star=alpha_star, c1=c1, p_dl=p_dl, sigma2_ul=sigma2_ul)
+    for name, v in inputs.items():
         _check_finite(name, v, "positive")
-    return np.log2(alpha_star * p_dl * (1.0 - zeta) / (c1 * sigma2_ul * zeta**2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rate = np.log2(alpha_star * p_dl * (1.0 - zeta) / (c1 * sigma2_ul * zeta**2))
+    _check_finite("the dense-regime rate at " + ", ".join(f"{k} {v}" for k, v in inputs.items())
+                  + f" and zeta {zeta.min()} to {zeta.max()}", rate)
+    return rate
 
 
 def user_load_for_rate(target_rate, alpha_star, c1, p_dl, sigma2_ul) -> float:
@@ -358,17 +369,28 @@ def c1_limit(beta0: float, u: float, a: float, b: float) -> float:
     nothing cancels at any gap or exponent.  Each quotient is 1 in its
     limit: at a = b the value is beta0^(-2) a^(2u), and at u = -1/2 it is
     log(b/a) / ((b - a) beta0^2).
+
+    Raises:
+        ValueError: if an input is out of range, or the limit is not
+            positive and finite because a power overflows or underflows;
+            the message names the inputs.
     """
     _check_finite("beta0", beta0, "positive")
     _check_finite("u", u)
     _check_finite("distances", (a, b), "positive")
     if a > b:
         raise ValueError("need a <= b")
+    name = f"the c1 limit at beta0 {beta0}, u {u} and distances {a} to {b}"
+    # numpy scalars, so an overflow gives inf, not Python's OverflowError
+    beta0, u, a, b = (np.float64(v) for v in (beta0, u, a, b))
     n, d = 2 * u + 1, (b - a) / a
-    log_ratio = np.log1p(d)
-    x = n * log_ratio
-    return float(a ** (2 * u) * (np.expm1(x) / x if x else 1.0) * (log_ratio / d if d else 1.0)
-                 / beta0**2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_ratio = np.log1p(d)
+        x = n * log_ratio
+        c1 = float(a ** (2 * u) * (np.expm1(x) / x if x else 1.0)
+                   * (log_ratio / d if d else 1.0) / beta0**2)
+    _check_finite(name, c1, "positive")
+    return c1
 
 
 def c1_sample(beta) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wetmm.estimation import _channel_consts, _channels, _trial_normals
+from wetmm.estimation import _channel_consts, _channels, _trial_normals, error_variance
 from wetmm.sysmodel import (SystemParams, _check_count, _check_finite, _check_tags,
                             _pcg64_states, trial_rng)
 
@@ -108,7 +108,8 @@ def draw_trials(params: SystemParams, pilot_energy, master_seed: int, trials,
     the channel); ``method`` "statistical" samples estimate and error from
     their exact marginals, "pilot" runs the pilot pipeline."""
     _check_tags(channel_knowledge=method)
-    consts = _channel_consts(params, pilot_energy)
+    consts = _channel_consts(params, pilot_energy, None if pilot_energy is None
+                             else error_variance(params.beta, pilot_energy, params.sigma2_ul))
     stacks = _trial_normals(params, _pcg64_states(master_seed, trials, salt),
                             np.random.default_rng(0), 2 if pilot_energy is None else 4)
     return _channels(params, consts, stacks, method)

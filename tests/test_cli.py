@@ -20,6 +20,7 @@ from wetmm.cli import (
 )
 import wetmm.cli as cli
 import wetmm.montecarlo as montecarlo
+import wetmm.optimizer as optimizer
 from wetmm.energy import ResourceAllocation
 from wetmm.montecarlo import McConfig, estimate_exact_rate
 from wetmm.optimizer import grid_search_p1
@@ -235,6 +236,37 @@ def test_bad_spec_values_rejected_before_any_output(tmp_path, capsys, experiment
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert line.split()[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment, line, message", [
+    ("optimize", "p_dl = 1e300",
+     "the min rate nan of the search's winner at M = 200 (alpha 0.0005, rho 0.0005, xi ["),
+    ("rate-vs-m", "p_dl = 1e300", "the min rate nan of the search's winner at M = 3 "),
+    ("large-k", "distances = 1e300, 1e301",
+     "the c1 limit at beta0 0.001, u 3.0 and distances 1e+300 to 1e+301 must be positive"),
+    ("large-k", "beta0 = 1e300",
+     "the c1 limit at beta0 1e+300, u 3.0 and distances 6.0 to 12.0 must be positive"),
+    ("large-k", "sigma2_ul = 1e300", "the dense-regime rate at alpha_star 0.05, c1 "),
+])
+def test_an_overflowing_scenario_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                             experiment, line, message):
+    """A scenario whose model overflows exits 2 with one line naming the
+    quantity and its inputs, with no warning, traceback or output file: a
+    NaN search winner, the c1 limit's powers and the dense-regime rate.
+    rate-vs-m stops at its first search."""
+    searches = []
+    def counted(*args, _search=optimizer._grid_search):
+        searches.append(args[1])
+        return _search(*args)
+    monkeypatch.setattr(cli, "_grid_search", counted)
+    monkeypatch.setattr(optimizer, "_grid_search", counted)
+    cfg = write_config(tmp_path, line + "\n")
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+    assert len(searches) == (0 if experiment == "large-k" else 1)  # one batch of searches
 
 
 def test_simplex_policy_rejects_refine_radius(tmp_path, capsys):

@@ -23,7 +23,8 @@ def test_channel_consts_pilot_block_is_orthonormal(K):
     p = SystemParams(M=K + 1, K=K, p_dl=1.0, sigma2_ul=1e-15,
                      beta=1e-3 * np.linspace(6.0, 20.0, K) ** -3.0)
     energy = np.linspace(5e-10, 2e-9, K)
-    phi_t, phi_conj, scale = _channel_consts(p, energy)[4:]
+    phi_t, phi_conj, scale = _channel_consts(p, energy,
+                                             error_variance(p.beta, energy, p.sigma2_ul))[4:]
     assert np.max(np.abs(phi_conj.T @ phi_t.T - np.eye(K))) <= 1e-12
     pilots = make_pilots(K, K, energy)
     assert np.array_equal(phi_t, pilots.Phi.T) and np.array_equal(phi_conj, pilots.Phi.conj())

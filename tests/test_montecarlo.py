@@ -337,7 +337,7 @@ def test_each_chunk_gets_its_trials_streams(params200, monkeypatch, workers):
     their draws at any salt, on every worker."""
     monkeypatch.setattr(montecarlo, "_WORKERS", workers)
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 400)
-    consts = _channel_consts(params200, None)
+    consts = _channel_consts(params200, None, None)
     seen = montecarlo._shared_rows(7, int)
     def body(trials, stacks, redraw):
         for salt, normals in ((0, stacks), (3, redraw(trials, 3))):
@@ -531,6 +531,11 @@ def test_error_variance_matches_per_trial_pilot_draws(ref_alloc, monkeypatch, sy
         assert est.n_resamples > 0
 
 
+def walk(params, points, error_var=False, energy=True):
+    """The estimates of one walk over ``points``, run alone."""
+    return montecarlo._estimate_walks([(params, points)], error_var, energy)[0]
+
+
 def fairness_points(ref_alloc, n=70, seed=4, opmm_knowledge="statistical"):
     """A wetmm and an opmm operating point on the same trials, as the
     fairness comparison pairs them."""
@@ -560,21 +565,42 @@ def test_multi_point_walk_matches_each_point_alone(ref_alloc, monkeypatch, m,
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         for chunk_entries in (default_chunk, 1, 100):
             monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", chunk_entries)
-            got = montecarlo.estimate_exact_rates(params, points, error_var=error_var)
+            got = walk(params, points, error_var)
             for a, b in zip(want, got):
                 for field in fields:
                     assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-@pytest.mark.parametrize("field, change", [
-    ("master_seed", {"seed": 5}), ("n_trials", {"n": 71}), ("block count", {"system": "ideal"})])
+@pytest.mark.parametrize("energy", [True, False])
+@pytest.mark.parametrize("m", [3, 25])
+def test_one_walk_of_every_system_equals_one_walk_per_point(ref_alloc, monkeypatch, m, energy):
+    """A walk draws the largest block count its points read and each point
+    reads its own prefix, so wetmm, opmm (pilot) and ideal points share a
+    walk, with energy rows or without, and each equals its own walk bit for
+    bit on one worker or two."""
+    # at M = K + 1 a low condition limit makes every point redraw trials
+    monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0 if m == 3 else montecarlo.COND_LIMIT)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+    params = benchmark_params(m)
+    points = fairness_points(ref_alloc, opmm_knowledge="pilot") + [
+        (ref_alloc, cfg_for(system="ideal", n=70, seed=4))]
+    want = [walk(params, [point], energy=energy)[0] for point in points]
+    if m == 3:
+        assert all(est.n_resamples > 0 for est in want)
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        for a, b in zip(want, walk(params, points, energy=energy), strict=True):
+            for field in ("rate", "rate_se", "energy", "energy_se", "n_trials", "n_resamples"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("field, change", [("master_seed", {"seed": 5}), ("n_trials", {"n": 71})])
 def test_multi_point_walk_rejects_points_that_cannot_share_normals(ref_alloc, field, change):
     point = (ref_alloc, cfg_for(**{"n": 70, "seed": 4, **change}))
     with pytest.raises(ValueError, match=field):
-        montecarlo.estimate_exact_rates(benchmark_params(10), [(ref_alloc, cfg_for(n=70, seed=4)),
-                                                               point])
+        walk(benchmark_params(10), [(ref_alloc, cfg_for(n=70, seed=4)), point])
     with pytest.raises(ValueError, match="at least one"):
-        montecarlo.estimate_exact_rates(benchmark_params(10), [])
+        walk(benchmark_params(10), [])
     with pytest.raises(ValueError, match="number of walks"):
         montecarlo._estimate_walks([], error_var=False)
 
@@ -583,9 +609,9 @@ def test_multi_point_walk_rejects_points_that_cannot_share_normals(ref_alloc, fi
                                                  ("mrc", True)])
 def test_batched_walks_match_one_walk_per_antenna_count(ref_alloc, monkeypatch, detector,
                                                         error_var):
-    """A batch of walks, one per antenna count, equals one
-    estimate_exact_rates call per walk bit for bit, on any number of workers
-    and chunk sizes: each trial keeps its stream, its redraws and its row."""
+    """A batch of walks, one per antenna count, equals each walk run alone
+    bit for bit, on any number of workers and chunk sizes: each trial keeps
+    its stream, its redraws and its row."""
     # at M = K + 1 a low condition limit makes the ZF points redraw trials
     monkeypatch.setattr(montecarlo, "COND_LIMIT", 30.0)
     walks = []
@@ -595,13 +621,12 @@ def test_batched_walks_match_one_walk_per_antenna_count(ref_alloc, monkeypatch, 
                                    system=cfg.system))
                   for alloc, cfg in fairness_points(ref_alloc, n=60)]
         walks.append((params, points))
-        if not error_var:  # the ideal system draws 2 blocks, so it walks alone
+        if not error_var:  # the ideal system has no estimation error, so no error rows
             walks.append((params, [(ref_alloc, cfg_for(system="ideal", detector=detector,
                                                        n=60, seed=4))]))
     fields = ("rate", "rate_se", "energy", "energy_se", "n_trials", "n_resamples",
               "error_var", "error_var_se")
-    want = [montecarlo.estimate_exact_rates(params, points, error_var=error_var)
-            for params, points in walks]
+    want = [walk(params, points, error_var) for params, points in walks]
     if detector == "zf":
         assert all(est.n_resamples > 0 for est in want[0])
     default_chunk = montecarlo._CHUNK_ENTRIES

@@ -1,7 +1,6 @@
 """Max-min allocation search: analytic weights, grid passes, pinned optima."""
 
 import collections
-import dataclasses
 
 import numpy as np
 import pytest
@@ -65,7 +64,6 @@ def test_grid_search_pinned_zf(params200):
     assert np.isclose(a.rho, GRID_ZF["rho"], atol=1e-12)
     assert np.isclose(res.min_rate, GRID_ZF["min_rate"], rtol=1e-12)
     assert np.isclose(res.min_rate, res.rates.min(), rtol=1e-14)
-    assert res.grid_steps == DEFAULT_STEPS
     assert res.n_evaluations > 0
     # the reported rates are reproducible from the reported allocation
     again = closed_form_rate(params200, a, "wetmm", "zf")
@@ -92,7 +90,6 @@ def test_grid_search_pinned_opmm(params200):
 
 def test_grid_search_ideal(params200):
     res = grid_search_p1(params200, "ideal", "zf")
-    assert res.grid_steps == (DEFAULT_STEPS[1],)
     assert np.isclose(res.allocation.alpha, IDEAL_ALPHA, atol=1e-12)
     assert np.isclose(res.min_rate, IDEAL_MIN, rtol=1e-12)
     assert res.allocation.tau == 0.0
@@ -131,7 +128,6 @@ def test_finer_steps_do_not_hurt(params200):
 def test_simplex_policy_mechanics(params200):
     res = grid_search_p1(params200, "wetmm", "zf", steps=(0.005, 0.005, 0.005),
                          xi_policy="simplex", xi_step=0.01)
-    assert len(res.grid_steps) == 4
     xi = res.allocation.xi
     assert np.isclose(xi.sum(), 1.0, rtol=1e-12)
     # close to the analytic-weight shortcut; the 0.01 xi lattice cannot hold
@@ -231,8 +227,8 @@ def test_maxmin_asymptotic_rate_bounds_the_search_at_large_m(detector):
     exponent near the asymptotic allocation's -0.1 (measured -0.088)."""
     ms = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
     problems = [benchmark_params(m) for m in ms]
-    results = optimizer._grid_search(problems, "wetmm", detector, DEFAULT_STEPS, "analytic",
-                                     0.001, 20, None)
+    results = optimizer._grid_search(problems[0], ms, "wetmm", detector, DEFAULT_STEPS,
+                                     "analytic", 0.001, 20, None)
     for params, res in zip(problems, results):
         assert maxmin_asymptotic_rate(params, detector) >= res.min_rate, params.M
     if detector == "zf":
@@ -406,7 +402,6 @@ def test_grid_search_matches_tau_brute_force(m, system, detector, xi_policy):
         # the whole (alpha, xi) lattice in one pass: 21 alphas times 1 or 5 xis
         simplex = xi_policy == "simplex"
         assert got.n_evaluations == 21 * (5 if simplex else 1)
-        assert got.grid_steps == ((0.05, 0.25) if simplex else (0.05,))
 
 
 def test_grid_search_keeps_the_last_interior_rho():
@@ -486,18 +481,10 @@ def test_public_closed_forms_are_unchanged(params200, xi_star, system, kind):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("field, changes", [
-    ("K", dict(K=3, beta=(1e-5, 1e-6, 1e-7))), ("p_dl", dict(p_dl=2.0)),
-    ("sigma2_ul", dict(sigma2_ul=2e-15)), ("beta", dict(beta=(1e-5, 1e-6))),
-])
-def test_batched_search_refuses_problems_that_differ_beyond_m(params200, field, changes):
-    """A batch's problems may differ only in M; the error names the field."""
-    other = SystemParams(**{**dataclasses.asdict(params200), "M": 50, **changes})
-    with pytest.raises(ValueError, match=f"differ in {field};"):
-        optimizer._grid_search([params200, other], "wetmm", "zf", (0.1, 0.1, 0.1), "analytic",
-                               0.1, 2, 1)
-    with pytest.raises(ValueError, match="^number of problems must be >= 1"):
-        optimizer._grid_search([], "wetmm", "zf", (0.1, 0.1, 0.1), "analytic", 0.1, 2, 1)
+def test_batched_search_refuses_an_empty_batch(params200):
+    with pytest.raises(ValueError, match="^number of antenna counts must be >= 1"):
+        optimizer._grid_search(params200, [], "wetmm", "zf", (0.1, 0.1, 0.1), "analytic", 0.1,
+                               2, 1)
 
 
 def test_rate_vs_m_kernel_calls_are_pinned(tmp_path, monkeypatch):

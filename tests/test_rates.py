@@ -1,6 +1,7 @@
 """Closed-form rate expressions against naive scalar reference loops and
 pinned benchmark values."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -233,11 +234,17 @@ def test_asymptotic_mrc_identity(params200, xi_star):
     assert np.allclose(asymptotic_mrc_rate(params200, alloc), want, rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_asymptotic_mrc_single_user_unbounded():
     p = SystemParams(M=64, K=1, p_dl=1.0, sigma2_ul=1e-15, beta=np.array([1e-6]))
     alloc = ResourceAllocation(tau=0.0, alpha=0.1, rho=0.5, xi=np.array([1.0]))
     assert np.all(np.isinf(asymptotic_mrc_rate(p, alloc)))
     assert maxmin_asymptotic_rate(p, "mrc") == float("inf")
+    # on the frame edge the unbounded limit rates 0, as every rate does there,
+    # where 0 x inf gave NaN and a warning
+    for tau, alpha in FRAME_EDGES["wetmm"] + [(0.5, 0.5)]:
+        rate = asymptotic_mrc_rate(p, ResourceAllocation(tau, alpha, 0.5, np.array([1.0])))
+        assert rate.tolist() == [0.0] and not np.signbit(rate).any(), (tau, alpha)
 
 
 def test_maxmin_asymptotic_values(params200):
@@ -386,6 +393,29 @@ def test_user_load_for_rate_rejects_non_finite(arg, bad):
     args[arg] = bad
     with pytest.raises(ValueError, match="finite"):
         user_load_for_rate(*args.values())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta0, a, b", [(1e-3, 1e300, 1e301), (1e300, 6.0, 12.0),
+                                         (1e-300, 6.0, 12.0), (1e-3, 1e-300, 1e-300)])
+def test_c1_limit_refuses_a_limit_that_overflows(beta0, a, b):
+    """A power that overflows or underflows is refused, naming the inputs;
+    it raised OverflowError or ZeroDivisionError, or returned 0 or inf."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"the c1 limit at beta0 {beta0}, u 3.0 and distances {a} to {b} must be positive "
+            "and finite")):
+        c1_limit(beta0, 3.0, a, b)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zeta, sigma2_ul", [(0.5, 1e308), (1e-300, 1e-15), (0.5, 1e-320)])
+def test_large_k_rate_refuses_a_rate_that_overflows(zeta, sigma2_ul):
+    """A rate that is not finite because a product overflows or underflows
+    is refused, naming the inputs; it was -inf or inf with a warning."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"the dense-regime rate at alpha_star 0.05, c1 2.5, p_dl 1.0, sigma2_ul {sigma2_ul} "
+            f"and zeta {zeta} to {zeta} must be finite")):
+        large_k_rate(zeta, 0.05, 2.5, 1.0, sigma2_ul)
 
 
 @pytest.mark.parametrize("arg", ["zeta", "alpha_star", "c1", "p_dl", "sigma2_ul"])
