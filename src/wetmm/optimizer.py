@@ -476,15 +476,28 @@ def rate_map(params: SystemParams, system: str, detector: str, tau, alpha, rho, 
 
     Raises:
         ValueError: on invalid tags, the ideal system (it has no tau or rho
-            axes), a non-finite entry, or an entry that
-            :func:`wetmm.rates.closed_form_sinr` refuses.
+            axes), a non-finite entry, an entry that
+            :func:`wetmm.rates.closed_form_sinr` refuses, or a rate inside
+            the frame that is not finite (the scenario's energies or SINRs
+            overflow), naming the first such cell and its inputs.
     """
     if system == "ideal":
         raise ValueError("the ideal system has no (tau, rho) axes to map")
     tau, alpha, rho, xi = (np.asarray(v, dtype=float) for v in (tau, alpha, rho, xi))
     for name, v in zip(("tau", "alpha", "rho", "xi"), (tau, alpha, rho, xi)):
         _check_finite(name, v)
-    sinr = closed_form_sinr(params, system, detector, tau, alpha, rho, xi)
-    rem = np.where(tau + alpha > 1.0 + 1e-12, np.nan, _rate_phase(system, tau, alpha))
-    with np.errstate(invalid="ignore"):
-        return rem * np.log2(1.0 + np.maximum(sinr, 0.0))
+    outside = tau + alpha > 1.0 + 1e-12
+    # an overflow gives inf or NaN rates, refused below in place of numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinr = closed_form_sinr(params, system, detector, tau, alpha, rho, xi)
+        rates = (np.where(outside, np.nan, _rate_phase(system, tau, alpha))
+                 * np.log2(1.0 + np.maximum(sinr, 0.0)))
+    # the first NaN inside the frame, else its largest rate (NaN counts as largest)
+    inside = np.where(outside, 0.0, rates)
+    if inside.size:
+        cell = np.unravel_index(np.argmax(inside), inside.shape)
+        t, a, r = (np.broadcast_to(v, inside.shape)[cell] for v in (tau, alpha, rho))
+        x = np.broadcast_to(xi, inside.shape)[cell[:-1]].tolist()
+        _check_finite(f"the rate {inside[cell]} of user {cell[-1] + 1} at M = {params.M} "
+                      f"(tau {t:g}, alpha {a:g}, rho {r:g}, xi {x})", inside[cell])
+    return rates

@@ -1,6 +1,7 @@
 """Max-min allocation search: analytic weights, grid passes, pinned optima."""
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -287,6 +288,19 @@ def test_rate_map_rejects_non_finite(params200, xi_star, arg, bad):
     args[arg] = value
     with pytest.raises(ValueError, match="finite"):
         rate_map(params200, "wetmm", "zf", **args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rate_map_refuses_a_rate_that_overflows(xi_star):
+    """A rate inside the frame that overflows is refused, naming its cell and
+    inputs, with no numpy warning.  Cells at alpha = 0 harvest nothing and
+    rate 0, and (0.9, 0.5) is beyond the frame, so the refused cell is the
+    last one."""
+    params = dataclasses.replace(benchmark_params(200), p_dl=1e300)
+    tau, alpha = np.array([0.9, 0.0]), np.array([0.0, 0.5])
+    with pytest.raises(ValueError, match=r"^the rate nan of user 1 at M = 200 \(tau 0, alpha 0\.5, "
+                                         r"rho 0\.5, xi \[0\.0153.*\]\) must be finite$"):
+        rate_map(params, "wetmm", "zf", tau[:, None, None], alpha[None, :, None], 0.5, xi_star)
 
 
 @pytest.mark.parametrize("arg, value, match", [
